@@ -9,31 +9,24 @@ The numeric path must reproduce the algebraic verdict or fail loudly.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .domain import BasicState, Classification, ModelKind, Verdict, Wavevector, require_valid
+from .domain import (
+    STATE_FIELDS, BasicState, Classification, ModelKind, Verdict, Wavevector, require_valid
+)
 from .errors import ConfigError, ConflictError, FitError
 from .roots import fit_scaling
 
 COLLINEARITY_REL_TOL = 1e-9
 
-# |a| at or below this relative threshold is treated as the exact a = 0 case
-_A_ZERO_REL_TOL = 1e-12
-
-_AXIS_SETTERS = {
-    "rho_hat": lambda st, v: st.replace(rho_hat=v),
-    "c_hat": lambda st, v: st.replace(c_hat=v),
-    "a_hat": lambda st, v: st.replace(a_hat=v),
-    "a0_hat": lambda st, v: st.replace(a0_hat=v),
-    "a1_hat": lambda st, v: st.replace(a1_hat=v),
-    "H_plasma_2": lambda st, v: st.replace(H_plasma=(v, st.H_plasma[1])),
-    "H_plasma_3": lambda st, v: st.replace(H_plasma=(st.H_plasma[0], v)),
-    "H_vacuum_2": lambda st, v: st.replace(H_vacuum=(v, st.H_vacuum[1])),
-    "H_vacuum_3": lambda st, v: st.replace(H_vacuum=(st.H_vacuum[0], v)),
-}
+# A nonzero a_hat counts as the exact a = 0 case when
+# |a| <= _A_ZERO_TOL * (1 + |a|), that is |a| <= 1e-12 / (1 - 1e-12).
+# The cutoff is absolute, about 1e-12 for every a_hat: it does not scale
+# with rho_hat, the fields or the other determinant terms.
+_A_ZERO_TOL = 1e-12
 
 
 def is_collinear(state: BasicState, rel_tol: float = COLLINEARITY_REL_TOL) -> bool:
@@ -51,7 +44,7 @@ def _a_is_zero(state: BasicState) -> bool:
     a = state.a_hat
     if a == 0.0:
         return True
-    if abs(a) <= _A_ZERO_REL_TOL * (1.0 + abs(a)):
+    if abs(a) <= _A_ZERO_TOL * (1.0 + abs(a)):
         warnings.warn(
             f"a_hat={a!r} is below the zero-detection threshold; "
             "classifying as the a = 0 case",
@@ -159,9 +152,9 @@ class SweepSpec:
 
     def __post_init__(self):
         names = [name for name, _ in self.axes]
-        unknown = [n for n in names if n not in _AXIS_SETTERS]
+        unknown = [n for n in names if n not in STATE_FIELDS]
         if unknown:
-            raise ConfigError(f"unknown sweep axes: {unknown}; valid: {sorted(_AXIS_SETTERS)}")
+            raise ConfigError(f"unknown sweep axes: {unknown}; valid: {sorted(STATE_FIELDS)}")
         if len(set(names)) != len(names):
             raise ConfigError(f"duplicate sweep axes in {names}")
         total = 1
@@ -172,28 +165,12 @@ class SweepSpec:
 
     def points(self):
         """States in row-major order (last axis varies fastest)."""
-        def rec(state, axes):
-            if not axes:
-                yield state
-                return
-            (name, values), rest = axes[0], axes[1:]
-            setter = _AXIS_SETTERS[name]
-            for v in values:
-                yield from rec(setter(state, v), rest)
-
-        yield from rec(self.base, tuple(self.axes))
+        base = self.base.fields()
+        names = [name for name, _ in self.axes]
+        for values in itertools.product(*(values for _, values in self.axes)):
+            yield BasicState.from_fields({**base, **dict(zip(names, values))})
 
 
-def sweep(
-    model: ModelKind,
-    grid: SweepSpec,
-    rel_tol: float = COLLINEARITY_REL_TOL,
-    jobs: int = 1,
-):
+def sweep(model: ModelKind, grid: SweepSpec, rel_tol: float = COLLINEARITY_REL_TOL):
     """classify_frozen over every grid point, in deterministic grid order."""
-    states = list(grid.points())
-    if jobs <= 1:
-        return [(st, classify_frozen(model, st, rel_tol)) for st in states]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        results = list(pool.map(lambda st: classify_frozen(model, st, rel_tol), states))
-    return list(zip(states, results))
+    return [(st, classify_frozen(model, st, rel_tol)) for st in grid.points()]

@@ -2,24 +2,23 @@
 
 Output contract: every CSV has a one-line header, floats are serialized
 with 17 significant digits (round-trip exact for doubles), booleans as
-true/false. Sweeps are emitted in row-major axis order no matter how many
-worker threads computed them, so identical inputs give byte-identical
-files. Exit codes: 0 success, 1 configuration or domain errors, 2
-analytic/numeric verdict conflict, 3 partial output after solver errors.
+true/false. Sweeps are emitted in row-major axis order, so identical
+inputs give byte-identical files. Exit codes: 0 success, 1 configuration
+or domain errors, 2 analytic/numeric verdict conflict, 3 partial output
+after per-row solver errors.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from .classifier import SweepSpec, classify_frozen, numeric_classify, sweep
-from .config import Config, load_config, parse_bool
+from .config import Config, load_config, parse_grid
 from .domain import ModelKind, Wavevector
 from .errors import ConfigError, ConflictError, DomainError, GridError, NotARootError
 from .hadamard import (
@@ -65,14 +64,12 @@ def _omega_from(args, cfg: Config, section: str) -> Wavevector:
     if getattr(args, "omega", None) is not None:
         return Wavevector(args.omega[0], args.omega[1])
     sec = cfg.section(section)
-    return Wavevector(float(sec.get("omega2", 1.0)), float(sec.get("omega3", 0.0)))
+    return Wavevector(sec.get("omega2", 1.0), sec.get("omega3", 0.0))
 
 
 def cmd_classify(args) -> int:
     cfg = load_config(args.config)
-    numeric = args.numeric or parse_bool(
-        cfg.section("classify").get("numeric", "false"), "[classify] numeric"
-    )
+    numeric = args.numeric or cfg.section("classify").get("numeric", False)
     result = classify_frozen(cfg.model, cfg.state)
     print(f"verdict: {result.verdict.value}")
     print(f"collinear: {fmt(result.collinear)}")
@@ -92,13 +89,7 @@ def cmd_classify(args) -> int:
 
 def cmd_roots(args) -> int:
     cfg = load_config(args.config)
-    sec = cfg.section("roots")
-    if args.n is not None:
-        n_values = list(args.n)
-    elif "n" in sec:
-        n_values = [int(tok) for tok in sec["n"].split(",")]
-    else:
-        n_values = list(DEFAULT_N_GRID)
+    n_values = args.n or cfg.section("roots").get("n", DEFAULT_N_GRID)
     omega = _omega_from(args, cfg, "roots")
     lines = [",".join(ROOTS_COLUMNS)]
     status = 0
@@ -132,47 +123,15 @@ def cmd_roots(args) -> int:
     return status
 
 
-def _parse_grid_spec(spec: str):
-    axes = []
-    for chunk in spec.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        if "=" not in chunk:
-            raise ConfigError(f"grid axis '{chunk}' must look like name=lo:hi:count")
-        name, _, body = chunk.partition("=")
-        name = name.strip()
-        body = body.strip()
-        if ":" in body:
-            parts = body.split(":")
-            if len(parts) != 3:
-                raise ConfigError(f"grid axis '{chunk}': expected lo:hi:count")
-            lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-            if count < 1:
-                raise ConfigError(f"grid axis '{name}': count must be positive")
-            values = tuple(float(v) for v in np.linspace(lo, hi, count))
-        else:
-            values = tuple(float(tok) for tok in body.split(","))
-        axes.append((name, values))
-    if not axes:
-        raise ConfigError("empty grid specification")
-    return tuple(axes)
-
-
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     sec = cfg.section("sweep")
-    grid_spec = args.grid or sec.get("grid")
-    if not grid_spec:
+    axes = parse_grid(args.grid) if args.grid else sec.get("grid")
+    if not axes:
         raise ConfigError("no sweep grid given (use --grid or [sweep] grid)")
-    axes = _parse_grid_spec(grid_spec)
-    jobs = _resolve_jobs(args.jobs, sec)
-    numeric = args.numeric or parse_bool(sec.get("numeric", "false"), "[sweep] numeric")
-    kwargs = {}
-    if "max_points" in sec:
-        kwargs["max_points"] = int(sec["max_points"])
-    spec = SweepSpec(base=cfg.state, axes=axes, **kwargs)
-    results = sweep(cfg.model, spec, jobs=jobs)
+    numeric = args.numeric or sec.get("numeric", False)
+    max_points = sec.get("max_points", SweepSpec.max_points)
+    spec = SweepSpec(base=cfg.state, axes=axes, max_points=max_points)
     axis_names = [name for name, _ in axes]
     header = list(axis_names) + ["verdict", "collinear"]
     if "a_hat" not in axis_names:
@@ -180,58 +139,36 @@ def cmd_sweep(args) -> int:
     if numeric:
         header.append("fitted_exponent")
     lines = [",".join(header)]
-    for state, outcome in results:
-        row = [fmt(_axis_value(state, name)) for name in axis_names]
-        row += [outcome.verdict.value, fmt(outcome.collinear)]
+    status = 0
+    for state, outcome in sweep(cfg.model, spec):
+        fields = state.fields()
+        coords = [fmt(fields[name]) for name in axis_names]
+        row = coords + [outcome.verdict.value, fmt(outcome.collinear)]
         if "a_hat" not in axis_names:
             row.append(fmt(state.a_hat))
         if numeric:
-            confirmed = numeric_classify(
-                cfg.model, state, list(DEFAULT_N_GRID), [Wavevector(1.0, 0.0)]
-            )
+            try:
+                confirmed = numeric_classify(
+                    cfg.model, state, list(DEFAULT_N_GRID), [Wavevector(1.0, 0.0)]
+                )
+            except (ConflictError, DomainError, ValueError, RuntimeError) as exc:
+                point = ",".join(f"{name}={c}" for name, c in zip(axis_names, coords))
+                lines.append(f"# error: {point} {type(exc).__name__}: {exc}")
+                status = 3
+                continue
             exp = confirmed.evidence.exponent if confirmed.evidence else math.nan
             row.append(fmt(exp))
         lines.append(",".join(row))
     _write_lines(lines, args.out)
-    return 0
-
-
-def _axis_value(state, name):
-    if name == "H_plasma_2":
-        return state.H_plasma[0]
-    if name == "H_plasma_3":
-        return state.H_plasma[1]
-    if name == "H_vacuum_2":
-        return state.H_vacuum[0]
-    if name == "H_vacuum_3":
-        return state.H_vacuum[1]
-    return getattr(state, name)
-
-
-def _resolve_jobs(flag_value, sec) -> int:
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get("MHDLAB_JOBS")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(f"MHDLAB_JOBS must be an integer, got '{env}'")
-    if "jobs" in sec:
-        return int(sec["jobs"])
-    return 1
+    return status
 
 
 def cmd_hadamard(args) -> int:
     cfg = load_config(args.config)
     sec = cfg.section("hadamard")
-    n_list = list(args.n_list) if args.n_list else (
-        [int(tok) for tok in sec["n_list"].split(",")] if "n_list" in sec else [25, 100, 400]
-    )
-    t = args.t if args.t is not None else float(sec.get("t", 1.0))
-    dump_fields = args.dump_fields or parse_bool(
-        sec.get("dump_fields", "false"), "[hadamard] dump_fields"
-    )
+    n_list = args.n_list or sec.get("n_list", (25, 100, 400))
+    t = args.t if args.t is not None else sec.get("t", 1.0)
+    dump_fields = args.dump_fields or sec.get("dump_fields", False)
     omega = _omega_from(args, cfg, "hadamard")
     out_dir = Path(args.out)
     try:
@@ -324,9 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="mhdlab",
         description="Stability toolkit for plasma-vacuum interface models",
     )
-    parser.add_argument(
-        "--seed", type=int, default=0, help="seed for randomized sweeps (reproducibility)"
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="well-posedness verdict for one state")
@@ -344,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="stability map over a parameter grid")
     p.add_argument("config")
     p.add_argument("--grid", help="axes, e.g. 'a_hat=-2:2:11;a0_hat=0:1:5'")
-    p.add_argument("--jobs", type=int, help="worker threads (default MHDLAB_JOBS or 1)")
+    p.add_argument("--jobs", type=int, help="accepted and ignored; sweeps run serially")
     p.add_argument("--numeric", action="store_true", help="attach fitted exponents")
     p.add_argument("--out", help="CSV path (default stdout)")
     p.set_defaults(func=cmd_sweep)

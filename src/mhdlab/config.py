@@ -11,28 +11,79 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .domain import BasicState, ModelKind, require_valid
+import numpy as np
+
+from .domain import STATE_FIELDS, BasicState, ModelKind, require_valid
 from .errors import ConfigError
 
-STATE_KEYS = (
-    "model",
-    "rho_hat",
-    "c_hat",
-    "a_hat",
-    "a0_hat",
-    "a1_hat",
-    "H_plasma_2",
-    "H_plasma_3",
-    "H_vacuum_2",
-    "H_vacuum_3",
-)
+STATE_KEYS = ("model",) + STATE_FIELDS
 
+
+def parse_bool(value: str, context: str = "value") -> bool:
+    low = value.strip().lower()
+    if low in ("true", "1", "yes", "on"):
+        return True
+    if low in ("false", "0", "no", "off"):
+        return False
+    raise ConfigError(f"{context}: expected a boolean, got '{value}'")
+
+
+def _int_list(value: str) -> tuple:
+    return tuple(int(tok) for tok in value.split(","))
+
+
+def parse_grid(spec: str) -> tuple:
+    """Sweep axes from 'name=lo:hi:count;name=v1,v2,...', in the given order."""
+    axes = []
+    for chunk in spec.split(";"):
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        if "=" not in chunk:
+            raise ConfigError(f"grid axis '{chunk}' must look like name=lo:hi:count")
+        name, _, body = chunk.partition("=")
+        name = name.strip()
+        body = body.strip()
+        if ":" in body:
+            try:
+                lo, hi, count = body.split(":")
+                lo, hi, count = float(lo), float(hi), int(count)
+            except ValueError:
+                raise ConfigError(f"grid axis '{chunk}': expected lo:hi:count") from None
+            if count < 1:
+                raise ConfigError(f"grid axis '{name}': count must be positive")
+            values = tuple(float(v) for v in np.linspace(lo, hi, count))
+        else:
+            try:
+                values = tuple(float(tok) for tok in body.split(","))
+            except ValueError:
+                raise ConfigError(f"grid axis '{chunk}': expected numbers v1,v2,...") from None
+        axes.append((name, values))
+    if not axes:
+        raise ConfigError("empty grid specification")
+    return tuple(axes)
+
+
+# [section] -> key -> parser; sections hold the parsed values
 SECTION_KEYS = {
-    "classify": ("numeric", "rel_tol"),
-    "roots": ("n", "omega2", "omega3"),
-    "sweep": ("grid", "jobs", "max_points", "numeric"),
-    "hadamard": ("n_list", "t", "omega2", "omega3", "dump_fields"),
-    "green": ("k", "points"),
+    "classify": {"numeric": parse_bool},
+    "roots": {"n": _int_list, "omega2": float, "omega3": float},
+    "sweep": {"grid": parse_grid, "max_points": int, "numeric": parse_bool},
+    "hadamard": {
+        "n_list": _int_list,
+        "t": float,
+        "omega2": float,
+        "omega3": float,
+        "dump_fields": parse_bool,
+    },
+}
+
+_KINDS = {
+    float: "a number",
+    int: "an integer",
+    _int_list: "comma-separated integers",
+    parse_bool: "a boolean",
+    parse_grid: "axes like 'a_hat=-2:2:11;a0_hat=0,1'",
 }
 
 _MODEL_NAMES = {kind.value: kind for kind in ModelKind}
@@ -52,6 +103,13 @@ class Config:
 
 def _err(source: str, lineno: int, message: str) -> ConfigError:
     return ConfigError(f"{source}:{lineno}: {message}")
+
+
+def _parse(parser, key: str, value: str, source: str, lineno: int):
+    try:
+        return parser(value)
+    except ValueError:
+        raise _err(source, lineno, f"key '{key}' needs {_KINDS[parser]}, got '{value}'")
 
 
 def parse_config_text(text: str, source: str = "<config>") -> Config:
@@ -83,43 +141,30 @@ def parse_config_text(text: str, source: str = "<config>") -> Config:
                 raise _err(source, lineno, f"unknown key '{key}'")
             if key in top:
                 raise _err(source, lineno, f"duplicate key '{key}'")
-            top[key] = (value, lineno)
+            if key == "model":
+                if value not in _MODEL_NAMES:
+                    raise _err(
+                        source,
+                        lineno,
+                        f"unknown model '{value}'; choose one of {sorted(_MODEL_NAMES)}",
+                    )
+                top[key] = _MODEL_NAMES[value]
+            else:
+                top[key] = _parse(float, key, value, source, lineno)
         else:
-            if key not in SECTION_KEYS[current_name]:
+            parsers = SECTION_KEYS[current_name]
+            if key not in parsers:
                 raise _err(
                     source, lineno, f"unknown key '{key}' in section [{current_name}]"
                 )
             if key in current:
                 raise _err(source, lineno, f"duplicate key '{key}'")
-            current[key] = value
+            current[key] = _parse(parsers[key], key, value, source, lineno)
 
     if "model" not in top:
         raise ConfigError(f"{source}: missing required key 'model'")
-    model_value, model_line = top.pop("model")
-    if model_value not in _MODEL_NAMES:
-        raise _err(
-            source,
-            model_line,
-            f"unknown model '{model_value}'; choose one of {sorted(_MODEL_NAMES)}",
-        )
-    model = _MODEL_NAMES[model_value]
-
-    numbers = {}
-    for key, (value, lineno) in top.items():
-        try:
-            numbers[key] = float(value)
-        except ValueError:
-            raise _err(source, lineno, f"key '{key}' needs a number, got '{value}'")
-
-    state = BasicState(
-        rho_hat=numbers.get("rho_hat", 1.0),
-        c_hat=numbers.get("c_hat", 1.0),
-        a_hat=numbers.get("a_hat", 0.0),
-        a0_hat=numbers.get("a0_hat", 0.0),
-        a1_hat=numbers.get("a1_hat", 0.0),
-        H_plasma=(numbers.get("H_plasma_2", 0.0), numbers.get("H_plasma_3", 0.0)),
-        H_vacuum=(numbers.get("H_vacuum_2", 0.0), numbers.get("H_vacuum_3", 0.0)),
-    )
+    model = top.pop("model")
+    state = BasicState.from_fields(top)
     require_valid(model, state)
     return Config(model=model, state=state, sections=sections)
 
@@ -130,11 +175,3 @@ def load_config(path) -> Config:
         raise ConfigError(f"config file not found: {p}")
     return parse_config_text(p.read_text(), source=str(p))
 
-
-def parse_bool(value: str, context: str) -> bool:
-    low = value.strip().lower()
-    if low in ("true", "1", "yes", "on"):
-        return True
-    if low in ("false", "0", "no", "off"):
-        return False
-    raise ConfigError(f"{context}: expected a boolean, got '{value}'")

@@ -1,7 +1,7 @@
 """Core value types for the frozen-coefficient interface stability analysis.
 
 Everything here is an immutable value; analyses treat these as plain data and
-never mutate them, so they are safe to share across worker threads.
+never mutate them.
 """
 from __future__ import annotations
 
@@ -28,6 +28,28 @@ class ModelKind(enum.Enum):
     @property
     def is_compressible(self) -> bool:
         return self in (ModelKind.CompressibleEuler, ModelKind.CompressibleMHD)
+
+
+# Flat names of the BasicState fields, as config keys, sweep axes and CSV
+# columns; a trailing _2/_3 names a component of a tangential field.
+STATE_FIELDS = (
+    "rho_hat",
+    "c_hat",
+    "a_hat",
+    "a0_hat",
+    "a1_hat",
+    "H_plasma_2",
+    "H_plasma_3",
+    "H_vacuum_2",
+    "H_vacuum_3",
+)
+
+
+# flat name -> (attribute, component index or None): 'H_plasma_3' -> ('H_plasma', 1)
+_FIELD_SLOTS = {
+    name: (name[:-2], int(name[-1]) - 2) if name[-1].isdigit() else (name, None)
+    for name in STATE_FIELDS
+}
 
 
 class Verdict(enum.Enum):
@@ -95,6 +117,28 @@ class BasicState:
             )
         for name in ("a_hat", "a0_hat", "a1_hat"):
             object.__setattr__(self, name, _finite(name, getattr(self, name)))
+
+    @classmethod
+    def from_fields(cls, values) -> "BasicState":
+        """State from flat STATE_FIELDS names; missing names keep the defaults."""
+        kwargs = {}
+        for name, value in values.items():
+            attr, index = _FIELD_SLOTS[name]
+            if index is None:
+                kwargs[attr] = value
+            else:
+                vec = list(kwargs.get(attr, getattr(cls, attr)))
+                vec[index] = value
+                kwargs[attr] = tuple(vec)
+        return cls(**kwargs)
+
+    def fields(self) -> dict:
+        """The state as a flat dict keyed by STATE_FIELDS."""
+        out = {}
+        for name, (attr, index) in _FIELD_SLOTS.items():
+            value = getattr(self, attr)
+            out[name] = value if index is None else value[index]
+        return out
 
     def replace(self, **changes) -> "BasicState":
         import dataclasses

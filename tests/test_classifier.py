@@ -250,12 +250,3 @@ def test_sweep_row_major_order_and_boundary_consistency():
     for i, (_, cls) in enumerate(line):
         assert rows[i * 11][1].verdict is cls.verdict
 
-
-def test_sweep_parallel_matches_serial():
-    spec = SweepSpec(
-        base=collinear_state(),
-        axes=(("a_hat", tuple(np.linspace(-1, 1, 7))), ("a0_hat", (-0.5, 0.0, 0.5))),
-    )
-    serial = sweep(ModelKind.IncompressibleMHD, spec, jobs=1)
-    parallel = sweep(ModelKind.IncompressibleMHD, spec, jobs=8)
-    assert [(s, c.verdict) for s, c in serial] == [(s, c.verdict) for s, c in parallel]

@@ -7,8 +7,9 @@ import sys
 import pytest
 
 from mhdlab.cli import main
+from mhdlab.classifier import SweepSpec
 from mhdlab.config import parse_config_text, load_config, parse_bool
-from mhdlab.domain import ModelKind
+from mhdlab.domain import STATE_FIELDS, ModelKind
 from mhdlab.errors import ConfigError, DomainError
 
 ILLPOSED_INI = """\
@@ -59,7 +60,7 @@ class TestConfigParsing:
         assert cfg.model is ModelKind.CompressibleMHD
         assert cfg.state.rho_hat == 2.0
         assert cfg.state.H_plasma == (1.0, 0.5)
-        assert cfg.section("roots")["n"] == "10,100"
+        assert cfg.section("roots")["n"] == (10, 100)
         assert cfg.section("sweep") == {}
 
     def test_defaults_applied(self):
@@ -233,6 +234,96 @@ class TestSweepCommand:
         path.write_text("model = IncompressibleEuler\n")
         assert main(["sweep", str(path)]) == 1
         assert "grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", ["a_hat=x,1", "a_hat=0:1:two"])
+    def test_malformed_grid_flag_exits_one(self, euler_cfg, capsys, grid):
+        assert main(["sweep", euler_cfg, "--grid", grid]) == 1
+        assert "grid axis" in capsys.readouterr().err
+
+    def test_state_fields_round_trip_through_config_axes_and_csv(self, tmp_path, capsys):
+        values = {name: 1.5 + i for i, name in enumerate(STATE_FIELDS)}
+        path = tmp_path / "base.ini"
+        path.write_text(
+            "model = CompressibleMHD\n"
+            + "".join(f"{name} = {value}\n" for name, value in values.items())
+        )
+        base = load_config(path).state
+        assert base.fields() == values
+        # every axis moves its field off the config value
+        swept = {name: value + 10.0 for name, value in values.items()}
+        axes = tuple((name, (value,)) for name, value in swept.items())
+        (state,) = SweepSpec(base=base, axes=axes).points()
+        assert state.fields() == swept
+        grid = ";".join(f"{name}={value}" for name, value in swept.items())
+        assert main(["sweep", str(path), "--grid", grid]) == 0
+        header, row = capsys.readouterr().out.strip().splitlines()
+        assert header.split(",") == list(STATE_FIELDS) + ["verdict", "collinear"]
+        cells = row.split(",")[: len(STATE_FIELDS)]
+        assert [float(c) for c in cells] == list(swept.values())
+
+    def test_numeric_conflict_on_one_row_exits_three(self, tmp_path, capsys):
+        # a tiny positive jump conflicts with the numeric fit (see
+        # TestClassifyCommand.test_numeric_conflict_exits_two); a = 1 does not
+        path = tmp_path / "base.ini"
+        path.write_text(
+            "model = IncompressibleMHD\na0_hat = 1.0\n"
+            "H_plasma_2 = 1.0\nH_vacuum_2 = 2.0\n"
+        )
+        out = tmp_path / "map.csv"
+        code = main(
+            ["sweep", str(path), "--grid", "a_hat=0.003,1", "--numeric", "--out", str(out)]
+        )
+        assert code == 3
+        lines = out.read_text().splitlines()
+        assert lines[0] == "a_hat,verdict,collinear,fitted_exponent"
+        assert lines[1].startswith("# error: a_hat=0.0030000000000000001 ConflictError: ")
+        assert lines[2].startswith("1,IllPosed,true,0.5")
+        assert len(lines) == 3
+
+
+@pytest.mark.parametrize(
+    "section, argv_tail, message",
+    [
+        ("[sweep]\njobs = 2\n", [], ":3: unknown key 'jobs' in section [sweep]"),
+        ("[classify]\nrel_tol = 1e-9\n", [], ":3: unknown key 'rel_tol' in section [classify]"),
+        ("[green]\nk = 6.28\n", [], ":2: unknown section 'green'"),
+        ("", ["--seed", "0"], "unrecognized arguments: --seed 0"),
+    ],
+)
+def test_removed_knobs_are_rejected(tmp_path, capsys, section, argv_tail, message):
+    path = tmp_path / "knob.ini"
+    path.write_text("model = IncompressibleEuler\n" + section)
+    argv = ["classify", str(path)] + argv_tail
+    if argv_tail:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    else:
+        assert main(argv) == 1
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, section, message",
+    [
+        ("roots", "[roots]\nomega2 = x\n", "key 'omega2' needs a number, got 'x'"),
+        ("sweep", "[sweep]\nmax_points = ten\n", "key 'max_points' needs an integer"),
+        ("hadamard", "[hadamard]\nn_list = 25,a\n", "key 'n_list' needs comma-separated"),
+        ("sweep", "[sweep]\ngrid = a_hat=0:1:two\n", "key 'grid' needs axes like"),
+        ("classify", "[classify]\nnumeric = maybe\n", "key 'numeric' needs a boolean"),
+    ],
+)
+def test_malformed_value_exits_one_without_traceback(tmp_path, command, section, message):
+    path = tmp_path / "bad.ini"
+    path.write_text("model = IncompressibleEuler\n" + section)
+    proc = subprocess.run(
+        [sys.executable, "-m", "mhdlab", command, str(path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"error: {path}:3: {message}")
+    assert "Traceback" not in proc.stderr
 
 
 class TestHadamardCommand:

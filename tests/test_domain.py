@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import bounded, states, wavevectors
 from mhdlab.domain import (
+    STATE_FIELDS,
     BasicState,
     ModeRoot,
     ModelKind,
@@ -31,6 +32,19 @@ def test_state_defaults_are_quiescent():
 def test_state_rejects_nonphysical_values(field, value):
     with pytest.raises(DomainError):
         BasicState(**{field: value})
+
+
+@given(states())
+def test_flat_fields_round_trip(state):
+    flat = state.fields()
+    assert tuple(flat) == STATE_FIELDS
+    assert BasicState.from_fields(flat) == state
+
+
+def test_from_fields_keeps_defaults_for_missing_names():
+    assert BasicState.from_fields({}) == BasicState()
+    state = BasicState.from_fields({"H_vacuum_3": 2.0, "a_hat": -1.0})
+    assert state == BasicState(H_vacuum=(0.0, 2.0), a_hat=-1.0)
 
 
 def test_wavevector_rejects_zero():
