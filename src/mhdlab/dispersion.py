@@ -5,18 +5,22 @@ normalized internally and only its direction matters. Complex square roots
 take the principal branch (Re sqrt >= 0) throughout, so the flow-side
 exponent -sqrt(...) automatically has nonpositive real part.
 
-Model determinants (s is the frequency per unit mode index n):
+The interface symbol of one (model, state, direction) is a ModeSymbol, built
+once by mode_symbol(); the public functions below are thin wrappers over it.
+Its determinant (s is the frequency per unit mode index n) has one of two
+forms:
 
-  IncompressibleEuler   n s^2 - a0 s - a/rho
-  CompressibleEuler     n s^2 - a0 s - (a/rho) sqrt(1 + (s/c)^2)
-  IncompressibleMHD     (n s - a0) P + s (n wm^2 - (a + i wm a1))
-  CompressibleMHD       (n s - a0) P + s (n wm^2 - (a + i wm a1)) g(s)
+  Euler models   n s^2 - a0 s - (a/rho) g(s)
+  MHD models     (n s - a0) P + s (n wm^2 - (a + i wm a1)) g(s)
 
-with P = rho s^2 + wp^2, wp/wm the plasma/vacuum field projections onto the
-unit wavevector, g(s) = sqrt(1 + s^4 / D), D = (c^2 + cA^2) s^2 + c^2 wp^2/rho
-and cA the Alfven speed. The incompressible forms are the exact pointwise
-c -> infinity limits of the compressible ones and reduce to the familiar
-density-scaled displays at rho = 1.
+with P = rho s^2 + wp^2 and wp/wm the plasma/vacuum field projections onto
+the unit wavevector. ModeSymbol.g is the only place that knows whether the
+flow is compressible: g = 1 for the incompressible models,
+g(s) = sqrt(1 + (s/c)^2) for CompressibleEuler and g(s) = sqrt(1 + s^4 / D)
+for CompressibleMHD, with D = (c^2 + cA^2) s^2 + c^2 wp^2/rho and cA the
+Alfven speed. The flow-side exponent is -g(s). The incompressible forms are
+the exact pointwise c -> infinity limits of the compressible ones and reduce
+to the familiar density-scaled displays at rho = 1.
 """
 from __future__ import annotations
 
@@ -41,54 +45,200 @@ class DeterminantValue:
     jacobian_ds: complex
 
 
-def _coeffs(state: BasicState, omega: Wavevector):
-    """Shared shorthand: (wp, wm, c1, alpha, beta) for the given direction."""
-    wp, wm = w_pair(state, omega)
-    c1 = state.a_hat + 1j * wm * state.a1_hat
-    cA = alfven_speed(state)
-    alpha = state.c_hat**2 + cA**2
-    beta = state.c_hat**2 * wp * wp / state.rho_hat
-    return wp, wm, c1, alpha, beta
+@dataclass(frozen=True)
+class ModeSymbol:
+    """Interface symbol of one model, state and direction.
 
-
-def _g_and_dg(state: BasicState, omega: Wavevector, s: complex):
-    """Radical factor g(s) = sqrt(1 + s^4/D) and dg/ds, principal branch.
-
-    For wp = 0 the ratio s^4/D reduces analytically to s^2/alpha, which keeps
-    the neutral frequency s = 0 regular (the apparent 0/0 there is removable).
+    Holds the state's scalars and the direction-dependent coefficients
+    wp, wm, c1 = a + i wm a1, alpha = c^2 + cA^2 and beta = c^2 wp^2/rho.
+    Methods take a complex s. The incompressible forms never multiply by
+    g = 1: in complex arithmetic a factor 1.0 flips signed zeros and turns
+    inf into nan, so it would not reproduce the polynomial determinants.
     """
-    _, _, _, alpha, beta = _coeffs(state, omega)
-    if beta == 0.0:
-        ratio = s * s / alpha
-        g = cmath.sqrt(1.0 + ratio)
+
+    model: ModelKind
+    rho: float
+    a: float
+    a0: float
+    a1: float
+    c: float
+    wp: float
+    wm: float
+    c1: complex
+    alpha: float
+    beta: float
+
+    def g(self, s: complex):
+        """Radical factor g(s) and dg/ds on the principal branch.
+
+        For wp = 0 the MHD ratio s^4/D reduces analytically to s^2/alpha,
+        which keeps the neutral frequency s = 0 regular (the apparent 0/0
+        there is removable).
+        """
+        if not self.model.is_compressible:
+            return 1.0, 0.0
+        if not self.model.is_mhd:
+            g = cmath.sqrt(1.0 + (s / self.c) ** 2)
+            if g == 0:
+                raise BranchPointError(f"spatial-exponent turning point at s={s!r}")
+            return g, s / (self.c**2 * g)
+        alpha, beta = self.alpha, self.beta
+        if beta == 0.0:
+            ratio = s * s / alpha
+            g = cmath.sqrt(1.0 + ratio)
+            if g == 0:
+                raise BranchPointError(f"radical factor vanishes at s={s!r}")
+            return g, s / (alpha * g)
+        D = alpha * s * s + beta
+        scale = alpha * abs(s) ** 2 + beta
+        if abs(D) <= _BRANCH_TOL * scale:
+            raise BranchPointError(
+                f"branch point of the spatial exponent: (c^2+cA^2)s^2 + c^2 wp^2/rho = 0 at s={s!r}"
+            )
+        g = cmath.sqrt(1.0 + s**4 / D)
         if g == 0:
             raise BranchPointError(f"radical factor vanishes at s={s!r}")
-        dg = s / (alpha * g)
+        # two divisions by D, not one by D^2: D^2 can underflow for tiny beta
+        dg = (s**3 / D) * ((alpha * s * s + 2.0 * beta) / D) / g
         return g, dg
-    D = alpha * s * s + beta
-    scale = alpha * abs(s) ** 2 + beta
-    if abs(D) <= _BRANCH_TOL * scale:
-        raise BranchPointError(
-            f"branch point of the spatial exponent: (c^2+cA^2)s^2 + c^2 wp^2/rho = 0 at s={s!r}"
+
+    def _coupling(self, s: complex) -> complex:
+        """P = rho s^2 + wp^2, raising ResonanceError where it vanishes."""
+        P = self.rho * s * s + self.wp * self.wp
+        scale = self.rho * abs(s) ** 2 + self.wp * self.wp
+        if scale == 0.0 or abs(P) <= 1e-13 * scale:
+            raise ResonanceError(
+                f"pressure-velocity coupling resonance: rho s^2 + wp^2 = 0 at s={s!r}"
+            )
+        return P
+
+    def value(self, s: complex, n: int) -> DeterminantValue:
+        """The determinant and its s-derivative."""
+        if n < 1:
+            raise ValueError(f"mode index must be >= 1, got {n}")
+        g, dg = self.g(s)
+        a0, rho = self.a0, self.rho
+        compressible = self.model.is_compressible
+        if not self.model.is_mhd:
+            K = self.a / rho
+            value = n * s * s - a0 * s - K * g
+            jac = 2.0 * n * s - a0
+            if compressible:
+                jac = jac - K * s / (self.c**2 * g)
+            return DeterminantValue(value, jac)
+        P = rho * s * s + self.wp * self.wp
+        A = (n * s - a0) * P
+        dA = n * P + (n * s - a0) * 2.0 * rho * s
+        Bc = n * self.wm * self.wm - self.c1
+        if not compressible:
+            return DeterminantValue(A + s * Bc, dA + Bc)
+        return DeterminantValue(A + s * Bc * g, dA + Bc * g + s * Bc * dg)
+
+    def scale(self, s: complex, n: int) -> float:
+        """Termwise magnitude of the determinant at s, for relative residuals."""
+        gmag = abs(self.g(s)[0])
+        if not self.model.is_mhd:
+            return max(n * abs(s) ** 2 + abs(self.a0 * s) + abs(self.a / self.rho) * gmag, 1e-300)
+        Pmag = self.rho * abs(s) ** 2 + self.wp * self.wp
+        scale = (
+            n * abs(s) * Pmag
+            + abs(self.a0) * Pmag
+            + abs(s) * (n * self.wm * self.wm + abs(self.c1)) * gmag
         )
-    g = cmath.sqrt(1.0 + s**4 / D)
-    if g == 0:
-        raise BranchPointError(f"radical factor vanishes at s={s!r}")
-    # two divisions by D, not one by D^2: D^2 can underflow for tiny beta
-    dg = (s**3 / D) * ((alpha * s * s + 2.0 * beta) / D) / g
-    return g, dg
+        return max(scale, 1e-300)
+
+    def polynomial(self, n: int) -> np.ndarray:
+        """Polynomial whose root set contains every root of the determinant."""
+        a, a0, rho = self.a, self.a0, self.rho
+        compressible = self.model.is_compressible
+        if not self.model.is_mhd:
+            if not compressible:
+                return np.array([n, -a0, -a / rho], dtype=complex)
+            if a == 0:
+                return np.array([n, -a0, 0.0], dtype=complex)
+            K = a / rho
+            # (ns^2 - a0 s)^2 = K^2 (1 + (s/c)^2)
+            return np.array(
+                [n * n, -2.0 * n * a0, a0 * a0 - (K / self.c) ** 2, 0.0, -K * K],
+                dtype=complex,
+            )
+        P = np.array([rho, 0.0, self.wp * self.wp], dtype=complex)
+        A = np.polymul(np.array([n, -a0], dtype=complex), P)
+        Bc = n * self.wm * self.wm - self.c1
+        if not compressible:
+            # A + s(n wm^2 - c1) stays cubic
+            quad = np.zeros(4, dtype=complex)
+            quad[2] = Bc
+            return np.polyadd(A, quad)
+        if Bc == 0:
+            return A
+        D = np.array([self.alpha, 0.0, self.beta], dtype=complex)
+        # A^2 D = B^2 (D + s^4) with B = Bc s
+        lhs = np.polymul(np.polymul(A, A), D)
+        B2 = np.array([Bc * Bc, 0.0, 0.0], dtype=complex)
+        s4 = np.array([1.0, 0, 0, 0, 0], dtype=complex)
+        rhs = np.polyadd(np.polymul(B2, D), np.polymul(B2, s4))
+        return np.polysub(lhs, rhs)
+
+    def matrix(self, s: complex, n: int) -> np.ndarray:
+        """Interface matrix in the unknowns (phi, q[, xi]); see boundary_matrix."""
+        a, a0, rho = self.a, self.a0, self.rho
+        if not self.model.is_mhd:
+            if s == 0:
+                raise ResonanceError("kinematic coupling diverges at s = 0")
+            g = self.g(s)[0]
+            return np.array(
+                [[n * s - a0, g / (rho * s)], [a, 1.0]], dtype=complex
+            )
+        P = self._coupling(s)
+        g = self.g(s)[0]
+        return np.array(
+            [
+                [n * s - a0, s * g / P, 0.0],
+                [a, 1.0, 1j * n * self.wm],
+                [self.a1 + 1j * n * self.wm, 0.0, -float(n)],
+            ],
+            dtype=complex,
+        )
+
+    def velocity(self, s: complex, q_amp: complex) -> complex:
+        """Normal velocity amplitude v1 induced by a pressure amplitude q."""
+        compressible = self.model.is_compressible
+        if not self.model.is_mhd:
+            if s == 0:
+                raise ResonanceError("normal velocity diverges at s = 0 (1/s pole)")
+            if not compressible:
+                return q_amp / (self.rho * s)
+            return q_amp * self.g(s)[0] / (self.rho * s)
+        P = self._coupling(s)
+        if not compressible:
+            return q_amp * s / P
+        return q_amp * s * self.g(s)[0] / P
+
+
+def mode_symbol(model: ModelKind, state: BasicState, omega: Wavevector) -> ModeSymbol:
+    """Validate the state for the model and compute its coefficients once."""
+    require_valid(model, state)
+    wp, wm = w_pair(state, omega)
+    cA = alfven_speed(state)
+    return ModeSymbol(
+        model=model,
+        rho=state.rho_hat,
+        a=state.a_hat,
+        a0=state.a0_hat,
+        a1=state.a1_hat,
+        c=state.c_hat,
+        wp=wp,
+        wm=wm,
+        c1=state.a_hat + 1j * wm * state.a1_hat,
+        alpha=state.c_hat**2 + cA**2,
+        beta=state.c_hat**2 * wp * wp / state.rho_hat,
+    )
 
 
 def lambda_plus(model: ModelKind, state: BasicState, omega: Wavevector, s: complex) -> complex:
-    """Flow-side spatial exponent of the decaying mode, at unit wavevector."""
-    require_valid(model, state)
-    s = complex(s)
-    if not model.is_compressible:
-        return complex(-1.0)
-    if model is ModelKind.CompressibleEuler:
-        return -cmath.sqrt(1.0 + (s / state.c_hat) ** 2)
-    g, _ = _g_and_dg(state, omega, s)
-    return -g
+    """Flow-side spatial exponent -g(s) of the decaying mode, at unit wavevector."""
+    return complex(-mode_symbol(model, state, omega).g(complex(s))[0])
 
 
 def lambda_minus(model: ModelKind) -> complex:
@@ -99,114 +249,32 @@ def lambda_minus(model: ModelKind) -> complex:
 
 
 def normal_velocity_amplitude(
-    model: ModelKind,
-    state: BasicState,
-    omega: Wavevector,
-    s: complex,
-    q_amp: complex,
+    model: ModelKind, state: BasicState, omega: Wavevector, s: complex, q_amp: complex
 ) -> complex:
     """Normal velocity amplitude v1 induced by a pressure amplitude q.
 
     Per model: q/(rho s); (q/(rho s)) sqrt(1+(s/c)^2); q s/(rho s^2 + wp^2);
     q s g(s)/(rho s^2 + wp^2).
     """
-    require_valid(model, state)
-    s = complex(s)
-    rho = state.rho_hat
-    if not model.is_mhd:
-        if s == 0:
-            raise ResonanceError("normal velocity diverges at s = 0 (1/s pole)")
-        if model is ModelKind.IncompressibleEuler:
-            return q_amp / (rho * s)
-        return q_amp * cmath.sqrt(1.0 + (s / state.c_hat) ** 2) / (rho * s)
-    wp, _ = w_pair(state, omega)
-    denom = rho * s * s + wp * wp
-    scale = rho * abs(s) ** 2 + wp * wp
-    if scale == 0.0 or abs(denom) <= 1e-13 * scale:
-        raise ResonanceError(
-            f"pressure-velocity coupling resonance: rho s^2 + wp^2 = 0 at s={s!r}"
-        )
-    if model is ModelKind.IncompressibleMHD:
-        return q_amp * s / denom
-    g, _ = _g_and_dg(state, omega, s)
-    return q_amp * s * g / denom
+    return mode_symbol(model, state, omega).velocity(complex(s), q_amp)
 
 
 def dispersion_eval(
-    model: ModelKind,
-    state: BasicState,
-    omega: Wavevector,
-    s: complex,
-    n: int,
+    model: ModelKind, state: BasicState, omega: Wavevector, s: complex, n: int
 ) -> DeterminantValue:
     """Evaluate the model's interface determinant and its s-derivative."""
-    require_valid(model, state)
-    if n < 1:
-        raise ValueError(f"mode index must be >= 1, got {n}")
-    s = complex(s)
-    a, a0 = state.a_hat, state.a0_hat
-    rho = state.rho_hat
-    if model is ModelKind.IncompressibleEuler:
-        value = n * s * s - a0 * s - a / rho
-        return DeterminantValue(value, 2.0 * n * s - a0)
-    if model is ModelKind.CompressibleEuler:
-        g = cmath.sqrt(1.0 + (s / state.c_hat) ** 2)
-        if g == 0:
-            raise BranchPointError(f"spatial-exponent turning point at s={s!r}")
-        K = a / rho
-        value = n * s * s - a0 * s - K * g
-        jac = 2.0 * n * s - a0 - K * s / (state.c_hat**2 * g)
-        return DeterminantValue(value, jac)
-    wp, wm, c1, _, _ = _coeffs(state, omega)
-    P = rho * s * s + wp * wp
-    A = (n * s - a0) * P
-    dA = n * P + (n * s - a0) * 2.0 * rho * s
-    Bc = n * wm * wm - c1
-    if model is ModelKind.IncompressibleMHD:
-        return DeterminantValue(A + s * Bc, dA + Bc)
-    g, dg = _g_and_dg(state, omega, s)
-    value = A + s * Bc * g
-    jac = dA + Bc * g + s * Bc * dg
-    return DeterminantValue(value, jac)
+    return mode_symbol(model, state, omega).value(complex(s), n)
 
 
 def dispersion_scale(
-    model: ModelKind,
-    state: BasicState,
-    omega: Wavevector,
-    s: complex,
-    n: int,
+    model: ModelKind, state: BasicState, omega: Wavevector, s: complex, n: int
 ) -> float:
     """Termwise magnitude of the determinant at s, for relative residuals."""
-    s = complex(s)
-    a, a0 = state.a_hat, state.a0_hat
-    rho = state.rho_hat
-    if not model.is_mhd:
-        if model is ModelKind.CompressibleEuler:
-            gmag = abs(cmath.sqrt(1.0 + (s / state.c_hat) ** 2))
-        else:
-            gmag = 1.0
-        return max(n * abs(s) ** 2 + abs(a0 * s) + abs(a / rho) * gmag, 1e-300)
-    wp, wm, c1, _, _ = _coeffs(state, omega)
-    Pmag = rho * abs(s) ** 2 + wp * wp
-    if model is ModelKind.CompressibleMHD:
-        gmag = abs(_g_and_dg(state, omega, s)[0])
-    else:
-        gmag = 1.0
-    scale = (
-        n * abs(s) * Pmag
-        + abs(a0) * Pmag
-        + abs(s) * (n * wm * wm + abs(c1)) * gmag
-    )
-    return max(scale, 1e-300)
+    return mode_symbol(model, state, omega).scale(complex(s), n)
 
 
 def boundary_matrix(
-    model: ModelKind,
-    state: BasicState,
-    omega: Wavevector,
-    s: complex,
-    n: int,
+    model: ModelKind, state: BasicState, omega: Wavevector, s: complex, n: int
 ) -> np.ndarray:
     """Interface matrix in the unknowns (phi, q[, xi]).
 
@@ -218,36 +286,4 @@ def boundary_matrix(
     since the pressure enters the kinematic row as -v1(q). Mode construction
     restores the physical sign before extracting nullspaces.
     """
-    require_valid(model, state)
-    s = complex(s)
-    a, a0 = state.a_hat, state.a0_hat
-    rho = state.rho_hat
-    if not model.is_mhd:
-        if s == 0:
-            raise ResonanceError("kinematic coupling diverges at s = 0")
-        if model is ModelKind.CompressibleEuler:
-            g = cmath.sqrt(1.0 + (s / state.c_hat) ** 2)
-        else:
-            g = 1.0
-        return np.array(
-            [[n * s - a0, g / (rho * s)], [a, 1.0]], dtype=complex
-        )
-    wp, wm, _, _, _ = _coeffs(state, omega)
-    P = rho * s * s + wp * wp
-    scale = rho * abs(s) ** 2 + wp * wp
-    if scale == 0.0 or abs(P) <= 1e-13 * scale:
-        raise ResonanceError(
-            f"pressure-velocity coupling resonance: rho s^2 + wp^2 = 0 at s={s!r}"
-        )
-    if model is ModelKind.CompressibleMHD:
-        g = _g_and_dg(state, omega, s)[0]
-    else:
-        g = 1.0
-    return np.array(
-        [
-            [n * s - a0, s * g / P, 0.0],
-            [a, 1.0, 1j * n * wm],
-            [state.a1_hat + 1j * n * wm, 0.0, -float(n)],
-        ],
-        dtype=complex,
-    )
+    return mode_symbol(model, state, omega).matrix(complex(s), n)

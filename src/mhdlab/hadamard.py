@@ -20,8 +20,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dispersion import boundary_matrix, lambda_plus
-from .domain import BasicState, HadamardMode, ModeRoot, ModelKind, Wavevector, require_valid, w_pair
+from .dispersion import lambda_plus, mode_symbol
+from .domain import BasicState, HadamardMode, ModeRoot, ModelKind, Wavevector, w_pair
 from .errors import GridError, NotARootError, ResonanceError
 from .roots import dominant_root, solve_dispersion
 
@@ -135,13 +135,13 @@ def build_mode(
     root: ModeRoot,
 ) -> HadamardMode:
     """Assemble the full amplitude vector of one exponential solution."""
-    require_valid(model, state)
+    sym = mode_symbol(model, state, omega)
     if not (root.admissible or root.neutral):
         raise NotARootError("mode construction needs an admissible or neutral root")
     s, n = root.s, root.n
     if root.neutral and not model.is_mhd:
         raise ResonanceError("the neutral frequency has no fluid mode (1/s pole)")
-    mat = boundary_matrix(model, state, omega, s, n)
+    mat = sym.matrix(s, n)
     # boundary_matrix orients the pressure column for the determinant
     # identity; the solvability system carries -v1(q), so flip that column
     phys = mat.copy()
@@ -162,7 +162,7 @@ def build_mode(
     phi_amp = complex(null[0])
     q_amp = complex(null[1])
     rho = state.rho_hat
-    lam = lambda_plus(model, state, omega, s)
+    lam = complex(-sym.g(s)[0])
     grad = _grad_symbol(lam, omega)
 
     if not model.is_mhd:
@@ -171,7 +171,7 @@ def build_mode(
         names = EULER_FIELD_NAMES
     else:
         xi_amp = complex(null[2])
-        wp, _ = w_pair(state, omega)
+        wp = sym.wp
         if root.neutral:
             # at s = 0 the momentum balance alone fixes the magnetic
             # amplitude and forces the velocity to vanish

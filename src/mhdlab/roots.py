@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import _coeffs, _g_and_dg, dispersion_eval, dispersion_scale, lambda_minus, lambda_plus
-from .domain import BasicState, ModeRoot, ModelKind, ScalingFit, Wavevector, require_valid, w_pair
+from .dispersion import ModeSymbol, lambda_minus, mode_symbol
+from .domain import BasicState, ModeRoot, ModelKind, ScalingFit, Wavevector
 from .errors import BranchPointError, ConvergenceError, DomainError, FitError
 
 RESIDUAL_TOLERANCE = 1e-10
@@ -69,15 +69,18 @@ def newton_refine(
     raise_on_fail: bool = True,
 ) -> complex:
     """Polish a root candidate by Newton iteration on the determinant."""
-    s = complex(s)
+    return _newton(mode_symbol(model, state, omega), complex(s), n, raise_on_fail)
+
+
+def _newton(sym: ModeSymbol, s: complex, n: int, raise_on_fail: bool) -> complex:
     best = s
     best_res = math.inf
     for _ in range(MAX_ITERATIONS):
         try:
-            dv = dispersion_eval(model, state, omega, s, n)
+            dv = sym.value(s, n)
         except BranchPointError:
             break
-        res = abs(dv.value) / dispersion_scale(model, state, omega, s, n)
+        res = abs(dv.value) / sym.scale(s, n)
         if res < best_res:
             best, best_res = s, res
         if dv.jacobian_ds == 0:
@@ -86,10 +89,10 @@ def newton_refine(
         s = s - step
         if abs(step) < _STEP_TOL * (1.0 + abs(s)):
             try:
-                final = dispersion_eval(model, state, omega, s, n)
+                final = sym.value(s, n)
             except BranchPointError:
                 break
-            res = abs(final.value) / dispersion_scale(model, state, omega, s, n)
+            res = abs(final.value) / sym.scale(s, n)
             if res < best_res:
                 best, best_res = s, res
             return best
@@ -123,51 +126,17 @@ def _poly_candidates(coeffs) -> list:
     return out
 
 
-def _dispersion_polynomial(model: ModelKind, state: BasicState, omega: Wavevector, n: int):
-    """Polynomial whose root set contains every root of the determinant."""
-    a, a0, rho = state.a_hat, state.a0_hat, state.rho_hat
-    if model is ModelKind.IncompressibleEuler:
-        return np.array([n, -a0, -a / rho], dtype=complex)
-    if model is ModelKind.CompressibleEuler:
-        if a == 0:
-            return np.array([n, -a0, 0.0], dtype=complex)
-        K = a / rho
-        # (ns^2 - a0 s)^2 = K^2 (1 + (s/c)^2)
-        return np.array(
-            [n * n, -2.0 * n * a0, a0 * a0 - (K / state.c_hat) ** 2, 0.0, -K * K],
-            dtype=complex,
-        )
-    wp, wm, c1, alpha, beta = _coeffs(state, omega)
-    P = np.array([rho, 0.0, wp * wp], dtype=complex)
-    A = np.polymul(np.array([n, -a0], dtype=complex), P)
-    if model is ModelKind.IncompressibleMHD:
-        # A + s(n wm^2 - c1) stays cubic
-        quad = np.zeros(4, dtype=complex)
-        quad[2] = n * wm * wm - c1
-        return np.polyadd(A, quad)
-    Bc = n * wm * wm - c1
-    if Bc == 0:
-        return A
-    D = np.array([alpha, 0.0, beta], dtype=complex)
-    # A^2 D = B^2 (D + s^4) with B = Bc s
-    lhs = np.polymul(np.polymul(A, A), D)
-    B2 = np.array([Bc * Bc, 0.0, 0.0], dtype=complex)
-    rhs = np.polyadd(np.polymul(B2, D), np.polymul(B2, np.array([1.0, 0, 0, 0, 0], dtype=complex)))
-    return np.polysub(lhs, rhs)
-
-
-def _finish_root(model, state, omega, s, n) -> ModeRoot | None:
+def _finish_root(sym: ModeSymbol, s: complex, n: int) -> ModeRoot | None:
     try:
-        value = dispersion_eval(model, state, omega, s, n).value
+        g, _ = sym.g(s)
     except BranchPointError:
         return None
-    residual = abs(value) / dispersion_scale(model, state, omega, s, n)
-    if residual > RESIDUAL_TOLERANCE:
+    residual = abs(sym.value(s, n).value) / sym.scale(s, n)
+    # written so that a nan residual fails the gate too
+    if not residual <= RESIDUAL_TOLERANCE:
         return None
-    try:
-        lp = lambda_plus(model, state, omega, s)
-    except BranchPointError:
-        lp = complex(math.nan, math.nan)
+    model = sym.model
+    lp = complex(-g)
     lm = lambda_minus(model) if model.is_mhd else complex(math.nan, math.nan)
     neutral = s == 0
     admissible = (
@@ -199,19 +168,19 @@ def solve_dispersion(
     n: int,
 ) -> list:
     """All residual-verified roots of the determinant, most unstable first."""
-    require_valid(model, state)
+    sym = mode_symbol(model, state, omega)
     if n < 1:
         raise ValueError(f"mode index must be >= 1, got {n}")
-    candidates = _poly_candidates(_dispersion_polynomial(model, state, omega, n))
+    candidates = _poly_candidates(sym.polynomial(n))
     if model is ModelKind.CompressibleMHD:
         # Asymptotic seeds guard against conditioning loss in the squared
         # polynomial at large n.
-        for fam in asymptotic_root(model, state, omega):
+        for fam in _families(sym):
             candidates.append(fam.evaluate(n))
     roots: list[ModeRoot] = []
     for cand in candidates:
-        s = cand if cand == 0 else newton_refine(model, state, omega, cand, n, raise_on_fail=False)
-        made = _finish_root(model, state, omega, s, n)
+        s = cand if cand == 0 else _newton(sym, cand, n, raise_on_fail=False)
+        made = _finish_root(sym, s, n)
         if made is None:
             continue
         dup = next(
@@ -232,34 +201,29 @@ def dominant_root(roots) -> ModeRoot | None:
     return min(adm, key=root_sort_key) if adm else None
 
 
-def _phi_and_dphi(state: BasicState, omega: Wavevector, s: complex, compressible: bool):
-    """Leading-order symbol rho s^2 + wp^2 + wm^2 g(s) and its derivative."""
-    wp, wm, _, _, _ = _coeffs(state, omega)
-    rho = state.rho_hat
-    if not compressible:
-        return rho * s * s + wp * wp + wm * wm, 2.0 * rho * s
-    g, dg = _g_and_dg(state, omega, s)
-    return rho * s * s + wp * wp + wm * wm * g, 2.0 * rho * s + wm * wm * dg
+def _leading_symbol(sym: ModeSymbol, s: complex):
+    """Leading-order symbol rho s^2 + wp^2 + wm^2 g(s), its derivative and
+    its termwise magnitude."""
+    g, dg = sym.g(s)
+    rho, wp, wm = sym.rho, sym.wp, sym.wm
+    phi = rho * s * s + wp * wp + wm * wm * g
+    dphi = 2.0 * rho * s + wm * wm * dg
+    scale = max(rho * abs(s) ** 2 + wp * wp + wm * wm * abs(g), 1e-300)
+    return phi, dphi, scale
 
 
-def _phi_scale(state: BasicState, omega: Wavevector, s: complex, compressible: bool) -> float:
-    wp, wm, _, _, _ = _coeffs(state, omega)
-    gmag = abs(_g_and_dg(state, omega, s)[0]) if compressible else 1.0
-    return max(state.rho_hat * abs(s) ** 2 + wp * wp + wm * wm * gmag, 1e-300)
-
-
-def _s0_candidates(state: BasicState, omega: Wavevector, compressible: bool) -> list:
+def _s0_candidates(sym: ModeSymbol) -> list:
     """Nonzero roots of the leading-order symbol, residual filtered."""
-    wp, wm, _, alpha, beta = _coeffs(state, omega)
-    rho = state.rho_hat
+    rho, wp, wm = sym.rho, sym.wp, sym.wm
     if wp == 0 and wm == 0:
         return []
-    if not compressible:
+    if not sym.model.is_compressible:
         y = math.sqrt((wp * wp + wm * wm) / rho)
         return [complex(0.0, y), complex(0.0, -y)]
     if wm == 0:
         y = abs(wp) / math.sqrt(rho)
         return [complex(0.0, y), complex(0.0, -y)]
+    alpha, beta = sym.alpha, sym.beta
     # Clear the radical: (rho u + wp^2)^2 (alpha u + beta) = wm^4 (alpha u + beta + u^2), u = s^2
     cubic = np.array(
         [
@@ -277,10 +241,10 @@ def _s0_candidates(state: BasicState, omega: Wavevector, compressible: bool) -> 
         root_u = cmath.sqrt(u)
         for s in (root_u, -root_u):
             try:
-                phi, _ = _phi_and_dphi(state, omega, s, True)
+                phi, _, scale = _leading_symbol(sym, s)
             except BranchPointError:
                 continue
-            if abs(phi) <= 1e-8 * _phi_scale(state, omega, s, True):
+            if abs(phi) <= 1e-8 * scale:
                 out.append(s)
     return out
 
@@ -293,9 +257,12 @@ def asymptotic_root(model: ModelKind, state: BasicState, omega: Wavevector) -> l
     branch, W != 0 gives oscillatory leading order with an O(1/n) real
     part. Regimes with no growing branch return an empty list.
     """
-    require_valid(model, state)
-    wp, wm = w_pair(state, omega)
-    a, a0, rho = state.a_hat, state.a0_hat, state.rho_hat
+    return _families(mode_symbol(model, state, omega))
+
+
+def _families(sym: ModeSymbol) -> list:
+    wp, wm = sym.wp, sym.wm
+    a, a0, rho = sym.a, sym.a0, sym.rho
     if wp == 0 and wm == 0:
         if a == 0:
             return [AsymptoticRoot(0j, 0j, complex(a0), 0j)] if a0 != 0 else []
@@ -304,26 +271,20 @@ def asymptotic_root(model: ModelKind, state: BasicState, omega: Wavevector) -> l
         K = a / rho
         s1 = math.sqrt(K)
         s2 = a0 / 2.0
-        if model.is_compressible:
-            _, _, _, alpha, _ = _coeffs(state, omega)
-            curv = K * K / (2.0 * alpha)
-        else:
-            curv = 0.0
+        curv = K * K / (2.0 * sym.alpha) if sym.model.is_compressible else 0.0
         s3 = (a0 * s2 - s2 * s2 + curv) / (2.0 * s1)
         return [AsymptoticRoot(0j, complex(s1), complex(s2), complex(s3))]
-    compressible = model is ModelKind.CompressibleMHD
-    _, _, c1, _, _ = _coeffs(state, omega)
     families = []
-    for s0 in _s0_candidates(state, omega, compressible):
+    for s0 in _s0_candidates(sym):
         try:
-            _, dphi = _phi_and_dphi(state, omega, s0, compressible)
-            g0 = _g_and_dg(state, omega, s0)[0] if compressible else 1.0
+            _, dphi, _ = _leading_symbol(sym, s0)
+            g0 = sym.g(s0)[0]
         except BranchPointError:
             continue
         if abs(dphi) <= 1e-12 * max(1.0, rho * abs(s0)):
             continue
         P0 = rho * s0 * s0 + wp * wp
-        s2 = (a0 * P0 / s0 + c1 * g0) / dphi
+        s2 = (a0 * P0 / s0 + sym.c1 * g0) / dphi
         families.append(AsymptoticRoot(s0, 0j, s2, 0j))
     families.sort(key=lambda f: (-f.s0.imag, f.s2.real))
     return families
@@ -378,13 +339,13 @@ def scan_s0(state: BasicState, omega_samples, tolerance: float) -> S0Report:
     per_sample = []
     failures = []
     for idx, omega in enumerate(samples):
-        wp, wm = w_pair(state, omega)
-        if wp == 0 and wm == 0:
+        sym = mode_symbol(ModelKind.CompressibleMHD, state, omega)
+        if sym.wp == 0 and sym.wm == 0:
             raise DomainError(
                 "leading-order scan needs wp or wm nonzero (direction not orthogonal to both fields)"
             )
         try:
-            roots = _s0_candidates(state, omega, True)
+            roots = _s0_candidates(sym)
         except np.linalg.LinAlgError as exc:
             failures.append(f"sample {idx}: polynomial solve failed ({exc})")
             per_sample.append(math.nan)

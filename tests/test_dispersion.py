@@ -1,16 +1,18 @@
 """Determinant values, spatial exponents and their cross-consistency."""
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from conftest import MHD_MODELS, bounded, model_state_pairs, states, wavevectors
 from mhdlab.dispersion import (
     boundary_matrix,
     dispersion_eval,
+    dispersion_scale,
     lambda_minus,
     lambda_plus,
     normal_velocity_amplitude,
@@ -25,25 +27,45 @@ def complex_s(re_lo=-1.5, re_hi=1.5):
     return st.builds(complex, bounded(re_lo, re_hi), bounded(-1.5, 1.5))
 
 
+def radicand(model, state, omega, s):
+    """The radicand of g(s); None for models without a radical and where
+    the radicand's denominator nearly vanishes."""
+    if model is ModelKind.CompressibleEuler:
+        return complex(1 + (s / state.c_hat) ** 2)
+    if model is not ModelKind.CompressibleMHD:
+        return None
+    wp, _ = w_pair(state, omega)
+    alpha = state.c_hat**2 + alfven_speed(state) ** 2
+    beta = state.c_hat**2 * wp * wp / state.rho_hat
+    D = alpha * s * s + beta
+    if abs(D) <= 0.05 * (alpha * abs(s) ** 2 + beta):
+        return None
+    return complex(1 + s * s / alpha if beta == 0 else 1 + s**4 / D)
+
+
 def smooth_point(model, state, omega, s):
     """True when s is comfortably away from the radical's branch structure."""
-    if model is ModelKind.CompressibleEuler:
-        rad = 1 + (s / state.c_hat) ** 2
-    elif model is ModelKind.CompressibleMHD:
-        wp, _ = w_pair(state, omega)
-        alpha = state.c_hat**2 + alfven_speed(state) ** 2
-        beta = state.c_hat**2 * wp * wp / state.rho_hat
-        D = alpha * s * s + beta
-        if abs(D) <= 0.05 * (alpha * abs(s) ** 2 + beta):
-            return False
-        rad = 1 + s * s / alpha if beta == 0 else 1 + s**4 / D
-    else:
+    if not model.is_compressible:
         return True
-    rad = complex(rad)
-    if abs(rad) < 0.05:
+    rad = radicand(model, state, omega, s)
+    if rad is None or abs(rad) < 0.05:
         return False
     # principal-branch cut: conjugation and smoothness arguments fail there
     return not (rad.real < 0 and abs(rad.imag) <= 1e-9 * abs(rad))
+
+
+def same_sheet(model, state, omega, s, points):
+    """True when the principal root of the radicand at every point continues
+    the one at s: no point lies across the branch cut from s. Needs
+    smooth_point at s and at every point."""
+    if not model.is_compressible:
+        return True
+    root = cmath.sqrt(radicand(model, state, omega, s))
+    for p in points:
+        other = cmath.sqrt(radicand(model, state, omega, p))
+        if abs(other - root) >= abs(other + root):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------- exponents
@@ -60,7 +82,10 @@ def test_flow_side_exponent_closed_forms():
 
 @given(states(model=ModelKind.CompressibleEuler), complex_s())
 def test_flow_side_exponent_has_nonpositive_real_part(state, s):
-    lam = lambda_plus(ModelKind.CompressibleEuler, state, OM, s)
+    try:
+        lam = lambda_plus(ModelKind.CompressibleEuler, state, OM, s)
+    except BranchPointError:
+        assume(False)
     assert lam.real <= 0.0
 
 
@@ -81,11 +106,36 @@ def test_flow_side_exponent_reports_branch_point():
         lambda_plus(ModelKind.CompressibleMHD, state, OM, s)
 
 
+BRANCH_POINTS = [
+    (ModelKind.CompressibleEuler, BasicState(c_hat=2.0, a_hat=1.0), 2j),
+    (ModelKind.CompressibleEuler, BasicState(c_hat=2.0, a_hat=1.0), -2j),
+    (ModelKind.CompressibleMHD, BasicState(H_plasma=(1.0, 0.0)), 1j / math.sqrt(2.0)),
+]
+AT_S = {
+    "lambda_plus": lambda model, state, s: lambda_plus(model, state, OM, s),
+    "normal_velocity_amplitude": lambda model, state, s: normal_velocity_amplitude(model, state, OM, s, 1.0),
+    "dispersion_eval": lambda model, state, s: dispersion_eval(model, state, OM, s, 10),
+    "dispersion_scale": lambda model, state, s: dispersion_scale(model, state, OM, s, 10),
+    "boundary_matrix": lambda model, state, s: boundary_matrix(model, state, OM, s, 10),
+}
+
+
+@pytest.mark.parametrize("model, state, s", BRANCH_POINTS)
+@pytest.mark.parametrize("name", sorted(AT_S))
+def test_every_evaluation_rejects_a_branch_point(model, state, s, name):
+    """s = +-i c for CompressibleEuler and D(s) = 0 for CompressibleMHD."""
+    with pytest.raises(BranchPointError):
+        AT_S[name](model, state, s)
+
+
 def test_vacuum_side_exponent_and_euler_rejection():
     assert lambda_minus(ModelKind.IncompressibleMHD) == 1.0
     assert lambda_minus(ModelKind.CompressibleMHD) == 1.0
     with pytest.raises(UnsupportedModelError):
         lambda_minus(ModelKind.CompressibleEuler)
+    magnetized = BasicState(H_plasma=(1.0, 0.0))
+    with pytest.raises(UnsupportedModelError):
+        dispersion_scale(ModelKind.CompressibleEuler, magnetized, OM, 0.5, 10)
 
 
 # -------------------------------------------------------- amplitude relation
@@ -146,18 +196,27 @@ def test_aligned_fields_reduce_determinant_to_scalar_form(state, s):
 
 
 @given(model_state_pairs(), wavevectors(), complex_s(), st.integers(min_value=1, max_value=10**4))
+# a second-order difference is off by h^2 f'''(s)/6 = 4e-12 here, above the bound
+@example((ModelKind.IncompressibleMHD, BasicState(a0_hat=1.0)), OM, 1e-6j, 4)
 def test_jacobian_matches_finite_differences(pair, omega, s, n):
+    """The analytic derivative against a fourth-order central difference,
+    where that difference is a sound reference: every stencil point smooth
+    and on the sheet of the radical at s, and rounding no more than a tenth
+    of the bound."""
     model, state = pair
-    assume(smooth_point(model, state, omega, s))
     h = 1e-6 * (1.0 + abs(s))
-    assume(smooth_point(model, state, omega, s + h) and smooth_point(model, state, omega, s - h))
+    stencil = [s - 2.0 * h, s - h, s + h, s + 2.0 * h]
+    assume(all(smooth_point(model, state, omega, p) for p in [s] + stencil))
+    assume(same_sheet(model, state, omega, s, stencil))
     dv = dispersion_eval(model, state, omega, s, n)
-    fp = dispersion_eval(model, state, omega, s + h, n).value
-    fm = dispersion_eval(model, state, omega, s - h, n).value
-    fd = (fp - fm) / (2.0 * h)
+    fm2, fm1, fp1, fp2 = (dispersion_eval(model, state, omega, p, n).value for p in stencil)
+    fd = (fm2 - 8.0 * fm1 + 8.0 * fp1 - fp2) / (12.0 * h)
     scale = max(abs(dv.jacobian_ds), abs(fd))
     assume(scale > 1e-6)  # away from critical points the test is meaningful
-    assert abs(dv.jacobian_ds - fd) <= 2e-6 * scale
+    bound = 2e-6 * scale
+    fmax = max(abs(f) for f in (fm2, fm1, dv.value, fp1, fp2))
+    assume(sys.float_info.epsilon * fmax / h <= 0.1 * bound)
+    assert abs(dv.jacobian_ds - fd) <= bound
 
 
 @given(states(), bounded(0.25, 4.0), wavevectors(), complex_s(), st.integers(min_value=1, max_value=1000))
