@@ -51,9 +51,13 @@ class ModeSymbol:
 
     Holds the state's scalars and the direction-dependent coefficients
     wp, wm, c1 = a + i wm a1, alpha = c^2 + cA^2 and beta = c^2 wp^2/rho.
-    Methods take a complex s. The incompressible forms never multiply by
-    g = 1: in complex arithmetic a factor 1.0 flips signed zeros and turns
-    inf into nan, so it would not reproduce the polynomial determinants.
+    Methods take a complex s. Besides g, three methods branch on
+    compressibility. value and velocity leave the factor g = 1 out of the
+    incompressible forms: in complex arithmetic a factor 1.0 flips signed
+    zeros and turns inf into nan, so it would not reproduce the polynomial
+    determinants. value also keeps the CompressibleEuler Jacobian in its
+    own form K s/(c^2 g), and polynomial clears the radical, which changes
+    the degree.
     """
 
     model: ModelKind
@@ -101,6 +105,10 @@ class ModeSymbol:
         # two divisions by D, not one by D^2: D^2 can underflow for tiny beta
         dg = (s**3 / D) * ((alpha * s * s + 2.0 * beta) / D) / g
         return g, dg
+
+    def lambda_plus(self, s: complex) -> complex:
+        """Flow-side spatial exponent -g(s) of the decaying mode."""
+        return complex(-self.g(s)[0])
 
     def _coupling(self, s: complex) -> complex:
         """P = rho s^2 + wp^2, raising ResonanceError where it vanishes."""
@@ -216,29 +224,35 @@ class ModeSymbol:
         return q_amp * s * self.g(s)[0] / P
 
 
+# The last symbol built and the (model, state, omega) objects it came from:
+# the solver evaluates one symbol many times through the public functions
+# below. Matched by identity, since states equal up to the sign of a zero
+# field must not share a symbol; the held references keep ids from reuse.
+_last_symbol = (None, None, None, None)
+
+
 def mode_symbol(model: ModelKind, state: BasicState, omega: Wavevector) -> ModeSymbol:
-    """Validate the state for the model and compute its coefficients once."""
+    """Validate the state for the model and compute its coefficients once
+    (given the same three objects as the last call, return its symbol)."""
+    global _last_symbol
+    last_model, last_state, last_omega, last = _last_symbol
+    if model is last_model and state is last_state and omega is last_omega:
+        return last
     require_valid(model, state)
     wp, wm = w_pair(state, omega)
     cA = alfven_speed(state)
-    return ModeSymbol(
-        model=model,
-        rho=state.rho_hat,
-        a=state.a_hat,
-        a0=state.a0_hat,
-        a1=state.a1_hat,
-        c=state.c_hat,
-        wp=wp,
-        wm=wm,
-        c1=state.a_hat + 1j * wm * state.a1_hat,
-        alpha=state.c_hat**2 + cA**2,
-        beta=state.c_hat**2 * wp * wp / state.rho_hat,
+    sym = ModeSymbol(
+        model=model, rho=state.rho_hat, a=state.a_hat, a0=state.a0_hat, a1=state.a1_hat,
+        c=state.c_hat, wp=wp, wm=wm, c1=state.a_hat + 1j * wm * state.a1_hat,
+        alpha=state.c_hat**2 + cA**2, beta=state.c_hat**2 * wp * wp / state.rho_hat,
     )
+    _last_symbol = (model, state, omega, sym)
+    return sym
 
 
 def lambda_plus(model: ModelKind, state: BasicState, omega: Wavevector, s: complex) -> complex:
     """Flow-side spatial exponent -g(s) of the decaying mode, at unit wavevector."""
-    return complex(-mode_symbol(model, state, omega).g(complex(s))[0])
+    return mode_symbol(model, state, omega).lambda_plus(complex(s))
 
 
 def lambda_minus(model: ModelKind) -> complex:

@@ -162,7 +162,7 @@ def build_mode(
     phi_amp = complex(null[0])
     q_amp = complex(null[1])
     rho = state.rho_hat
-    lam = complex(-sym.g(s)[0])
+    lam = sym.lambda_plus(s)
     grad = _grad_symbol(lam, omega)
 
     if not model.is_mhd:

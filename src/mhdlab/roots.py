@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import ModeSymbol, lambda_minus, mode_symbol
+from .dispersion import ModeSymbol, dispersion_eval, dispersion_scale, lambda_minus, lambda_plus
+from .dispersion import mode_symbol
 from .domain import BasicState, ModeRoot, ModelKind, ScalingFit, Wavevector
 from .errors import BranchPointError, ConvergenceError, DomainError, FitError
 
@@ -69,18 +70,15 @@ def newton_refine(
     raise_on_fail: bool = True,
 ) -> complex:
     """Polish a root candidate by Newton iteration on the determinant."""
-    return _newton(mode_symbol(model, state, omega), complex(s), n, raise_on_fail)
-
-
-def _newton(sym: ModeSymbol, s: complex, n: int, raise_on_fail: bool) -> complex:
+    s = complex(s)
     best = s
     best_res = math.inf
     for _ in range(MAX_ITERATIONS):
         try:
-            dv = sym.value(s, n)
+            dv = dispersion_eval(model, state, omega, s, n)
         except BranchPointError:
             break
-        res = abs(dv.value) / sym.scale(s, n)
+        res = abs(dv.value) / dispersion_scale(model, state, omega, s, n)
         if res < best_res:
             best, best_res = s, res
         if dv.jacobian_ds == 0:
@@ -89,10 +87,10 @@ def _newton(sym: ModeSymbol, s: complex, n: int, raise_on_fail: bool) -> complex
         s = s - step
         if abs(step) < _STEP_TOL * (1.0 + abs(s)):
             try:
-                final = sym.value(s, n)
+                final = dispersion_eval(model, state, omega, s, n)
             except BranchPointError:
                 break
-            res = abs(final.value) / sym.scale(s, n)
+            res = abs(final.value) / dispersion_scale(model, state, omega, s, n)
             if res < best_res:
                 best, best_res = s, res
             return best
@@ -126,17 +124,17 @@ def _poly_candidates(coeffs) -> list:
     return out
 
 
-def _finish_root(sym: ModeSymbol, s: complex, n: int) -> ModeRoot | None:
+def _finish_root(model, state, omega, s, n) -> ModeRoot | None:
     try:
-        g, _ = sym.g(s)
+        value = dispersion_eval(model, state, omega, s, n).value
     except BranchPointError:
         return None
-    residual = abs(sym.value(s, n).value) / sym.scale(s, n)
+    residual = abs(value) / dispersion_scale(model, state, omega, s, n)
     # written so that a nan residual fails the gate too
     if not residual <= RESIDUAL_TOLERANCE:
         return None
-    model = sym.model
-    lp = complex(-g)
+    # g(s) was just evaluated at s, so lambda_plus cannot hit a branch point
+    lp = lambda_plus(model, state, omega, s)
     lm = lambda_minus(model) if model.is_mhd else complex(math.nan, math.nan)
     neutral = s == 0
     admissible = (
@@ -161,12 +159,7 @@ def root_sort_key(root: ModeRoot):
     return (-s.real, -abs(s.imag), s.real, s.imag)
 
 
-def solve_dispersion(
-    model: ModelKind,
-    state: BasicState,
-    omega: Wavevector,
-    n: int,
-) -> list:
+def solve_dispersion(model: ModelKind, state: BasicState, omega: Wavevector, n: int) -> list:
     """All residual-verified roots of the determinant, most unstable first."""
     sym = mode_symbol(model, state, omega)
     if n < 1:
@@ -175,12 +168,12 @@ def solve_dispersion(
     if model is ModelKind.CompressibleMHD:
         # Asymptotic seeds guard against conditioning loss in the squared
         # polynomial at large n.
-        for fam in _families(sym):
+        for fam in asymptotic_root(model, state, omega):
             candidates.append(fam.evaluate(n))
     roots: list[ModeRoot] = []
     for cand in candidates:
-        s = cand if cand == 0 else _newton(sym, cand, n, raise_on_fail=False)
-        made = _finish_root(sym, s, n)
+        s = cand if cand == 0 else newton_refine(model, state, omega, cand, n, raise_on_fail=False)
+        made = _finish_root(model, state, omega, s, n)
         if made is None:
             continue
         dup = next(
@@ -257,10 +250,7 @@ def asymptotic_root(model: ModelKind, state: BasicState, omega: Wavevector) -> l
     branch, W != 0 gives oscillatory leading order with an O(1/n) real
     part. Regimes with no growing branch return an empty list.
     """
-    return _families(mode_symbol(model, state, omega))
-
-
-def _families(sym: ModeSymbol) -> list:
+    sym = mode_symbol(model, state, omega)
     wp, wm = sym.wp, sym.wm
     a, a0, rho = sym.a, sym.a0, sym.rho
     if wp == 0 and wm == 0:
@@ -290,12 +280,7 @@ def _families(sym: ModeSymbol) -> list:
     return families
 
 
-def fit_scaling(
-    model: ModelKind,
-    state: BasicState,
-    omega: Wavevector,
-    n_grid,
-) -> ScalingFit:
+def fit_scaling(model: ModelKind, state: BasicState, omega: Wavevector, n_grid) -> ScalingFit:
     """OLS fit of log(max admissible Re s) against log n: Re s ~ C n^{-p}."""
     ns = [int(n) for n in n_grid]
     if any(b <= a for a, b in zip(ns, ns[1:])) or not ns:

@@ -15,6 +15,7 @@ from mhdlab.dispersion import (
     dispersion_scale,
     lambda_minus,
     lambda_plus,
+    mode_symbol,
     normal_velocity_amplitude,
 )
 from mhdlab.domain import BasicState, ModelKind, Wavevector, alfven_speed, w_pair
@@ -136,6 +137,19 @@ def test_vacuum_side_exponent_and_euler_rejection():
     magnetized = BasicState(H_plasma=(1.0, 0.0))
     with pytest.raises(UnsupportedModelError):
         dispersion_scale(ModelKind.CompressibleEuler, magnetized, OM, 0.5, 10)
+
+
+def test_mode_symbol_is_reused_only_for_the_same_objects():
+    euler = ModelKind.IncompressibleEuler
+    state = BasicState(a0_hat=0.0)
+    sym = mode_symbol(euler, state, OM)
+    assert mode_symbol(euler, state, OM) is sym
+    # an equal state whose zero field has the other sign gets its own symbol
+    negative = BasicState(a0_hat=-0.0)
+    assert negative == state
+    assert math.copysign(1.0, mode_symbol(euler, negative, OM).a0) == -1.0
+    assert mode_symbol(ModelKind.IncompressibleMHD, negative, OM).model is ModelKind.IncompressibleMHD
+    assert mode_symbol(euler, state, OM) is not sym
 
 
 # -------------------------------------------------------- amplitude relation
