@@ -7,10 +7,13 @@ system and reconstructs every interior amplitude from the bulk equations;
 pde_residual_fd then re-checks the whole construction with second-order
 finite differences that know nothing about the algebra.
 
-All residuals are reported relative to the size of the equation's terms,
-which makes them invariant under the mode's global growth factor; the
-factor exp(n Re s t) is therefore projected out of the sampled arrays
-before differencing, so the check cannot overflow by design.
+Sampling is normalized: the arrays carry every factor of the mode except
+the pure growth exp(n Re s t), which is returned as its log. Only
+evaluate_field puts that factor back, multiplying the arrays by it or, where
+it would overflow, converting them to log magnitudes. All residuals are
+reported relative to the size of the equation's terms, which makes them
+invariant under the growth factor, so pde_residual_fd differences the
+normalized arrays and cannot overflow by design.
 """
 from __future__ import annotations
 
@@ -21,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dispersion import lambda_plus, mode_symbol
-from .domain import BasicState, HadamardMode, ModeRoot, ModelKind, Wavevector, w_pair
+from .domain import BasicState, HadamardMode, ModeRoot, ModelKind, Wavevector
 from .errors import GridError, NotARootError, ResonanceError
 from .roots import dominant_root, solve_dispersion
 
@@ -81,7 +84,6 @@ class FieldSample:
     tangent: np.ndarray
     plasma: dict
     vacuum: dict
-    interface: dict
     log_magnitude: bool
 
 
@@ -119,15 +121,6 @@ class FluxIdentityReport:
     passed: bool
 
 
-def _unit(omega: Wavevector):
-    return omega.unit()
-
-
-def _grad_symbol(lam: complex, omega: Wavevector):
-    o2, o3 = _unit(omega)
-    return np.array([lam, 1j * o2, 1j * o3], dtype=complex)
-
-
 def build_mode(
     model: ModelKind,
     state: BasicState,
@@ -146,13 +139,13 @@ def build_mode(
     # identity; the solvability system carries -v1(q), so flip that column
     phys = mat.copy()
     phys[:, 1] = -phys[:, 1]
-    svals = np.linalg.svd(phys, compute_uv=False)
+    _, svals, vh = np.linalg.svd(phys)
     if svals[-1] > NULLSPACE_TOLERANCE * max(1.0, svals[0]):
         raise NotARootError(
             f"boundary system is numerically full rank at s={s!r} "
             f"(sigma_min={svals[-1]:.3e}, sigma_max={svals[0]:.3e})"
         )
-    null = np.linalg.svd(phys)[2][-1].conj()
+    null = vh[-1].conj()
     if abs(null[0]) > 1e-8 * np.linalg.norm(null):
         null = null / null[0]
         normalization = "phi_unit"
@@ -163,7 +156,8 @@ def build_mode(
     q_amp = complex(null[1])
     rho = state.rho_hat
     lam = sym.lambda_plus(s)
-    grad = _grad_symbol(lam, omega)
+    o2, o3 = omega.unit()
+    grad = np.array([lam, 1j * o2, 1j * o3], dtype=complex)
 
     if not model.is_mhd:
         v = -grad * q_amp / (rho * s)
@@ -216,31 +210,33 @@ def grid_for_mode(mode: HadamardMode, points_per_direction=(256, 256, 16)) -> Gr
     if rate_p == 0:
         raise GridError("plasma-side mode does not decay; cannot truncate the half-space")
     L_plus = min(40.0 / rate_p, cap)
-    if math.exp(-rate_p * L_plus) > TRUNCATION_EPSILON:
+    # the vacuum exponent is +1
+    L_minus = min(40.0 / n, cap) if mode.model.is_mhd else L_plus
+    grid = GridSpec(L_plus, L_minus, tuple(points_per_direction), 2.0 * math.pi / n)
+    _check_truncation(mode, grid, lam_p)
+    return grid
+
+
+def _check_truncation(mode: HadamardMode, grid: GridSpec, lam_p: complex) -> None:
+    """Require the mode to have decayed below TRUNCATION_EPSILON at the far
+    end of each half-space; the one truncation test of every grid."""
+    n = mode.root.n
+    exponent = n * lam_p.real * grid.x1_extent_plus
+    if math.exp(exponent) > TRUNCATION_EPSILON:
         raise GridError(
-            f"plasma truncation too lossy at n={n}: depth {L_plus:.3g} keeps "
-            f"exp({-rate_p * L_plus:.3g}); increase n or relax the cap"
+            f"plasma truncation too lossy at n={n}: depth {grid.x1_extent_plus:.3g} keeps "
+            f"exp({exponent:.3g}); increase n or relax the cap"
         )
-    if mode.model.is_mhd:
-        rate_m = n * 1.0  # vacuum exponent is +1
-        L_minus = min(40.0 / rate_m, cap)
-        if math.exp(-rate_m * L_minus) > TRUNCATION_EPSILON:
-            raise GridError(f"vacuum truncation too lossy at n={n}")
-    else:
-        L_minus = L_plus
-    period = 2.0 * math.pi / n
-    return GridSpec(L_plus, L_minus, tuple(points_per_direction), period)
+    if mode.model.is_mhd and math.exp(-n * grid.x1_extent_minus) > TRUNCATION_EPSILON:
+        raise GridError(f"vacuum truncation too lossy at n={n}")
 
 
-def _sample_arrays(mode: HadamardMode, grid: GridSpec, t: float, normalized: bool):
-    """Complex field arrays; growth factor split off as a log magnitude."""
+def _sample_arrays(mode: HadamardMode, grid: GridSpec, t: float, lam_p: complex):
+    """Complex field arrays without the growth factor, and its log n Re s t."""
     s, n = mode.root.s, mode.root.n
-    lam_p = _mode_lambda_plus(mode)
     mp, mm, mt = grid.points_per_direction
     x1p = np.linspace(0.0, grid.x1_extent_plus, mp)
     tau = np.arange(mt) * (grid.tangential_period / mt)
-    # phase/time factor with the pure growth exp(n Re s t) kept separate
-    log_growth = n * s.real * t
     tfac = cmath.exp(1j * n * s.imag * t)
     phase = np.exp(1j * n * tau)[None, :]
     decay_p = np.exp(n * lam_p * x1p)[:, None]
@@ -249,72 +245,37 @@ def _sample_arrays(mode: HadamardMode, grid: GridSpec, t: float, normalized: boo
         if name in ("xi", "phi"):
             continue
         plasma[name] = mode.amplitude(name) * tfac * decay_p * phase
-    interface = {
-        "phi": mode.amplitude("phi") * tfac * np.exp(1j * n * tau),
-        "q": mode.amplitude("q") * tfac * np.exp(1j * n * tau),
-        "v1": mode.amplitude("v1") * tfac * np.exp(1j * n * tau),
-    }
     vacuum = {}
     x1m = None
     if mode.model.is_mhd:
         x1m = np.linspace(-grid.x1_extent_minus, 0.0, mm)
         decay_m = np.exp(n * 1.0 * x1m)[:, None]
         vacuum["xi"] = mode.amplitude("xi") * tfac * decay_m * phase
-    if not normalized:
-        scale = math.exp(log_growth) if abs(log_growth) <= OVERFLOW_EXPONENT else None
-        if scale is None:
-            return x1p, x1m, tau, plasma, vacuum, interface, log_growth, True
-        plasma = {k: v * scale for k, v in plasma.items()}
-        vacuum = {k: v * scale for k, v in vacuum.items()}
-        interface = {k: v * scale for k, v in interface.items()}
-        return x1p, x1m, tau, plasma, vacuum, interface, 0.0, False
-    return x1p, x1m, tau, plasma, vacuum, interface, log_growth, False
+    return x1p, x1m, tau, plasma, vacuum, n * s.real * t
 
 
 def evaluate_field(mode: HadamardMode, grid: GridSpec, t: float) -> FieldSample:
     """Pointwise mode evaluation; switches to log magnitudes on overflow."""
-    _check_truncation(mode, grid)
-    x1p, x1m, tau, plasma, vacuum, interface, log_growth, overflow = _sample_arrays(
-        mode, grid, t, normalized=False
-    )
-    if overflow:
-        def to_log(block):
-            out = {}
-            for k, v in block.items():
-                mag = np.abs(v)
-                out[k] = np.where(mag > 0, np.log(np.where(mag > 0, mag, 1.0)), -math.inf)
-                out[k] = out[k] + log_growth
-            return out
+    lam_p = _mode_lambda_plus(mode)
+    _check_truncation(mode, grid, lam_p)
+    x1p, x1m, tau, plasma, vacuum, log_growth = _sample_arrays(mode, grid, t, lam_p)
+    scale = math.exp(log_growth) if abs(log_growth) <= OVERFLOW_EXPONENT else None
 
-        return FieldSample(
-            t=t,
-            x1_plasma=x1p,
-            x1_vacuum=x1m,
-            tangent=tau,
-            plasma=to_log(plasma),
-            vacuum=to_log(vacuum),
-            interface=to_log(interface),
-            log_magnitude=True,
-        )
+    def rescale(arr):
+        if scale is not None:
+            return arr * scale
+        mag = np.abs(arr)
+        return np.where(mag > 0, np.log(np.where(mag > 0, mag, 1.0)), -math.inf) + log_growth
+
     return FieldSample(
         t=t,
         x1_plasma=x1p,
         x1_vacuum=x1m,
         tangent=tau,
-        plasma=plasma,
-        vacuum=vacuum,
-        interface=interface,
-        log_magnitude=False,
+        plasma={k: rescale(v) for k, v in plasma.items()},
+        vacuum={k: rescale(v) for k, v in vacuum.items()},
+        log_magnitude=scale is None,
     )
-
-
-def _check_truncation(mode: HadamardMode, grid: GridSpec) -> None:
-    n = mode.root.n
-    lam_p = _mode_lambda_plus(mode)
-    if math.exp(n * lam_p.real * grid.x1_extent_plus) > TRUNCATION_EPSILON:
-        raise GridError("plasma half-space truncated before the mode has decayed")
-    if mode.model.is_mhd and math.exp(-n * grid.x1_extent_minus) > TRUNCATION_EPSILON:
-        raise GridError("vacuum half-space truncated before the mode has decayed")
 
 
 def _d1(arr: np.ndarray, h: float) -> np.ndarray:
@@ -362,7 +323,8 @@ def pde_residual_fd(mode: HadamardMode, grid: GridSpec, t: float) -> ResidualRep
     dt equal to the tangential spacing. Boundary conditions involve no
     differencing and must vanish at machine precision.
     """
-    _check_truncation(mode, grid)
+    lam_p = _mode_lambda_plus(mode)
+    _check_truncation(mode, grid, lam_p)
     mp, mm, mt = grid.points_per_direction
     if mt < 8:
         raise GridError(
@@ -370,8 +332,8 @@ def pde_residual_fd(mode: HadamardMode, grid: GridSpec, t: float) -> ResidualRep
         )
     n = mode.root.n
     s = mode.root.s
-    lam_p = _mode_lambda_plus(mode)
     h1p = grid.x1_extent_plus / (mp - 1)
+    h1m = grid.x1_extent_minus / (mm - 1) if mode.model.is_mhd else math.nan
     htau = grid.tangential_period / mt
     if abs(lam_p.imag) > 0:
         ppw = 2.0 * math.pi / (n * abs(lam_p.imag) * h1p)
@@ -380,17 +342,16 @@ def pde_residual_fd(mode: HadamardMode, grid: GridSpec, t: float) -> ResidualRep
                 f"plasma x1 oscillation resolved by {ppw:.2f} < 8 points per wavelength"
             )
     dt = htau
-    x1p, x1m, tau, plasma, vacuum, interface, _, _ = _sample_arrays(
-        mode, grid, t, normalized=True
-    )
+    _, _, _, plasma, vacuum, _ = _sample_arrays(mode, grid, t, lam_p)
     state, omega = mode.state, mode.omega
     rho, c = state.rho_hat, state.c_hat
     o2, o3 = omega.unit()
-    wp, wm = w_pair(state, omega)
+    sym = mode_symbol(mode.model, state, omega)
+    wp, wm = sym.wp, sym.wm
+    fw = cmath.exp(n * s * dt)
+    bw = cmath.exp(-n * s * dt)
 
     def Dt(arr):
-        fw = cmath.exp(n * s * dt)
-        bw = cmath.exp(-n * s * dt)
         return (arr * fw - arr * bw) / (2.0 * dt)
 
     def D2(arr):
@@ -459,7 +420,6 @@ def pde_residual_fd(mode: HadamardMode, grid: GridSpec, t: float) -> ResidualRep
         )
         xi = vacuum["xi"]
         axi = abs(mode.amplitude("xi"))
-        h1m = grid.x1_extent_minus / (mm - 1)
         lap = _d2_edge(xi, h1m) + _dtau2(xi, htau)
         interior["vacuum_laplace"] = _rel(lap, n * n * axi)
     else:
@@ -497,11 +457,10 @@ def pde_residual_fd(mode: HadamardMode, grid: GridSpec, t: float) -> ResidualRep
     else:
         pres = q0 - a * phi
         boundary["pressure"] = abs(pres) / max(abs(q0), abs(a * phi), 1e-300)
-    h1m_out = grid.x1_extent_minus / (mm - 1) if mode.model.is_mhd else math.nan
     return ResidualReport(
         interior=interior,
         boundary=boundary,
-        spacings=(h1p, h1m_out, htau, dt),
+        spacings=(h1p, h1m, htau, dt),
     )
 
 
@@ -543,7 +502,7 @@ def boundary_flux_check(mode: HadamardMode, t: float, samples: int = 256) -> Flu
         raise ResonanceError("the flux identity involves the vacuum field")
     n, s = mode.root.n, mode.root.s
     state = mode.state
-    _, wm = w_pair(state, mode.omega)
+    wm = mode_symbol(mode.model, state, mode.omega).wm
     tau = np.arange(samples) * (2.0 * math.pi / (n * samples))
     phase = np.exp(1j * (n * tau + n * s.imag * t))
     q = np.real(mode.amplitude("q") * phase)

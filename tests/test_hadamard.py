@@ -221,11 +221,32 @@ class TestEvaluateField:
         slope = (prof[-1] - prof[0]) / grid.x1_extent_plus
         assert slope == pytest.approx(n * mode.root.lambda_plus.real, rel=1e-10)
 
+    def test_overflowing_magnetic_mode_switches_to_log_magnitudes(self):
+        mode = top_mode(M.CompressibleMHD, ALIGNED_COMP, OM, 100)
+        grid = grid_for_mode(mode)
+        n, s = mode.root.n, mode.root.s
+        t = 1000.0 / (n * s.real)
+        sample = evaluate_field(mode, grid, t)
+        assert sample.log_magnitude
+        assert not hasattr(sample, "interface")
+        # the last vacuum row is the interface x1 = 0
+        expected = math.log(abs(mode.amplitude("xi"))) + n * s.real * t
+        assert sample.vacuum["xi"][-1] == pytest.approx(
+            np.full(grid.points_per_direction[2], expected), rel=1e-12
+        )
+
     def test_shallow_grid_is_rejected(self):
+        # sampling and the FD check apply the one truncation rule
         mode = top_mode(M.IncompressibleEuler, EULER_STATE, OM, 100)
         shallow = GridSpec(0.05, 0.05, (16, 16, 8), 2 * math.pi / 100)
-        with pytest.raises(GridError):
+        with pytest.raises(GridError) as sampled:
             evaluate_field(mode, shallow, 0.0)
+        with pytest.raises(GridError) as checked:
+            pde_residual_fd(mode, shallow, 0.0)
+        assert str(sampled.value) == str(checked.value)
+        assert str(sampled.value).startswith(
+            "plasma truncation too lossy at n=100: depth 0.05 keeps exp("
+        )
 
 
 class TestGridForMode:
