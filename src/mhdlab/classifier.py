@@ -29,15 +29,13 @@ COLLINEARITY_REL_TOL = 1e-9
 _A_ZERO_TOL = 1e-12
 
 
-def is_collinear(state: BasicState, rel_tol: float = COLLINEARITY_REL_TOL) -> bool:
+def is_collinear(state: BasicState) -> bool:
     """Cross-product collinearity test; zero fields count as collinear."""
-    if rel_tol < 0:
-        raise ValueError("rel_tol must be >= 0")
     hp2, hp3 = state.H_plasma
     hv2, hv3 = state.H_vacuum
     cross = hp2 * hv3 - hp3 * hv2
     scale = max(1.0, math.hypot(hp2, hp3) * math.hypot(hv2, hv3))
-    return abs(cross) <= rel_tol * scale
+    return abs(cross) <= COLLINEARITY_REL_TOL * scale
 
 
 def _a_is_zero(state: BasicState) -> bool:
@@ -63,14 +61,10 @@ def _witness_direction(state: BasicState) -> Wavevector:
     return Wavevector(1.0, 0.0)
 
 
-def classify_frozen(
-    model: ModelKind,
-    state: BasicState,
-    rel_tol: float = COLLINEARITY_REL_TOL,
-) -> Classification:
+def classify_frozen(model: ModelKind, state: BasicState) -> Classification:
     """Algebraic stability verdict for one frozen state."""
     require_valid(model, state)
-    collinear = is_collinear(state, rel_tol) if model.is_mhd else True
+    collinear = is_collinear(state) if model.is_mhd else True
     a_zero = _a_is_zero(state)
     rt_sign_ok = (not a_zero) and state.a_hat < 0.0
     if collinear and not a_zero and state.a_hat > 0.0:
@@ -95,7 +89,6 @@ def numeric_classify(
     state: BasicState,
     n_grid,
     omega_samples,
-    rel_tol: float = COLLINEARITY_REL_TOL,
 ) -> Classification:
     """Scaling-law confirmation of classify_frozen.
 
@@ -105,7 +98,7 @@ def numeric_classify(
     finding must match the algebraic verdict exactly, otherwise a conflict
     error carrying all evidence is raised.
     """
-    analytic = classify_frozen(model, state, rel_tol)
+    analytic = classify_frozen(model, state)
     directions = list(omega_samples)
     if model.is_mhd and analytic.collinear:
         directions.append(_witness_direction(state))
@@ -171,6 +164,6 @@ class SweepSpec:
             yield BasicState.from_fields({**base, **dict(zip(names, values))})
 
 
-def sweep(model: ModelKind, grid: SweepSpec, rel_tol: float = COLLINEARITY_REL_TOL):
+def sweep(model: ModelKind, grid: SweepSpec):
     """classify_frozen over every grid point, in deterministic grid order."""
-    return [(st, classify_frozen(model, st, rel_tol)) for st in grid.points()]
+    return [(st, classify_frozen(model, st)) for st in grid.points()]

@@ -171,22 +171,24 @@ class ModeSymbol:
                 dtype=complex,
             )
         P = np.array([rho, 0.0, self.wp * self.wp], dtype=complex)
-        A = np.polymul(np.array([n, -a0], dtype=complex), P)
+        A = np.convolve(np.array([n, -a0], dtype=complex), P)
         Bc = n * self.wm * self.wm - self.c1
         if not compressible:
             # A + s(n wm^2 - c1) stays cubic
             quad = np.zeros(4, dtype=complex)
             quad[2] = Bc
-            return np.polyadd(A, quad)
+            return A + quad
         if Bc == 0:
             return A
         D = np.array([self.alpha, 0.0, self.beta], dtype=complex)
-        # A^2 D = B^2 (D + s^4) with B = Bc s
-        lhs = np.polymul(np.polymul(A, A), D)
+        # A^2 D = B^2 (D + s^4) with B = Bc s; the shorter term of each sum
+        # is padded with two leading zeros, as np.polyadd would pad it
+        lhs = np.convolve(np.convolve(A, A), D)
         B2 = np.array([Bc * Bc, 0.0, 0.0], dtype=complex)
         s4 = np.array([1.0, 0, 0, 0, 0], dtype=complex)
-        rhs = np.polyadd(np.polymul(B2, D), np.polymul(B2, s4))
-        return np.polysub(lhs, rhs)
+        pad = np.zeros(2, dtype=complex)
+        rhs = np.concatenate((pad, np.convolve(B2, D))) + np.convolve(B2, s4)
+        return lhs - np.concatenate((pad, rhs))
 
     def matrix(self, s: complex, n: int) -> np.ndarray:
         """Interface matrix in the unknowns (phi, q[, xi]); see boundary_matrix."""

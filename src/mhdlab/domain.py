@@ -21,13 +21,10 @@ class ModelKind(enum.Enum):
     IncompressibleMHD = "IncompressibleMHD"
     CompressibleMHD = "CompressibleMHD"
 
-    @property
-    def is_mhd(self) -> bool:
-        return self in (ModelKind.IncompressibleMHD, ModelKind.CompressibleMHD)
-
-    @property
-    def is_compressible(self) -> bool:
-        return self in (ModelKind.CompressibleEuler, ModelKind.CompressibleMHD)
+    def __init__(self, value: str):
+        # plain member data, read on every determinant evaluation
+        self.is_mhd = value.endswith("MHD")
+        self.is_compressible = value.startswith("Compressible")
 
 
 # Flat names of the BasicState fields, as config keys, sweep axes and CSV

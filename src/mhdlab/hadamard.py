@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dispersion import lambda_plus, mode_symbol
+from .dispersion import mode_symbol
 from .domain import BasicState, HadamardMode, ModeRoot, ModelKind, Wavevector
 from .errors import GridError, NotARootError, ResonanceError
 from .roots import dominant_root, solve_dispersion
@@ -134,10 +134,9 @@ def build_mode(
     s, n = root.s, root.n
     if root.neutral and not model.is_mhd:
         raise ResonanceError("the neutral frequency has no fluid mode (1/s pole)")
-    mat = sym.matrix(s, n)
     # boundary_matrix orients the pressure column for the determinant
     # identity; the solvability system carries -v1(q), so flip that column
-    phys = mat.copy()
+    phys = sym.matrix(s, n)
     phys[:, 1] = -phys[:, 1]
     _, svals, vh = np.linalg.svd(phys)
     if svals[-1] > NULLSPACE_TOLERANCE * max(1.0, svals[0]):
@@ -166,18 +165,17 @@ def build_mode(
     else:
         xi_amp = complex(null[2])
         wp = sym.wp
+        P = rho * s * s + wp * wp
         if root.neutral:
             # at s = 0 the momentum balance alone fixes the magnetic
             # amplitude and forces the velocity to vanish
             v = np.zeros(3, dtype=complex)
             H = grad * q_amp / (1j * wp)
         elif model is ModelKind.IncompressibleMHD:
-            P = rho * s * s + wp * wp
             v = -s * grad * q_amp / P
             H = 1j * wp * v / s
         else:
             Hhat = np.array([0.0, state.H_plasma[0], state.H_plasma[1]], dtype=complex)
-            P = rho * s * s + wp * wp
             div_amp = -(lam * lam - 1.0) * q_amp / (rho * s)
             v = -(s * grad * q_amp + 1j * wp * Hhat * div_amp) / P
             H = (1j * wp * v - Hhat * div_amp) / s
@@ -194,17 +192,10 @@ def build_mode(
     )
 
 
-def _mode_lambda_plus(mode: HadamardMode) -> complex:
-    lam = mode.root.lambda_plus
-    if lam != lam:  # stored as nan on hand-built roots; recompute
-        lam = lambda_plus(mode.model, mode.state, mode.omega, mode.root.s)
-    return lam
-
-
 def grid_for_mode(mode: HadamardMode, points_per_direction=(256, 256, 16)) -> GridSpec:
     """Depths from the decay rates: L = min(40/(n|Re lambda|), 20/|omega|)."""
     n = mode.root.n
-    lam_p = _mode_lambda_plus(mode)
+    lam_p = mode_symbol(mode.model, mode.state, mode.omega).lambda_plus(mode.root.s)
     cap = 20.0 / mode.omega.norm
     rate_p = n * abs(lam_p.real)
     if rate_p == 0:
@@ -256,7 +247,7 @@ def _sample_arrays(mode: HadamardMode, grid: GridSpec, t: float, lam_p: complex)
 
 def evaluate_field(mode: HadamardMode, grid: GridSpec, t: float) -> FieldSample:
     """Pointwise mode evaluation; switches to log magnitudes on overflow."""
-    lam_p = _mode_lambda_plus(mode)
+    lam_p = mode_symbol(mode.model, mode.state, mode.omega).lambda_plus(mode.root.s)
     _check_truncation(mode, grid, lam_p)
     x1p, x1m, tau, plasma, vacuum, log_growth = _sample_arrays(mode, grid, t, lam_p)
     scale = math.exp(log_growth) if abs(log_growth) <= OVERFLOW_EXPONENT else None
@@ -292,7 +283,9 @@ def _d2_edge(arr: np.ndarray, h: float) -> np.ndarray:
 
 
 def _dtau(arr: np.ndarray, h: float) -> np.ndarray:
-    return (np.roll(arr, -1, axis=1) - np.roll(arr, 1, axis=1)) / (2.0 * h)
+    out = np.roll(arr, -1, axis=1)
+    out -= np.roll(arr, 1, axis=1)  # (roll(-1) - roll(1)) / 2h, with one array less
+    return np.divide(out, 2.0 * h, out=out)
 
 
 def _dtau2(arr: np.ndarray, h: float) -> np.ndarray:
@@ -322,18 +315,29 @@ def pde_residual_fd(mode: HadamardMode, grid: GridSpec, t: float) -> ResidualRep
     direction wraps periodically; time uses a centered difference with
     dt equal to the tangential spacing. Boundary conditions involve no
     differencing and must vanish at machine precision.
+
+    Interior equations in report order; [..] terms and the equations
+    marked MHD belong to the magnetic models, Hhat = (0, H_plasma):
+      momentum_i   rho Dt v_i [- wp d_tau H_i] + d_i q,  i = 1..3
+      induction_i  Dt H_i - wp d_tau v_i [+ Hhat_i div v, if compressible]  (MHD)
+      continuity   Dt (q [- Hhat_2 H_2 - Hhat_3 H_3]) + rho c^2 div v  (compressible)
+      divergence   div v  (incompressible)
+      magnetic_divergence  div H,  vacuum_laplace  Laplacian of xi  (MHD)
     """
-    lam_p = _mode_lambda_plus(mode)
+    model = mode.model
+    mhd = model.is_mhd
+    sym = mode_symbol(model, mode.state, mode.omega)
+    n = mode.root.n
+    s = mode.root.s
+    lam_p = sym.lambda_plus(s)
     _check_truncation(mode, grid, lam_p)
     mp, mm, mt = grid.points_per_direction
     if mt < 8:
         raise GridError(
             f"{mt} tangential points resolve less than 8 points per wavelength; refine the grid"
         )
-    n = mode.root.n
-    s = mode.root.s
     h1p = grid.x1_extent_plus / (mp - 1)
-    h1m = grid.x1_extent_minus / (mm - 1) if mode.model.is_mhd else math.nan
+    h1m = grid.x1_extent_minus / (mm - 1) if mhd else math.nan
     htau = grid.tangential_period / mt
     if abs(lam_p.imag) > 0:
         ppw = 2.0 * math.pi / (n * abs(lam_p.imag) * h1p)
@@ -341,111 +345,82 @@ def pde_residual_fd(mode: HadamardMode, grid: GridSpec, t: float) -> ResidualRep
             raise GridError(
                 f"plasma x1 oscillation resolved by {ppw:.2f} < 8 points per wavelength"
             )
-    dt = htau
     _, _, _, plasma, vacuum, _ = _sample_arrays(mode, grid, t, lam_p)
-    state, omega = mode.state, mode.omega
+    state = mode.state
     rho, c = state.rho_hat, state.c_hat
-    o2, o3 = omega.unit()
-    sym = mode_symbol(mode.model, state, omega)
+    o2, o3 = mode.omega.unit()
     wp, wm = sym.wp, sym.wm
-    fw = cmath.exp(n * s * dt)
-    bw = cmath.exp(-n * s * dt)
+    fw = cmath.exp(n * s * htau)
+    bw = cmath.exp(-n * s * htau)
 
-    def Dt(arr):
-        return (arr * fw - arr * bw) / (2.0 * dt)
-
-    def D2(arr):
-        return o2 * _dtau(arr, htau)
-
-    def D3(arr):
-        return o3 * _dtau(arr, htau)
+    def Dt(arr):  # dt = htau
+        return (arr * fw - arr * bw) / (2.0 * htau)
 
     q = plasma["q"]
     v = [plasma["v1"], plasma["v2"], plasma["v3"]]
-    grad_q = [_d1(q, h1p), D2(q), D3(q)]
-    div_v = _d1(v[0], h1p) + D2(v[1]) + D3(v[2])
+    dq = _dtau(q, htau)
+    grad_q = [_d1(q, h1p), o2 * dq, o3 * dq]
+    div_v = _d1(v[0], h1p) + o2 * _dtau(v[1], htau) + o3 * _dtau(v[2], htau)
 
     # analytic per-term magnitudes; arrays are normalized to the amplitude
     # scale, so |amp| is the exact sup of every sampled field
-    aq = abs(mode.amplitude("q"))
-    av = [abs(mode.amplitude(f"v{i + 1}")) for i in range(3)]
+    amp = mode.amplitude
+    aq = abs(amp("q"))
+    av = [abs(amp(f"v{i + 1}")) for i in range(3)]
     gmag = (abs(lam_p), abs(o2), abs(o3))
     div_scales = tuple(n * gmag[i] * av[i] for i in range(3))
-    interior = {}
-    if mode.model.is_mhd:
+    if mhd:
         H = [plasma["H1"], plasma["H2"], plasma["H3"]]
-        aH = [abs(mode.amplitude(f"H{i + 1}")) for i in range(3)]
+        aH = [abs(amp(f"H{i + 1}")) for i in range(3)]
         Hhat = (0.0, state.H_plasma[0], state.H_plasma[1])
-        if mode.model is ModelKind.CompressibleMHD and not mode.root.neutral:
-            div_amp = abs((lam_p * lam_p - 1.0) * mode.amplitude("q") / (rho * s))
-        else:
-            div_amp = 0.0
+    div_amp = 0.0  # |div v| amplitude: zero unless CompressibleMHD with s != 0
+    if model is ModelKind.CompressibleMHD and not mode.root.neutral:
+        div_amp = abs((lam_p * lam_p - 1.0) * amp("q") / (rho * s))
 
-        def ell_plus(arr):
-            return wp * _dtau(arr, htau)
-
+    interior = {}
+    for i in range(3):
+        res = rho * Dt(v[i])
+        scales = (rho * n * s * av[i],)
+        if mhd:
+            res -= wp * _dtau(H[i], htau)
+            scales += (n * wp * aH[i],)
+        res += grad_q[i]
+        interior[f"momentum_{i + 1}"] = _rel(res, *scales, n * gmag[i] * aq)
+    if mhd:
         for i in range(3):
-            res = rho * Dt(v[i]) - ell_plus(H[i]) + grad_q[i]
-            interior[f"momentum_{i + 1}"] = _rel(
-                res, rho * n * s * av[i], n * wp * aH[i], n * gmag[i] * aq
-            )
-        if mode.model is ModelKind.CompressibleMHD:
-            for i in range(3):
-                res = Dt(H[i]) - ell_plus(v[i]) + Hhat[i] * div_v
-                interior[f"induction_{i + 1}"] = _rel(
-                    res,
-                    n * s * aH[i],
-                    n * wp * av[i],
-                    Hhat[i] * n * div_amp,
-                    Hhat[i] * max(div_scales),
-                )
+            res = Dt(H[i]) - wp * _dtau(v[i], htau)
+            scales = (n * s * aH[i], n * wp * av[i])
+            if model.is_compressible:
+                res += Hhat[i] * div_v
+                scales += (Hhat[i] * n * div_amp, Hhat[i] * max(div_scales))
+            interior[f"induction_{i + 1}"] = _rel(res, *scales)
+    if model.is_compressible:
+        tot, tot_amp = q, amp("q")
+        if mhd:
             tot = q - Hhat[1] * H[1] - Hhat[2] * H[2]
-            res = Dt(tot) + rho * c * c * div_v
-            tot_amp = abs(
-                mode.amplitude("q")
-                - Hhat[1] * mode.amplitude("H2")
-                - Hhat[2] * mode.amplitude("H3")
-            )
-            interior["continuity"] = _rel(
-                res, n * s * tot_amp, rho * c * c * n * div_amp, rho * c * c * max(div_scales)
-            )
-        else:
-            for i in range(3):
-                res = Dt(H[i]) - ell_plus(v[i])
-                interior[f"induction_{i + 1}"] = _rel(res, n * s * aH[i], n * wp * av[i])
-            interior["divergence"] = _rel(div_v, *div_scales)
-        div_H = _d1(H[0], h1p) + D2(H[1]) + D3(H[2])
-        interior["magnetic_divergence"] = _rel(
-            div_H, *(n * gmag[i] * aH[i] for i in range(3))
+            tot_amp = tot_amp - Hhat[1] * amp("H2") - Hhat[2] * amp("H3")
+        K = rho * c * c
+        interior["continuity"] = _rel(
+            Dt(tot) + K * div_v, n * s * abs(tot_amp), K * n * div_amp, K * max(div_scales)
         )
-        xi = vacuum["xi"]
-        axi = abs(mode.amplitude("xi"))
-        lap = _d2_edge(xi, h1m) + _dtau2(xi, htau)
-        interior["vacuum_laplace"] = _rel(lap, n * n * axi)
     else:
-        for i in range(3):
-            res = rho * Dt(v[i]) + grad_q[i]
-            interior[f"momentum_{i + 1}"] = _rel(
-                res, rho * n * s * av[i], n * gmag[i] * aq
-            )
-        if mode.model is ModelKind.CompressibleEuler:
-            res = Dt(q) + rho * c * c * div_v
-            interior["continuity"] = _rel(
-                res, n * s * aq, rho * c * c * max(div_scales)
-            )
-        else:
-            interior["divergence"] = _rel(div_v, *div_scales)
+        interior["divergence"] = _rel(div_v, *div_scales)
+    if mhd:
+        div_H = _d1(H[0], h1p) + o2 * _dtau(H[1], htau) + o3 * _dtau(H[2], htau)
+        interior["magnetic_divergence"] = _rel(div_H, *(n * gmag[i] * aH[i] for i in range(3)))
+        lap = _d2_edge(vacuum["xi"], h1m) + _dtau2(vacuum["xi"], htau)
+        interior["vacuum_laplace"] = _rel(lap, n * n * abs(amp("xi")))
 
     # boundary conditions: purely algebraic in the amplitudes
     a, a0, a1 = state.a_hat, state.a0_hat, state.a1_hat
-    phi = mode.amplitude("phi")
-    q0 = mode.amplitude("q")
-    v10 = mode.amplitude("v1")
+    phi = amp("phi")
+    q0 = amp("q")
+    v10 = amp("v1")
     boundary = {}
     kin = n * s * phi - v10 - a0 * phi
     boundary["kinematic"] = abs(kin) / max(abs(n * s * phi), abs(v10), abs(a0 * phi), 1e-300)
-    if mode.model.is_mhd:
-        xi0 = mode.amplitude("xi")
+    if mhd:
+        xi0 = amp("xi")
         pres = q0 - 1j * n * wm * xi0 - a * phi
         boundary["pressure"] = abs(pres) / max(
             abs(q0), abs(n * wm * xi0), abs(a * phi), 1e-300
@@ -460,7 +435,7 @@ def pde_residual_fd(mode: HadamardMode, grid: GridSpec, t: float) -> ResidualRep
     return ResidualReport(
         interior=interior,
         boundary=boundary,
-        spacings=(h1p, h1m, htau, dt),
+        spacings=(h1p, h1m, htau, htau),
     )
 
 

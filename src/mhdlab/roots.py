@@ -137,12 +137,8 @@ def _finish_root(model, state, omega, s, n) -> ModeRoot | None:
     lp = lambda_plus(model, state, omega, s)
     lm = lambda_minus(model) if model.is_mhd else complex(math.nan, math.nan)
     neutral = s == 0
-    admissible = (
-        not neutral
-        and s.real > 0.0
-        and lp.real < 0.0
-        and (not model.is_mhd or lm.real > 0.0)
-    )
+    # lambda_minus is +1 on the magnetic models: only the plasma side can fail
+    admissible = not neutral and s.real > 0.0 and lp.real < 0.0
     return ModeRoot(
         s=s,
         lambda_plus=lp,

@@ -1,5 +1,8 @@
-"""Shared hypothesis strategies for bounded, well-conditioned model states."""
+"""Shared hypothesis strategies for bounded, well-conditioned model states,
+and the environment of child Python processes that import mhdlab."""
 import math
+import os
+from pathlib import Path
 
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
@@ -10,6 +13,15 @@ settings.register_profile(
     "default", deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
 settings.load_profile("default")
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def subprocess_env() -> dict:
+    """Environment for a child Python that imports mhdlab from this checkout."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
 
 MHD_MODELS = [ModelKind.IncompressibleMHD, ModelKind.CompressibleMHD]
 EULER_MODELS = [ModelKind.IncompressibleEuler, ModelKind.CompressibleEuler]

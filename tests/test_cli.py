@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from conftest import subprocess_env
 from mhdlab.cli import main
 from mhdlab.classifier import SweepSpec
 from mhdlab.config import parse_config_text, load_config, parse_bool
@@ -320,6 +321,7 @@ def test_malformed_value_exits_one_without_traceback(tmp_path, command, section,
         [sys.executable, "-m", "mhdlab", command, str(path)],
         capture_output=True,
         text=True,
+        env=subprocess_env(),
     )
     assert proc.returncode == 1
     assert proc.stderr.startswith(f"error: {path}:3: {message}")
@@ -388,6 +390,7 @@ def test_module_entry_point(euler_cfg):
         [sys.executable, "-m", "mhdlab", "classify", euler_cfg],
         capture_output=True,
         text=True,
+        env=subprocess_env(),
     )
     assert proc.returncode == 0
     assert "verdict: IllPosed" in proc.stdout

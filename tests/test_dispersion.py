@@ -152,6 +152,42 @@ def test_mode_symbol_is_reused_only_for_the_same_objects():
     assert mode_symbol(euler, state, OM) is not sym
 
 
+
+@pytest.mark.parametrize("model", MHD_MODELS)
+def test_cleared_polynomial_matches_hand_expansion(model):
+    state = BasicState(
+        rho_hat=1.3, c_hat=2.0, a_hat=1.0, a0_hat=0.2, a1_hat=0.7,
+        H_plasma=(0.6, 0.8), H_vacuum=(1.2, -0.5),
+    )
+    omega = Wavevector(0.6, 0.8)
+    n = 37
+    rho, a0 = state.rho_hat, state.a0_hat
+    wp, wm = w_pair(state, omega)
+    bc = n * wm * wm - (state.a_hat + 1j * wm * state.a1_hat)
+    # A = (n s - a0)(rho s^2 + wp^2), highest power first
+    p3, p2, p1, p0 = n * rho, -a0 * rho, n * wp * wp, -a0 * wp * wp
+    if model is ModelKind.IncompressibleMHD:
+        # the cubic A + bc s
+        expected = [p3, p2, p1 + bc, p0]
+    else:
+        # A^2 D - bc^2 s^2 (D + s^4) with D = alpha s^2 + beta
+        alpha = state.c_hat**2 + alfven_speed(state) ** 2
+        beta = state.c_hat**2 * wp * wp / rho
+        a2 = [
+            p3 * p3, 2 * p3 * p2, p2 * p2 + 2 * p3 * p1, 2 * (p3 * p0 + p2 * p1),
+            p1 * p1 + 2 * p2 * p0, 2 * p1 * p0, p0 * p0,
+        ]
+        expected = [alpha * x for x in a2] + [0.0, 0.0]
+        for k, x in enumerate(a2):
+            expected[k + 2] += beta * x
+        expected[2] -= bc * bc
+        expected[4] -= bc * bc * alpha
+        expected[6] -= bc * bc * beta
+    got = mode_symbol(model, state, omega).polynomial(n)
+    assert got.dtype == complex and len(got) == len(expected)
+    scale = max(abs(x) for x in expected)
+    np.testing.assert_allclose(got, expected, rtol=1e-13, atol=1e-13 * scale)
+
 # -------------------------------------------------------- amplitude relation
 
 

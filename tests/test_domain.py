@@ -114,3 +114,20 @@ def test_scaling_fit_requires_a_decade_of_mode_indices():
 def test_model_kind_flags_are_consistent(model):
     assert model.is_mhd == ("MHD" in model.value)
     assert model.is_compressible == model.value.startswith("Compressible")
+
+
+def test_model_kind_flag_table():
+    table = [
+        (ModelKind.IncompressibleEuler, False, False),
+        (ModelKind.CompressibleEuler, False, True),
+        (ModelKind.IncompressibleMHD, True, False),
+        (ModelKind.CompressibleMHD, True, True),
+    ]
+    assert [row[0] for row in table] == list(ModelKind)
+    for model, is_mhd, is_compressible in table:
+        assert model.is_mhd is is_mhd
+        assert model.is_compressible is is_compressible
+        assert ModelKind(model.value) is model
+        assert repr(model) == f"<ModelKind.{model.value}: '{model.value}'>"
+    # plain member data, set once per member: no property runs on a read
+    assert not any(isinstance(attr, property) for attr in vars(ModelKind).values())

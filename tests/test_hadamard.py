@@ -284,7 +284,41 @@ FD_CASES = [
 ]
 
 
+# report keys per model, in the order residuals.jsonl writes them
+MOMENTUM = ["momentum_1", "momentum_2", "momentum_3"]
+INDUCTION = ["induction_1", "induction_2", "induction_3"]
+MAGNETIC = ["magnetic_divergence", "vacuum_laplace"]
+REPORT_KEYS = [
+    (M.IncompressibleEuler, EULER_STATE, MOMENTUM + ["divergence"], ["kinematic", "pressure"]),
+    (
+        M.CompressibleEuler,
+        BasicState(a_hat=1.0, a0_hat=0.3, c_hat=2.0),
+        MOMENTUM + ["continuity"],
+        ["kinematic", "pressure"],
+    ),
+    (
+        M.IncompressibleMHD,
+        ALIGNED_INC,
+        MOMENTUM + INDUCTION + ["divergence"] + MAGNETIC,
+        ["kinematic", "pressure", "vacuum_neumann"],
+    ),
+    (
+        M.CompressibleMHD,
+        ALIGNED_COMP,
+        MOMENTUM + INDUCTION + ["continuity"] + MAGNETIC,
+        ["kinematic", "pressure", "vacuum_neumann"],
+    ),
+]
+
+
 class TestPdeResidualFd:
+    @pytest.mark.parametrize("model,state,interior,boundary", REPORT_KEYS)
+    def test_equation_names_and_order_per_model(self, model, state, interior, boundary):
+        mode = top_mode(model, state, OM, 100)
+        report = pde_residual_fd(mode, grid_for_mode(mode), 0.0)
+        assert list(report.interior) == interior
+        assert list(report.boundary) == boundary
+
     @pytest.mark.parametrize("model,state,omega,n", FD_CASES)
     def test_halving_h_divides_interior_residuals_by_four(self, model, state, omega, n):
         mode = top_mode(model, state, omega, n)

@@ -1,10 +1,11 @@
 """Smoke runs of the study scripts with small arguments."""
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import subprocess_env
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -21,12 +22,11 @@ SCRIPTS = {
 def test_script_runs_and_writes_its_csv(tmp_path, script):
     args, header = SCRIPTS[script]
     out = tmp_path / "out.csv"
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script), *args, "--out", str(out)],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=subprocess_env(),
     )
     assert proc.returncode == 0, proc.stderr
     lines = out.read_text().splitlines()
