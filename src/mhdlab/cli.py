@@ -70,20 +70,28 @@ def _omega_from(args, cfg: Config, section: str) -> Wavevector:
 def cmd_classify(args) -> int:
     cfg = load_config(args.config)
     numeric = args.numeric or cfg.section("classify").get("numeric", False)
-    result = classify_frozen(cfg.model, cfg.state)
+    conflict = None
+    if not numeric:
+        result = classify_frozen(cfg.model, cfg.state)
+    else:  # numeric_classify classifies the state itself; its result carries the verdict
+        try:
+            result = numeric_classify(
+                cfg.model, cfg.state, list(DEFAULT_N_GRID), [Wavevector(1.0, 0.0)]
+            )
+        except ConflictError as exc:
+            result, conflict = exc.analytic, exc
     print(f"verdict: {result.verdict.value}")
     print(f"collinear: {fmt(result.collinear)}")
     print(f"rt_sign_ok: {fmt(result.rt_sign_ok)}")
     if result.witness is not None:
         print(f"witness: {fmt(result.witness.omega2)} {fmt(result.witness.omega3)}")
+    if conflict is not None:
+        raise conflict
     if numeric:
-        confirmed = numeric_classify(
-            cfg.model, cfg.state, list(DEFAULT_N_GRID), [Wavevector(1.0, 0.0)]
-        )
-        print(f"numeric_verdict: {confirmed.verdict.value}")
-        if confirmed.evidence is not None:
-            print(f"fitted_exponent: {fmt(confirmed.evidence.exponent)}")
-            print(f"fitted_coefficient: {fmt(confirmed.evidence.coefficient)}")
+        print(f"numeric_verdict: {result.verdict.value}")
+        if result.evidence is not None:
+            print(f"fitted_exponent: {fmt(result.evidence.exponent)}")
+            print(f"fitted_coefficient: {fmt(result.evidence.coefficient)}")
     return 0
 
 

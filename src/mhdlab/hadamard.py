@@ -13,7 +13,9 @@ evaluate_field puts that factor back, multiplying the arrays by it or, where
 it would overflow, converting them to log magnitudes. All residuals are
 reported relative to the size of the equation's terms, which makes them
 invariant under the growth factor, so pde_residual_fd differences the
-normalized arrays and cannot overflow by design.
+normalized arrays and cannot overflow by design. It does so in blocks of
+x1 rows with a one-row halo, with stencils equal to np.gradient and np.roll
+term for term, so its report is the whole grid's, bit for bit.
 """
 from __future__ import annotations
 
@@ -31,6 +33,7 @@ from .roots import dominant_root, solve_dispersion
 NULLSPACE_TOLERANCE = 1e-8
 TRUNCATION_EPSILON = 1e-16
 OVERFLOW_EXPONENT = 700.0
+FD_BLOCK_CELLS = 4096  # 64 KiB blocks: below glibc's 128 KiB mmap threshold
 
 MHD_FIELD_NAMES = ("q", "v1", "v2", "v3", "H1", "H2", "H3", "xi", "phi")
 EULER_FIELD_NAMES = ("q", "v1", "v2", "v3", "phi")
@@ -222,34 +225,37 @@ def _check_truncation(mode: HadamardMode, grid: GridSpec, lam_p: complex) -> Non
         raise GridError(f"vacuum truncation too lossy at n={n}")
 
 
-def _sample_arrays(mode: HadamardMode, grid: GridSpec, t: float, lam_p: complex):
-    """Complex field arrays without the growth factor, and its log n Re s t."""
+def _factors(mode: HadamardMode, grid: GridSpec, t: float, lam_p: complex):
+    """The 1-D factors of every sampled field, amp * tfac * decay(x1) * phase(tau),
+    and the log n Re s t of the growth factor they leave out."""
     s, n = mode.root.s, mode.root.n
     mp, mm, mt = grid.points_per_direction
     x1p = np.linspace(0.0, grid.x1_extent_plus, mp)
     tau = np.arange(mt) * (grid.tangential_period / mt)
     tfac = cmath.exp(1j * n * s.imag * t)
-    phase = np.exp(1j * n * tau)[None, :]
-    decay_p = np.exp(n * lam_p * x1p)[:, None]
-    plasma = {}
-    for name in mode.names:
-        if name in ("xi", "phi"):
-            continue
-        plasma[name] = mode.amplitude(name) * tfac * decay_p * phase
-    vacuum = {}
+    coef = {name: mode.amplitude(name) * tfac for name in mode.names if name != "phi"}
+    decay = {"plasma": np.exp(n * lam_p * x1p)[:, None]}
     x1m = None
     if mode.model.is_mhd:
         x1m = np.linspace(-grid.x1_extent_minus, 0.0, mm)
-        decay_m = np.exp(n * 1.0 * x1m)[:, None]
-        vacuum["xi"] = mode.amplitude("xi") * tfac * decay_m * phase
-    return x1p, x1m, tau, plasma, vacuum, n * s.real * t
+        decay["vacuum"] = np.exp(n * 1.0 * x1m)[:, None]
+    return x1p, x1m, tau, (coef, decay, np.exp(1j * n * tau)[None, :]), n * s.real * t
+
+
+def _sample_rows(factors, rows_p=slice(None), rows_m=slice(None)):
+    """Plasma and vacuum field arrays on the given x1 rows, without the growth factor."""
+    coef, decay, phase = factors
+    plasma = {k: a * decay["plasma"][rows_p] * phase for k, a in coef.items() if k != "xi"}
+    vacuum = {"xi": coef["xi"] * decay["vacuum"][rows_m] * phase} if "xi" in coef else {}
+    return plasma, vacuum
 
 
 def evaluate_field(mode: HadamardMode, grid: GridSpec, t: float) -> FieldSample:
     """Pointwise mode evaluation; switches to log magnitudes on overflow."""
     lam_p = mode_symbol(mode.model, mode.state, mode.omega).lambda_plus(mode.root.s)
     _check_truncation(mode, grid, lam_p)
-    x1p, x1m, tau, plasma, vacuum, log_growth = _sample_arrays(mode, grid, t, lam_p)
+    x1p, x1m, tau, factors, log_growth = _factors(mode, grid, t, lam_p)
+    plasma, vacuum = _sample_rows(factors)
     scale = math.exp(log_growth) if abs(log_growth) <= OVERFLOW_EXPONENT else None
 
     def rescale(arr):
@@ -270,7 +276,12 @@ def evaluate_field(mode: HadamardMode, grid: GridSpec, t: float) -> FieldSample:
 
 
 def _d1(arr: np.ndarray, h: float) -> np.ndarray:
-    return np.gradient(arr, h, axis=0, edge_order=2)
+    """np.gradient(arr, h, axis=0, edge_order=2), term for term."""
+    out = np.empty_like(arr)
+    out[1:-1] = (arr[2:] - arr[:-2]) / (2.0 * h)
+    out[0] = -1.5 / h * arr[0] + 2.0 / h * arr[1] + -0.5 / h * arr[2]
+    out[-1] = 0.5 / h * arr[-3] + -2.0 / h * arr[-2] + 1.5 / h * arr[-1]
+    return out
 
 
 def _d2_edge(arr: np.ndarray, h: float) -> np.ndarray:
@@ -283,8 +294,12 @@ def _d2_edge(arr: np.ndarray, h: float) -> np.ndarray:
 
 
 def _dtau(arr: np.ndarray, h: float) -> np.ndarray:
-    out = np.roll(arr, -1, axis=1)
-    out -= np.roll(arr, 1, axis=1)  # (roll(-1) - roll(1)) / 2h, with one array less
+    """(np.roll(arr, -1, 1) - np.roll(arr, 1, 1)) / 2h, from slices into one array."""
+    out = np.empty(arr.shape, dtype=arr.dtype)
+    # one pass over the flattened rows; the end columns it pairs across rows are redone
+    np.subtract(arr.reshape(-1)[2:], arr.reshape(-1)[:-2], out=out.reshape(-1)[1:-1])
+    np.subtract(arr[:, 1], arr[:, -1], out=out[:, 0])
+    np.subtract(arr[:, 0], arr[:, -2], out=out[:, -1])
     return np.divide(out, 2.0 * h, out=out)
 
 
@@ -296,7 +311,15 @@ def _sup(arr) -> float:
     return float(np.max(np.abs(arr)))
 
 
-def _rel(residual, *scales) -> float:
+def _row_blocks(m: int, k: int):
+    """(padded rows, own rows within them) of k even blocks of m rows, one-row halo."""
+    for i in range(k):
+        lo, hi = i * m // k, (i + 1) * m // k
+        top = max(lo - 1, 0)
+        yield slice(top, min(hi + 1, m)), slice(lo - top, hi - top)
+
+
+def _rel(sup: float, *scales) -> float:
     """Sup of the residual against the largest analytic term magnitude.
 
     The yardstick is grid independent on purpose: equations whose exact
@@ -305,7 +328,7 @@ def _rel(residual, *scales) -> float:
     the h^2 convergence of the numerator.
     """
     scale = max((abs(x) for x in scales), default=0.0)
-    return _sup(residual) / max(scale, 1e-300)
+    return sup / max(scale, 1e-300)
 
 
 def pde_residual_fd(mode: HadamardMode, grid: GridSpec, t: float) -> ResidualReport:
@@ -315,6 +338,10 @@ def pde_residual_fd(mode: HadamardMode, grid: GridSpec, t: float) -> ResidualRep
     direction wraps periodically; time uses a centered difference with
     dt equal to the tangential spacing. Boundary conditions involve no
     differencing and must vanish at machine precision.
+
+    Fields are sampled and differenced in blocks of about FD_BLOCK_CELLS cells of
+    x1 rows with a one-row halo; _d1 and _dtau equal np.gradient and np.roll term
+    for term and sups are maxima of block sups, so the report is the whole grid's.
 
     Interior equations in report order; [..] terms and the equations
     marked MHD belong to the magnetic models, Hhat = (0, H_plasma):
@@ -327,8 +354,7 @@ def pde_residual_fd(mode: HadamardMode, grid: GridSpec, t: float) -> ResidualRep
     model = mode.model
     mhd = model.is_mhd
     sym = mode_symbol(model, mode.state, mode.omega)
-    n = mode.root.n
-    s = mode.root.s
+    n, s = mode.root.n, mode.root.s
     lam_p = sym.lambda_plus(s)
     _check_truncation(mode, grid, lam_p)
     mp, mm, mt = grid.points_per_direction
@@ -345,22 +371,12 @@ def pde_residual_fd(mode: HadamardMode, grid: GridSpec, t: float) -> ResidualRep
             raise GridError(
                 f"plasma x1 oscillation resolved by {ppw:.2f} < 8 points per wavelength"
             )
-    _, _, _, plasma, vacuum, _ = _sample_arrays(mode, grid, t, lam_p)
+    factors = _factors(mode, grid, t, lam_p)[3]
     state = mode.state
     rho, c = state.rho_hat, state.c_hat
     o2, o3 = mode.omega.unit()
     wp, wm = sym.wp, sym.wm
-    fw = cmath.exp(n * s * htau)
-    bw = cmath.exp(-n * s * htau)
-
-    def Dt(arr):  # dt = htau
-        return (arr * fw - arr * bw) / (2.0 * htau)
-
-    q = plasma["q"]
-    v = [plasma["v1"], plasma["v2"], plasma["v3"]]
-    dq = _dtau(q, htau)
-    grad_q = [_d1(q, h1p), o2 * dq, o3 * dq]
-    div_v = _d1(v[0], h1p) + o2 * _dtau(v[1], htau) + o3 * _dtau(v[2], htau)
+    fw, bw = cmath.exp(n * s * htau), cmath.exp(-n * s * htau)
 
     # analytic per-term magnitudes; arrays are normalized to the amplitude
     # scale, so |amp| is the exact sup of every sampled field
@@ -370,73 +386,87 @@ def pde_residual_fd(mode: HadamardMode, grid: GridSpec, t: float) -> ResidualRep
     gmag = (abs(lam_p), abs(o2), abs(o3))
     div_scales = tuple(n * gmag[i] * av[i] for i in range(3))
     if mhd:
-        H = [plasma["H1"], plasma["H2"], plasma["H3"]]
         aH = [abs(amp(f"H{i + 1}")) for i in range(3)]
         Hhat = (0.0, state.H_plasma[0], state.H_plasma[1])
     div_amp = 0.0  # |div v| amplitude: zero unless CompressibleMHD with s != 0
     if model is ModelKind.CompressibleMHD and not mode.root.neutral:
         div_amp = abs((lam_p * lam_p - 1.0) * amp("q") / (rho * s))
 
-    interior = {}
-    for i in range(3):
-        res = rho * Dt(v[i])
-        scales = (rho * n * s * av[i],)
-        if mhd:
-            res -= wp * _dtau(H[i], htau)
-            scales += (n * wp * aH[i],)
-        res += grad_q[i]
-        interior[f"momentum_{i + 1}"] = _rel(res, *scales, n * gmag[i] * aq)
-    if mhd:
+    def equations(plasma, vacuum, own_p, own_m):
+        """(name, residual on the block's own rows, analytic term magnitudes) in
+        report order; a residual in buf is valid until the next is asked for."""
+        buf = np.empty_like(plasma["q"])
+        def Dt(arr):  # (arr fw - arr bw) / 2 dt with dt = htau, written into buf
+            np.multiply(arr, fw, out=buf)
+            np.subtract(buf, arr * bw, out=buf)
+            return np.divide(buf, 2.0 * htau, out=buf)
+        def div(F):
+            return _d1(F[0], h1p) + o2 * _dtau(F[1], htau) + o3 * _dtau(F[2], htau)
+        # dead block arrays are deleted at once: fewer live pages, fewer refaulted
+        q = plasma["q"]
+        v = [plasma["v1"], plasma["v2"], plasma["v3"]]
+        H = [plasma["H1"], plasma["H2"], plasma["H3"]] if mhd else None
+        dq = _dtau(q, htau)
         for i in range(3):
-            res = Dt(H[i]) - wp * _dtau(v[i], htau)
-            scales = (n * s * aH[i], n * wp * av[i])
-            if model.is_compressible:
-                res += Hhat[i] * div_v
-                scales += (Hhat[i] * n * div_amp, Hhat[i] * max(div_scales))
-            interior[f"induction_{i + 1}"] = _rel(res, *scales)
-    if model.is_compressible:
-        tot, tot_amp = q, amp("q")
+            res = np.multiply(rho, Dt(v[i]), out=buf)
+            scales = (rho * n * s * av[i],)
+            if mhd:
+                res -= wp * _dtau(H[i], htau)
+                scales += (n * wp * aH[i],)
+            res += _d1(q, h1p) if i == 0 else (o2, o3)[i - 1] * dq  # d_i q
+            yield f"momentum_{i + 1}", res[own_p], scales + (n * gmag[i] * aq,)
+        del dq
+        div_v = div(v)
         if mhd:
-            tot = q - Hhat[1] * H[1] - Hhat[2] * H[2]
-            tot_amp = tot_amp - Hhat[1] * amp("H2") - Hhat[2] * amp("H3")
-        K = rho * c * c
-        interior["continuity"] = _rel(
-            Dt(tot) + K * div_v, n * s * abs(tot_amp), K * n * div_amp, K * max(div_scales)
-        )
-    else:
-        interior["divergence"] = _rel(div_v, *div_scales)
-    if mhd:
-        div_H = _d1(H[0], h1p) + o2 * _dtau(H[1], htau) + o3 * _dtau(H[2], htau)
-        interior["magnetic_divergence"] = _rel(div_H, *(n * gmag[i] * aH[i] for i in range(3)))
-        lap = _d2_edge(vacuum["xi"], h1m) + _dtau2(vacuum["xi"], htau)
-        interior["vacuum_laplace"] = _rel(lap, n * n * abs(amp("xi")))
+            for i in range(3):
+                res = Dt(H[i])
+                res -= wp * _dtau(v[i], htau)
+                scales = (n * s * aH[i], n * wp * av[i])
+                if model.is_compressible:
+                    res += Hhat[i] * div_v
+                    scales += (Hhat[i] * n * div_amp, Hhat[i] * max(div_scales))
+                yield f"induction_{i + 1}", res[own_p], scales
+        if model.is_compressible:
+            tot_amp = amp("q")
+            if mhd:
+                tot_amp = tot_amp - Hhat[1] * amp("H2") - Hhat[2] * amp("H3")
+            K = rho * c * c
+            res = Dt(q - Hhat[1] * H[1] - Hhat[2] * H[2] if mhd else q)
+            res += K * div_v
+            scales = (n * s * abs(tot_amp), K * n * div_amp, K * max(div_scales))
+            yield "continuity", res[own_p], scales
+        else:
+            yield "divergence", div_v[own_p], div_scales
+        del div_v
+        if mhd:
+            yield "magnetic_divergence", div(H)[own_p], tuple(n * gmag[i] * aH[i] for i in range(3))
+            lap = _d2_edge(vacuum["xi"], h1m) + _dtau2(vacuum["xi"], htau)
+            yield "vacuum_laplace", lap[own_m], (n * n * abs(amp("xi")),)
+
+    # even blocks of about FD_BLOCK_CELLS cells and at least the 4 rows _d2_edge
+    # reads; a sup is exact, so the report does not depend on the split
+    rows = (mp, mm) if mhd else (mp,)
+    k = min(-(-max(rows) * mt // FD_BLOCK_CELLS), min(rows) // 4)
+    sups, yardsticks = {}, {}
+    for (pad_p, own_p), (pad_m, own_m) in zip(_row_blocks(mp, k), _row_blocks(mm, k)):
+        for name, res, scales in equations(*_sample_rows(factors, pad_p, pad_m), own_p, own_m):
+            sups.setdefault(name, []).append(_sup(res))
+            yardsticks[name] = scales
+    interior = {name: _rel(float(np.max(sups[name])), *yardsticks[name]) for name in sups}
 
     # boundary conditions: purely algebraic in the amplitudes
     a, a0, a1 = state.a_hat, state.a0_hat, state.a1_hat
-    phi = amp("phi")
-    q0 = amp("q")
-    v10 = amp("v1")
-    boundary = {}
-    kin = n * s * phi - v10 - a0 * phi
-    boundary["kinematic"] = abs(kin) / max(abs(n * s * phi), abs(v10), abs(a0 * phi), 1e-300)
+    phi, q0, v10 = amp("phi"), amp("q"), amp("v1")
+    boundary = {"kinematic": _rel(abs(n * s * phi - v10 - a0 * phi), n * s * phi, v10, a0 * phi)}
     if mhd:
         xi0 = amp("xi")
         pres = q0 - 1j * n * wm * xi0 - a * phi
-        boundary["pressure"] = abs(pres) / max(
-            abs(q0), abs(n * wm * xi0), abs(a * phi), 1e-300
-        )
+        boundary["pressure"] = _rel(abs(pres), q0, n * wm * xi0, a * phi)
         vac = n * xi0 - (a1 + 1j * n * wm) * phi
-        boundary["vacuum_neumann"] = abs(vac) / max(
-            abs(n * xi0), abs((a1 + 1j * n * wm) * phi), 1e-300
-        )
+        boundary["vacuum_neumann"] = _rel(abs(vac), n * xi0, (a1 + 1j * n * wm) * phi)
     else:
-        pres = q0 - a * phi
-        boundary["pressure"] = abs(pres) / max(abs(q0), abs(a * phi), 1e-300)
-    return ResidualReport(
-        interior=interior,
-        boundary=boundary,
-        spacings=(h1p, h1m, htau, htau),
-    )
+        boundary["pressure"] = _rel(abs(q0 - a * phi), q0, a * phi)
+    return ResidualReport(interior=interior, boundary=boundary, spacings=(h1p, h1m, htau, htau))
 
 
 def growth_ratio(

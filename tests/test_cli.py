@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -138,6 +139,19 @@ class TestClassifyCommand:
         )
         assert main(["classify", str(path), "--numeric"]) == 2
         assert "conflict" in capsys.readouterr().err
+
+    def test_numeric_classifies_once(self, tmp_path, capsys):
+        # the near-zero a_hat warning comes from the one classification
+        path = tmp_path / "tiny_a.ini"
+        path.write_text("model = CompressibleMHD\na_hat = 1e-300\na0_hat = 1.0\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["classify", str(path), "--numeric"]) == 0
+        zero = [w for w in caught if "zero-detection threshold" in str(w.message)]
+        assert len(zero) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("verdict: ExponentiallyUnstable\ncollinear: true\n")
+        assert "numeric_verdict: ExponentiallyUnstable\n" in out
 
 
 class TestRootsCommand:

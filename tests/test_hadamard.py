@@ -1,15 +1,19 @@
 """Mode construction, sampling and finite-difference verification."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from mhdlab import hadamard
 from mhdlab.dispersion import boundary_matrix
 from mhdlab.domain import BasicState, ModeRoot, ModelKind, Wavevector
 from mhdlab.errors import GridError, NotARootError, ResonanceError
 from mhdlab.hadamard import (
     GridSpec,
+    _d1,
+    _dtau,
     boundary_flux_check,
     build_mode,
     evaluate_field,
@@ -374,6 +378,97 @@ class TestPdeResidualFd:
         late = pde_residual_fd(mode, grid, 1e4)
         for k in early.interior:
             assert early.interior[k] == pytest.approx(late.interior[k], rel=1e-6)
+
+
+def special_complex(rng, rows, cols):
+    """Random complex array with +-0.0, +-inf and nan in some real and
+    imaginary parts."""
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+    parts = rng.standard_normal((2, rows, cols))
+    mask = rng.random((2, rows, cols)) < 0.3
+    parts[mask] = rng.choice(specials, size=mask.sum())
+    arr = np.empty((rows, cols), dtype=complex)
+    arr.real, arr.imag = parts
+    return arr
+
+
+def assert_same_bits(a, b):
+    assert np.array_equal(a, b, equal_nan=True)
+    assert np.array_equal(np.signbit(a.real), np.signbit(b.real))
+    assert np.array_equal(np.signbit(a.imag), np.signbit(b.imag))
+
+
+class TestStencils:
+    @pytest.mark.parametrize("rows", [3, 4, 5])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_slice_stencils_equal_gradient_and_roll(self, rows, seed):
+        rng = np.random.default_rng([seed, rows])
+        arr = special_complex(rng, rows, 9)
+        h = float(rng.uniform(1e-3, 2.0))
+        with np.errstate(all="ignore"):
+            assert_same_bits(_d1(arr, h), np.gradient(arr, h, axis=0, edge_order=2))
+            rolled = (np.roll(arr, -1, axis=1) - np.roll(arr, 1, axis=1)) / (2.0 * h)
+            assert_same_bits(_dtau(arr, h), rolled)
+
+
+# one mode per model and the grids that split rows unevenly, not at all,
+# into minimum-height blocks, or with very many tangential points
+BLOCK_MODES = [
+    (M.IncompressibleEuler, EULER_STATE, OM, 100),
+    (M.CompressibleEuler, BasicState(a_hat=1.0, a0_hat=0.3, c_hat=2.0), OM, 100),
+    (M.IncompressibleMHD, ALIGNED_INC, OM, 400),
+    (M.CompressibleMHD, ALIGNED_COMP, OM, 25),
+]
+BLOCK_GRIDS = [None, "refined", (4, 4, 8), (301, 203, 24), (9, 9, 4096)]
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("model,state,omega,n", BLOCK_MODES)
+    def test_report_does_not_depend_on_block_size(self, model, state, omega, n, monkeypatch):
+        mode = top_mode(model, state, omega, n)
+        base = grid_for_mode(mode)
+        default, sup = hadamard.FD_BLOCK_CELLS, hadamard._sup
+
+        def run(grid, cells):
+            """The report and every equation's residual, its blocks' rows stacked."""
+            blocks = []
+            monkeypatch.setattr(hadamard, "FD_BLOCK_CELLS", cells)
+            monkeypatch.setattr(hadamard, "_sup", lambda res: blocks.append(res.copy()) or sup(res))
+            report = pde_residual_fd(mode, grid, 0.5)
+            eqs = len(report.interior)
+            return repr(report), [np.concatenate(blocks[e::eqs]) for e in range(eqs)]
+
+        for points in BLOCK_GRIDS:
+            if points is None:
+                grid = base
+            elif points == "refined":
+                grid = base.refined()
+            else:
+                grid = grid_for_mode(mode, points)
+            mp, mm, mt = grid.points_per_direction
+            # one block, the default, and blocks of the minimum 4 rows
+            whole, *split = (run(grid, cells) for cells in (mp * mm * mt, default, 1))
+            for report, residuals in split:
+                assert report == whole[0], f"grid {grid.points_per_direction}"
+                for got, want in zip(residuals, whole[1]):
+                    assert_same_bits(got, want)
+
+    def test_peak_memory_does_not_grow_with_rows(self):
+        mode = top_mode(M.CompressibleMHD, ALIGNED_COMP, OM, 25)
+
+        def peak(points):
+            grid = grid_for_mode(mode, points)
+            pde_residual_fd(mode, grid, 0.0)  # warm-up outside the trace
+            tracemalloc.start()
+            try:
+                pde_residual_fd(mode, grid, 0.0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak((511, 511, 32)), peak((2045, 2045, 32))
+        assert large <= 1.25 * small
+        assert large < 2 * 2**20
 
 
 class TestGrowthRatio:
