@@ -6,7 +6,16 @@ Candidates come from the companion matrix of that polynomial, get polished
 by Newton iteration on the original determinant, and survive only if the
 relative residual of the ORIGINAL (unsquared) equation is below
 RESIDUAL_TOLERANCE. Squaring can only add spurious roots, never lose real
-ones, so the filter is sound.
+ones, so the gate is sound.
+
+Writing a compressible determinant as A + B g(s), the cleared polynomial
+(A + B g)(A - B g) holds the roots of both branches. A polynomial candidate
+that solves the other branch A - B g = 0 by a margin (|A + B g| greater than
+_BRANCH_MARGIN times |A - B g|) cannot polish onto a root of A + B g = 0 and
+is not polished. The branch test never drops an asymptotic seed, an exact
+zero, a candidate of the incompressible models (which have no radical) or a
+candidate where g(s) raises BranchPointError; those go through Newton and
+the gate as before.
 """
 from __future__ import annotations
 
@@ -28,6 +37,9 @@ MAX_ITERATIONS = 100
 # _DEDUPE_TOL * (1 + |s|) are considered the same root.
 _STEP_TOL = 1e-14
 _DEDUPE_TOL = 1e-9
+# a polynomial candidate this many times closer to the other branch
+# A - B g = 0 than to A + B g = 0 is not polished
+_BRANCH_MARGIN = 1e3
 
 
 @dataclass(frozen=True)
@@ -124,6 +136,24 @@ def _poly_candidates(coeffs) -> list:
     return out
 
 
+def _wrong_branch(sym: ModeSymbol, s: complex, n: int) -> bool:
+    """True when s plainly solves A - B g = 0 rather than the determinant
+    A + B g = 0; never for incompressible models or at a branch point of g."""
+    if not sym.model.is_compressible:
+        return False
+    try:
+        g = sym.g(s)[0]
+    except BranchPointError:
+        return False
+    if sym.model.is_mhd:
+        A = (n * s - sym.a0) * (sym.rho * s * s + sym.wp * sym.wp)
+        Bg = s * (n * sym.wm * sym.wm - sym.c1) * g
+    else:
+        A = n * s * s - sym.a0 * s
+        Bg = -(sym.a / sym.rho) * g
+    return abs(A + Bg) > _BRANCH_MARGIN * abs(A - Bg)
+
+
 def _finish_root(model, state, omega, s, n) -> ModeRoot | None:
     try:
         value = dispersion_eval(model, state, omega, s, n).value
@@ -160,7 +190,9 @@ def solve_dispersion(model: ModelKind, state: BasicState, omega: Wavevector, n: 
     sym = mode_symbol(model, state, omega)
     if n < 1:
         raise ValueError(f"mode index must be >= 1, got {n}")
-    candidates = _poly_candidates(sym.polynomial(n))
+    candidates = [
+        c for c in _poly_candidates(sym.polynomial(n)) if c == 0 or not _wrong_branch(sym, c, n)
+    ]
     if model is ModelKind.CompressibleMHD:
         # Asymptotic seeds guard against conditioning loss in the squared
         # polynomial at large n.

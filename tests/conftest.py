@@ -1,5 +1,7 @@
 """Shared hypothesis strategies for bounded, well-conditioned model states,
-and the environment of child Python processes that import mhdlab."""
+the environment of child Python processes that import mhdlab, and the
+benchmark's independent root oracle."""
+import importlib.util
 import math
 import os
 from pathlib import Path
@@ -21,6 +23,29 @@ def subprocess_env() -> dict:
     """Environment for a child Python that imports mhdlab from this checkout."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return {**os.environ, "PYTHONPATH": path}
+
+
+def load_bench_oracle():
+    """bench/oracle.py, loaded by path: determinants and an mpmath root oracle
+    written without mhdlab. Its root finder needs mpmath."""
+    path = SRC.parent / "bench" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("bench_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def state_dict(state: BasicState) -> dict:
+    """The oracle's view of a state: plain floats, no package types."""
+    return {
+        "rho": state.rho_hat,
+        "c": state.c_hat,
+        "a": state.a_hat,
+        "a0": state.a0_hat,
+        "a1": state.a1_hat,
+        "Hp": tuple(state.H_plasma),
+        "Hv": tuple(state.H_vacuum),
+    }
 
 
 MHD_MODELS = [ModelKind.IncompressibleMHD, ModelKind.CompressibleMHD]

@@ -1,0 +1,88 @@
+"""Root completeness against an independent high-precision oracle.
+
+bench/oracle.py writes the determinants and their cleared polynomials out
+again without mhdlab and finds the polynomial roots at 60 digits, keeping
+those that solve the unsquared determinant on the principal branch. Every
+such root must come out of solve_dispersion once, and nothing else may,
+except where a double-precision solver cannot be held to it:
+- the roots that oracle.beyond_double exempts (within rounding of s = 0, or
+  beside a zero of g(s) or D(s));
+- a root where the radicand of g(s) vanishes: there lambda+ = 0, the mode
+  does not decay, and the solver rejects the point with BranchPointError.
+
+States whose nonzero parameters lie below ORACLE_FLOOR in magnitude are
+left out. The oracle resolves roots to an absolute, not a relative, 60
+digits, so a root such as sqrt(a) for a = 1e-311 comes back as 0; and a
+field that small squares to 0 in double precision, which moves the
+determinant the solver sees.
+"""
+import pytest
+
+mpmath = pytest.importorskip("mpmath")
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from conftest import load_bench_oracle, model_state_pairs, state_dict, wavevectors
+from mhdlab.classifier import _witness_direction, is_collinear
+from mhdlab.domain import BasicState, ModelKind, Wavevector
+from mhdlab.roots import solve_dispersion
+
+oracle = load_bench_oracle()
+
+N_VALUES = (1, 100, 10_000, 1_000_000)
+ORACLE_FLOOR = 1e-30
+
+# collinear, so the test also solves along its witness (the direction
+# classify_frozen reports); there, at n = 1, the exact root within rounding
+# of s = 0 is beyond double precision, found or not
+NEAR_ZERO_WITNESS = BasicState(
+    rho_hat=1.4479262163637077,
+    c_hat=1.6538139279987,
+    H_plasma=(-0.06165501331153599, 0.3333285098495656),
+    H_vacuum=(-0.2561691173252885, 1.3849396109292593),
+    a_hat=1.292016053988983,
+    a0_hat=-0.21225942831090716,
+    a1_hat=-0.4631337798109523,
+)
+
+
+def within_oracle_range(pair) -> bool:
+    return all(v == 0 or abs(v) >= ORACLE_FLOOR for v in pair[1].fields().values())
+
+
+def at_branch_point(model: ModelKind, sd: dict, om, roots) -> list:
+    """The roots where the radicand of g(s) vanishes, at 40 digits."""
+    if not model.is_compressible:
+        return []
+    with mpmath.workdps(oracle.EXACT_DIGITS):
+        st_mp, w = oracle._to_mp(sd, oracle.projections(sd, om), mpmath.mp)
+        # lambda+ = -sqrt(radicand), so an identity "sqrt" gives -radicand
+        return [
+            r for r in roots
+            if abs(oracle.lambda_plus(model.value, st_mp, w, mpmath.mpc(r), sqrt=lambda x: x)) <= 1e-12
+        ]
+
+
+@given(
+    st.booleans().flatmap(lambda c: model_state_pairs(collinear=c)).filter(within_oracle_range),
+    wavevectors(),
+)
+@example((ModelKind.CompressibleMHD, NEAR_ZERO_WITNESS), Wavevector(1.0, 0.0))
+@settings(max_examples=15)
+def test_every_oracle_root_is_found_and_nothing_else(pair, omega):
+    model, state = pair
+    directions = [omega]
+    if model.is_mhd and is_collinear(state):
+        # the direction numeric_classify fits besides the sampled ones
+        directions.append(_witness_direction(state))
+    sd = state_dict(state)
+    for direction in directions:
+        om = (direction.omega2, direction.omega3)
+        for n in N_VALUES:
+            found = [r.s for r in solve_dispersion(model, state, direction, n)]
+            expected = oracle.oracle_roots(model.value, sd, om, n)
+            exempt = oracle.beyond_double(model.value, sd, om, n, expected)
+            exempt += at_branch_point(model, sd, om, expected)
+            label = f"{model.value} {sd} omega={om} n={n}"
+            oracle.compare_root_sets(found, expected, label, exempt)

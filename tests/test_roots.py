@@ -6,13 +6,27 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import MHD_MODELS, bounded, model_state_pairs, states, wavevectors
-from mhdlab.dispersion import dispersion_eval, dispersion_scale
+from conftest import (
+    MHD_MODELS,
+    bounded,
+    load_bench_oracle,
+    model_state_pairs,
+    state_dict,
+    states,
+    wavevectors,
+)
+from mhdlab import roots as roots_module
+from mhdlab.classifier import _witness_direction
+from mhdlab.dispersion import dispersion_eval, dispersion_scale, mode_symbol
 from mhdlab.domain import BasicState, ModelKind, Wavevector, w_pair
 from mhdlab.errors import ConvergenceError, DomainError, FitError
 from mhdlab.roots import (
+    _DEDUPE_TOL,
     RESIDUAL_TOLERANCE,
     AsymptoticRoot,
+    _finish_root,
+    _poly_candidates,
+    _wrong_branch,
     asymptotic_root,
     dominant_root,
     fit_scaling,
@@ -164,6 +178,123 @@ def test_newton_reports_nonconvergence_with_best_iterate():
             1,
         )
     assert info.value.best_residual >= 0.0
+
+
+# ------------------------------------------------------- branch prefilter
+
+COMPRESSIBLE = [ModelKind.CompressibleEuler, ModelKind.CompressibleMHD]
+
+
+def skipped_candidates(model, state, omega, n):
+    sym = mode_symbol(model, state, omega)
+    return [c for c in _poly_candidates(sym.polynomial(n)) if c != 0 and _wrong_branch(sym, c, n)]
+
+
+@st.composite
+def compressible_cases(draw):
+    model = draw(st.sampled_from(COMPRESSIBLE))
+    state = draw(states(model=model, collinear=draw(st.booleans())))
+    omega = draw(wavevectors())
+    if model.is_mhd and draw(st.booleans()):
+        omega = _witness_direction(state)
+    n = draw(st.one_of(st.integers(1, 1000), st.sampled_from([10**4, 10**5, 10**6])))
+    return model, state, omega, n
+
+
+@given(compressible_cases())
+@settings(max_examples=150)
+def test_skipped_candidates_polish_onto_no_new_root(case):
+    """A candidate the branch test skips, polished and gated anyway, gives
+    no root, a root the solver returns, or one beyond double precision
+    (oracle.beyond_double: within rounding of s = 0, or where rounding the
+    root alone leaves a residual near the gate)."""
+    model, state, omega, n = case
+    found = [r.s for r in solve_dispersion(model, state, omega, n)]
+    for cand in skipped_candidates(model, state, omega, n):
+        try:
+            s = newton_refine(model, state, omega, cand, n, raise_on_fail=False)
+        except OverflowError:
+            continue  # the polish diverged, so it reaches no root
+        made = _finish_root(model, state, omega, s, n)
+        if made is None or any(abs(made.s - f) <= _DEDUPE_TOL * (1.0 + abs(made.s)) for f in found):
+            continue
+        oracle = load_bench_oracle()
+        largest = max(abs(z) for z in found + [made.s])
+        if abs(made.s) <= oracle.NEAR_ZERO_EPS * oracle.DOUBLE_EPS * largest:
+            continue  # within rounding of s = 0, beyond_double's first kind
+        pytest.importorskip("mpmath")
+        sd, om = state_dict(state), (omega.omega2, omega.omega3)
+        expected = oracle.oracle_roots(model.value, sd, om, n)
+        beyond = oracle.beyond_double(model.value, sd, om, n, expected)
+        assert any(abs(made.s - r) <= oracle.ROOT_MATCH_TOL * (1 + abs(r)) for r in beyond), made
+
+
+def test_wrong_branch_candidates_are_skipped():
+    # the README state along the default direction (1, 0)
+    state = BasicState(
+        rho_hat=1.0, c_hat=2.0, H_plasma=(0.6, 0.8), H_vacuum=(1.2, 1.6),
+        a_hat=1.0, a0_hat=0.2, a1_hat=0.7,
+    )
+    assert skipped_candidates(ModelKind.CompressibleMHD, state, OM, 1000)
+
+
+def record_polish(monkeypatch):
+    starts = []
+
+    def recorder(model, state, omega, s, n, **kw):
+        starts.append(s)
+        return newton_refine(model, state, omega, s, n, **kw)
+
+    monkeypatch.setattr(roots_module, "newton_refine", recorder)
+    return starts
+
+
+@pytest.mark.parametrize(
+    "model, state",
+    [
+        (ModelKind.IncompressibleEuler, BasicState(a_hat=1.0, a0_hat=0.5)),
+        (ModelKind.IncompressibleMHD, aligned_state(a_hat=0.9, a0_hat=0.4, a1_hat=0.3)),
+        (ModelKind.IncompressibleMHD, BasicState(H_plasma=(0.6, 0.2), H_vacuum=(-0.8, 1), a_hat=2.0)),
+    ],
+)
+def test_incompressible_candidates_are_all_polished(monkeypatch, model, state):
+    for n in (1, 100, 10**6):
+        sym = mode_symbol(model, state, OM)
+        cands = _poly_candidates(sym.polynomial(n))
+        assert not any(_wrong_branch(sym, c, n) for c in cands)
+        starts = record_polish(monkeypatch)
+        solve_dispersion(model, state, OM, n)
+        assert starts == [c for c in cands if c != 0]
+
+
+def test_seeds_and_exact_zeros_bypass_the_branch_test(monkeypatch):
+    # both fields along x and the direction along y: s = 0 is an exact root
+    # and the sqrt(a/rho) family gives an asymptotic seed
+    state = aligned_state(a_hat=1.0, a0_hat=1.5, rho_hat=2.0, c_hat=1.5)
+    model, n = ModelKind.CompressibleMHD, 10**4
+    seeds = [f.evaluate(n) for f in asymptotic_root(model, state, PERP)]
+    assert seeds
+    monkeypatch.setattr(roots_module, "_wrong_branch", lambda sym, s, n: True)
+    starts = record_polish(monkeypatch)
+    got = solve_dispersion(model, state, PERP, n)
+    assert starts == seeds
+    assert any(r.neutral for r in got)
+
+
+@pytest.mark.parametrize(
+    "model, state, s",
+    [
+        (ModelKind.CompressibleEuler, BasicState(c_hat=2.0, a_hat=1.0), 2j),
+        (ModelKind.CompressibleMHD, BasicState(H_plasma=(1.0, 0.0)), 1j / math.sqrt(2.0)),
+    ],
+)
+def test_branch_point_candidates_are_polished(monkeypatch, model, state, s):
+    n = 10
+    assert not _wrong_branch(mode_symbol(model, state, OM), s, n)
+    monkeypatch.setattr(roots_module, "_poly_candidates", lambda coeffs: [s])
+    starts = record_polish(monkeypatch)
+    solve_dispersion(model, state, OM, n)
+    assert starts[0] == s
 
 
 # ------------------------------------------------------------- asymptotics
