@@ -21,15 +21,6 @@ class NotARootError(ValueError):
     """The interface matrix is numerically full rank at the supplied frequency."""
 
 
-class ConvergenceError(RuntimeError):
-    """Root refinement failed; carries the best iterate seen."""
-
-    def __init__(self, message, best_iterate=None, best_residual=None):
-        super().__init__(message)
-        self.best_iterate = best_iterate
-        self.best_residual = best_residual
-
-
 class FitError(RuntimeError):
     """Scaling fit could not be formed; lists the mode indices without usable roots."""
 

@@ -6,7 +6,8 @@ Candidates come from the companion matrix of that polynomial, get polished
 by Newton iteration on the original determinant, and survive only if the
 relative residual of the ORIGINAL (unsquared) equation is below
 RESIDUAL_TOLERANCE. Squaring can only add spurious roots, never lose real
-ones, so the gate is sound.
+ones, so the gate is sound. The gate reads the residual the polish has
+already computed for its best iterate, so each iterate is evaluated once.
 
 Writing a compressible determinant as A + B g(s), the cleared polynomial
 (A + B g)(A - B g) holds the roots of both branches. A polynomial candidate
@@ -28,7 +29,7 @@ import numpy as np
 from .dispersion import ModeSymbol, dispersion_eval, dispersion_scale, lambda_minus, lambda_plus
 from .dispersion import mode_symbol
 from .domain import BasicState, ModeRoot, ModelKind, ScalingFit, Wavevector
-from .errors import BranchPointError, ConvergenceError, DomainError, FitError
+from .errors import BranchPointError, DomainError, FitError
 
 RESIDUAL_TOLERANCE = 1e-10
 MAX_ITERATIONS = 100
@@ -72,25 +73,30 @@ class S0Report:
     failures: tuple = ()
 
 
+def _residual(model, state, omega, s, n):
+    """The determinant at s and its relative residual |D(s)|/scale(s), or
+    (None, inf) where g(s) hits a branch point or overflows."""
+    try:
+        dv = dispersion_eval(model, state, omega, s, n)
+        return dv, abs(dv.value) / dispersion_scale(model, state, omega, s, n)
+    except (BranchPointError, OverflowError):
+        return None, math.inf
+
+
 def newton_refine(
-    model: ModelKind,
-    state: BasicState,
-    omega: Wavevector,
-    s: complex,
-    n: int,
-    *,
-    raise_on_fail: bool = True,
-) -> complex:
-    """Polish a root candidate by Newton iteration on the determinant."""
+    model: ModelKind, state: BasicState, omega: Wavevector, s: complex, n: int
+) -> tuple[complex, float]:
+    """Polish a root candidate by Newton iteration on the determinant.
+
+    Returns the iterate with the smallest relative residual and that
+    residual; the start and inf if no iterate could be evaluated.
+    """
     s = complex(s)
-    best = s
-    best_res = math.inf
+    best, best_res = s, math.inf
     for _ in range(MAX_ITERATIONS):
-        try:
-            dv = dispersion_eval(model, state, omega, s, n)
-        except BranchPointError:
+        dv, res = _residual(model, state, omega, s, n)
+        if dv is None:
             break
-        res = abs(dv.value) / dispersion_scale(model, state, omega, s, n)
         if res < best_res:
             best, best_res = s, res
         if dv.jacobian_ds == 0:
@@ -98,21 +104,11 @@ def newton_refine(
         step = dv.value / dv.jacobian_ds
         s = s - step
         if abs(step) < _STEP_TOL * (1.0 + abs(s)):
-            try:
-                final = dispersion_eval(model, state, omega, s, n)
-            except BranchPointError:
-                break
-            res = abs(final.value) / dispersion_scale(model, state, omega, s, n)
+            res = _residual(model, state, omega, s, n)[1]
             if res < best_res:
                 best, best_res = s, res
-            return best
-    if raise_on_fail and best_res > RESIDUAL_TOLERANCE:
-        raise ConvergenceError(
-            f"Newton did not converge within {MAX_ITERATIONS} iterations",
-            best_iterate=best,
-            best_residual=best_res,
-        )
-    return best
+            break
+    return best, best_res
 
 
 def _strip_leading(coeffs: np.ndarray) -> np.ndarray:
@@ -154,16 +150,12 @@ def _wrong_branch(sym: ModeSymbol, s: complex, n: int) -> bool:
     return abs(A + Bg) > _BRANCH_MARGIN * abs(A - Bg)
 
 
-def _finish_root(model, state, omega, s, n) -> ModeRoot | None:
-    try:
-        value = dispersion_eval(model, state, omega, s, n).value
-    except BranchPointError:
-        return None
-    residual = abs(value) / dispersion_scale(model, state, omega, s, n)
+def _finish_root(model, state, omega, s, residual, n) -> ModeRoot | None:
     # written so that a nan residual fails the gate too
     if not residual <= RESIDUAL_TOLERANCE:
         return None
-    # g(s) was just evaluated at s, so lambda_plus cannot hit a branch point
+    # a finite residual means g was evaluated at this very s, so lambda_plus
+    # cannot hit a branch point
     lp = lambda_plus(model, state, omega, s)
     lm = lambda_minus(model) if model.is_mhd else complex(math.nan, math.nan)
     neutral = s == 0
@@ -200,8 +192,11 @@ def solve_dispersion(model: ModelKind, state: BasicState, omega: Wavevector, n: 
             candidates.append(fam.evaluate(n))
     roots: list[ModeRoot] = []
     for cand in candidates:
-        s = cand if cand == 0 else newton_refine(model, state, omega, cand, n, raise_on_fail=False)
-        made = _finish_root(model, state, omega, s, n)
+        if cand == 0:
+            s, residual = cand, _residual(model, state, omega, cand, n)[1]
+        else:
+            s, residual = newton_refine(model, state, omega, cand, n)
+        made = _finish_root(model, state, omega, s, residual, n)
         if made is None:
             continue
         dup = next(
