@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from mhdlab.classifier import classify_frozen
+from mhdlab.classifier import SweepSpec, sweep
 from mhdlab.domain import BasicState, ModelKind
 
 
@@ -37,23 +37,27 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     model = ModelKind(args.model)
-    a_values = np.linspace(*args.a_range, args.resolution)
-    a0_values = np.linspace(*args.a0_range, args.resolution)
+    if model.is_mhd:
+        base = BasicState(H_plasma=(1.0, 0.0), H_vacuum=(args.vacuum_factor, 0.0))
+    else:
+        base = BasicState()
+    grid = SweepSpec(
+        base=base,
+        axes=(
+            ("a_hat", tuple(np.linspace(*args.a_range, args.resolution))),
+            ("a0_hat", tuple(np.linspace(*args.a0_range, args.resolution))),
+        ),
+        max_points=args.resolution ** 2,
+    )
 
     counts = collections.Counter()
     stream = sys.stdout if args.out == "-" else open(args.out, "w", newline="")
     writer = csv.writer(stream)
     writer.writerow(["a_hat", "a0_hat", "verdict", "collinear"])
-    for a_hat in a_values:
-        for a0_hat in a0_values:
-            kw = dict(a_hat=float(a_hat), a0_hat=float(a0_hat))
-            if model.is_mhd:
-                kw["H_plasma"] = (1.0, 0.0)
-                kw["H_vacuum"] = (args.vacuum_factor, 0.0)
-            result = classify_frozen(model, BasicState(**kw))
-            counts[result.verdict.value] += 1
-            writer.writerow([f"{a_hat:.17g}", f"{a0_hat:.17g}",
-                             result.verdict.value, str(result.collinear).lower()])
+    for state, result in sweep(model, grid):
+        counts[result.verdict.value] += 1
+        writer.writerow([f"{state.a_hat:.17g}", f"{state.a0_hat:.17g}",
+                         result.verdict.value, str(result.collinear).lower()])
     if stream is not sys.stdout:
         stream.close()
         print(f"wrote {args.resolution ** 2} cells to {args.out}")

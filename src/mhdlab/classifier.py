@@ -9,13 +9,15 @@ The numeric path must reproduce the algebraic verdict or fail loudly.
 """
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import warnings
 from dataclasses import dataclass
 
 from .domain import (
-    STATE_FIELDS, BasicState, Classification, ModelKind, Verdict, Wavevector, require_valid
+    FIELD_SLOTS, STATE_FIELDS, BasicState, Classification, ModelKind, Verdict, Wavevector,
+    require_valid
 )
 from .errors import ConfigError, ConflictError, FitError
 from .roots import fit_scaling
@@ -157,11 +159,24 @@ class SweepSpec:
             raise ConfigError(f"sweep has {total} points, exceeding max_points={self.max_points}")
 
     def points(self):
-        """States in row-major order (last axis varies fastest)."""
-        base = self.base.fields()
-        names = [name for name, _ in self.axes]
+        """States in row-major order (last axis varies fastest).
+
+        Each point starts from the base state's constructor arguments and
+        replaces only the swept fields; an H_*_2/3 axis rebuilds just that
+        one tuple. Every point is still built, and so validated, by
+        BasicState, and an invalid value fails on its own point.
+        """
+        kwargs = {f.name: getattr(self.base, f.name) for f in dataclasses.fields(BasicState)}
+        slots = [FIELD_SLOTS[name] for name, _ in self.axes]
         for values in itertools.product(*(values for _, values in self.axes)):
-            yield BasicState.from_fields({**base, **dict(zip(names, values))})
+            for (attr, index), value in zip(slots, values):
+                if index is None:
+                    kwargs[attr] = value
+                else:
+                    vec = list(kwargs[attr])
+                    vec[index] = value
+                    kwargs[attr] = tuple(vec)
+            yield BasicState(**kwargs)
 
 
 def sweep(model: ModelKind, grid: SweepSpec):

@@ -10,6 +10,7 @@ after per-row solver errors.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -148,12 +149,11 @@ def cmd_sweep(args) -> int:
         header.append("fitted_exponent")
     lines = [",".join(header)]
     status = 0
-    for state, outcome in sweep(cfg.model, spec):
-        fields = state.fields()
-        coords = [fmt(fields[name]) for name in axis_names]
-        row = coords + [outcome.verdict.value, fmt(outcome.collinear)]
-        if "a_hat" not in axis_names:
-            row.append(fmt(state.a_hat))
+    # each axis value is formatted once; the product walks the rows' order
+    cells = itertools.product(*([fmt(float(v)) for v in values] for _, values in axes))
+    a_hat_cell = [] if "a_hat" in axis_names else [fmt(spec.base.a_hat)]
+    for coords, (state, outcome) in zip(cells, sweep(cfg.model, spec)):
+        row = [*coords, outcome.verdict.value, fmt(outcome.collinear), *a_hat_cell]
         if numeric:
             try:
                 confirmed = numeric_classify(

@@ -43,7 +43,7 @@ STATE_FIELDS = (
 
 
 # flat name -> (attribute, component index or None): 'H_plasma_3' -> ('H_plasma', 1)
-_FIELD_SLOTS = {
+FIELD_SLOTS = {
     name: (name[:-2], int(name[-1]) - 2) if name[-1].isdigit() else (name, None)
     for name in STATE_FIELDS
 }
@@ -120,7 +120,7 @@ class BasicState:
         """State from flat STATE_FIELDS names; missing names keep the defaults."""
         kwargs = {}
         for name, value in values.items():
-            attr, index = _FIELD_SLOTS[name]
+            attr, index = FIELD_SLOTS[name]
             if index is None:
                 kwargs[attr] = value
             else:
@@ -132,7 +132,7 @@ class BasicState:
     def fields(self) -> dict:
         """The state as a flat dict keyed by STATE_FIELDS."""
         out = {}
-        for name, (attr, index) in _FIELD_SLOTS.items():
+        for name, (attr, index) in FIELD_SLOTS.items():
             value = getattr(self, attr)
             out[name] = value if index is None else value[index]
         return out

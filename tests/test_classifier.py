@@ -1,4 +1,5 @@
 """Verdict trichotomy, numeric confirmation and sweep bookkeeping."""
+import itertools
 import math
 
 import numpy as np
@@ -15,8 +16,8 @@ from mhdlab.classifier import (
     numeric_classify,
     sweep,
 )
-from mhdlab.domain import BasicState, ModelKind, Verdict, Wavevector
-from mhdlab.errors import ConfigError
+from mhdlab.domain import STATE_FIELDS, BasicState, ModelKind, Verdict, Wavevector
+from mhdlab.errors import ConfigError, DomainError
 
 N_GRID = [100, 1000, 10000]
 
@@ -250,3 +251,56 @@ def test_sweep_row_major_order_and_boundary_consistency():
     for i, (_, cls) in enumerate(line):
         assert rows[i * 11][1].verdict is cls.verdict
 
+
+@st.composite
+def sweep_axes(draw):
+    """Up to three distinct axes of np.float64 linspace values, some with -0.0;
+    rho_hat and c_hat stay positive so every point is valid."""
+    names = draw(st.lists(st.sampled_from(STATE_FIELDS), min_size=1, max_size=3, unique=True))
+    axes = []
+    for name in names:
+        count = draw(st.integers(0, 4))
+        if name in ("rho_hat", "c_hat"):
+            values = list(np.linspace(draw(bounded(0.1, 2.0)), 3.0, count))
+        else:
+            values = list(np.linspace(draw(bounded(-2.0, 2.0)), 2.0, count))
+            if draw(st.booleans()):
+                values.insert(draw(st.integers(0, len(values))), -0.0)
+        axes.append((name, tuple(values)))
+    return tuple(axes)
+
+
+@given(base=states(), axes=sweep_axes())
+def test_sweep_points_equal_states_built_from_all_fields(base, axes):
+    names = [name for name, _ in axes]
+    want = [
+        BasicState.from_fields({**base.fields(), **dict(zip(names, values))})
+        for values in itertools.product(*(values for _, values in axes))
+    ]
+    got = list(SweepSpec(base=base, axes=axes).points())
+    assert got == want
+    # == does not see the sign of zero; repr does
+    assert [repr(s.fields()) for s in got] == [repr(s.fields()) for s in want]
+
+
+@pytest.mark.parametrize(
+    "axes, first_bad",
+    [
+        ((("a_hat", (0.0, 1.0)), ("rho_hat", (1.0, 2.0, -1.0))), 2),
+        ((("a0_hat", (0.0, 1.0)), ("c_hat", (1.0, math.nan))), 1),
+        ((("a1_hat", (0.0, 1.0)), ("H_vacuum_3", (0.5, math.inf))), 1),
+    ],
+)
+def test_sweep_validates_every_point(axes, first_bad):
+    base = collinear_state()
+    names = [name for name, _ in axes]
+    bad = list(itertools.product(*(values for _, values in axes)))[first_bad]
+    with pytest.raises(DomainError) as direct:
+        BasicState.from_fields({**base.fields(), **dict(zip(names, bad))})
+    built = []
+    with pytest.raises(DomainError) as swept:
+        for state in SweepSpec(base=base, axes=axes).points():
+            built.append(state)
+    assert str(swept.value) == str(direct.value)
+    # the points before the invalid one were built
+    assert len(built) == first_bad

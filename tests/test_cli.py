@@ -1,4 +1,5 @@
 """Configuration parsing and the command-line front end."""
+import collections
 import json
 import math
 import subprocess
@@ -8,10 +9,11 @@ import warnings
 import pytest
 
 from conftest import subprocess_env
-from mhdlab.cli import main
-from mhdlab.classifier import SweepSpec
-from mhdlab.config import parse_config_text, load_config, parse_bool
-from mhdlab.domain import STATE_FIELDS, ModelKind
+from mhdlab import cli
+from mhdlab.cli import fmt, main
+from mhdlab.classifier import SweepSpec, sweep
+from mhdlab.config import parse_config_text, load_config, parse_bool, parse_grid
+from mhdlab.domain import STATE_FIELDS, BasicState, ModelKind
 from mhdlab.errors import ConfigError, DomainError
 
 ILLPOSED_INI = """\
@@ -275,6 +277,71 @@ class TestSweepCommand:
         assert header.split(",") == list(STATE_FIELDS) + ["verdict", "collinear"]
         cells = row.split(",")[: len(STATE_FIELDS)]
         assert [float(c) for c in cells] == list(swept.values())
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            "a_hat=-1:1:5;H_vacuum_3=0,-0.0,0.1;a0_hat=-1,0,1",
+            "H_plasma_3=-0.0,0.25,1;a0_hat=-1:1:3;a1_hat=0.1,-0.2",
+        ],
+    )
+    def test_rows_match_the_per_row_formula(self, tmp_path, capsys, grid):
+        path = tmp_path / "base.ini"
+        path.write_text(
+            "model = CompressibleMHD\na_hat = 0.3\nH_plasma_2 = 1.0\nH_vacuum_2 = 2.0\n"
+        )
+        assert main(["sweep", str(path), "--grid", grid]) == 0
+        cfg = load_config(path)
+        axes = parse_grid(grid)
+        names = [name for name, _ in axes]
+        header = names + ["verdict", "collinear"] + ([] if "a_hat" in names else ["a_hat"])
+        expected = [",".join(header)]
+        for state, outcome in sweep(cfg.model, SweepSpec(base=cfg.state, axes=axes)):
+            fields = state.fields()
+            row = [fmt(fields[name]) for name in names]
+            row += [outcome.verdict.value, fmt(outcome.collinear)]
+            if "a_hat" not in names:
+                row.append(fmt(fields["a_hat"]))
+            expected.append(",".join(row))
+        assert capsys.readouterr().out == "\n".join(expected) + "\n"
+
+    def test_axis_values_are_formatted_once(self, tmp_path, monkeypatch):
+        counts = collections.Counter()
+        fields, plain_fmt = BasicState.fields, cli.fmt
+
+        def counted_fields(state):
+            counts["fields"] += 1
+            return fields(state)
+
+        def counted_fmt(value):
+            counts["fmt"] += 1
+            return plain_fmt(value)
+
+        monkeypatch.setattr(BasicState, "fields", counted_fields)
+        monkeypatch.setattr(cli, "fmt", counted_fmt)
+        path = tmp_path / "base.ini"
+        path.write_text("model = IncompressibleMHD\nH_plasma_2 = 1.0\nH_vacuum_2 = 2.0\n")
+        sizes = (3, 4, 5)
+        grid = "rho_hat=1:2:3;a0_hat=-1:1:4;H_vacuum_3=0:1:5"
+        out = tmp_path / "map.csv"
+        assert main(["sweep", str(path), "--grid", grid, "--out", str(out)]) == 0
+        rows = math.prod(sizes)
+        assert len(out.read_text().splitlines()) == rows + 1
+        assert counts["fields"] == 0
+        # the axis values once, the collinear flag per row, the constant a_hat once
+        assert counts["fmt"] <= sum(sizes) + rows + 1
+
+    @pytest.mark.parametrize("grid", ["a_hat=0,1;rho_hat=1,2,-1", "a0_hat=0,1;c_hat=1,nan"])
+    def test_invalid_late_point_exits_one_without_output(self, euler_cfg, tmp_path, capsys, grid):
+        base = load_config(euler_cfg).state
+        *outer, (name, values) = parse_grid(grid)
+        first_bad = {**{n: v[0] for n, v in outer}, name: values[-1]}
+        with pytest.raises(DomainError) as direct:
+            BasicState.from_fields({**base.fields(), **first_bad})
+        out = tmp_path / "f.csv"
+        assert main(["sweep", euler_cfg, "--grid", grid, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {direct.value}\n"
+        assert not out.exists()
 
     def test_numeric_conflict_on_one_row_exits_three(self, tmp_path, capsys):
         # a tiny positive jump conflicts with the numeric fit (see
