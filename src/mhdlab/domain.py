@@ -137,11 +137,6 @@ class BasicState:
             out[name] = value if index is None else value[index]
         return out
 
-    def replace(self, **changes) -> "BasicState":
-        import dataclasses
-
-        return dataclasses.replace(self, **changes)
-
 
 @dataclass(frozen=True)
 class Wavevector:

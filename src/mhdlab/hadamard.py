@@ -12,16 +12,17 @@ the pure growth exp(n Re s t), which is returned as its log. Only
 evaluate_field puts that factor back, multiplying the arrays by it or, where
 it would overflow, converting them to log magnitudes. All residuals are
 reported relative to the size of the equation's terms, which makes them
-invariant under the growth factor, so pde_residual_fd differences the
-normalized arrays and cannot overflow by design. It does so in blocks of
-x1 rows with a one-row halo, with stencils equal to np.gradient and np.roll
-term for term, so its report is the whole grid's, bit for bit.
+invariant under the growth factor, so pde_residual_fd works on the
+normalized factors and cannot overflow by design. Every field is
+amp * decay(x1) * phase(tau), so every residual is r(x1) * phase(tau): the
+check differences the x1 factor and the sampled phase, never an x1-by-tau
+array.
 """
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +34,6 @@ from .roots import dominant_root, solve_dispersion
 NULLSPACE_TOLERANCE = 1e-8
 TRUNCATION_EPSILON = 1e-16
 OVERFLOW_EXPONENT = 700.0
-FD_BLOCK_CELLS = 4096  # 64 KiB blocks: below glibc's 128 KiB mmap threshold
 
 MHD_FIELD_NAMES = ("q", "v1", "v2", "v3", "H1", "H2", "H3", "xi", "phi")
 EULER_FIELD_NAMES = ("q", "v1", "v2", "v3", "phi")
@@ -234,28 +234,21 @@ def _factors(mode: HadamardMode, grid: GridSpec, t: float, lam_p: complex):
     tau = np.arange(mt) * (grid.tangential_period / mt)
     tfac = cmath.exp(1j * n * s.imag * t)
     coef = {name: mode.amplitude(name) * tfac for name in mode.names if name != "phi"}
-    decay = {"plasma": np.exp(n * lam_p * x1p)[:, None]}
+    decay = {"plasma": np.exp(n * lam_p * x1p)}
     x1m = None
     if mode.model.is_mhd:
         x1m = np.linspace(-grid.x1_extent_minus, 0.0, mm)
-        decay["vacuum"] = np.exp(n * 1.0 * x1m)[:, None]
-    return x1p, x1m, tau, (coef, decay, np.exp(1j * n * tau)[None, :]), n * s.real * t
-
-
-def _sample_rows(factors, rows_p=slice(None), rows_m=slice(None)):
-    """Plasma and vacuum field arrays on the given x1 rows, without the growth factor."""
-    coef, decay, phase = factors
-    plasma = {k: a * decay["plasma"][rows_p] * phase for k, a in coef.items() if k != "xi"}
-    vacuum = {"xi": coef["xi"] * decay["vacuum"][rows_m] * phase} if "xi" in coef else {}
-    return plasma, vacuum
+        decay["vacuum"] = np.exp(n * 1.0 * x1m)
+    return x1p, x1m, tau, (coef, decay, np.exp(1j * n * tau)), n * s.real * t
 
 
 def evaluate_field(mode: HadamardMode, grid: GridSpec, t: float) -> FieldSample:
     """Pointwise mode evaluation; switches to log magnitudes on overflow."""
     lam_p = mode_symbol(mode.model, mode.state, mode.omega).lambda_plus(mode.root.s)
     _check_truncation(mode, grid, lam_p)
-    x1p, x1m, tau, factors, log_growth = _factors(mode, grid, t, lam_p)
-    plasma, vacuum = _sample_rows(factors)
+    x1p, x1m, tau, (coef, decay, phase), log_growth = _factors(mode, grid, t, lam_p)
+    plasma = {k: a * decay["plasma"][:, None] * phase for k, a in coef.items() if k != "xi"}
+    vacuum = {"xi": coef["xi"] * decay["vacuum"][:, None] * phase} if "xi" in coef else {}
     scale = math.exp(log_growth) if abs(log_growth) <= OVERFLOW_EXPONENT else None
 
     def rescale(arr):
@@ -293,30 +286,8 @@ def _d2_edge(arr: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def _dtau(arr: np.ndarray, h: float) -> np.ndarray:
-    """(np.roll(arr, -1, 1) - np.roll(arr, 1, 1)) / 2h, from slices into one array."""
-    out = np.empty(arr.shape, dtype=arr.dtype)
-    # one pass over the flattened rows; the end columns it pairs across rows are redone
-    np.subtract(arr.reshape(-1)[2:], arr.reshape(-1)[:-2], out=out.reshape(-1)[1:-1])
-    np.subtract(arr[:, 1], arr[:, -1], out=out[:, 0])
-    np.subtract(arr[:, 0], arr[:, -2], out=out[:, -1])
-    return np.divide(out, 2.0 * h, out=out)
-
-
-def _dtau2(arr: np.ndarray, h: float) -> np.ndarray:
-    return (np.roll(arr, -1, axis=1) - 2.0 * arr + np.roll(arr, 1, axis=1)) / (h * h)
-
-
 def _sup(arr) -> float:
     return float(np.max(np.abs(arr)))
-
-
-def _row_blocks(m: int, k: int):
-    """(padded rows, own rows within them) of k even blocks of m rows, one-row halo."""
-    for i in range(k):
-        lo, hi = i * m // k, (i + 1) * m // k
-        top = max(lo - 1, 0)
-        yield slice(top, min(hi + 1, m)), slice(lo - top, hi - top)
 
 
 def _rel(sup: float, *scales) -> float:
@@ -339,9 +310,15 @@ def pde_residual_fd(mode: HadamardMode, grid: GridSpec, t: float) -> ResidualRep
     dt equal to the tangential spacing. Boundary conditions involve no
     differencing and must vanish at machine precision.
 
-    Fields are sampled and differenced in blocks of about FD_BLOCK_CELLS cells of
-    x1 rows with a one-row halo; _d1 and _dtau equal np.gradient and np.roll term
-    for term and sups are maxima of block sups, so the report is the whole grid's.
+    Every field is amp * decay(x1) * phase(tau) * exp(n s t), and each stencil
+    acts on one factor: x1 differences on the decay factor, the periodic
+    tangential stencils on the sampled phase and Dt on the time factor, which
+    makes Dt a scalar. A periodic centred stencil of a sampled exponential is
+    that exponential times one number, its value at tau = 0, where the phase
+    is 1. So every residual is r(x1) * phase(tau) with |phase| = 1, and its
+    sup is the sup of r, the residual of the tau = 0 column computed here. A
+    wrong phase, sign or tangential amplitude changes the stencil values and
+    shows in r.
 
     Interior equations in report order; [..] terms and the equations
     marked MHD belong to the magnetic models, Hhat = (0, H_plasma):
@@ -371,12 +348,15 @@ def pde_residual_fd(mode: HadamardMode, grid: GridSpec, t: float) -> ResidualRep
             raise GridError(
                 f"plasma x1 oscillation resolved by {ppw:.2f} < 8 points per wavelength"
             )
-    factors = _factors(mode, grid, t, lam_p)[3]
+    coef, decay, phase = _factors(mode, grid, t, lam_p)[3]
     state = mode.state
     rho, c = state.rho_hat, state.c_hat
     o2, o3 = mode.omega.unit()
     wp, wm = sym.wp, sym.wm
-    fw, bw = cmath.exp(n * s * htau), cmath.exp(-n * s * htau)
+    # the tangential stencils read at tau = 0; Dt with dt = htau is a scalar
+    dtau = (phase[1] - phase[-1]) / (2.0 * htau)
+    dtau2 = (phase[1] - 2.0 * phase[0] + phase[-1]) / (htau * htau)
+    Dt = (cmath.exp(n * s * htau) - cmath.exp(-n * s * htau)) / (2.0 * htau)
 
     # analytic per-term magnitudes; arrays are normalized to the amplitude
     # scale, so |amp| is the exact sup of every sampled field
@@ -392,67 +372,50 @@ def pde_residual_fd(mode: HadamardMode, grid: GridSpec, t: float) -> ResidualRep
     if model is ModelKind.CompressibleMHD and not mode.root.neutral:
         div_amp = abs((lam_p * lam_p - 1.0) * amp("q") / (rho * s))
 
-    def equations(plasma, vacuum, own_p, own_m):
-        """(name, residual on the block's own rows, analytic term magnitudes) in
-        report order; a residual in buf is valid until the next is asked for."""
-        buf = np.empty_like(plasma["q"])
-        def Dt(arr):  # (arr fw - arr bw) / 2 dt with dt = htau, written into buf
-            np.multiply(arr, fw, out=buf)
-            np.subtract(buf, arr * bw, out=buf)
-            return np.divide(buf, 2.0 * htau, out=buf)
-        def div(F):
-            return _d1(F[0], h1p) + o2 * _dtau(F[1], htau) + o3 * _dtau(F[2], htau)
-        # dead block arrays are deleted at once: fewer live pages, fewer refaulted
-        q = plasma["q"]
-        v = [plasma["v1"], plasma["v2"], plasma["v3"]]
-        H = [plasma["H1"], plasma["H2"], plasma["H3"]] if mhd else None
-        dq = _dtau(q, htau)
-        for i in range(3):
-            res = np.multiply(rho, Dt(v[i]), out=buf)
-            scales = (rho * n * s * av[i],)
-            if mhd:
-                res -= wp * _dtau(H[i], htau)
-                scales += (n * wp * aH[i],)
-            res += _d1(q, h1p) if i == 0 else (o2, o3)[i - 1] * dq  # d_i q
-            yield f"momentum_{i + 1}", res[own_p], scales + (n * gmag[i] * aq,)
-        del dq
-        div_v = div(v)
-        if mhd:
-            for i in range(3):
-                res = Dt(H[i])
-                res -= wp * _dtau(v[i], htau)
-                scales = (n * s * aH[i], n * wp * av[i])
-                if model.is_compressible:
-                    res += Hhat[i] * div_v
-                    scales += (Hhat[i] * n * div_amp, Hhat[i] * max(div_scales))
-                yield f"induction_{i + 1}", res[own_p], scales
-        if model.is_compressible:
-            tot_amp = amp("q")
-            if mhd:
-                tot_amp = tot_amp - Hhat[1] * amp("H2") - Hhat[2] * amp("H3")
-            K = rho * c * c
-            res = Dt(q - Hhat[1] * H[1] - Hhat[2] * H[2] if mhd else q)
-            res += K * div_v
-            scales = (n * s * abs(tot_amp), K * n * div_amp, K * max(div_scales))
-            yield "continuity", res[own_p], scales
-        else:
-            yield "divergence", div_v[own_p], div_scales
-        del div_v
-        if mhd:
-            yield "magnetic_divergence", div(H)[own_p], tuple(n * gmag[i] * aH[i] for i in range(3))
-            lap = _d2_edge(vacuum["xi"], h1m) + _dtau2(vacuum["xi"], htau)
-            yield "vacuum_laplace", lap[own_m], (n * n * abs(amp("xi")),)
+    def d(i, F):  # d_i F on the tau = 0 column
+        return _d1(F, h1p) if i == 0 else (o2, o3)[i - 1] * dtau * F
 
-    # even blocks of about FD_BLOCK_CELLS cells and at least the 4 rows _d2_edge
-    # reads; a sup is exact, so the report does not depend on the split
-    rows = (mp, mm) if mhd else (mp,)
-    k = min(-(-max(rows) * mt // FD_BLOCK_CELLS), min(rows) // 4)
-    sups, yardsticks = {}, {}
-    for (pad_p, own_p), (pad_m, own_m) in zip(_row_blocks(mp, k), _row_blocks(mm, k)):
-        for name, res, scales in equations(*_sample_rows(factors, pad_p, pad_m), own_p, own_m):
-            sups.setdefault(name, []).append(_sup(res))
-            yardsticks[name] = scales
-    interior = {name: _rel(float(np.max(sups[name])), *yardsticks[name]) for name in sups}
+    def div(F):
+        return d(0, F[0]) + d(1, F[1]) + d(2, F[2])
+
+    q = coef["q"] * decay["plasma"]
+    v = [coef[f"v{i + 1}"] * decay["plasma"] for i in range(3)]
+    H = [coef[f"H{i + 1}"] * decay["plasma"] for i in range(3)] if mhd else None
+    interior = {}
+    for i in range(3):
+        res = rho * Dt * v[i]
+        scales = (rho * n * s * av[i],)
+        if mhd:
+            res -= wp * dtau * H[i]
+            scales += (n * wp * aH[i],)
+        res += d(i, q)
+        interior[f"momentum_{i + 1}"] = _rel(_sup(res), *scales, n * gmag[i] * aq)
+    div_v = div(v)
+    if mhd:
+        for i in range(3):
+            res = Dt * H[i] - wp * dtau * v[i]
+            scales = (n * s * aH[i], n * wp * av[i])
+            if model.is_compressible:
+                res += Hhat[i] * div_v
+                scales += (Hhat[i] * n * div_amp, Hhat[i] * max(div_scales))
+            interior[f"induction_{i + 1}"] = _rel(_sup(res), *scales)
+    if model.is_compressible:
+        tot_amp = amp("q")
+        if mhd:
+            tot_amp = tot_amp - Hhat[1] * amp("H2") - Hhat[2] * amp("H3")
+        K = rho * c * c
+        res = Dt * (q - Hhat[1] * H[1] - Hhat[2] * H[2] if mhd else q) + K * div_v
+        scales = (n * s * abs(tot_amp), K * n * div_amp, K * max(div_scales))
+        interior["continuity"] = _rel(_sup(res), *scales)
+    else:
+        interior["divergence"] = _rel(_sup(div_v), *div_scales)
+    if mhd:
+        interior["magnetic_divergence"] = _rel(
+            _sup(div(H)), *(n * gmag[i] * aH[i] for i in range(3))
+        )
+        xi = coef["xi"] * decay["vacuum"]
+        lap = _d2_edge(xi, h1m) + dtau2 * xi
+        interior["vacuum_laplace"] = _rel(_sup(lap), n * n * abs(amp("xi")))
 
     # boundary conditions: purely algebraic in the amplitudes
     a, a0, a1 = state.a_hat, state.a0_hat, state.a1_hat
@@ -520,11 +483,3 @@ def boundary_flux_check(mode: HadamardMode, t: float, samples: int = 256) -> Flu
     scale = max(_sup(q * v1), _sup(state.a_hat * phi * v1), _sup(hcal * v1), 1e-300)
     gap = _sup(lhs - rhs) / scale
     return FluxIdentityReport(max_discrepancy=gap, tolerance=1e-10, passed=gap <= 1e-10)
-
-
-def perturbed_mode(mode: HadamardMode, name: str, factor: complex) -> HadamardMode:
-    """Copy of the mode with one amplitude scaled; for sensitivity checks."""
-    idx = mode.names.index(name)
-    amps = list(mode.amplitudes)
-    amps[idx] = amps[idx] * factor
-    return replace(mode, amplitudes=tuple(amps))

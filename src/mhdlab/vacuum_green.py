@@ -96,18 +96,3 @@ def green_identity_check(
     rhs = float(np.trapezoid(integrand, x1))
     gap = abs(lhs - rhs) / abs(lhs)
     return GreenIdentityResult(lhs=lhs, rhs=rhs, relative_gap=gap)
-
-
-def identity_gap_sweep(k_values, tolerance: float = 1e-6):
-    """Check the identity across modes, resolving each one well enough.
-
-    Picks the radial resolution per k so the trapezoid error clears the
-    tolerance with a safety margin, then returns the list of results.
-    """
-    out = []
-    for k in k_values:
-        # composite trapezoid error ~ (2 k h)^2 / 12 relative
-        h = math.sqrt(3.0 * tolerance) / (2.0 * k)
-        points = max(math.ceil(1.0 / h) + 1, math.ceil(16.0 * k / math.pi))
-        out.append((float(k), green_identity_check(k, points)))
-    return out

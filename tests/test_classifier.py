@@ -1,6 +1,7 @@
 """Verdict trichotomy, numeric confirmation and sweep bookkeeping."""
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -40,7 +41,7 @@ def test_collinearity_worked_examples():
 
 @given(states(collinear=True), bounded(0.5, 2.0), bounded(0.5, 2.0))
 def test_collinearity_stable_under_independent_field_rescaling(state, lam, mu):
-    scaled = state.replace(
+    scaled = replace(state, 
         H_plasma=(lam * state.H_plasma[0], lam * state.H_plasma[1]),
         H_vacuum=(mu * state.H_vacuum[0], mu * state.H_vacuum[1]),
     )
@@ -49,7 +50,7 @@ def test_collinearity_stable_under_independent_field_rescaling(state, lam, mu):
 
 @given(states(collinear=False), bounded(0.5, 2.0), bounded(0.5, 2.0))
 def test_noncollinearity_stable_under_independent_field_rescaling(state, lam, mu):
-    scaled = state.replace(
+    scaled = replace(state, 
         H_plasma=(lam * state.H_plasma[0], lam * state.H_plasma[1]),
         H_vacuum=(mu * state.H_vacuum[0], mu * state.H_vacuum[1]),
     )
@@ -104,7 +105,7 @@ def test_verdict_biconditional(pair):
 def test_verdict_invariant_under_joint_rotation(state, theta):
     c, s = math.cos(theta), math.sin(theta)
     rot = lambda v: (c * v[0] - s * v[1], s * v[0] + c * v[1])
-    rotated = state.replace(H_plasma=rot(state.H_plasma), H_vacuum=rot(state.H_vacuum))
+    rotated = replace(state, H_plasma=rot(state.H_plasma), H_vacuum=rot(state.H_vacuum))
     for model in MHD_MODELS:
         assert classify_frozen(model, state).verdict is classify_frozen(model, rotated).verdict
 

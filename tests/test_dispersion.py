@@ -2,6 +2,7 @@
 import cmath
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -296,7 +297,7 @@ def test_determinant_matches_under_projection_preserving_reflection():
 def test_real_coefficient_determinants_commute_with_conjugation(pair, omega, s, n):
     model, state = pair
     if model.is_mhd:
-        state = state.replace(a1_hat=0.0)
+        state = replace(state, a1_hat=0.0)
     assume(smooth_point(model, state, omega, s))
     direct = dispersion_eval(model, state, omega, s.conjugate(), n).value
     mirrored = dispersion_eval(model, state, omega, s, n).value.conjugate()
@@ -305,7 +306,7 @@ def test_real_coefficient_determinants_commute_with_conjugation(pair, omega, s, 
 
 @given(states(), wavevectors(), complex_s(), st.integers(min_value=1, max_value=1000))
 def test_large_sound_speed_recovers_incompressible_determinant(state, omega, s, n):
-    stiff = state.replace(c_hat=1e6)
+    stiff = replace(state, c_hat=1e6)
     wp, _ = w_pair(state, omega)
     # the limit is not uniform at the leading-order resonance s^2 = -wp^2/rho
     assume(abs(s * s + wp * wp / state.rho_hat) > 1e-3)
@@ -316,7 +317,7 @@ def test_large_sound_speed_recovers_incompressible_determinant(state, omega, s, 
 
 @given(states(model=ModelKind.CompressibleEuler), complex_s(), st.integers(min_value=1, max_value=1000))
 def test_large_sound_speed_recovers_incompressible_euler(state, s, n):
-    stiff = state.replace(c_hat=1e6)
+    stiff = replace(state, c_hat=1e6)
     comp = dispersion_eval(ModelKind.CompressibleEuler, stiff, OM, s, n).value
     inc = dispersion_eval(ModelKind.IncompressibleEuler, stiff, OM, s, n).value
     assert abs(comp - inc) <= 1e-4 * max(1.0, abs(inc))

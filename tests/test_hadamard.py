@@ -1,26 +1,27 @@
 """Mode construction, sampling and finite-difference verification."""
+import cmath
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from mhdlab import hadamard
-from mhdlab.dispersion import boundary_matrix
+from mhdlab.dispersion import boundary_matrix, mode_symbol
 from mhdlab.domain import BasicState, ModeRoot, ModelKind, Wavevector
 from mhdlab.errors import GridError, NotARootError, ResonanceError
 from mhdlab.hadamard import (
     GridSpec,
     _d1,
-    _dtau,
+    _d2_edge,
     boundary_flux_check,
     build_mode,
     evaluate_field,
     grid_for_mode,
     growth_ratio,
     pde_residual_fd,
-    perturbed_mode,
 )
 from mhdlab.roots import dominant_root, solve_dispersion
 
@@ -357,7 +358,10 @@ class TestPdeResidualFd:
         grid = grid_for_mode(mode)
         base = pde_residual_fd(mode, grid, 0.0)
         for name in ("q", "xi", "phi", "v1", "H1"):
-            mutated = perturbed_mode(mode, name, 1.0 + 1e-3)
+            amps = tuple(
+                a * (1.0 + 1e-3) if k == name else a for k, a in zip(mode.names, mode.amplitudes)
+            )
+            mutated = replace(mode, amplitudes=amps)
             report = pde_residual_fd(mutated, grid, 0.0)
             deltas = [
                 abs(report.interior[k] - base.interior[k]) for k in base.interior
@@ -378,6 +382,24 @@ class TestPdeResidualFd:
         late = pde_residual_fd(mode, grid, 1e4)
         for k in early.interior:
             assert early.interior[k] == pytest.approx(late.interior[k], rel=1e-6)
+
+    def test_peak_memory_is_linear_in_points_per_direction(self):
+        # the check works on 1-D factors: memory is O(mp + mt), not O(mp mt)
+        mode = top_mode(M.CompressibleMHD, ALIGNED_COMP, OM, 25)
+
+        def peak(points):
+            grid = grid_for_mode(mode, points)
+            pde_residual_fd(mode, grid, 0.0)  # warm-up outside the trace
+            tracemalloc.start()
+            try:
+                pde_residual_fd(mode, grid, 0.0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small = peak((511, 511, 32))
+        assert peak((2045, 2045, 32)) < 2 * 2**20
+        assert peak((511, 511, 4096)) <= 2 * small
 
 
 def special_complex(rng, rows, cols):
@@ -401,74 +423,109 @@ def assert_same_bits(a, b):
 class TestStencils:
     @pytest.mark.parametrize("rows", [3, 4, 5])
     @pytest.mark.parametrize("seed", range(4))
-    def test_slice_stencils_equal_gradient_and_roll(self, rows, seed):
+    def test_d1_equals_gradient(self, rows, seed):
         rng = np.random.default_rng([seed, rows])
         arr = special_complex(rng, rows, 9)
         h = float(rng.uniform(1e-3, 2.0))
         with np.errstate(all="ignore"):
             assert_same_bits(_d1(arr, h), np.gradient(arr, h, axis=0, edge_order=2))
-            rolled = (np.roll(arr, -1, axis=1) - np.roll(arr, 1, axis=1)) / (2.0 * h)
-            assert_same_bits(_dtau(arr, h), rolled)
 
 
-# one mode per model and the grids that split rows unevenly, not at all,
-# into minimum-height blocks, or with very many tangential points
-BLOCK_MODES = [
+def whole_grid_residuals(mode, grid):
+    """Sup of every interior residual at t = 0, in report order, by stencils on
+    the whole mp x mt samples: np.gradient along x1, np.roll along tau."""
+    sample = evaluate_field(mode, grid, 0.0)
+    mhd = mode.model.is_mhd
+    wp = mode_symbol(mode.model, mode.state, mode.omega).wp
+    n, s = mode.root.n, mode.root.s
+    mp, mm, mt = grid.points_per_direction
+    h1p, h1m = grid.x1_extent_plus / (mp - 1), grid.x1_extent_minus / (mm - 1)
+    htau = grid.tangential_period / mt
+    rho, c = mode.state.rho_hat, mode.state.c_hat
+    o2, o3 = mode.omega.unit()
+    Hhat = (0.0, *mode.state.H_plasma)
+
+    def dtau(F):
+        return (np.roll(F, -1, axis=1) - np.roll(F, 1, axis=1)) / (2.0 * htau)
+
+    def d(i, F):
+        return np.gradient(F, h1p, axis=0, edge_order=2) if i == 0 else (o2, o3)[i - 1] * dtau(F)
+
+    def Dt(F):
+        return (F * cmath.exp(n * s * htau) - F * cmath.exp(-n * s * htau)) / (2.0 * htau)
+
+    def div(F):
+        return d(0, F[0]) + d(1, F[1]) + d(2, F[2])
+
+    q = sample.plasma["q"]
+    v = [sample.plasma[f"v{i}"] for i in (1, 2, 3)]
+    H = [sample.plasma[f"H{i}"] for i in (1, 2, 3)] if mhd else None
+    res = {}
+    for i in range(3):
+        res[f"momentum_{i + 1}"] = rho * Dt(v[i]) - (wp * dtau(H[i]) if mhd else 0) + d(i, q)
+    if mhd:
+        for i in range(3):
+            comp = Hhat[i] * div(v) if mode.model.is_compressible else 0
+            res[f"induction_{i + 1}"] = Dt(H[i]) - wp * dtau(v[i]) + comp
+    if mode.model.is_compressible:
+        tot = q - Hhat[1] * H[1] - Hhat[2] * H[2] if mhd else q
+        res["continuity"] = Dt(tot) + rho * c * c * div(v)
+    else:
+        res["divergence"] = div(v)
+    if mhd:
+        xi = sample.vacuum["xi"]
+        res["magnetic_divergence"] = div(H)
+        dtau2 = (np.roll(xi, -1, axis=1) - 2.0 * xi + np.roll(xi, 1, axis=1)) / (htau * htau)
+        res["vacuum_laplace"] = _d2_edge(xi, h1m) + dtau2
+    return {name: float(np.max(np.abs(r))) for name, r in res.items()}
+
+
+# one mode per model; grids that are the mode's own, refined, minimal, with
+# unequal row counts, or with very many tangential points
+REFERENCE_MODES = [
     (M.IncompressibleEuler, EULER_STATE, OM, 100),
     (M.CompressibleEuler, BasicState(a_hat=1.0, a0_hat=0.3, c_hat=2.0), OM, 100),
     (M.IncompressibleMHD, ALIGNED_INC, OM, 400),
     (M.CompressibleMHD, ALIGNED_COMP, OM, 25),
 ]
-BLOCK_GRIDS = [None, "refined", (4, 4, 8), (301, 203, 24), (9, 9, 4096)]
+REFERENCE_GRIDS = [None, "refined", (4, 4, 8), (301, 203, 24), (9, 9, 4096)]
+EPS = np.finfo(float).eps
 
 
-class TestRowBlocks:
-    @pytest.mark.parametrize("model,state,omega,n", BLOCK_MODES)
-    def test_report_does_not_depend_on_block_size(self, model, state, omega, n, monkeypatch):
+class TestWholeGridReference:
+    @pytest.mark.parametrize("model,state,omega,n", REFERENCE_MODES)
+    def test_interior_residuals_match_whole_grid_stencils(
+        self, model, state, omega, n, monkeypatch
+    ):
         mode = top_mode(model, state, omega, n)
         base = grid_for_mode(mode)
-        default, sup = hadamard.FD_BLOCK_CELLS, hadamard._sup
-
-        def run(grid, cells):
-            """The report and every equation's residual, its blocks' rows stacked."""
-            blocks = []
-            monkeypatch.setattr(hadamard, "FD_BLOCK_CELLS", cells)
-            monkeypatch.setattr(hadamard, "_sup", lambda res: blocks.append(res.copy()) or sup(res))
-            report = pde_residual_fd(mode, grid, 0.5)
-            eqs = len(report.interior)
-            return repr(report), [np.concatenate(blocks[e::eqs]) for e in range(eqs)]
-
-        for points in BLOCK_GRIDS:
+        # the yardsticks pde_residual_fd divides by, interior ones first in report order
+        yardsticks, rel = [], hadamard._rel
+        monkeypatch.setattr(
+            hadamard, "_rel", lambda sup, *scales: yardsticks.append(scales) or rel(sup, *scales)
+        )
+        for points in REFERENCE_GRIDS:
             if points is None:
                 grid = base
             elif points == "refined":
                 grid = base.refined()
             else:
                 grid = grid_for_mode(mode, points)
-            mp, mm, mt = grid.points_per_direction
-            # one block, the default, and blocks of the minimum 4 rows
-            whole, *split = (run(grid, cells) for cells in (mp * mm * mt, default, 1))
-            for report, residuals in split:
-                assert report == whole[0], f"grid {grid.points_per_direction}"
-                for got, want in zip(residuals, whole[1]):
-                    assert_same_bits(got, want)
-
-    def test_peak_memory_does_not_grow_with_rows(self):
-        mode = top_mode(M.CompressibleMHD, ALIGNED_COMP, OM, 25)
-
-        def peak(points):
-            grid = grid_for_mode(mode, points)
-            pde_residual_fd(mode, grid, 0.0)  # warm-up outside the trace
-            tracemalloc.start()
-            try:
-                pde_residual_fd(mode, grid, 0.0)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        small, large = peak((511, 511, 32)), peak((2045, 2045, 32))
-        assert large <= 1.25 * small
-        assert large < 2 * 2**20
+            yardsticks.clear()
+            report = pde_residual_fd(mode, grid, 0.0)
+            want = whole_grid_residuals(mode, grid)
+            assert list(report.interior) == list(want)
+            # a centred difference over a phase step n h = 2 pi / mt loses
+            # eps / (n h) of its terms' size to rounding, a second difference
+            # eps / (n h)^2: at 4096 tangential points that floor, not the
+            # factorisation, sets how far the two computations can differ
+            kh = 2.0 * math.pi / grid.points_per_direction[2]
+            for (name, got), scales in zip(report.interior.items(), yardsticks):
+                ref = rel(want[name], *scales)
+                floor = 16.0 * EPS / kh ** (2 if name == "vacuum_laplace" else 1)
+                label = f"{name} on {grid.points_per_direction}: {got!r} vs {ref!r}"
+                if max(got, ref) > 1e-12:
+                    assert abs(got - ref) <= 1e-9 * ref + floor, label
 
 
 class TestGrowthRatio:

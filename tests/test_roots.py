@@ -1,5 +1,6 @@
 """Root finding, asymptotic series and scaling-law fits."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -131,7 +132,7 @@ def assert_root_multisets_close(xs, ys, tol=1e-9):
 
 @given(states(), wavevectors(), st.integers(min_value=1, max_value=500))
 def test_root_set_symmetry_under_sign_flips(state, omega, n):
-    flipped = state.replace(
+    flipped = replace(state, 
         H_plasma=(-state.H_plasma[0], -state.H_plasma[1]),
         H_vacuum=(-state.H_vacuum[0], -state.H_vacuum[1]),
     )
@@ -392,7 +393,7 @@ def test_oscillatory_series_real_part_closed_form():
 def test_series_residual_meets_advertised_budget(pair, n):
     model, state = pair
     if model.is_mhd:
-        state = state.replace(H_plasma=(abs(state.H_plasma[0]) + 0.2, 0.0), H_vacuum=(1.0, 0.0))
+        state = replace(state, H_plasma=(abs(state.H_plasma[0]) + 0.2, 0.0), H_vacuum=(1.0, 0.0))
         omega = Wavevector(0.0, 1.0)
     else:
         omega = OM

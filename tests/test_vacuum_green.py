@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mhdlab.errors import DomainError, GridError
-from mhdlab.vacuum_green import green_identity_check, identity_gap_sweep, strip_potential
+from mhdlab.vacuum_green import green_identity_check, strip_potential
 
 # boundary integral of the unit cosine mode at k = 2*pi, from a symbolic
 # integration oracle: pi * sinh(2pi) * cosh(2pi)
@@ -97,11 +97,6 @@ class TestGreenIdentity:
             green_identity_check(16.0 * math.pi, 64)
         with pytest.raises(DomainError):
             green_identity_check(0.0, 256)
-
-    def test_sweep_across_modes_meets_tolerance(self):
-        ks = [2 * math.pi * j for j in range(1, 9)]
-        for k, result in identity_gap_sweep(ks, tolerance=1e-6):
-            assert result.relative_gap <= 1e-6, f"k={k}: gap {result.relative_gap:.3e}"
 
     @settings(max_examples=30)
     @given(k=st.floats(min_value=0.5, max_value=30.0))
