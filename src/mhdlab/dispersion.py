@@ -21,11 +21,17 @@ for CompressibleMHD, with D = (c^2 + cA^2) s^2 + c^2 wp^2/rho and cA the
 Alfven speed. The flow-side exponent is -g(s). The incompressible forms are
 the exact pointwise c -> infinity limits of the compressible ones and reduce
 to the familiar density-scaled displays at rho = 1.
+
+The large-n frequency series of a symbol, AsymptoticRoot families built from
+the roots of its leading-order symbol, live here too: ModeSymbol.families
+computes them on first use and keeps them, once per (state, direction).
 """
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -225,6 +231,134 @@ class ModeSymbol:
             return q_amp * s / P
         return q_amp * s * self.g(s)[0] / P
 
+    @cached_property
+    def families(self) -> tuple:
+        """The large-n series families (see _series_families), built on first use."""
+        return tuple(_series_families(self))
+
+
+@dataclass(frozen=True)
+class AsymptoticRoot:
+    """Coefficients of the frequency series s = s0 + s1/sqrt(n) + s2/n + s3/n^{3/2}.
+
+    s3 is the first coefficient beyond the displayed expansions; it is
+    retained so that the truncated series meets the advertised
+    O(n^{-3/2}) residual budget even when a0 != 0.
+    """
+
+    s0: complex
+    s1: complex
+    s2: complex
+    s3: complex = 0j
+
+    def evaluate(self, n: int) -> complex:
+        rt = math.sqrt(n)
+        return self.s0 + self.s1 / rt + self.s2 / n + self.s3 / (n * rt)
+
+
+def _poly_candidates(coeffs) -> list:
+    """Companion-matrix roots, with exact s = 0 factors deflated first. Leading
+    coefficients up to 1e-300 times the largest are dropped (only exact zeros
+    if it is inf or nan); the matrix and its eigenvalues are np.roots'."""
+    c = np.asarray(coeffs, dtype=complex)
+    mags = np.abs(c)
+    lead = mags.max()
+    tiny = 1e-300 * lead if math.isfinite(lead) else 0.0
+    mags = mags.tolist()
+    first, end = 0, len(mags)
+    while first < end - 1 and mags[first] <= tiny:
+        first += 1
+    out = []
+    while end - first > 1 and mags[end - 1] == 0:
+        out.append(0j)
+        end -= 1
+    if end - first > 1:
+        companion = np.eye(end - first - 1, k=-1, dtype=complex)
+        companion[0] = -c[first + 1 : end] / c[first]
+        out.extend(np.linalg.eigvals(companion).tolist())
+    return out
+
+
+def _leading_symbol(sym: ModeSymbol, s: complex):
+    """Leading-order symbol rho s^2 + wp^2 + wm^2 g(s), its derivative and
+    its termwise magnitude."""
+    g, dg = sym.g(s)
+    rho, wp, wm = sym.rho, sym.wp, sym.wm
+    phi = rho * s * s + wp * wp + wm * wm * g
+    dphi = 2.0 * rho * s + wm * wm * dg
+    scale = max(rho * abs(s) ** 2 + wp * wp + wm * wm * abs(g), 1e-300)
+    return phi, dphi, scale
+
+
+def _s0_candidates(sym: ModeSymbol) -> list:
+    """Nonzero roots of the leading-order symbol, residual filtered."""
+    rho, wp, wm = sym.rho, sym.wp, sym.wm
+    if wp == 0 and wm == 0:
+        return []
+    if not sym.model.is_compressible:
+        y = math.sqrt((wp * wp + wm * wm) / rho)
+        return [complex(0.0, y), complex(0.0, -y)]
+    if wm == 0:
+        y = abs(wp) / math.sqrt(rho)
+        return [complex(0.0, y), complex(0.0, -y)]
+    alpha, beta = sym.alpha, sym.beta
+    # Clear the radical: (rho u + wp^2)^2 (alpha u + beta) = wm^4 (alpha u + beta + u^2), u = s^2
+    cubic = np.array([
+        rho * rho * alpha, rho * rho * beta + 2.0 * rho * wp * wp * alpha - wm**4,
+        2.0 * rho * wp * wp * beta + (wp**4 - wm**4) * alpha, (wp**4 - wm**4) * beta,
+    ], dtype=complex)
+    out = []
+    for u in _poly_candidates(cubic):
+        if u == 0:
+            continue
+        root_u = cmath.sqrt(u)
+        for s in (root_u, -root_u):
+            try:
+                phi, _, scale = _leading_symbol(sym, s)
+            except BranchPointError:
+                continue
+            if abs(phi) <= 1e-8 * scale:
+                out.append(s)
+    return out
+
+
+def _series_families(sym: ModeSymbol) -> list:
+    """Frequency series families for large n, one entry per root branch.
+
+    W = wp^2 + wm^2 selects the regime: W = 0 with a/rho > 0 gives the
+    sqrt(a/rho)/sqrt(n) branch, W = 0 with a/rho = 0 (a = 0, or a/rho below
+    the smallest subnormal) gives the exact a0/n branch, W != 0 gives
+    oscillatory leading order with an O(1/n) real part. Regimes with no
+    growing branch have no family.
+    """
+    wp, wm = sym.wp, sym.wm
+    a, a0, rho = sym.a, sym.a0, sym.rho
+    if wp == 0 and wm == 0:
+        if a < 0:
+            return []
+        K = a / rho
+        if K == 0:
+            return [AsymptoticRoot(0j, 0j, complex(a0), 0j)] if a0 != 0 else []
+        s1 = math.sqrt(K)
+        s2 = a0 / 2.0
+        curv = K * K / (2.0 * sym.alpha) if sym.model.is_compressible else 0.0
+        s3 = (a0 * s2 - s2 * s2 + curv) / (2.0 * s1)
+        return [AsymptoticRoot(0j, complex(s1), complex(s2), complex(s3))]
+    families = []
+    for s0 in _s0_candidates(sym):
+        try:
+            _, dphi, _ = _leading_symbol(sym, s0)
+            g0 = sym.g(s0)[0]
+        except BranchPointError:
+            continue
+        if abs(dphi) <= 1e-12 * max(1.0, rho * abs(s0)):
+            continue
+        P0 = rho * s0 * s0 + wp * wp
+        s2 = (a0 * P0 / s0 + sym.c1 * g0) / dphi
+        families.append(AsymptoticRoot(s0, 0j, s2, 0j))
+    families.sort(key=lambda f: (-f.s0.imag, f.s2.real))
+    return families
+
 
 # The last symbol built and the (model, state, omega) objects it came from:
 # the solver evaluates one symbol many times through the public functions
@@ -250,6 +384,11 @@ def mode_symbol(model: ModelKind, state: BasicState, omega: Wavevector) -> ModeS
     )
     _last_symbol = (model, state, omega, sym)
     return sym
+
+
+def asymptotic_root(model: ModelKind, state: BasicState, omega: Wavevector) -> list:
+    """Frequency series families for large n, one per root branch (a fresh list)."""
+    return list(mode_symbol(model, state, omega).families)
 
 
 def lambda_plus(model: ModelKind, state: BasicState, omega: Wavevector, s: complex) -> complex:

@@ -1,13 +1,15 @@
-"""Root finding, asymptotic expansions and growth-rate scaling fits.
+"""Root finding and growth-rate scaling fits.
 
 Strategy: every determinant is either polynomial in s (incompressible
 models) or becomes polynomial after clearing its single square root.
-Candidates come from the companion matrix of that polynomial, get polished
-by Newton iteration on the original determinant, and survive only if the
-relative residual of the ORIGINAL (unsquared) equation is below
-RESIDUAL_TOLERANCE. Squaring can only add spurious roots, never lose real
-ones, so the gate is sound. The gate reads the residual the polish has
-already computed for its best iterate, so each iterate is evaluated once.
+Candidates come from the companion matrix of that polynomial and, for
+CompressibleMHD, from the large-n series of ModeSymbol.families (both in
+dispersion, re-exported here; a symbol builds its series once, so the solves
+of one scaling fit share them). Newton iteration on the original determinant
+polishes them, and they survive only if the relative residual of the
+ORIGINAL (unsquared) equation is below RESIDUAL_TOLERANCE. Squaring can only
+add spurious roots, never lose real ones, so the gate is sound. The gate
+reads the residual the polish computed for its best iterate.
 
 Writing a compressible determinant as A + B g(s), the cleared polynomial
 (A + B g)(A - B g) holds the roots of both branches. A polynomial candidate
@@ -20,14 +22,13 @@ the gate as before.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import ModeSymbol, dispersion_eval, dispersion_scale, lambda_minus, lambda_plus
-from .dispersion import mode_symbol
+from .dispersion import AsymptoticRoot, ModeSymbol, _poly_candidates, _s0_candidates, asymptotic_root
+from .dispersion import dispersion_eval, dispersion_scale, lambda_minus, lambda_plus, mode_symbol
 from .domain import BasicState, ModeRoot, ModelKind, ScalingFit, Wavevector
 from .errors import BranchPointError, DomainError, FitError
 
@@ -41,25 +42,6 @@ _DEDUPE_TOL = 1e-9
 # a polynomial candidate this many times closer to the other branch
 # A - B g = 0 than to A + B g = 0 is not polished
 _BRANCH_MARGIN = 1e3
-
-
-@dataclass(frozen=True)
-class AsymptoticRoot:
-    """Coefficients of the frequency series s = s0 + s1/sqrt(n) + s2/n + s3/n^{3/2}.
-
-    s3 is the first coefficient beyond the displayed expansions; it is
-    retained so that the truncated series meets the advertised
-    O(n^{-3/2}) residual budget even when a0 != 0.
-    """
-
-    s0: complex
-    s1: complex
-    s2: complex
-    s3: complex = 0j
-
-    def evaluate(self, n: int) -> complex:
-        rt = math.sqrt(n)
-        return self.s0 + self.s1 / rt + self.s2 / n + self.s3 / (n * rt)
 
 
 @dataclass(frozen=True)
@@ -111,27 +93,6 @@ def newton_refine(
     return best, best_res
 
 
-def _strip_leading(coeffs: np.ndarray) -> np.ndarray:
-    lead = np.max(np.abs(coeffs))
-    if lead == 0:
-        return coeffs[-1:]
-    keep = np.abs(coeffs) > 1e-300 * lead
-    first = int(np.argmax(keep))
-    return coeffs[first:]
-
-
-def _poly_candidates(coeffs) -> list:
-    """Companion-matrix roots, with exact s = 0 factors deflated first."""
-    c = _strip_leading(np.asarray(coeffs, dtype=complex))
-    out = []
-    while len(c) > 1 and c[-1] == 0:
-        out.append(0j)
-        c = c[:-1]
-    if len(c) > 1:
-        out.extend(np.roots(c).tolist())
-    return out
-
-
 def _wrong_branch(sym: ModeSymbol, s: complex, n: int) -> bool:
     """True when s plainly solves A - B g = 0 rather than the determinant
     A + B g = 0; never for incompressible models or at a branch point of g."""
@@ -162,12 +123,7 @@ def _finish_root(model, state, omega, s, residual, n) -> ModeRoot | None:
     # lambda_minus is +1 on the magnetic models: only the plasma side can fail
     admissible = not neutral and s.real > 0.0 and lp.real < 0.0
     return ModeRoot(
-        s=s,
-        lambda_plus=lp,
-        lambda_minus=lm,
-        residual=residual,
-        admissible=admissible,
-        n=n,
+        s=s, lambda_plus=lp, lambda_minus=lm, residual=residual, admissible=admissible, n=n,
         neutral=neutral,
     )
 
@@ -188,8 +144,7 @@ def solve_dispersion(model: ModelKind, state: BasicState, omega: Wavevector, n: 
     if model is ModelKind.CompressibleMHD:
         # Asymptotic seeds guard against conditioning loss in the squared
         # polynomial at large n.
-        for fam in asymptotic_root(model, state, omega):
-            candidates.append(fam.evaluate(n))
+        candidates.extend(fam.evaluate(n) for fam in sym.families)
     roots: list[ModeRoot] = []
     for cand in candidates:
         if cand == 0:
@@ -199,10 +154,8 @@ def solve_dispersion(model: ModelKind, state: BasicState, omega: Wavevector, n: 
         made = _finish_root(model, state, omega, s, residual, n)
         if made is None:
             continue
-        dup = next(
-            (i for i, r in enumerate(roots) if abs(r.s - made.s) <= _DEDUPE_TOL * (1.0 + abs(made.s))),
-            None,
-        )
+        tol = _DEDUPE_TOL * (1.0 + abs(made.s))
+        dup = next((i for i, r in enumerate(roots) if abs(r.s - made.s) <= tol), None)
         if dup is None:
             roots.append(made)
         elif made.residual < roots[dup].residual:
@@ -217,92 +170,6 @@ def dominant_root(roots) -> ModeRoot | None:
     return min(adm, key=root_sort_key) if adm else None
 
 
-def _leading_symbol(sym: ModeSymbol, s: complex):
-    """Leading-order symbol rho s^2 + wp^2 + wm^2 g(s), its derivative and
-    its termwise magnitude."""
-    g, dg = sym.g(s)
-    rho, wp, wm = sym.rho, sym.wp, sym.wm
-    phi = rho * s * s + wp * wp + wm * wm * g
-    dphi = 2.0 * rho * s + wm * wm * dg
-    scale = max(rho * abs(s) ** 2 + wp * wp + wm * wm * abs(g), 1e-300)
-    return phi, dphi, scale
-
-
-def _s0_candidates(sym: ModeSymbol) -> list:
-    """Nonzero roots of the leading-order symbol, residual filtered."""
-    rho, wp, wm = sym.rho, sym.wp, sym.wm
-    if wp == 0 and wm == 0:
-        return []
-    if not sym.model.is_compressible:
-        y = math.sqrt((wp * wp + wm * wm) / rho)
-        return [complex(0.0, y), complex(0.0, -y)]
-    if wm == 0:
-        y = abs(wp) / math.sqrt(rho)
-        return [complex(0.0, y), complex(0.0, -y)]
-    alpha, beta = sym.alpha, sym.beta
-    # Clear the radical: (rho u + wp^2)^2 (alpha u + beta) = wm^4 (alpha u + beta + u^2), u = s^2
-    cubic = np.array(
-        [
-            rho * rho * alpha,
-            rho * rho * beta + 2.0 * rho * wp * wp * alpha - wm**4,
-            2.0 * rho * wp * wp * beta + (wp**4 - wm**4) * alpha,
-            (wp**4 - wm**4) * beta,
-        ],
-        dtype=complex,
-    )
-    out = []
-    for u in _poly_candidates(cubic):
-        if u == 0:
-            continue
-        root_u = cmath.sqrt(u)
-        for s in (root_u, -root_u):
-            try:
-                phi, _, scale = _leading_symbol(sym, s)
-            except BranchPointError:
-                continue
-            if abs(phi) <= 1e-8 * scale:
-                out.append(s)
-    return out
-
-
-def asymptotic_root(model: ModelKind, state: BasicState, omega: Wavevector) -> list:
-    """Frequency series families for large n, one entry per root branch.
-
-    W = wp^2 + wm^2 selects the regime: W = 0 with a > 0 gives the
-    sqrt(a/rho)/sqrt(n) branch, W = 0 with a = 0 gives the exact a0/n
-    branch, W != 0 gives oscillatory leading order with an O(1/n) real
-    part. Regimes with no growing branch return an empty list.
-    """
-    sym = mode_symbol(model, state, omega)
-    wp, wm = sym.wp, sym.wm
-    a, a0, rho = sym.a, sym.a0, sym.rho
-    if wp == 0 and wm == 0:
-        if a == 0:
-            return [AsymptoticRoot(0j, 0j, complex(a0), 0j)] if a0 != 0 else []
-        if a < 0:
-            return []
-        K = a / rho
-        s1 = math.sqrt(K)
-        s2 = a0 / 2.0
-        curv = K * K / (2.0 * sym.alpha) if sym.model.is_compressible else 0.0
-        s3 = (a0 * s2 - s2 * s2 + curv) / (2.0 * s1)
-        return [AsymptoticRoot(0j, complex(s1), complex(s2), complex(s3))]
-    families = []
-    for s0 in _s0_candidates(sym):
-        try:
-            _, dphi, _ = _leading_symbol(sym, s0)
-            g0 = sym.g(s0)[0]
-        except BranchPointError:
-            continue
-        if abs(dphi) <= 1e-12 * max(1.0, rho * abs(s0)):
-            continue
-        P0 = rho * s0 * s0 + wp * wp
-        s2 = (a0 * P0 / s0 + sym.c1 * g0) / dphi
-        families.append(AsymptoticRoot(s0, 0j, s2, 0j))
-    families.sort(key=lambda f: (-f.s0.imag, f.s2.real))
-    return families
-
-
 def fit_scaling(model: ModelKind, state: BasicState, omega: Wavevector, n_grid) -> ScalingFit:
     """OLS fit of log(max admissible Re s) against log n: Re s ~ C n^{-p}."""
     ns = [int(n) for n in n_grid]
@@ -310,8 +177,7 @@ def fit_scaling(model: ModelKind, state: BasicState, omega: Wavevector, n_grid) 
         raise ValueError("n_grid must be strictly increasing")
     if ns[0] < 1 or ns[-1] < 10 * ns[0]:
         raise ValueError("n_grid must start at n >= 1 and span at least one decade")
-    growth = []
-    failing = []
+    growth, failing = [], []
     for n in ns:
         best = dominant_root(solve_dispersion(model, state, omega, n))
         if best is None:
@@ -319,9 +185,7 @@ def fit_scaling(model: ModelKind, state: BasicState, omega: Wavevector, n_grid) 
         else:
             growth.append(best.s.real)
     if failing:
-        raise FitError(
-            f"no admissible root at n = {failing}", failing_n=tuple(failing)
-        )
+        raise FitError(f"no admissible root at n = {failing}", failing_n=tuple(failing))
     logn = np.log(np.array(ns, dtype=float))
     logg = np.log(np.array(growth))
     slope, intercept = np.polyfit(logn, logg, 1)
@@ -363,9 +227,6 @@ def scan_s0(state: BasicState, omega_samples, tolerance: float) -> S0Report:
     worst = max(finite) if finite else math.nan
     passed = bool(finite) and not failures and worst <= tolerance
     return S0Report(
-        max_re_s0=worst,
-        per_sample=tuple(per_sample),
-        tolerance=float(tolerance),
-        passed=passed,
-        failures=tuple(failures),
+        max_re_s0=worst, per_sample=tuple(per_sample), tolerance=float(tolerance),
+        passed=passed, failures=tuple(failures),
     )

@@ -16,6 +16,7 @@ from conftest import (
     states,
     wavevectors,
 )
+from mhdlab import dispersion as dispersion_module
 from mhdlab import roots as roots_module
 from mhdlab.classifier import _witness_direction
 from mhdlab.dispersion import dispersion_eval, dispersion_scale, mode_symbol
@@ -413,6 +414,95 @@ def test_series_matches_polished_root_to_high_order():
         fam = asymptotic_root(ModelKind.CompressibleMHD, state, PERP)[0]
         top = dominant_root(solve_dispersion(ModelKind.CompressibleMHD, state, PERP, n))
         assert abs(fam.evaluate(n) - top.s) < 5.0 * n ** (-2)
+
+
+@pytest.mark.parametrize("a0", [0.0, 0.7, -0.4])
+def test_subnormal_a_over_rho_takes_the_a_zero_families(a0):
+    # a/rho = 5e-324/2 underflows to 0: the sqrt(a/rho) family would divide
+    # by s1 = 0, so the symbol has the families of a = 0
+    state = BasicState(rho_hat=2.0, c_hat=1.0, a_hat=5e-324, a0_hat=a0)
+    model = ModelKind.CompressibleMHD
+    expect = [AsymptoticRoot(0j, 0j, complex(a0), 0j)] if a0 != 0 else []
+    assert asymptotic_root(model, state, OM) == expect
+    for n in (1, 100, 10**6):
+        got = sorted((r.s for r in solve_dispersion(model, state, OM, n)), key=lambda s: s.real)
+        want = sorted({0.0, a0 / n})
+        assert [s.imag for s in got] == [0.0] * len(want)
+        assert [s.real for s in got] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_series_families_are_built_once_per_scaling_fit(monkeypatch):
+    calls = []
+    build = dispersion_module._series_families
+
+    def counting(sym):
+        calls.append(sym)
+        return build(sym)
+
+    monkeypatch.setattr(dispersion_module, "_series_families", counting)
+    state = aligned_state(a_hat=1.0, rho_hat=4.0, c_hat=2.0)
+    grid = [10**2, 10**3, 10**4, 10**5, 10**6]
+    fit = fit_scaling(ModelKind.CompressibleMHD, state, PERP, grid)
+    assert fit.exponent == pytest.approx(0.5, abs=0.001)
+    assert len(calls) == 1
+
+
+def test_asymptotic_root_returns_a_fresh_list():
+    state = aligned_state(a_hat=4.0)
+    fams = asymptotic_root(ModelKind.CompressibleMHD, state, PERP)
+    expect = list(fams)
+    fams.append(AsymptoticRoot(1j, 0j, 0j))
+    fams[0] = AsymptoticRoot(0j, 0j, 0j)
+    assert asymptotic_root(ModelKind.CompressibleMHD, state, PERP) == expect
+
+
+def _np_roots_candidates(coeffs) -> list:
+    """The companion solve as it was written on np.roots: the reference."""
+    c = np.asarray(coeffs, dtype=complex)
+    lead = np.max(np.abs(c))
+    if lead == 0:
+        c = c[-1:]
+    else:
+        c = c[int(np.argmax(np.abs(c) > 1e-300 * lead)) :]
+    out = []
+    while len(c) > 1 and c[-1] == 0:
+        out.append(0j)
+        c = c[:-1]
+    if len(c) > 1:
+        out.extend(np.roots(c).tolist())
+    return out
+
+
+def _outcome(fn, coeffs):
+    try:
+        return repr(fn(np.array(coeffs, dtype=complex)))
+    except Exception as exc:  # the reference's exception type is part of the contract
+        return type(exc)
+
+
+def test_poly_candidates_match_np_roots_bit_for_bit():
+    rng = np.random.default_rng(20)
+    inf, nan = math.inf, math.nan
+    cases = [
+        [0.0], [2.5], [0.0, 0.0, 0.0], [1e-310, 1.0, 2.0], [1e-301, 0.0, 3.0, 1.0],
+        [1.0, 2.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [-0.0, 1.0, -0.0], [5e-324, 0.0],
+        [inf, 1.0, 2.0], [1.0, nan, 2.0], [0.0, inf, 1.0], [0.0, 0.0, inf, 0.0],
+        [0.0, nan, 0.0, 0.0], [1e-310, nan, 1.0], [nan], [1.0, inf], [complex(inf, 1.0), 1.0],
+    ]
+    for _ in range(2000):
+        deg = int(rng.integers(1, 9))
+        c = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
+        c *= 10.0 ** rng.integers(-6, 7, size=deg + 1)
+        kind = rng.integers(0, 5)
+        if kind == 1:
+            c[0] *= 1e-302  # leading coefficient below 1e-300 times the largest
+        elif kind == 2:
+            c[-int(rng.integers(1, deg + 1)) :] = 0.0
+        elif kind == 3:
+            c[int(rng.integers(0, deg + 1))] = rng.choice([inf, -inf, nan])
+        cases.append(c)
+    for coeffs in cases:
+        assert _outcome(_poly_candidates, coeffs) == _outcome(_np_roots_candidates, coeffs), coeffs
 
 
 # ------------------------------------------------------------ scaling fits
