@@ -2,11 +2,12 @@
 
 from .classifier import SweepSpec, classify_frozen, is_collinear, numeric_classify, sweep
 from .dispersion import (
+    AsymptoticRoot,
+    asymptotic_root,
     boundary_matrix,
     dispersion_eval,
     lambda_minus,
     lambda_plus,
-    normal_velocity_amplitude,
 )
 from .domain import (
     BasicState,
@@ -20,7 +21,6 @@ from .domain import (
 )
 from .hadamard import (
     GridSpec,
-    boundary_flux_check,
     build_mode,
     evaluate_field,
     grid_for_mode,
@@ -28,14 +28,12 @@ from .hadamard import (
     pde_residual_fd,
 )
 from .roots import (
-    AsymptoticRoot,
-    asymptotic_root,
     dominant_root,
     fit_scaling,
     scan_s0,
     solve_dispersion,
 )
-from .vacuum_green import green_identity_check, strip_potential
+from .vacuum_green import green_identity_check
 
 __all__ = [
     "AsymptoticRoot",
@@ -50,7 +48,6 @@ __all__ = [
     "Verdict",
     "Wavevector",
     "asymptotic_root",
-    "boundary_flux_check",
     "boundary_matrix",
     "build_mode",
     "classify_frozen",
@@ -64,11 +61,9 @@ __all__ = [
     "is_collinear",
     "lambda_minus",
     "lambda_plus",
-    "normal_velocity_amplitude",
     "numeric_classify",
     "pde_residual_fd",
     "scan_s0",
     "solve_dispersion",
-    "strip_potential",
     "sweep",
 ]

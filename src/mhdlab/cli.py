@@ -20,7 +20,7 @@ import numpy as np
 
 from .classifier import SweepSpec, classify_frozen, numeric_classify, sweep
 from .config import Config, load_config, parse_grid
-from .domain import ModelKind, Wavevector
+from .domain import Wavevector
 from .errors import ConfigError, ConflictError, DomainError, GridError, NotARootError
 from .hadamard import (
     build_mode,

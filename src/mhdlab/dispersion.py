@@ -1,4 +1,4 @@
-"""Interface determinants, spatial exponents and amplitude relations.
+"""Interface determinants, spatial exponents and the interface matrix.
 
 All operations work at unit tangential wavevector: the stored Wavevector is
 normalized internally and only its direction matters. Complex square roots
@@ -36,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from .domain import BasicState, ModelKind, Wavevector, alfven_speed, require_valid, w_pair
-from .errors import BranchPointError, ResonanceError, UnsupportedModelError
+from .errors import BranchPointError, DomainError, ResonanceError, UnsupportedModelError
 
 # Relative threshold below which the g(s) radicand denominator counts as a
 # genuine branch-point hit (only reachable when wp != 0).
@@ -57,8 +57,8 @@ class ModeSymbol:
 
     Holds the state's scalars and the direction-dependent coefficients
     wp, wm, c1 = a + i wm a1, alpha = c^2 + cA^2 and beta = c^2 wp^2/rho.
-    Methods take a complex s. Besides g, three methods branch on
-    compressibility. value and velocity leave the factor g = 1 out of the
+    Methods take a complex s. Besides g, two methods branch on
+    compressibility. value leaves the factor g = 1 out of the
     incompressible forms: in complex arithmetic a factor 1.0 flips signed
     zeros and turns inf into nan, so it would not reproduce the polynomial
     determinants. value also keeps the CompressibleEuler Jacobian in its
@@ -217,20 +217,6 @@ class ModeSymbol:
             dtype=complex,
         )
 
-    def velocity(self, s: complex, q_amp: complex) -> complex:
-        """Normal velocity amplitude v1 induced by a pressure amplitude q."""
-        compressible = self.model.is_compressible
-        if not self.model.is_mhd:
-            if s == 0:
-                raise ResonanceError("normal velocity diverges at s = 0 (1/s pole)")
-            if not compressible:
-                return q_amp / (self.rho * s)
-            return q_amp * self.g(s)[0] / (self.rho * s)
-        P = self._coupling(s)
-        if not compressible:
-            return q_amp * s / P
-        return q_amp * s * self.g(s)[0] / P
-
     @cached_property
     def families(self) -> tuple:
         """The large-n series families (see _series_families), built on first use."""
@@ -377,10 +363,18 @@ def mode_symbol(model: ModelKind, state: BasicState, omega: Wavevector) -> ModeS
     require_valid(model, state)
     wp, wm = w_pair(state, omega)
     cA = alfven_speed(state)
+    try:
+        alpha, beta = state.c_hat**2 + cA**2, state.c_hat**2 * wp * wp / state.rho_hat
+    except OverflowError:
+        if model.is_compressible:
+            raise DomainError(
+                f"c_hat^2 + cA^2 overflows for c_hat={state.c_hat:g}, cA={cA:g}"
+            ) from None
+        alpha = beta = math.inf  # the incompressible models never read them
     sym = ModeSymbol(
         model=model, rho=state.rho_hat, a=state.a_hat, a0=state.a0_hat, a1=state.a1_hat,
         c=state.c_hat, wp=wp, wm=wm, c1=state.a_hat + 1j * wm * state.a1_hat,
-        alpha=state.c_hat**2 + cA**2, beta=state.c_hat**2 * wp * wp / state.rho_hat,
+        alpha=alpha, beta=beta,
     )
     _last_symbol = (model, state, omega, sym)
     return sym
@@ -401,17 +395,6 @@ def lambda_minus(model: ModelKind) -> complex:
     if not model.is_mhd:
         raise UnsupportedModelError(f"{model.value} has no vacuum potential")
     return complex(1.0)
-
-
-def normal_velocity_amplitude(
-    model: ModelKind, state: BasicState, omega: Wavevector, s: complex, q_amp: complex
-) -> complex:
-    """Normal velocity amplitude v1 induced by a pressure amplitude q.
-
-    Per model: q/(rho s); (q/(rho s)) sqrt(1+(s/c)^2); q s/(rho s^2 + wp^2);
-    q s g(s)/(rho s^2 + wp^2).
-    """
-    return mode_symbol(model, state, omega).velocity(complex(s), q_amp)
 
 
 def dispersion_eval(

@@ -115,15 +115,6 @@ class GrowthEntry:
     admissible_found: bool
 
 
-@dataclass(frozen=True)
-class FluxIdentityReport:
-    """Both sides of the interface energy-flux identity and their gap."""
-
-    max_discrepancy: float
-    tolerance: float
-    passed: bool
-
-
 def build_mode(
     model: ModelKind,
     state: BasicState,
@@ -458,28 +449,3 @@ def growth_ratio(
         ratio = math.exp(log_ratio) if log_ratio <= OVERFLOW_EXPONENT else math.inf
         out.append(GrowthEntry(n=n, log_ratio=log_ratio, ratio=ratio, admissible_found=True))
     return out
-
-
-def boundary_flux_check(mode: HadamardMode, t: float, samples: int = 256) -> FluxIdentityReport:
-    """Interface identity -q v1 = j phi v1 - (Hv . grad xi) v1 with j = -a.
-
-    Both sides are evaluated pointwise (real parts) over one tangential
-    period; the common growth factor cancels in the relative gap.
-    """
-    if not mode.model.is_mhd:
-        raise ResonanceError("the flux identity involves the vacuum field")
-    n, s = mode.root.n, mode.root.s
-    state = mode.state
-    wm = mode_symbol(mode.model, state, mode.omega).wm
-    tau = np.arange(samples) * (2.0 * math.pi / (n * samples))
-    phase = np.exp(1j * (n * tau + n * s.imag * t))
-    q = np.real(mode.amplitude("q") * phase)
-    v1 = np.real(mode.amplitude("v1") * phase)
-    phi = np.real(mode.amplitude("phi") * phase)
-    # tangential vacuum-field trace: Hv . grad xi = i n wm xi at x1 = 0
-    hcal = np.real(1j * n * wm * mode.amplitude("xi") * phase)
-    lhs = -q * v1
-    rhs = -state.a_hat * phi * v1 - hcal * v1
-    scale = max(_sup(q * v1), _sup(state.a_hat * phi * v1), _sup(hcal * v1), 1e-300)
-    gap = _sup(lhs - rhs) / scale
-    return FluxIdentityReport(max_discrepancy=gap, tolerance=1e-10, passed=gap <= 1e-10)

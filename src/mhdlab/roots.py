@@ -4,8 +4,8 @@ Strategy: every determinant is either polynomial in s (incompressible
 models) or becomes polynomial after clearing its single square root.
 Candidates come from the companion matrix of that polynomial and, for
 CompressibleMHD, from the large-n series of ModeSymbol.families (both in
-dispersion, re-exported here; a symbol builds its series once, so the solves
-of one scaling fit share them). Newton iteration on the original determinant
+dispersion; a symbol builds its series once, so the solves of one scaling
+fit share them). Newton iteration on the original determinant
 polishes them, and they survive only if the relative residual of the
 ORIGINAL (unsquared) equation is below RESIDUAL_TOLERANCE. Squaring can only
 add spurious roots, never lose real ones, so the gate is sound. The gate
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import AsymptoticRoot, ModeSymbol, _poly_candidates, _s0_candidates, asymptotic_root
+from .dispersion import ModeSymbol, _poly_candidates, _s0_candidates
 from .dispersion import dispersion_eval, dispersion_scale, lambda_minus, lambda_plus, mode_symbol
 from .domain import BasicState, ModeRoot, ModelKind, ScalingFit, Wavevector
 from .errors import BranchPointError, DomainError, FitError

@@ -17,7 +17,6 @@ from mhdlab.dispersion import (
     lambda_minus,
     lambda_plus,
     mode_symbol,
-    normal_velocity_amplitude,
 )
 from mhdlab.domain import BasicState, ModelKind, Wavevector, alfven_speed, w_pair
 from mhdlab.errors import BranchPointError, ResonanceError, UnsupportedModelError
@@ -115,7 +114,6 @@ BRANCH_POINTS = [
 ]
 AT_S = {
     "lambda_plus": lambda model, state, s: lambda_plus(model, state, OM, s),
-    "normal_velocity_amplitude": lambda model, state, s: normal_velocity_amplitude(model, state, OM, s, 1.0),
     "dispersion_eval": lambda model, state, s: dispersion_eval(model, state, OM, s, 10),
     "dispersion_scale": lambda model, state, s: dispersion_scale(model, state, OM, s, 10),
     "boundary_matrix": lambda model, state, s: boundary_matrix(model, state, OM, s, 10),
@@ -188,31 +186,6 @@ def test_cleared_polynomial_matches_hand_expansion(model):
     assert got.dtype == complex and len(got) == len(expected)
     scale = max(abs(x) for x in expected)
     np.testing.assert_allclose(got, expected, rtol=1e-13, atol=1e-13 * scale)
-
-# -------------------------------------------------------- amplitude relation
-
-
-def test_normal_velocity_worked_values():
-    assert normal_velocity_amplitude(ModelKind.IncompressibleEuler, BasicState(), OM, 2.0, 1.0) == 0.5
-    with pytest.raises(ResonanceError):
-        normal_velocity_amplitude(ModelKind.CompressibleEuler, BasicState(), OM, 0.0, 1.0)
-    # 1/s pole: magnitude blows up as s -> 0+
-    tiny = normal_velocity_amplitude(ModelKind.CompressibleEuler, BasicState(), OM, 1e-12, 1.0)
-    assert abs(tiny) > 1e11
-    state = BasicState(H_plasma=(1.0, 0.0), H_vacuum=(0.0, 1.0))
-    with pytest.raises(ResonanceError):
-        normal_velocity_amplitude(ModelKind.IncompressibleMHD, state, OM, 1j, 1.0)
-
-
-@given(states(), wavevectors(), complex_s(), st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False))
-def test_normal_velocity_is_linear_in_pressure(state, omega, s, q):
-    assume(abs(s) > 0.05)
-    try:
-        base = normal_velocity_amplitude(ModelKind.CompressibleMHD, state, omega, s, 1.0)
-        val = normal_velocity_amplitude(ModelKind.CompressibleMHD, state, omega, s, q)
-    except (ResonanceError, BranchPointError):
-        assume(False)
-    assert cmath.isclose(val, q * base, rel_tol=1e-12, abs_tol=1e-12)
 
 
 # ------------------------------------------------------------- determinants

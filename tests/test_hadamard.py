@@ -16,7 +16,6 @@ from mhdlab.hadamard import (
     GridSpec,
     _d1,
     _d2_edge,
-    boundary_flux_check,
     build_mode,
     evaluate_field,
     grid_for_mode,
@@ -300,6 +299,10 @@ FD_CASES = [
 ]
 
 
+# no vacuum field: the pressure condition keeps only the a phi term
+ZERO_VACUUM_FIELD = BasicState(a_hat=1.0, a1_hat=0.4, H_plasma=(1.0, 0.0), H_vacuum=(0.0, 0.0))
+
+
 # report keys per model, in the order residuals.jsonl writes them
 MOMENTUM = ["momentum_1", "momentum_2", "momentum_3"]
 INDUCTION = ["induction_1", "induction_2", "induction_3"]
@@ -346,7 +349,10 @@ class TestPdeResidualFd:
             order = math.log2(ratio)
             assert 1.7 <= order <= 2.3, f"{name}: order {order:.3f}"
 
-    @pytest.mark.parametrize("model,state,omega,n", FD_CASES)
+    @pytest.mark.parametrize(
+        "model,state,omega,n",
+        FD_CASES + [(M.IncompressibleMHD, ZERO_VACUUM_FIELD, PERP, 100)],
+    )
     def test_boundary_residuals_at_machine_precision(self, model, state, omega, n):
         mode = top_mode(model, state, omega, n)
         report = pde_residual_fd(mode, grid_for_mode(mode), 1.0)
@@ -577,28 +583,3 @@ class TestGrowthRatio:
     def test_decreasing_n_list_is_rejected(self):
         with pytest.raises(ValueError):
             growth_ratio(M.IncompressibleEuler, EULER_STATE, OM, [100, 50], 1.0)
-
-
-class TestBoundaryFlux:
-    def test_identity_holds_for_compressible_mode(self):
-        mode = top_mode(M.CompressibleMHD, ALIGNED_COMP, OM, 400)
-        report = boundary_flux_check(mode, 0.5)
-        assert report.passed and report.max_discrepancy <= 1e-10
-
-    def test_identity_holds_for_incompressible_mode(self):
-        mode = top_mode(M.IncompressibleMHD, ALIGNED_INC, OM, 400)
-        report = boundary_flux_check(mode, 1.5)
-        assert report.passed
-
-    def test_zero_vacuum_field_reduces_to_pressure_term(self):
-        state = BasicState(
-            a_hat=1.0, a1_hat=0.4, H_plasma=(1.0, 0.0), H_vacuum=(0.0, 0.0)
-        )
-        mode = top_mode(M.IncompressibleMHD, state, PERP, 100)
-        report = boundary_flux_check(mode, 0.3)
-        assert report.passed and report.max_discrepancy <= 1e-12
-
-    def test_euler_mode_has_no_flux_identity(self):
-        mode = top_mode(M.IncompressibleEuler, EULER_STATE, OM, 100)
-        with pytest.raises(ResonanceError):
-            boundary_flux_check(mode, 0.0)

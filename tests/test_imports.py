@@ -1,0 +1,48 @@
+"""Every name a package module imports is used by that module.
+
+A name imported into a module of src/mhdlab must be referenced in that
+module's code, or, in the package's __init__, be listed in __all__.
+Re-exports through any other module are not allowed, so deleting code
+cannot leave a stale import behind unnoticed.
+"""
+import ast
+
+import pytest
+
+from conftest import SRC
+
+MODULES = sorted((SRC / "mhdlab").glob("*.py"))
+
+
+def _imported_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+def _exported_names(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_imported_name_is_used(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    if path.name == "__init__.py":
+        used |= _exported_names(tree)
+    unused = sorted(set(_imported_names(tree)) - used)
+    assert unused == [], f"{path.name} imports names it never uses: {unused}"
+
+
+def test_the_package_exports_exactly_what_it_imports():
+    tree = ast.parse((SRC / "mhdlab" / "__init__.py").read_text())
+    assert _exported_names(tree) == set(_imported_names(tree))

@@ -19,17 +19,15 @@ from conftest import (
 from mhdlab import dispersion as dispersion_module
 from mhdlab import roots as roots_module
 from mhdlab.classifier import _witness_direction
-from mhdlab.dispersion import dispersion_eval, dispersion_scale, mode_symbol
+from mhdlab.dispersion import AsymptoticRoot, asymptotic_root, dispersion_eval, dispersion_scale, mode_symbol
 from mhdlab.domain import BasicState, ModelKind, Wavevector, w_pair
 from mhdlab.errors import DomainError, FitError
 from mhdlab.roots import (
     _DEDUPE_TOL,
     RESIDUAL_TOLERANCE,
-    AsymptoticRoot,
     _finish_root,
     _poly_candidates,
     _wrong_branch,
-    asymptotic_root,
     dominant_root,
     fit_scaling,
     newton_refine,
@@ -186,6 +184,24 @@ def test_newton_stops_where_g_overflows():
     s, residual = newton_refine(ModelKind.CompressibleEuler, state, OM, start, 1)
     assert (s, residual) == (start, 1.0)
     assert _finish_root(ModelKind.CompressibleEuler, state, OM, s, residual, 1) is None
+
+
+@pytest.mark.parametrize("model, fields", [
+    (ModelKind.IncompressibleEuler, {}),
+    (ModelKind.IncompressibleMHD, {"H_plasma": (1.0, 0.0), "H_vacuum": (0.0, 1.0)}),
+    (ModelKind.CompressibleEuler, {}),
+    (ModelKind.CompressibleMHD, {"H_plasma": (1.0, 0.0)}),
+])
+def test_sound_speed_whose_square_overflows(model, fields):
+    """c_hat^2 overflows a double: the incompressible models never read it,
+    the compressible ones refuse the state with a DomainError."""
+    big = BasicState(c_hat=1e160, a_hat=1.0, **fields)
+    if model.is_compressible:
+        with pytest.raises(DomainError):
+            solve_dispersion(model, big, OM, 10)
+    else:
+        unit = BasicState(c_hat=1.0, a_hat=1.0, **fields)
+        assert repr(solve_dispersion(model, big, OM, 10)) == repr(solve_dispersion(model, unit, OM, 10))
 
 
 def test_polish_evaluates_each_iterate_once_and_the_gate_none(monkeypatch):

@@ -1,64 +1,17 @@
-"""Strip potential closed form and the quadrature energy identity."""
+"""The strip potential's quadrature energy identity."""
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mhdlab.errors import DomainError, GridError
-from mhdlab.vacuum_green import green_identity_check, strip_potential
+from mhdlab.vacuum_green import green_identity_check
 
 # boundary integral of the unit cosine mode at k = 2*pi, from a symbolic
 # integration oracle: pi * sinh(2pi) * cosh(2pi)
 LHS_K_2PI = 225213.95468659514
 
 TWO_PI = 2.0 * math.pi
-
-
-class TestStripPotential:
-    def test_unit_amplitude_neumann_trace(self):
-        pot = strip_potential(TWO_PI, TWO_PI * math.cosh(TWO_PI))
-        assert pot.amplitude == pytest.approx(1.0, rel=1e-14)
-        trace = pot.neumann_trace(np.array([0.0, 0.25]))
-        assert trace[0] == pytest.approx(TWO_PI * math.cosh(TWO_PI), rel=1e-13)
-        # quarter period advances the tangential phase by pi/2
-        assert trace[1] == pytest.approx(1j * TWO_PI * math.cosh(TWO_PI), rel=1e-13)
-
-    def test_bottom_is_grounded_exactly(self):
-        pot = strip_potential(3.0, 1.0 + 2.0j)
-        x2 = np.linspace(0.0, 2.0, 17)
-        assert np.all(pot.xi(-1.0, x2) == 0.0)
-
-    def test_neumann_data_is_reproduced(self):
-        pot = strip_potential(5.0, 0.3 - 0.4j)
-        x2 = np.linspace(0.0, 1.0, 7)
-        d1, _ = pot.gradient(0.0, x2)
-        assert np.allclose(d1, pot.neumann_trace(x2), rtol=1e-13)
-        assert pot.neumann_trace(0.0) == pytest.approx(0.3 - 0.4j, rel=1e-13)
-
-    def test_laplacian_vanishes_at_second_order(self):
-        pot = strip_potential(TWO_PI, TWO_PI * math.cosh(TWO_PI))
-
-        def residual(m):
-            x1 = np.linspace(-1.0, 0.0, m)
-            x2 = np.linspace(0.0, 1.0, m)
-            h1 = x1[1] - x1[0]
-            h2 = x2[1] - x2[0]
-            f = np.real(pot.xi(x1[:, None], x2[None, :]))
-            lap = (f[2:, 1:-1] - 2 * f[1:-1, 1:-1] + f[:-2, 1:-1]) / h1**2 + (
-                f[1:-1, 2:] - 2 * f[1:-1, 1:-1] + f[1:-1, :-2]
-            ) / h2**2
-            return np.max(np.abs(lap)) / np.max(np.abs(f))
-
-        coarse, fine = residual(101), residual(201)
-        assert coarse < 1.0
-        assert 3.4 <= coarse / fine <= 4.6
-
-    def test_degenerate_mode_is_rejected(self):
-        with pytest.raises(DomainError):
-            strip_potential(0.0, 1.0)
-        with pytest.raises(DomainError):
-            strip_potential(-2.0, 1.0)
 
 
 class TestGreenIdentity:
