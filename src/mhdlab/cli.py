@@ -105,29 +105,26 @@ def cmd_roots(args) -> int:
     for n in n_values:
         try:
             roots = solve_dispersion(cfg.model, cfg.state, omega, n)
-        except (DomainError, ValueError, RuntimeError) as exc:
+        except (ValueError, RuntimeError) as exc:
             lines.append(f"# error: n={n} {type(exc).__name__}: {exc}")
             status = 3
             continue
         for root in roots:
-            lines.append(
-                ",".join(
-                    (
-                        str(n),
-                        fmt(omega.omega2),
-                        fmt(omega.omega3),
-                        fmt(root.s.real),
-                        fmt(root.s.imag),
-                        fmt(root.lambda_plus.real),
-                        fmt(root.lambda_plus.imag),
-                        fmt(root.lambda_minus.real),
-                        fmt(root.lambda_minus.imag),
-                        fmt(root.residual),
-                        fmt(root.admissible),
-                        fmt(root.neutral),
-                    )
-                )
+            cells = (
+                n,
+                omega.omega2,
+                omega.omega3,
+                root.s.real,
+                root.s.imag,
+                root.lambda_plus.real,
+                root.lambda_plus.imag,
+                root.lambda_minus.real,
+                root.lambda_minus.imag,
+                root.residual,
+                root.admissible,
+                root.neutral,
             )
+            lines.append(",".join(map(fmt, cells)))
     _write_lines(lines, args.out)
     return status
 
@@ -159,7 +156,7 @@ def cmd_sweep(args) -> int:
                 confirmed = numeric_classify(
                     cfg.model, state, list(DEFAULT_N_GRID), [Wavevector(1.0, 0.0)]
                 )
-            except (ConflictError, DomainError, ValueError, RuntimeError) as exc:
+            except (ValueError, RuntimeError) as exc:
                 point = ",".join(f"{name}={c}" for name, c in zip(axis_names, coords))
                 lines.append(f"# error: {point} {type(exc).__name__}: {exc}")
                 status = 3
@@ -181,19 +178,14 @@ def cmd_hadamard(args) -> int:
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        probe = out_dir / ".write_probe"
-        probe.write_text("")
-        probe.unlink()
     except OSError as exc:
-        raise ConfigError(f"output directory not writable: {out_dir} ({exc})")
+        raise ConfigError(f"output directory not writable: {out_dir} ({exc})") from None
 
     entries = growth_ratio(cfg.model, cfg.state, omega, n_list, t)
-    growth_lines = ["n,log_ratio,ratio,admissible"]
-    for e in entries:
-        growth_lines.append(
-            f"{e.n},{fmt(e.log_ratio)},{fmt(e.ratio)},{fmt(e.admissible_found)}"
-        )
-    (out_dir / "growth.csv").write_text("\n".join(growth_lines) + "\n")
+    growth_lines = ["n,log_ratio,ratio,admissible"] + [
+        ",".join(map(fmt, (e.n, e.log_ratio, e.ratio, e.admissible_found))) for e in entries
+    ]
+    _write_lines(growth_lines, out_dir / "growth.csv")
 
     mode_n = n_list[0]
     try:
@@ -206,22 +198,16 @@ def cmd_hadamard(args) -> int:
         return 0
     grid = grid_for_mode(mode)
     report = pde_residual_fd(mode, grid, t)
-    with (out_dir / "residuals.jsonl").open("w") as fh:
-        for name, value in report.interior.items():
-            fh.write(json.dumps({"block": "interior", "equation": name, "value": value}) + "\n")
-        for name, value in report.boundary.items():
-            fh.write(json.dumps({"block": "boundary", "condition": name, "value": value}) + "\n")
-        fh.write(
-            json.dumps(
-                {
-                    "block": "grid",
-                    "spacings": list(report.spacings),
-                    "n": mode_n,
-                    "t": t,
-                }
-            )
-            + "\n"
-        )
+    records = [
+        {"block": "interior", "equation": name, "value": value}
+        for name, value in report.interior.items()
+    ]
+    records += [
+        {"block": "boundary", "condition": name, "value": value}
+        for name, value in report.boundary.items()
+    ]
+    records.append({"block": "grid", "spacings": list(report.spacings), "n": mode_n, "t": t})
+    _write_lines([json.dumps(record) for record in records], out_dir / "residuals.jsonl")
     if dump_fields:
         _dump_fields(mode, grid, t, out_dir)
     return 0
@@ -234,14 +220,11 @@ def _dump_fields(mode, grid, t, out_dir: Path) -> None:
     def block_to_csv(x1, block, path):
         names = sorted(block)
         lines = [",".join(["x1", "x2"] + [name + suffix for name in names])]
+        cols = [block[name] if sample.log_magnitude else block[name].real for name in names]
         for i, xv in enumerate(x1):
             for j, tv in enumerate(sample.tangent):
-                vals = [fmt(xv), fmt(tv)]
-                for name in names:
-                    cell = block[name][i, j]
-                    vals.append(fmt(cell if sample.log_magnitude else cell.real))
-                lines.append(",".join(vals))
-        path.write_text("\n".join(lines) + "\n")
+                lines.append(",".join(map(fmt, [xv, tv] + [col[i, j] for col in cols])))
+        _write_lines(lines, path)
 
     block_to_csv(sample.x1_plasma, sample.plasma, out_dir / "fields_plasma.csv")
     if sample.x1_vacuum is not None and sample.vacuum:
@@ -257,11 +240,15 @@ def cmd_green(args) -> int:
 
 
 def _write_lines(lines, out) -> None:
+    """Write lines to the file out, or to stdout if out is empty: the CLI's one writer."""
     text = "\n".join(lines) + "\n"
-    if out:
-        Path(out).write_text(text)
-    else:
+    if not out:
         sys.stdout.write(text)
+        return
+    try:
+        Path(out).write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"output not writable: {out} ({exc})") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

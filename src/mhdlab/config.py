@@ -16,8 +16,6 @@ import numpy as np
 from .domain import STATE_FIELDS, BasicState, ModelKind, require_valid
 from .errors import ConfigError
 
-STATE_KEYS = ("model",) + STATE_FIELDS
-
 
 def parse_bool(value: str, context: str = "value") -> bool:
     low = value.strip().lower()
@@ -41,9 +39,7 @@ def parse_grid(spec: str) -> tuple:
             continue
         if "=" not in chunk:
             raise ConfigError(f"grid axis '{chunk}' must look like name=lo:hi:count")
-        name, _, body = chunk.partition("=")
-        name = name.strip()
-        body = body.strip()
+        name, _, body = (part.strip() for part in chunk.partition("="))
         if ":" in body:
             try:
                 lo, hi, count = body.split(":")
@@ -63,6 +59,18 @@ def parse_grid(spec: str) -> tuple:
         raise ConfigError("empty grid specification")
     return tuple(axes)
 
+
+_MODEL_NAMES = {kind.value: kind for kind in ModelKind}
+
+
+def _model(value: str) -> ModelKind:
+    if value not in _MODEL_NAMES:
+        raise ValueError(f"unknown model '{value}'; choose one of {sorted(_MODEL_NAMES)}")
+    return _MODEL_NAMES[value]
+
+
+# the top-level state block: key -> parser
+_STATE_PARSERS = {"model": _model, **dict.fromkeys(STATE_FIELDS, float)}
 
 # [section] -> key -> parser; sections hold the parsed values
 SECTION_KEYS = {
@@ -86,8 +94,6 @@ _KINDS = {
     parse_grid: "axes like 'a_hat=-2:2:11;a0_hat=0,1'",
 }
 
-_MODEL_NAMES = {kind.value: kind for kind in ModelKind}
-
 
 @dataclass(frozen=True)
 class Config:
@@ -105,21 +111,14 @@ def _err(source: str, lineno: int, message: str) -> ConfigError:
     return ConfigError(f"{source}:{lineno}: {message}")
 
 
-def _parse(parser, key: str, value: str, source: str, lineno: int):
-    try:
-        return parser(value)
-    except ValueError:
-        raise _err(source, lineno, f"key '{key}' needs {_KINDS[parser]}, got '{value}'")
-
-
 def parse_config_text(text: str, source: str = "<config>") -> Config:
     top: dict = {}
     sections: dict = {}
-    current: dict | None = None
-    current_name = ""
+    # the block being read: the state block until the first [section]
+    name, parsers, values = "", _STATE_PARSERS, top
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#") or line.startswith(";"):
+        if not line or line.startswith(("#", ";")):
             continue
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip()
@@ -127,39 +126,23 @@ def parse_config_text(text: str, source: str = "<config>") -> Config:
                 raise _err(source, lineno, f"unknown section '{name}'")
             if name in sections:
                 raise _err(source, lineno, f"duplicate section '{name}'")
-            current = {}
-            current_name = name
-            sections[name] = current
+            parsers = SECTION_KEYS[name]
+            values = sections[name] = {}
             continue
         if "=" not in line:
             raise _err(source, lineno, f"expected 'key = value', got '{line}'")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if current is None:
-            if key not in STATE_KEYS:
-                raise _err(source, lineno, f"unknown key '{key}'")
-            if key in top:
-                raise _err(source, lineno, f"duplicate key '{key}'")
-            if key == "model":
-                if value not in _MODEL_NAMES:
-                    raise _err(
-                        source,
-                        lineno,
-                        f"unknown model '{value}'; choose one of {sorted(_MODEL_NAMES)}",
-                    )
-                top[key] = _MODEL_NAMES[value]
-            else:
-                top[key] = _parse(float, key, value, source, lineno)
-        else:
-            parsers = SECTION_KEYS[current_name]
-            if key not in parsers:
-                raise _err(
-                    source, lineno, f"unknown key '{key}' in section [{current_name}]"
-                )
-            if key in current:
-                raise _err(source, lineno, f"duplicate key '{key}'")
-            current[key] = _parse(parsers[key], key, value, source, lineno)
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key not in parsers:
+            where = f" in section [{name}]" if name else ""
+            raise _err(source, lineno, f"unknown key '{key}'{where}")
+        if key in values:
+            raise _err(source, lineno, f"duplicate key '{key}'")
+        try:
+            values[key] = parsers[key](value)
+        except ValueError as exc:
+            kind = _KINDS.get(parsers[key])
+            message = f"key '{key}' needs {kind}, got '{value}'" if kind else str(exc)
+            raise _err(source, lineno, message) from None
 
     if "model" not in top:
         raise ConfigError(f"{source}: missing required key 'model'")
@@ -173,5 +156,9 @@ def load_config(path) -> Config:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
-    return parse_config_text(p.read_text(), source=str(p))
+    try:
+        text = p.read_text()
+    except (OSError, UnicodeError) as exc:
+        raise ConfigError(f"config file not readable: {p} ({exc})") from None
+    return parse_config_text(text, source=str(p))
 

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dispersion import mode_symbol
-from .domain import BasicState, HadamardMode, ModeRoot, ModelKind, Wavevector
-from .errors import GridError, NotARootError, ResonanceError
+from .domain import BasicState, HadamardMode, ModeRoot, ModelKind, Wavevector, _finite
+from .errors import DomainError, GridError, NotARootError
 from .roots import dominant_root, solve_dispersion
 
 NULLSPACE_TOLERANCE = 1e-8
@@ -41,11 +41,12 @@ EULER_FIELD_NAMES = ("q", "v1", "v2", "v3", "phi")
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Tensor grid for one mode: two half-space depths and one wavelength.
+    """Tensor grid for one mode: two half-space depths and a tangential period.
 
     points_per_direction is (plasma x1 points, vacuum x1 points, tangential
     points); the tangential direction is sampled periodically, without a
-    duplicated endpoint.
+    duplicated endpoint. pde_residual_fd needs the period to hold a whole
+    number of wavelengths 2 pi/n; grid_for_mode uses one.
     """
 
     x1_extent_plus: float
@@ -126,8 +127,6 @@ def build_mode(
     if not (root.admissible or root.neutral):
         raise NotARootError("mode construction needs an admissible or neutral root")
     s, n = root.s, root.n
-    if root.neutral and not model.is_mhd:
-        raise ResonanceError("the neutral frequency has no fluid mode (1/s pole)")
     # boundary_matrix orients the pressure column for the determinant
     # identity; the solvability system carries -v1(q), so flip that column
     phys = sym.matrix(s, n)
@@ -219,6 +218,7 @@ def _check_truncation(mode: HadamardMode, grid: GridSpec, lam_p: complex) -> Non
 def _factors(mode: HadamardMode, grid: GridSpec, t: float, lam_p: complex):
     """The 1-D factors of every sampled field, amp * tfac * decay(x1) * phase(tau),
     and the log n Re s t of the growth factor they leave out."""
+    _finite("t", t)
     s, n = mode.root.s, mode.root.n
     mp, mm, mt = grid.points_per_direction
     x1p = np.linspace(0.0, grid.x1_extent_plus, mp)
@@ -326,7 +326,14 @@ def pde_residual_fd(mode: HadamardMode, grid: GridSpec, t: float) -> ResidualRep
     lam_p = sym.lambda_plus(s)
     _check_truncation(mode, grid, lam_p)
     mp, mm, mt = grid.points_per_direction
-    if mt < 8:
+    # the periodic tau-stencils wrap correctly only over whole wavelengths 2 pi / n
+    waves = n * grid.tangential_period / (2.0 * math.pi)
+    if not (0.5 <= waves < math.inf and math.isclose(waves, round(waves), rel_tol=1e-12)):
+        raise GridError(
+            f"tangential period {grid.tangential_period!r} holds {waves:.6g} wavelengths "
+            f"2 pi/{n}; it must hold a whole number"
+        )
+    if mt < 8 * round(waves):
         raise GridError(
             f"{mt} tangential points resolve less than 8 points per wavelength; refine the grid"
         )
@@ -437,8 +444,9 @@ def growth_ratio(
     ratio itself overflows (ratio is then inf).
     """
     ns = [int(n) for n in n_list]
-    if any(b <= a for a, b in zip(ns, ns[1:])):
-        raise ValueError("n_list must be strictly increasing")
+    if any(b <= a for a, b in zip(ns, ns[1:])) or min(ns, default=1) < 1:
+        raise DomainError(f"n_list must be strictly increasing with every n >= 1, got {ns}")
+    _finite("t", t)
     out = []
     for n in ns:
         top = dominant_root(solve_dispersion(model, state, omega, n))

@@ -27,9 +27,7 @@ class GreenIdentityResult(NamedTuple):
     relative_gap: float
 
 
-def green_identity_check(
-    k: float, quadrature_points: int, amplitude: float = 1.0
-) -> GreenIdentityResult:
+def green_identity_check(k: float, quadrature_points: int) -> GreenIdentityResult:
     """Boundary integral versus field energy for the real cosine mode.
 
     The tangential integrals are carried out exactly (they are pure
@@ -37,19 +35,18 @@ def green_identity_check(
     uses composite trapezoid on quadrature_points samples. The boundary
     side needs no radial quadrature and serves as the exact reference.
     """
-    if not k > 0:
-        raise DomainError("k must be positive")
+    if not 0 < 16.0 * k / math.pi < math.inf:
+        raise DomainError(f"k must be positive with 16k/pi finite, got {k!r}")
     needed = max(2, math.ceil(16.0 * k / math.pi))
     if quadrature_points < needed:
         raise GridError(
             f"{quadrature_points} radial points under-resolve k={k:g}; "
             f"need at least {needed} (16 per wavelength)"
         )
-    c = float(amplitude)
-    lhs = math.pi * math.sinh(k) * math.cosh(k) * c * c
+    lhs = math.pi * math.sinh(k) * math.cosh(k)
     x1 = np.linspace(-1.0, 0.0, int(quadrature_points))
     # per-period tangential averages: int cos^2 = int sin^2 = pi / k
-    integrand = (math.pi / k) * (k * k) * c * c * np.cosh(2.0 * k * (x1 + 1.0))
+    integrand = (math.pi / k) * (k * k) * np.cosh(2.0 * k * (x1 + 1.0))
     rhs = float(np.trapezoid(integrand, x1))
     gap = abs(lhs - rhs) / abs(lhs)
     return GreenIdentityResult(lhs=lhs, rhs=rhs, relative_gap=gap)

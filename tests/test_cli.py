@@ -28,6 +28,7 @@ EULER_INI = """\
 model = IncompressibleEuler
 a_hat = 1.0
 """
+EULER = EULER_INI.encode()
 
 
 @pytest.fixture
@@ -407,6 +408,50 @@ def test_malformed_value_exits_one_without_traceback(tmp_path, command, section,
     assert proc.returncode == 1
     assert proc.stderr.startswith(f"error: {path}:3: {message}")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, config_bytes",
+    [
+        pytest.param(["roots", "{cfg}", "--out", "/dev/null/x.csv"], EULER, id="roots-out"),
+        pytest.param(
+            ["sweep", "{cfg}", "--grid", "a_hat=0:1:3", "--out", "/dev/null/x.csv"],
+            EULER,
+            id="sweep-out",
+        ),
+        pytest.param(["classify", "{cfg}"], EULER + b"# \xff\xfe\n", id="non-utf8-config"),
+        pytest.param(
+            ["hadamard", "{cfg}", "--n-list", "100", "25", "--out", "{out}"],
+            EULER,
+            id="hadamard-decreasing-n",
+        ),
+        pytest.param(
+            ["hadamard", "{cfg}", "--n-list", "0", "25", "--out", "{out}"],
+            EULER,
+            id="hadamard-zero-n",
+        ),
+        pytest.param(
+            ["hadamard", "{cfg}", "--t", "nan", "--out", "{out}"], EULER, id="hadamard-nan-t"
+        ),
+        pytest.param(["green", "--k", "inf"], None, id="green-inf-k"),
+    ],
+)
+def test_bad_input_exits_one_without_traceback(tmp_path, argv, config_bytes):
+    cfg, out = tmp_path / "state.ini", tmp_path / "out"
+    if config_bytes is not None:
+        cfg.write_bytes(config_bytes)
+    argv = [arg.format(cfg=cfg, out=out) for arg in argv]
+    proc = subprocess.run(
+        [sys.executable, "-m", "mhdlab", *argv],
+        capture_output=True,
+        text=True,
+        env=subprocess_env(),
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+    written = [proc.stdout] + [f.read_text() for f in out.glob("*")]
+    assert not any("nan" in text.lower() for text in written)
 
 
 class TestHadamardCommand:

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from mhdlab import hadamard
 from mhdlab.dispersion import boundary_matrix, mode_symbol
 from mhdlab.domain import BasicState, ModeRoot, ModelKind, Wavevector
-from mhdlab.errors import GridError, NotARootError, ResonanceError
+from mhdlab.errors import DomainError, GridError, NotARootError, ResonanceError
 from mhdlab.hadamard import (
     GridSpec,
     _d1,
@@ -36,6 +36,9 @@ ALIGNED_INC = BasicState(
 )
 ALIGNED_COMP = BasicState(
     a_hat=1.0, a0_hat=0.2, a1_hat=0.7, c_hat=2.0, H_plasma=(1.0, 0.0), H_vacuum=(2.0, 0.0)
+)
+README_COMP = BasicState(
+    a_hat=1.0, a0_hat=0.2, a1_hat=0.7, c_hat=2.0, H_plasma=(0.6, 0.8), H_vacuum=(1.2, 1.6)
 )
 
 
@@ -391,6 +394,32 @@ class TestPdeResidualFd:
         with pytest.raises(GridError):
             pde_residual_fd(mode, grid, 0.0)
 
+    def test_period_must_hold_whole_wavelengths(self):
+        # the periodic tau-stencils wrap onto the neighbour one period away,
+        # which is the mode's own neighbour only over whole wavelengths 2 pi/n
+        mode = top_mode(M.CompressibleMHD, README_COMP, Wavevector(1.0, 0.0), 25)
+        grid = grid_for_mode(mode)
+        wavelength = 2 * math.pi / 25
+        two = replace(grid, tangential_period=2 * wavelength, points_per_direction=(256, 256, 32))
+        assert pde_residual_fd(mode, two, 1.0).worst_interior() < 0.05
+        for period in (1.3 * wavelength, 0.5 * wavelength):
+            with pytest.raises(GridError, match="whole number"):
+                pde_residual_fd(mode, replace(two, tangential_period=period), 1.0)
+        # 8 points per wavelength, not per period
+        with pytest.raises(GridError, match="8 points per wavelength"):
+            pde_residual_fd(mode, replace(two, points_per_direction=(256, 256, 8)), 1.0)
+
+    def test_non_finite_time_is_rejected(self):
+        mode = top_mode(M.IncompressibleEuler, EULER_STATE, OM, 100)
+        grid = grid_for_mode(mode)
+        for t in (math.nan, math.inf):
+            with pytest.raises(DomainError, match="t must be finite"):
+                pde_residual_fd(mode, grid, t)
+            with pytest.raises(DomainError, match="t must be finite"):
+                evaluate_field(mode, grid, t)
+            with pytest.raises(DomainError, match="t must be finite"):
+                growth_ratio(M.IncompressibleEuler, EULER_STATE, OM, [25], t)
+
     def test_growing_mode_residual_independent_of_time(self):
         # relative residuals project out the global growth factor
         mode = top_mode(M.IncompressibleEuler, EULER_STATE, OM, 400)
@@ -583,3 +612,8 @@ class TestGrowthRatio:
     def test_decreasing_n_list_is_rejected(self):
         with pytest.raises(ValueError):
             growth_ratio(M.IncompressibleEuler, EULER_STATE, OM, [100, 50], 1.0)
+
+    @pytest.mark.parametrize("n_list", [[100, 25], [25, 25], [0, 25], [-3]])
+    def test_bad_n_list_is_a_domain_error(self, n_list):
+        with pytest.raises(DomainError, match="strictly increasing with every n >= 1"):
+            growth_ratio(M.IncompressibleEuler, EULER_STATE, OM, n_list, 1.0)

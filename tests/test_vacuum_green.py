@@ -38,18 +38,17 @@ class TestGreenIdentity:
         gaps = [res.relative_gap for res in values]
         assert gaps == sorted(gaps, reverse=True)
 
-    def test_amplitude_scales_both_sides_quadratically(self):
-        unit = green_identity_check(TWO_PI, 300)
-        scaled = green_identity_check(TWO_PI, 300, amplitude=3.0)
-        assert scaled.lhs == pytest.approx(9.0 * unit.lhs, rel=1e-13)
-        assert scaled.rhs == pytest.approx(9.0 * unit.rhs, rel=1e-13)
-        assert scaled.relative_gap == pytest.approx(unit.relative_gap, rel=1e-10)
-
     def test_under_resolved_quadrature_is_refused(self):
         with pytest.raises(GridError):
             green_identity_check(16.0 * math.pi, 64)
         with pytest.raises(DomainError):
             green_identity_check(0.0, 256)
+
+    @pytest.mark.parametrize("k", [math.inf, 1e308, math.nan, -1.0])
+    def test_k_without_a_finite_point_count_is_a_domain_error(self, k):
+        # 16k/pi overflows for k = 1e308; math.ceil of it would raise OverflowError
+        with pytest.raises(DomainError, match="16k/pi finite"):
+            green_identity_check(k, 256)
 
     @settings(max_examples=30)
     @given(k=st.floats(min_value=0.5, max_value=30.0))
