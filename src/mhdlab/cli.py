@@ -193,10 +193,10 @@ def cmd_hadamard(args) -> int:
         if root is None:
             raise NotARootError(f"no admissible mode at n={mode_n}")
         mode = build_mode(cfg.model, cfg.state, omega, root)
-    except (DomainError, NotARootError) as exc:
+        grid = grid_for_mode(mode)
+    except (DomainError, GridError, NotARootError) as exc:
         print(f"note: skipping field dump and residuals: {exc}", file=sys.stderr)
         return 0
-    grid = grid_for_mode(mode)
     report = pde_residual_fd(mode, grid, t)
     records = [
         {"block": "interior", "equation": name, "value": value}

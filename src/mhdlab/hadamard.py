@@ -14,9 +14,9 @@ it would overflow, converting them to log magnitudes. All residuals are
 reported relative to the size of the equation's terms, which makes them
 invariant under the growth factor, so pde_residual_fd works on the
 normalized factors and cannot overflow by design. Every field is
-amp * decay(x1) * phase(tau), so every residual is r(x1) * phase(tau): the
-check differences the x1 factor and the sampled phase, never an x1-by-tau
-array.
+amp * e(x1) * phase(tau), e the decay factor, so every interior residual is
+(a e + b D1e) * phase(tau), with complex scalars a, b and D1e the x1
+difference of e: the check builds x1 arrays only, nothing along tau.
 """
 from __future__ import annotations
 
@@ -216,28 +216,30 @@ def _check_truncation(mode: HadamardMode, grid: GridSpec, lam_p: complex) -> Non
 
 
 def _factors(mode: HadamardMode, grid: GridSpec, t: float, lam_p: complex):
-    """The 1-D factors of every sampled field, amp * tfac * decay(x1) * phase(tau),
-    and the log n Re s t of the growth factor they leave out."""
+    """The x1 grids, the amplitudes times the time factor, the decay factors
+    exp(n lambda x1) and the log n Re s t of the growth factor they leave out."""
     _finite("t", t)
     s, n = mode.root.s, mode.root.n
-    mp, mm, mt = grid.points_per_direction
+    mp, mm, _ = grid.points_per_direction
     x1p = np.linspace(0.0, grid.x1_extent_plus, mp)
-    tau = np.arange(mt) * (grid.tangential_period / mt)
     tfac = cmath.exp(1j * n * s.imag * t)
-    coef = {name: mode.amplitude(name) * tfac for name in mode.names if name != "phi"}
+    coef = {k: a * tfac for k, a in zip(mode.names, mode.amplitudes) if k != "phi"}
     decay = {"plasma": np.exp(n * lam_p * x1p)}
     x1m = None
     if mode.model.is_mhd:
         x1m = np.linspace(-grid.x1_extent_minus, 0.0, mm)
         decay["vacuum"] = np.exp(n * 1.0 * x1m)
-    return x1p, x1m, tau, (coef, decay, np.exp(1j * n * tau)), n * s.real * t
+    return x1p, x1m, coef, decay, n * s.real * t
 
 
 def evaluate_field(mode: HadamardMode, grid: GridSpec, t: float) -> FieldSample:
     """Pointwise mode evaluation; switches to log magnitudes on overflow."""
     lam_p = mode_symbol(mode.model, mode.state, mode.omega).lambda_plus(mode.root.s)
     _check_truncation(mode, grid, lam_p)
-    x1p, x1m, tau, (coef, decay, phase), log_growth = _factors(mode, grid, t, lam_p)
+    x1p, x1m, coef, decay, log_growth = _factors(mode, grid, t, lam_p)
+    mt = grid.points_per_direction[2]
+    tau = np.arange(mt) * (grid.tangential_period / mt)
+    phase = np.exp(1j * mode.root.n * tau)
     plasma = {k: a * decay["plasma"][:, None] * phase for k, a in coef.items() if k != "xi"}
     vacuum = {"xi": coef["xi"] * decay["vacuum"][:, None] * phase} if "xi" in coef else {}
     scale = math.exp(log_growth) if abs(log_growth) <= OVERFLOW_EXPONENT else None
@@ -278,7 +280,7 @@ def _d2_edge(arr: np.ndarray, h: float) -> np.ndarray:
 
 
 def _sup(arr) -> float:
-    return float(np.max(np.abs(arr)))
+    return float(np.abs(arr).max())
 
 
 def _rel(sup: float, *scales) -> float:
@@ -289,7 +291,7 @@ def _rel(sup: float, *scales) -> float:
     otherwise be normalized by their own differencing error, which hides
     the h^2 convergence of the numerator.
     """
-    scale = max((abs(x) for x in scales), default=0.0)
+    scale = max(map(abs, scales), default=0.0)
     return sup / max(scale, 1e-300)
 
 
@@ -301,15 +303,14 @@ def pde_residual_fd(mode: HadamardMode, grid: GridSpec, t: float) -> ResidualRep
     dt equal to the tangential spacing. Boundary conditions involve no
     differencing and must vanish at machine precision.
 
-    Every field is amp * decay(x1) * phase(tau) * exp(n s t), and each stencil
-    acts on one factor: x1 differences on the decay factor, the periodic
-    tangential stencils on the sampled phase and Dt on the time factor, which
-    makes Dt a scalar. A periodic centred stencil of a sampled exponential is
-    that exponential times one number, its value at tau = 0, where the phase
-    is 1. So every residual is r(x1) * phase(tau) with |phase| = 1, and its
-    sup is the sup of r, the residual of the tau = 0 column computed here. A
-    wrong phase, sign or tangential amplitude changes the stencil values and
-    shows in r.
+    Every plasma field is F e(x1) phase(tau) exp(n s t), with amplitude F,
+    decay factor e = exp(n lambda x1) and phase = exp(i n tau). The x1 stencil
+    acts on e, the periodic tau-stencils multiply the phase by numbers read at
+    tau = 0, +-h, and Dt acts on the time factor. So every interior residual is
+    (a e + b D1e) phase(tau), D1e = _d1(e), with complex scalars a and b; as
+    |phase| = 1 its sup is that of |a e + b D1e| over x1, and no array spans
+    tau. The vacuum Laplacian is F_xi (_d2_edge(ev) + dtau2 ev), ev = exp(n x1).
+    A wrong phase, sign or tangential amplitude changes a or b and shows.
 
     Interior equations in report order; [..] terms and the equations
     marked MHD belong to the magnetic models, Hhat = (0, H_plasma):
@@ -346,14 +347,15 @@ def pde_residual_fd(mode: HadamardMode, grid: GridSpec, t: float) -> ResidualRep
             raise GridError(
                 f"plasma x1 oscillation resolved by {ppw:.2f} < 8 points per wavelength"
             )
-    coef, decay, phase = _factors(mode, grid, t, lam_p)[3]
+    coef, decay = _factors(mode, grid, t, lam_p)[2:4]
     state = mode.state
     rho, c = state.rho_hat, state.c_hat
     o2, o3 = mode.omega.unit()
     wp, wm = sym.wp, sym.wm
-    # the tangential stencils read at tau = 0; Dt with dt = htau is a scalar
-    dtau = (phase[1] - phase[-1]) / (2.0 * htau)
-    dtau2 = (phase[1] - 2.0 * phase[0] + phase[-1]) / (htau * htau)
+    # the periodic tau-stencils of exp(i n tau) at tau = 0, +-htau and Dt are scalars
+    fwd, back = cmath.exp(1j * n * htau), cmath.exp(-1j * n * htau)
+    dtau = (fwd - back) / (2.0 * htau)
+    dtau2 = (fwd - 2.0 + back) / (htau * htau)
     Dt = (cmath.exp(n * s * htau) - cmath.exp(-n * s * htau)) / (2.0 * htau)
 
     # analytic per-term magnitudes; arrays are normalized to the amplitude
@@ -370,50 +372,45 @@ def pde_residual_fd(mode: HadamardMode, grid: GridSpec, t: float) -> ResidualRep
     if model is ModelKind.CompressibleMHD and not mode.root.neutral:
         div_amp = abs((lam_p * lam_p - 1.0) * amp("q") / (rho * s))
 
-    def d(i, F):  # d_i F on the tau = 0 column
-        return _d1(F, h1p) if i == 0 else (o2, o3)[i - 1] * dtau * F
-
-    def div(F):
-        return d(0, F[0]) + d(1, F[1]) + d(2, F[2])
-
-    q = coef["q"] * decay["plasma"]
-    v = [coef[f"v{i + 1}"] * decay["plasma"] for i in range(3)]
-    H = [coef[f"H{i + 1}"] * decay["plasma"] for i in range(3)] if mhd else None
-    interior = {}
+    # d_i (F e) as coefficients (a, b) of e and D1e: (0, F) for i = 1, else (td_i F, 0)
+    td = (0.0, o2 * dtau, o3 * dtau)
+    cq, cv = coef["q"], [coef[f"v{i + 1}"] for i in range(3)]
+    cH = [coef[f"H{i + 1}"] for i in range(3)] if mhd else None
+    rows = {}  # equation -> (a, b, yardsticks); its residual is a e + b D1e
     for i in range(3):
-        res = rho * Dt * v[i]
+        a = rho * Dt * cv[i] + td[i] * cq
         scales = (rho * n * s * av[i],)
         if mhd:
-            res -= wp * dtau * H[i]
+            a -= wp * dtau * cH[i]
             scales += (n * wp * aH[i],)
-        res += d(i, q)
-        interior[f"momentum_{i + 1}"] = _rel(_sup(res), *scales, n * gmag[i] * aq)
-    div_v = div(v)
+        rows[f"momentum_{i + 1}"] = (a, cq if i == 0 else 0.0, scales + (n * gmag[i] * aq,))
+    div_a, div_b = td[1] * cv[1] + td[2] * cv[2], cv[0]
     if mhd:
         for i in range(3):
-            res = Dt * H[i] - wp * dtau * v[i]
+            a, b = Dt * cH[i] - wp * dtau * cv[i], 0.0
             scales = (n * s * aH[i], n * wp * av[i])
             if model.is_compressible:
-                res += Hhat[i] * div_v
+                a, b = a + Hhat[i] * div_a, Hhat[i] * div_b
                 scales += (Hhat[i] * n * div_amp, Hhat[i] * max(div_scales))
-            interior[f"induction_{i + 1}"] = _rel(_sup(res), *scales)
+            rows[f"induction_{i + 1}"] = (a, b, scales)
     if model.is_compressible:
-        tot_amp = amp("q")
-        if mhd:
-            tot_amp = tot_amp - Hhat[1] * amp("H2") - Hhat[2] * amp("H3")
         K = rho * c * c
-        res = Dt * (q - Hhat[1] * H[1] - Hhat[2] * H[2] if mhd else q) + K * div_v
-        scales = (n * s * abs(tot_amp), K * n * div_amp, K * max(div_scales))
-        interior["continuity"] = _rel(_sup(res), *scales)
+        tot = cq - Hhat[1] * cH[1] - Hhat[2] * cH[2] if mhd else cq
+        scales = (n * s * abs(tot), K * n * div_amp, K * max(div_scales))
+        rows["continuity"] = (Dt * tot + K * div_a, K * div_b, scales)
     else:
-        interior["divergence"] = _rel(_sup(div_v), *div_scales)
+        rows["divergence"] = (div_a, div_b, div_scales)
     if mhd:
-        interior["magnetic_divergence"] = _rel(
-            _sup(div(H)), *(n * gmag[i] * aH[i] for i in range(3))
-        )
-        xi = coef["xi"] * decay["vacuum"]
-        lap = _d2_edge(xi, h1m) + dtau2 * xi
-        interior["vacuum_laplace"] = _rel(_sup(lap), n * n * abs(amp("xi")))
+        div_H = td[1] * cH[1] + td[2] * cH[2]
+        rows["magnetic_divergence"] = (div_H, cH[0], tuple(n * gmag[i] * aH[i] for i in range(3)))
+    e = decay["plasma"]
+    ab = np.array([row[:2] for row in rows.values()], dtype=complex)
+    sups = np.abs(ab[:, :1] * e + ab[:, 1:] * _d1(e, h1p)).max(axis=1).tolist()
+    interior = {name: _rel(sup, *row[2]) for (name, row), sup in zip(rows.items(), sups)}
+    if mhd:
+        ev = decay["vacuum"]
+        lap = abs(coef["xi"]) * _sup(_d2_edge(ev, h1m) + dtau2 * ev)
+        interior["vacuum_laplace"] = _rel(lap, n * n * abs(amp("xi")))
 
     # boundary conditions: purely algebraic in the amplitudes
     a, a0, a1 = state.a_hat, state.a0_hat, state.a1_hat

@@ -43,10 +43,13 @@ def green_identity_check(k: float, quadrature_points: int) -> GreenIdentityResul
             f"{quadrature_points} radial points under-resolve k={k:g}; "
             f"need at least {needed} (16 per wavelength)"
         )
-    lhs = math.pi * math.sinh(k) * math.cosh(k)
     x1 = np.linspace(-1.0, 0.0, int(quadrature_points))
     # per-period tangential averages: int cos^2 = int sin^2 = pi / k
-    integrand = (math.pi / k) * (k * k) * np.cosh(2.0 * k * (x1 + 1.0))
-    rhs = float(np.trapezoid(integrand, x1))
+    with np.errstate(over="ignore"):
+        integrand = (math.pi / k) * (k * k) * np.cosh(2.0 * k * (x1 + 1.0))
+        rhs = float(np.trapezoid(integrand, x1))
+    if rhs == math.inf:  # pi k cosh(2k) overflows from k ~ 351.4, before lhs does
+        raise DomainError(f"k={k!r} is too large: the quadrature overflows double precision")
+    lhs = math.pi * math.sinh(k) * math.cosh(k)
     gap = abs(lhs - rhs) / abs(lhs)
     return GreenIdentityResult(lhs=lhs, rhs=rhs, relative_gap=gap)

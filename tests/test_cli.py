@@ -434,6 +434,8 @@ def test_malformed_value_exits_one_without_traceback(tmp_path, command, section,
             ["hadamard", "{cfg}", "--t", "nan", "--out", "{out}"], EULER, id="hadamard-nan-t"
         ),
         pytest.param(["green", "--k", "inf"], None, id="green-inf-k"),
+        pytest.param(["green", "--k", "400", "--points", "3000"], None, id="green-k-400"),
+        pytest.param(["green", "--k", "800", "--points", "5000"], None, id="green-k-800"),
     ],
 )
 def test_bad_input_exits_one_without_traceback(tmp_path, argv, config_bytes):
@@ -492,6 +494,19 @@ class TestHadamardCommand:
         lines = (out / "fields_plasma.csv").read_text().splitlines()
         assert lines[0].startswith("x1,x2,")
         assert len(lines) > 100
+
+    def test_untruncatable_first_n_skips_the_residuals(self, tmp_path, capsys):
+        # at n = 1 the README state's mode keeps exp(-17.9) at the depth cap
+        cfg = tmp_path / "readme.ini"
+        cfg.write_text(
+            "model = CompressibleMHD\nc_hat = 2.0\na_hat = 1.0\na0_hat = 0.2\na1_hat = 0.7\n"
+            "H_plasma_2 = 0.6\nH_plasma_3 = 0.8\nH_vacuum_2 = 1.2\nH_vacuum_3 = 1.6\n"
+        )
+        out = tmp_path / "dump"
+        assert main(["hadamard", str(cfg), "--n-list", "1", "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert err.startswith("note: skipping field dump and residuals: plasma truncation")
+        assert sorted(f.name for f in out.iterdir()) == ["growth.csv"]
 
     def test_unwritable_output_exits_one(self, euler_cfg, capsys):
         assert main(["hadamard", euler_cfg, "--out", "/dev/null/x"]) == 1

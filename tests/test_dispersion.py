@@ -190,6 +190,40 @@ def test_cleared_polynomial_matches_hand_expansion(model):
 
 # ------------------------------------------------------------- determinants
 
+SCALE_STATE = BasicState(
+    rho_hat=1.3, c_hat=2.0, a_hat=1.0, a0_hat=-0.2, a1_hat=0.7,
+    H_plasma=(0.6, 0.8), H_vacuum=(1.2, -0.5),
+)
+SCALE_OMEGA = Wavevector(0.6, 0.8)
+
+
+def termwise_magnitude(model, state, omega, s, n):
+    """The determinant's termwise magnitude, written out term by term."""
+    rho, c, a, a0, a1 = state.rho_hat, state.c_hat, state.a_hat, state.a0_hat, state.a1_hat
+    wp, wm = w_pair(state, omega)
+    if model is ModelKind.CompressibleEuler:
+        g = cmath.sqrt(1.0 + (s / c) ** 2)
+    elif model is ModelKind.CompressibleMHD:
+        alpha = c**2 + alfven_speed(state) ** 2
+        g = cmath.sqrt(1.0 + s**4 / (alpha * s * s + c**2 * wp * wp / rho))
+    else:
+        g = 1.0
+    if not model.is_mhd:
+        return max(n * abs(s) ** 2 + abs(a0 * s) + abs(a / rho) * abs(g), 1e-300)
+    P = rho * abs(s) ** 2 + wp * wp
+    Bmag = n * wm * wm + abs(a + 1j * wm * a1)
+    return max(n * abs(s) * P + abs(a0) * P + abs(s) * Bmag * abs(g), 1e-300)
+
+
+@pytest.mark.parametrize("model", list(ModelKind))
+def test_scale_is_the_termwise_magnitude(model):
+    fluid = replace(SCALE_STATE, a1_hat=0.0, H_plasma=(0.0, 0.0), H_vacuum=(0.0, 0.0))
+    state = SCALE_STATE if model.is_mhd else fluid
+    for s in (0.3 + 0.2j, -0.7j, 1.5 + 0j, 1e-3 + 2.0j, -4.0 - 0.5j, 0j):
+        for n in (1, 7, 100, 10**6):
+            want = termwise_magnitude(model, state, SCALE_OMEGA, s, n)
+            assert dispersion_scale(model, state, SCALE_OMEGA, s, n) == want
+
 
 def test_determinant_worked_values():
     dv = dispersion_eval(ModelKind.IncompressibleEuler, BasicState(a_hat=1.0), OM, 0.1, 100)

@@ -430,7 +430,7 @@ class TestPdeResidualFd:
             assert early.interior[k] == pytest.approx(late.interior[k], rel=1e-6)
 
     def test_peak_memory_is_linear_in_points_per_direction(self):
-        # the check works on 1-D factors: memory is O(mp + mt), not O(mp mt)
+        # the check works on x1 factors: memory is O(mp + mm), whatever mt is
         mode = top_mode(M.CompressibleMHD, ALIGNED_COMP, OM, 25)
 
         def peak(points):
@@ -445,7 +445,7 @@ class TestPdeResidualFd:
 
         small = peak((511, 511, 32))
         assert peak((2045, 2045, 32)) < 2 * 2**20
-        assert peak((511, 511, 4096)) <= 2 * small
+        assert peak((511, 511, 4096)) <= 1.1 * small
 
 
 def special_complex(rng, rows, cols):

@@ -252,6 +252,20 @@ def test_polish_evaluates_each_iterate_once_and_the_gate_none(monkeypatch):
     check()
 
 
+@pytest.mark.parametrize("model", list(ModelKind))
+def test_overflowing_scale_ends_the_polish_without_a_root(model):
+    """|s|^2 overflows at |s| = 1e160, so no termwise magnitude exists there:
+    the scale raises, and the polish reports an infinite residual that the
+    gate rejects instead of a nan value over an infinite scale."""
+    state = aligned_state(a_hat=1.0, c_hat=2.0) if model.is_mhd else BasicState(a_hat=1.0, c_hat=2.0)
+    s = 1e160 * (0.6 + 0.8j)
+    with pytest.raises(OverflowError):
+        dispersion_scale(model, state, PERP, s, 7)
+    best, residual = newton_refine(model, state, PERP, s, 7)
+    assert best == s and math.isinf(residual)
+    assert _finish_root(model, state, PERP, best, residual, 7) is None
+
+
 # ------------------------------------------------------- branch prefilter
 
 COMPRESSIBLE = [ModelKind.CompressibleEuler, ModelKind.CompressibleMHD]

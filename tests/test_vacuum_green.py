@@ -50,6 +50,19 @@ class TestGreenIdentity:
         with pytest.raises(DomainError, match="16k/pi finite"):
             green_identity_check(k, 256)
 
+    # pi sinh(2k)/2 overflows above k ~ 355, the quadrature's pi k cosh(2k)
+    # a little earlier, near k = 351.4; k = 351 must not raise too early
+    @pytest.mark.parametrize(
+        "k, points, overflows", [(351.0, 3000, False), (351.5, 3000, True), (400.0, 3000, True), (800.0, 5000, True)]
+    )
+    def test_k_overflows_at_the_quadrature_limit(self, k, points, overflows):
+        if overflows:
+            with pytest.raises(DomainError, match="overflows double precision"):
+                green_identity_check(k, points)
+        else:
+            result = green_identity_check(k, points)
+            assert math.isfinite(result.lhs) and math.isfinite(result.rhs)
+
     @settings(max_examples=30)
     @given(k=st.floats(min_value=0.5, max_value=30.0))
     def test_gap_follows_trapezoid_error_model(self, k):
