@@ -9,7 +9,6 @@ The numeric path must reproduce the algebraic verdict or fail loudly.
 """
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 import warnings
@@ -161,22 +160,42 @@ class SweepSpec:
     def points(self):
         """States in row-major order (last axis varies fastest).
 
-        Each point starts from the base state's constructor arguments and
-        replaces only the swept fields; an H_*_2/3 axis rebuilds just that
-        one tuple. Every point is still built, and so validated, by
-        BasicState, and an invalid value fails on its own point.
+        Each point starts from the base state's fields and replaces only the
+        swept ones; an H_*_2/3 axis rebuilds just that one tuple. BasicState
+        checks each field on its own, so each axis value is checked once:
+        a point that holds a value no earlier point held is built by
+        BasicState, and every other point is made, unchecked, from the
+        values those built states converted. Values are told apart by their
+        index on the axis, never by ==, so 0.0 and -0.0 stay distinct. An
+        invalid value fails on the first point that holds it, with
+        BasicState's own error, after the points before it were yielded.
         """
-        kwargs = {f.name: getattr(self.base, f.name) for f in dataclasses.fields(BasicState)}
         slots = [FIELD_SLOTS[name] for name, _ in self.axes]
-        for values in itertools.product(*(values for _, values in self.axes)):
-            for (attr, index), value in zip(slots, values):
-                if index is None:
-                    kwargs[attr] = value
+        axes = [tuple(values) for _, values in self.axes]
+        checked = [[] for _ in axes]  # per axis, the converted values by index
+        fields = vars(self.base).copy()
+        for indices in itertools.product(*(range(len(values)) for values in axes)):
+            fresh = False
+            for (attr, index), values, done, i in zip(slots, axes, checked, indices):
+                if i < len(done):
+                    value = done[i]
                 else:
-                    vec = list(kwargs[attr])
-                    vec[index] = value
-                    kwargs[attr] = tuple(vec)
-            yield BasicState(**kwargs)
+                    value, fresh = values[i], True
+                if index is None:
+                    fields[attr] = value
+                else:
+                    vec = fields[attr]
+                    fields[attr] = (value, vec[1]) if index == 0 else (vec[0], value)
+            if fresh:
+                state = BasicState(**fields)
+                fields = vars(state).copy()
+                for (attr, index), done, i in zip(slots, checked, indices):
+                    if i == len(done):
+                        done.append(fields[attr] if index is None else fields[attr][index])
+            else:
+                state = object.__new__(BasicState)
+                vars(state).update(fields)
+            yield state
 
 
 def sweep(model: ModelKind, grid: SweepSpec):

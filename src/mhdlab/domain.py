@@ -58,7 +58,10 @@ class Verdict(enum.Enum):
 
 
 def _finite(name: str, value: float) -> float:
-    value = float(value)
+    try:
+        value = float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"{name} must be a finite real number: {exc}") from None
     if not math.isfinite(value):
         raise DomainError(f"{name} must be finite, got {value!r}")
     return value
@@ -107,17 +110,23 @@ class BasicState:
             raise DomainError(f"c_hat must be > 0, got {self.c_hat}")
         for name in ("H_plasma", "H_vacuum"):
             vec = getattr(self, name)
-            if len(vec) != 2:
+            try:
+                first, second = vec[0], vec[1]
+                two = len(vec) == 2
+            except (TypeError, LookupError):
+                two = False
+            if not two:
                 raise DomainError(f"{name} must have two components")
-            object.__setattr__(
-                self, name, (_finite(name, vec[0]), _finite(name, vec[1]))
-            )
+            object.__setattr__(self, name, (_finite(name, first), _finite(name, second)))
         for name in ("a_hat", "a0_hat", "a1_hat"):
             object.__setattr__(self, name, _finite(name, getattr(self, name)))
 
     @classmethod
     def from_fields(cls, values) -> "BasicState":
         """State from flat STATE_FIELDS names; missing names keep the defaults."""
+        unknown = [name for name in values if name not in FIELD_SLOTS]
+        if unknown:
+            raise DomainError(f"unknown state fields: {unknown}; valid: {list(STATE_FIELDS)}")
         kwargs = {}
         for name, value in values.items():
             attr, index = FIELD_SLOTS[name]

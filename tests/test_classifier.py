@@ -1,7 +1,7 @@
 """Verdict trichotomy, numeric confirmation and sweep bookkeeping."""
 import itertools
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -271,13 +271,18 @@ def sweep_axes(draw):
     return tuple(axes)
 
 
-@given(base=states(), axes=sweep_axes())
-def test_sweep_points_equal_states_built_from_all_fields(base, axes):
+def built_from_all_fields(base, axes):
+    """The grid's states, each built directly from all of its flat fields."""
     names = [name for name, _ in axes]
-    want = [
+    return [
         BasicState.from_fields({**base.fields(), **dict(zip(names, values))})
         for values in itertools.product(*(values for _, values in axes))
     ]
+
+
+@given(base=states(), axes=sweep_axes())
+def test_sweep_points_equal_states_built_from_all_fields(base, axes):
+    want = built_from_all_fields(base, axes)
     got = list(SweepSpec(base=base, axes=axes).points())
     assert got == want
     # == does not see the sign of zero; repr does
@@ -290,6 +295,10 @@ def test_sweep_points_equal_states_built_from_all_fields(base, axes):
         ((("a_hat", (0.0, 1.0)), ("rho_hat", (1.0, 2.0, -1.0))), 2),
         ((("a0_hat", (0.0, 1.0)), ("c_hat", (1.0, math.nan))), 1),
         ((("a1_hat", (0.0, 1.0)), ("H_vacuum_3", (0.5, math.inf))), 1),
+        # the slowest axis's invalid value is first reached after a full inner row
+        ((("rho_hat", (1.0, -1.0)), ("a_hat", (0.0, 1.0, 2.0))), 3),
+        # two invalid fields on one point: BasicState's field order picks the message
+        ((("a_hat", (math.inf, 0.0)), ("c_hat", (-1.0, 1.0))), 0),
     ],
 )
 def test_sweep_validates_every_point(axes, first_bad):
@@ -305,3 +314,32 @@ def test_sweep_validates_every_point(axes, first_bad):
     assert str(swept.value) == str(direct.value)
     # the points before the invalid one were built
     assert len(built) == first_bad
+
+
+def test_sweep_checks_each_axis_value_once(monkeypatch):
+    base = collinear_state(a1_hat=0.5)
+    axes = (
+        ("rho_hat", (np.float64(2.0), 0.5)),
+        ("a_hat", (1, -1.5, 0.0, -0.0)),
+        ("H_plasma_3", (np.float64(0.25), -0.0, 2)),
+    )
+    want = built_from_all_fields(base, axes)
+    post_init = BasicState.__post_init__
+    checked = []
+
+    def counted_post_init(self):
+        checked.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(BasicState, "__post_init__", counted_post_init)
+    got = list(SweepSpec(base=base, axes=axes).points())
+    assert len(checked) <= 1 + sum(len(values) for _, values in axes)
+    unchecked = [(g, w) for g, w in zip(got, want) if not any(g is c for c in checked)]
+    assert len(unchecked) == len(want) - len(checked)
+    for state, expected in unchecked:
+        assert state == expected
+        assert hash(state) == hash(expected)
+        assert repr(state) == repr(expected)
+        with pytest.raises(FrozenInstanceError):
+            state.a_hat = 3.0
+        assert replace(state, a0_hat=3.0) == replace(expected, a0_hat=3.0)

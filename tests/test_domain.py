@@ -28,10 +28,31 @@ def test_state_defaults_are_quiescent():
     assert st_default.a_hat == 0.0
 
 
-@pytest.mark.parametrize("field,value", [("rho_hat", 0.0), ("rho_hat", -1.0), ("c_hat", 0.0), ("c_hat", math.nan), ("a_hat", math.inf)])
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("rho_hat", 0.0),
+        ("rho_hat", -1.0),
+        ("c_hat", 0.0),
+        ("c_hat", math.nan),
+        ("a_hat", math.inf),
+        ("rho_hat", None),
+        pytest.param("rho_hat", 10**400, id="rho_hat-10**400"),
+        ("a0_hat", "x"),
+        ("H_plasma", 1.0),
+        pytest.param("H_vacuum", (1.0,), id="H_vacuum-one-component"),
+        pytest.param("H_vacuum", (1.0, None), id="H_vacuum-None-component"),
+    ],
+)
 def test_state_rejects_nonphysical_values(field, value):
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=field):
         BasicState(**{field: value})
+
+
+def test_from_fields_rejects_unknown_names():
+    with pytest.raises(DomainError, match="rho") as err:
+        BasicState.from_fields({"rho": 1.0})
+    assert str(list(STATE_FIELDS)) in str(err.value)
 
 
 @given(states())
@@ -50,6 +71,11 @@ def test_from_fields_keeps_defaults_for_missing_names():
 def test_wavevector_rejects_zero():
     with pytest.raises(DomainError):
         Wavevector(0.0, 0.0)
+
+
+def test_wavevector_rejects_non_numbers():
+    with pytest.raises(DomainError, match="omega3"):
+        Wavevector(1.0, None)
 
 
 @given(wavevectors())
