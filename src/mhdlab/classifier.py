@@ -145,15 +145,19 @@ class SweepSpec:
     max_points: int = 100_000
 
     def __post_init__(self):
-        names = [name for name, _ in self.axes]
+        if not isinstance(self.base, BasicState):
+            raise ConfigError(f"sweep base must be a BasicState, got {type(self.base).__name__}")
+        try:
+            names = [name for name, _ in self.axes]
+            sizes = [len(values) for _, values in self.axes]
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"sweep axes must be (name, values) pairs: {exc}") from None
         unknown = [n for n in names if n not in STATE_FIELDS]
         if unknown:
             raise ConfigError(f"unknown sweep axes: {unknown}; valid: {sorted(STATE_FIELDS)}")
         if len(set(names)) != len(names):
             raise ConfigError(f"duplicate sweep axes in {names}")
-        total = 1
-        for _, values in self.axes:
-            total *= len(values)
+        total = math.prod(sizes)
         if total > self.max_points:
             raise ConfigError(f"sweep has {total} points, exceeding max_points={self.max_points}")
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -77,6 +77,8 @@ class ModeSymbol:
     c1: complex
     alpha: float
     beta: float
+    # root sets solve_dispersion computed on this symbol, keyed by int n
+    solved: dict = field(default_factory=dict, compare=False, repr=False)
 
     def g(self, s: complex):
         """Radical factor g(s) and dg/ds on the principal branch.
@@ -348,8 +350,10 @@ def _series_families(sym: ModeSymbol) -> list:
 
 # The last symbol built and the (model, state, omega) objects it came from:
 # the solver evaluates one symbol many times through the public functions
-# below. Matched by identity, since states equal up to the sign of a zero
-# field must not share a symbol; the held references keep ids from reuse.
+# below, and the symbol carries the root sets solve_dispersion stored on it
+# across public calls (growth_ratio reuses the solves of the modes it
+# amplifies). Matched by identity, since states equal up to the sign of a
+# zero field must not share a symbol; the held references keep ids from reuse.
 _last_symbol = (None, None, None, None)
 
 

@@ -440,9 +440,15 @@ def growth_ratio(
     is exactly exp(n Re s t); log_ratio carries that value even when the
     ratio itself overflows (ratio is then inf).
     """
-    ns = [int(n) for n in n_list]
-    if any(b <= a for a, b in zip(ns, ns[1:])) or min(ns, default=1) < 1:
-        raise DomainError(f"n_list must be strictly increasing with every n >= 1, got {ns}")
+    given = list(n_list)
+    try:
+        ns = [int(n) for n in given]
+    except (TypeError, ValueError, OverflowError):
+        ns = None
+    if not ns or ns != given or any(b <= a for a, b in zip(ns, ns[1:])) or ns[0] < 1:
+        raise DomainError(
+            f"n_list must be nonempty integers, strictly increasing with every n >= 1, got {given}"
+        )
     _finite("t", t)
     out = []
     for n in ns:

@@ -18,7 +18,7 @@ _BRANCH_MARGIN times |A - B g|) cannot polish onto a root of A + B g = 0 and
 is not polished. The branch test never drops an asymptotic seed, an exact
 zero, a candidate of the incompressible models (which have no radical) or a
 candidate where g(s) raises BranchPointError; those go through Newton and
-the gate as before.
+the gate as before (an exact zero is polished only if it fails the gate).
 """
 from __future__ import annotations
 
@@ -42,6 +42,8 @@ _DEDUPE_TOL = 1e-9
 # a polynomial candidate this many times closer to the other branch
 # A - B g = 0 than to A + B g = 0 is not polished
 _BRANCH_MARGIN = 1e3
+# a symbol keeps the root sets of this many n; the oldest goes first
+_SOLVED_PER_SYMBOL = 8
 
 
 @dataclass(frozen=True)
@@ -134,10 +136,15 @@ def root_sort_key(root: ModeRoot):
 
 
 def solve_dispersion(model: ModelKind, state: BasicState, omega: Wavevector, n: int) -> list:
-    """All residual-verified roots of the determinant, most unstable first."""
+    """All residual-verified roots of the determinant, most unstable first;
+    a repeated int n on one symbol returns a fresh list of its stored roots."""
     sym = mode_symbol(model, state, omega)
     if n < 1:
         raise ValueError(f"mode index must be >= 1, got {n}")
+    # only an int n is stored, so 25.0 or True gets roots that carry it
+    key = n if type(n) is int else None
+    if key in sym.solved:
+        return list(sym.solved[key])
     candidates = [
         c for c in _poly_candidates(sym.polynomial(n)) if c == 0 or not _wrong_branch(sym, c, n)
     ]
@@ -147,9 +154,10 @@ def solve_dispersion(model: ModelKind, state: BasicState, omega: Wavevector, n: 
         candidates.extend(fam.evaluate(n) for fam in sym.families)
     roots: list[ModeRoot] = []
     for cand in candidates:
-        if cand == 0:
-            s, residual = cand, _residual(model, state, omega, cand, n)[1]
-        else:
+        # an exact zero is polished only when it fails the gate: then the
+        # constant term underflowed or fell below the companion's rounding
+        s, residual = cand, (_residual(model, state, omega, cand, n)[1] if cand == 0 else math.inf)
+        if not residual <= RESIDUAL_TOLERANCE:
             s, residual = newton_refine(model, state, omega, cand, n)
         made = _finish_root(model, state, omega, s, residual, n)
         if made is None:
@@ -161,6 +169,10 @@ def solve_dispersion(model: ModelKind, state: BasicState, omega: Wavevector, n: 
         elif made.residual < roots[dup].residual:
             roots[dup] = made
     roots.sort(key=root_sort_key)
+    if key is not None:
+        if len(sym.solved) >= _SOLVED_PER_SYMBOL:
+            del sym.solved[next(iter(sym.solved))]
+        sym.solved[key] = tuple(roots)
     return roots
 
 

@@ -219,6 +219,11 @@ def test_sweep_rejects_unknown_axis_before_work():
         SweepSpec(base=BasicState(), axes=(("a_hatt", (1.0,)),))
     with pytest.raises(ConfigError):
         SweepSpec(base=BasicState(), axes=(("a_hat", (1.0,)), ("a_hat", (2.0,))))
+    for axes in [(("a_hat", 1.0),), (("a_hat",),), (("a_hat", (1.0,), "x"),), ((["a_hat"], (1.0,)),)]:
+        with pytest.raises(ConfigError):
+            SweepSpec(base=BasicState(), axes=axes)
+    with pytest.raises(ConfigError, match="BasicState"):
+        SweepSpec(base={"a_hat": 1.0}, axes=(("a_hat", (1.0,)),))
 
 
 def test_sweep_size_guard():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from mhdlab import hadamard
+from mhdlab import roots as roots_module
 from mhdlab.dispersion import boundary_matrix, mode_symbol
 from mhdlab.domain import BasicState, ModeRoot, ModelKind, Wavevector
 from mhdlab.errors import DomainError, GridError, NotARootError, ResonanceError
@@ -609,11 +610,20 @@ class TestGrowthRatio:
             assert not entry.admissible_found
             assert entry.ratio == 1.0 and entry.log_ratio == 0.0
 
+    def test_reuses_the_solves_made_on_the_same_objects(self, monkeypatch):
+        state, ns = BasicState(a_hat=1.0), (25, 100)
+        tops = [dominant_root(solve_dispersion(M.IncompressibleEuler, state, OM, n)) for n in ns]
+        monkeypatch.setattr(roots_module, "_poly_candidates", None)  # a new solve would raise
+        entries = growth_ratio(M.IncompressibleEuler, state, OM, list(ns), 1.0)
+        assert [e.log_ratio for e in entries] == [n * top.s.real for n, top in zip(ns, tops)]
+
     def test_decreasing_n_list_is_rejected(self):
         with pytest.raises(ValueError):
             growth_ratio(M.IncompressibleEuler, EULER_STATE, OM, [100, 50], 1.0)
 
-    @pytest.mark.parametrize("n_list", [[100, 25], [25, 25], [0, 25], [-3]])
+    @pytest.mark.parametrize(
+        "n_list", [[100, 25], [25, 25], [0, 25], [-3], [], [25.5, 100], [25, math.nan]]
+    )
     def test_bad_n_list_is_a_domain_error(self, n_list):
         with pytest.raises(DomainError, match="strictly increasing with every n >= 1"):
             growth_ratio(M.IncompressibleEuler, EULER_STATE, OM, n_list, 1.0)

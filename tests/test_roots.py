@@ -270,6 +270,14 @@ def test_overflowing_scale_ends_the_polish_without_a_root(model):
 
 COMPRESSIBLE = [ModelKind.CompressibleEuler, ModelKind.CompressibleMHD]
 
+# a0^2 underflows, so the cleared polynomial's constant term is exactly 0 and
+# the deflated candidate s = 0 fails the gate beside a root at s ~ 3.6e-241
+UNDERFLOW_STATE = BasicState(
+    rho_hat=0.5, c_hat=1.0, H_plasma=(1.0, 0.0),
+    H_vacuum=(0.5403023058681398, 0.8414709848078965),
+    a_hat=0.0, a0_hat=4.6128174235949784e-241, a1_hat=0.0,
+)
+
 
 def skipped_candidates(model, state, omega, n):
     sym = mode_symbol(model, state, omega)
@@ -288,6 +296,7 @@ def compressible_cases(draw):
 
 
 @given(compressible_cases())
+@example((ModelKind.CompressibleMHD, UNDERFLOW_STATE, OM, 1))
 @settings(max_examples=150)
 def test_skipped_candidates_polish_onto_no_new_root(case):
     """A candidate the branch test skips, polished and gated anyway, gives
@@ -310,6 +319,15 @@ def test_skipped_candidates_polish_onto_no_new_root(case):
         expected = oracle.oracle_roots(model.value, sd, om, n)
         beyond = oracle.beyond_double(model.value, sd, om, n, expected)
         assert any(abs(made.s - r) <= oracle.ROOT_MATCH_TOL * (1 + abs(r)) for r in beyond), made
+
+
+def test_an_exact_zero_that_fails_the_gate_is_polished():
+    model = ModelKind.CompressibleMHD
+    assert 0 in _poly_candidates(mode_symbol(model, UNDERFLOW_STATE, OM).polynomial(1))
+    assert not roots_module._residual(model, UNDERFLOW_STATE, OM, 0j, 1)[1] <= RESIDUAL_TOLERANCE
+    (root,) = solve_dispersion(model, UNDERFLOW_STATE, OM, 1)
+    assert root.s == pytest.approx(3.570495017937298e-241, rel=1e-12)
+    assert root.admissible and not root.neutral and root.residual <= RESIDUAL_TOLERANCE
 
 
 def test_wrong_branch_candidates_are_skipped():
@@ -603,3 +621,67 @@ def test_scan_rejects_doubly_orthogonal_direction():
     state = BasicState(H_plasma=(1.0, 0.0), H_vacuum=(2.0, 0.0))
     with pytest.raises(DomainError):
         scan_s0(state, [Wavevector(0.0, 1.0)], 1e-8)
+
+
+# ------------------------------------------------------- stored root sets
+
+
+def readme_state():
+    """A fresh object each call: the store is matched by identity."""
+    return BasicState(
+        rho_hat=1.0, c_hat=2.0, H_plasma=(0.6, 0.8), H_vacuum=(1.2, 1.6),
+        a_hat=1.0, a0_hat=0.2, a1_hat=0.7,
+    )
+
+
+def test_a_repeated_solve_is_a_fresh_copy_made_without_polishing(monkeypatch):
+    model, state = ModelKind.CompressibleMHD, readme_state()
+    first = solve_dispersion(model, state, OM, 100)
+    assert first
+    starts = record_polish(monkeypatch)
+    again = solve_dispersion(model, state, OM, 100)
+    assert starts == []
+    assert again is not first and repr(again) == repr(first)
+    again.clear()
+    assert repr(solve_dispersion(model, state, OM, 100)) == repr(first)
+
+
+def test_an_equal_state_that_is_another_object_solves_again(monkeypatch):
+    model, state = ModelKind.CompressibleMHD, readme_state()
+    first = solve_dispersion(model, state, OM, 100)
+    other = readme_state()
+    assert other == state and other is not state
+    starts = record_polish(monkeypatch)
+    assert repr(solve_dispersion(model, other, OM, 100)) == repr(first)
+    assert starts
+
+
+def test_each_n_type_gets_roots_that_carry_it():
+    state = BasicState(a_hat=1.0)
+    for n in (25, 25.0, np.int64(25), True, 25, 25.0, True, 1):
+        got = solve_dispersion(ModelKind.IncompressibleEuler, state, OM, n)
+        assert got and all(type(r.n) is type(n) and r.n == n for r in got), (n, got)
+
+
+def test_a_failed_solve_stores_nothing(monkeypatch):
+    model, state = ModelKind.CompressibleMHD, readme_state()
+
+    def failing(coeffs):
+        raise np.linalg.LinAlgError("no convergence")
+
+    monkeypatch.setattr(roots_module, "_poly_candidates", failing)
+    with pytest.raises(np.linalg.LinAlgError):
+        solve_dispersion(model, state, OM, 100)
+    assert mode_symbol(model, state, OM).solved == {}
+    monkeypatch.undo()
+    assert repr(solve_dispersion(model, state, OM, 100)) == repr(
+        solve_dispersion(model, readme_state(), OM, 100)
+    )
+
+
+def test_a_symbol_keeps_only_its_last_root_sets():
+    model, state = ModelKind.IncompressibleEuler, BasicState(a_hat=1.0)
+    for n in range(1, 21):
+        solve_dispersion(model, state, OM, n)
+    kept = roots_module._SOLVED_PER_SYMBOL
+    assert list(mode_symbol(model, state, OM).solved) == list(range(21 - kept, 21))
