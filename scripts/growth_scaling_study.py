@@ -18,7 +18,7 @@ import math
 import sys
 
 from mhdlab.domain import BasicState, ModelKind, Wavevector
-from mhdlab.roots import fit_scaling, solve_dispersion
+from mhdlab.roots import dominant_root, fit_scaling, solve_dispersion
 
 WITNESS = Wavevector(0.0, 1.0)  # perpendicular to the (1, 0)-aligned fields
 
@@ -50,9 +50,8 @@ def main(argv=None):
             for rho_hat in args.rho_hat:
                 state = build_state(model, a_hat, rho_hat)
                 for n in n_grid:
-                    adm = [r for r in solve_dispersion(model, state, WITNESS, n)
-                           if r.admissible]
-                    re_s = max(r.s.real for r in adm) if adm else float("nan")
+                    best = dominant_root(solve_dispersion(model, state, WITNESS, n))
+                    re_s = best.s.real if best is not None else float("nan")
                     rows.append((model.value, a_hat, rho_hat, n, re_s))
                 fit = fit_scaling(model, state, WITNESS, n_grid)
                 fits.append((model.value, a_hat, rho_hat, fit))

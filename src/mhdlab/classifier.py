@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .domain import (
     FIELD_SLOTS, STATE_FIELDS, BasicState, Classification, ModelKind, Verdict, Wavevector,
@@ -121,19 +121,8 @@ def numeric_classify(
             analytic=analytic,
             fits=tuple(fits),
         )
-    if matching:
-        evidence = min(matching, key=lambda f: f.rms_log_error)
-    elif fits:
-        evidence = min(fits, key=lambda f: f.rms_log_error)
-    else:
-        evidence = None
-    return Classification(
-        verdict=analytic.verdict,
-        collinear=analytic.collinear,
-        rt_sign_ok=analytic.rt_sign_ok,
-        witness=analytic.witness,
-        evidence=evidence,
-    )
+    evidence = min(matching or fits, key=lambda f: f.rms_log_error, default=None)
+    return replace(analytic, evidence=evidence)
 
 
 @dataclass(frozen=True)

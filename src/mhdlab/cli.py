@@ -16,8 +16,6 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .classifier import SweepSpec, classify_frozen, numeric_classify, sweep
 from .config import Config, load_config, parse_grid
 from .domain import Wavevector
@@ -34,27 +32,28 @@ from .vacuum_green import green_identity_check
 
 DEFAULT_N_GRID = (100, 1000, 10000)
 
-ROOTS_COLUMNS = (
-    "n",
-    "omega2",
-    "omega3",
-    "re_s",
-    "im_s",
-    "re_lambda_plus",
-    "im_lambda_plus",
-    "re_lambda_minus",
-    "im_lambda_minus",
-    "residual",
-    "admissible",
-    "neutral",
-)
+# the roots CSV: each column and its cell for one root along omega
+ROOTS_COLUMNS = {
+    "n": lambda omega, root: root.n,
+    "omega2": lambda omega, root: omega.omega2,
+    "omega3": lambda omega, root: omega.omega3,
+    "re_s": lambda omega, root: root.s.real,
+    "im_s": lambda omega, root: root.s.imag,
+    "re_lambda_plus": lambda omega, root: root.lambda_plus.real,
+    "im_lambda_plus": lambda omega, root: root.lambda_plus.imag,
+    "re_lambda_minus": lambda omega, root: root.lambda_minus.real,
+    "im_lambda_minus": lambda omega, root: root.lambda_minus.imag,
+    "residual": lambda omega, root: root.residual,
+    "admissible": lambda omega, root: root.admissible,
+    "neutral": lambda omega, root: root.neutral,
+}
 
 
 def fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
+    if isinstance(value, int):
+        return str(value)
     x = float(value)
     if x == 0.0:
         x = 0.0  # canonicalize the sign of zero
@@ -110,21 +109,7 @@ def cmd_roots(args) -> int:
             status = 3
             continue
         for root in roots:
-            cells = (
-                n,
-                omega.omega2,
-                omega.omega3,
-                root.s.real,
-                root.s.imag,
-                root.lambda_plus.real,
-                root.lambda_plus.imag,
-                root.lambda_minus.real,
-                root.lambda_minus.imag,
-                root.residual,
-                root.admissible,
-                root.neutral,
-            )
-            lines.append(",".join(map(fmt, cells)))
+            lines.append(",".join(fmt(cell(omega, root)) for cell in ROOTS_COLUMNS.values()))
     _write_lines(lines, args.out)
     return status
 

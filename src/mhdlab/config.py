@@ -8,10 +8,10 @@ verdict is worse than a noisy one.
 """
 from __future__ import annotations
 
+import sys
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
-
-import numpy as np
 
 from .domain import STATE_FIELDS, BasicState, ModelKind, require_valid
 from .errors import ConfigError
@@ -30,6 +30,27 @@ def _int_list(value: str) -> tuple:
     return tuple(int(tok) for tok in value.split(","))
 
 
+class Linspace(Sequence):
+    """count evenly spaced floats from lo to hi, each built when indexed: value i is
+    np.linspace(lo, hi, count)[i] bit for bit (of two NaN ends, either may carry)."""
+
+    def __init__(self, lo: float, hi: float, count: int):
+        self.lo, self.hi, self.size = lo, hi, count
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, i) -> float:
+        i, div, delta = range(self.size)[i], self.size - 1, self.hi - self.lo
+        if div == 0:
+            return self.lo + 0.0 * delta
+        if i == div:
+            return self.hi
+        step = delta / div
+        # np.linspace scales by i/div instead where the step underflows to 0
+        return (i / div * delta if step == 0 else i * step) + self.lo
+
+
 def parse_grid(spec: str) -> tuple:
     """Sweep axes from 'name=lo:hi:count;name=v1,v2,...', in the given order."""
     axes = []
@@ -46,9 +67,9 @@ def parse_grid(spec: str) -> tuple:
                 lo, hi, count = float(lo), float(hi), int(count)
             except ValueError:
                 raise ConfigError(f"grid axis '{chunk}': expected lo:hi:count") from None
-            if count < 1:
-                raise ConfigError(f"grid axis '{name}': count must be positive")
-            values = tuple(float(v) for v in np.linspace(lo, hi, count))
+            if not 0 < count <= sys.maxsize:
+                raise ConfigError(f"grid axis '{name}': count must be in 1..{sys.maxsize}")
+            values = Linspace(lo, hi, count)
         else:
             try:
                 values = tuple(float(tok) for tok in body.split(","))

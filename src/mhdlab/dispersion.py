@@ -183,20 +183,14 @@ class ModeSymbol:
         Bc = n * self.wm * self.wm - self.c1
         if not compressible:
             # A + s(n wm^2 - c1) stays cubic
-            quad = np.zeros(4, dtype=complex)
-            quad[2] = Bc
-            return A + quad
+            return A + np.array([0.0, 0.0, Bc, 0.0], dtype=complex)
         if Bc == 0:
             return A
         D = np.array([self.alpha, 0.0, self.beta], dtype=complex)
-        # A^2 D = B^2 (D + s^4) with B = Bc s; the shorter term of each sum
-        # is padded with two leading zeros, as np.polyadd would pad it
-        lhs = np.convolve(np.convolve(A, A), D)
-        B2 = np.array([Bc * Bc, 0.0, 0.0], dtype=complex)
-        s4 = np.array([1.0, 0, 0, 0, 0], dtype=complex)
-        pad = np.zeros(2, dtype=complex)
-        rhs = np.concatenate((pad, np.convolve(B2, D))) + np.convolve(B2, s4)
-        return lhs - np.concatenate((pad, rhs))
+        # A^2 D = B^2 (D + s^4) with B = Bc s: B^2 (D + s^4) is the degree-8
+        # array Bc^2 [0, 0, 1, 0, alpha, 0, beta, 0, 0]
+        B2 = np.array([0.0, 0.0, 1.0, 0.0, self.alpha, 0.0, self.beta, 0.0, 0.0], dtype=complex)
+        return np.convolve(np.convolve(A, A), D) - Bc * Bc * B2
 
     def matrix(self, s: complex, n: int) -> np.ndarray:
         """Interface matrix in the unknowns (phi, q[, xi]); see boundary_matrix."""
@@ -291,10 +285,13 @@ def _s0_candidates(sym: ModeSymbol) -> list:
         return [complex(0.0, y), complex(0.0, -y)]
     alpha, beta = sym.alpha, sym.beta
     # Clear the radical: (rho u + wp^2)^2 (alpha u + beta) = wm^4 (alpha u + beta + u^2), u = s^2
-    cubic = np.array([
-        rho * rho * alpha, rho * rho * beta + 2.0 * rho * wp * wp * alpha - wm**4,
-        2.0 * rho * wp * wp * beta + (wp**4 - wm**4) * alpha, (wp**4 - wm**4) * beta,
-    ], dtype=complex)
+    try:
+        cubic = np.array([
+            rho * rho * alpha, rho * rho * beta + 2.0 * rho * wp * wp * alpha - wm**4,
+            2.0 * rho * wp * wp * beta + (wp**4 - wm**4) * alpha, (wp**4 - wm**4) * beta,
+        ], dtype=complex)
+    except OverflowError:
+        raise DomainError(f"leading-order symbol overflows for wp={wp:g}, wm={wm:g}") from None
     out = []
     for u in _poly_candidates(cubic):
         if u == 0:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -66,12 +66,7 @@ class GridSpec:
     def refined(self) -> "GridSpec":
         """Same extents with every spacing halved."""
         mp, mm, mt = self.points_per_direction
-        return GridSpec(
-            self.x1_extent_plus,
-            self.x1_extent_minus,
-            (2 * mp - 1, 2 * mm - 1, 2 * mt),
-            self.tangential_period,
-        )
+        return replace(self, points_per_direction=(2 * mp - 1, 2 * mm - 1, 2 * mt))
 
 
 @dataclass(frozen=True)
@@ -164,10 +159,8 @@ def build_mode(
             # amplitude and forces the velocity to vanish
             v = np.zeros(3, dtype=complex)
             H = grad * q_amp / (1j * wp)
-        elif model is ModelKind.IncompressibleMHD:
-            v = -s * grad * q_amp / P
-            H = 1j * wp * v / s
         else:
+            # the div v amplitude is exactly 0 for IncompressibleMHD, where lam = -1
             Hhat = np.array([0.0, state.H_plasma[0], state.H_plasma[1]], dtype=complex)
             div_amp = -(lam * lam - 1.0) * q_amp / (rho * s)
             v = -(s * grad * q_amp + 1j * wp * Hhat * div_amp) / P

@@ -230,7 +230,7 @@ def scan_s0(state: BasicState, omega_samples, tolerance: float) -> S0Report:
             )
         try:
             roots = _s0_candidates(sym)
-        except np.linalg.LinAlgError as exc:
+        except (np.linalg.LinAlgError, DomainError) as exc:
             failures.append(f"sample {idx}: polynomial solve failed ({exc})")
             per_sample.append(math.nan)
             continue

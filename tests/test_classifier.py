@@ -148,6 +148,24 @@ def test_numeric_confirms_exponential_regime():
     assert got.evidence.exponent == pytest.approx(1.0, abs=0.01)
 
 
+@pytest.mark.parametrize(
+    "model, state",
+    [
+        (ModelKind.CompressibleMHD, collinear_state(a_hat=1.0)),
+        (ModelKind.IncompressibleMHD, collinear_state(a_hat=0.0, a0_hat=2.0)),
+        (ModelKind.IncompressibleMHD, BasicState(H_plasma=(1.0, 0.0), H_vacuum=(0.0, 1.0),
+                                                 a_hat=1.0, a0_hat=0.5, a1_hat=0.2)),
+        # no admissible root at any n, so no fit and no evidence
+        (ModelKind.IncompressibleEuler, BasicState(a_hat=-1.0)),
+    ],
+    ids=["ill-posed", "exponential", "no-growth", "no-fit"],
+)
+def test_numeric_result_is_the_analytic_one_plus_evidence(model, state):
+    got = numeric_classify(model, state, N_GRID, [Wavevector(1.0, 0.0)])
+    assert replace(got, evidence=None) == classify_frozen(model, state)
+    assert (got.evidence is None) == (model is ModelKind.IncompressibleEuler)
+
+
 def test_numeric_agrees_with_analytic_on_random_states():
     # a_hat is drawn away from the verdict boundary: for |a| -> 0 with
     # a0 != 0 the sqrt regime starts beyond n = 1e4 and the finite-window

@@ -4,8 +4,10 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
 
 from conftest import subprocess_env
@@ -109,6 +111,76 @@ class TestConfigParsing:
         assert not parse_bool("false", "x") and not parse_bool("off", "x")
         with pytest.raises(ConfigError):
             parse_bool("maybe", "x")
+
+
+LINSPACE_EDGES = [
+    (0.0, 1.0, 1),
+    (0.0, 1.0, 2),
+    (-2.0, 2.0, 11),
+    (2.5, 2.5, 7),  # lo == hi
+    (-0.0, -0.0, 3),
+    (3.0, -1.0, 9),  # hi < lo
+    (0.0, 5e-324, 4),  # subnormal span: the step underflows to 0
+    (-5e-324, 5e-324, 11),
+    (1e-310, 2e-310, 1000),
+    (-1e308, 1e308, 5),  # the span overflows to inf
+    (0.0, math.inf, 3),
+    (-math.inf, math.inf, 2),
+    (math.inf, -math.inf, 1),
+    (1.0, math.nan, 3),
+]
+
+
+def linspace_bytes(lo, hi, count):
+    with np.errstate(all="ignore"):
+        return np.linspace(lo, hi, count).tobytes()
+
+
+@pytest.mark.parametrize("lo, hi, count", LINSPACE_EDGES)
+def test_grid_axis_is_np_linspace_bit_for_bit(lo, hi, count):
+    ((name, values),) = parse_grid(f"a_hat={lo!r}:{hi!r}:{count}")
+    assert name == "a_hat" and len(values) == count
+    expected = linspace_bytes(lo, hi, count)
+    assert np.array(list(values)).tobytes() == expected
+    # negative indices count from the end; past either end is an IndexError
+    assert np.array([values[i] for i in range(-count, 0)]).tobytes() == expected
+    for i in (count, -count - 1):
+        with pytest.raises(IndexError):
+            values[i]
+
+
+def test_grid_axis_matches_np_linspace_on_random_doubles():
+    rng = np.random.default_rng(1618)
+    for _ in range(3000):
+        bits = rng.integers(0, 2**64, size=2, dtype=np.uint64).view(np.float64).tolist()
+        lo, hi = (float(repr(x)) for x in bits)  # as read from text: a NaN loses its payload
+        if math.isnan(lo) and math.isnan(hi):
+            continue  # which of two NaN ends np.linspace carries depends on count
+        if rng.random() < 0.5:  # ordinary magnitudes as well as random bit patterns
+            lo, hi = rng.uniform(-10.0, 10.0, size=2).tolist()
+        count = int(rng.integers(1, 40))
+        ((_, values),) = parse_grid(f"x={lo!r}:{hi!r}:{count}")
+        assert np.array(list(values)).tobytes() == linspace_bytes(lo, hi, count)
+
+
+def test_oversized_grid_fails_before_its_axis_is_built(tmp_path, capsys):
+    path = tmp_path / "base.ini"
+    path.write_text(EULER_INI)
+    tracemalloc.start()
+    try:
+        code = main(["sweep", str(path), "--grid", "a_hat=0:1:3000000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert "sweep has 3000000 points, exceeding max_points=100000" in capsys.readouterr().err
+    # 3,000,000 built floats take over 70 MB
+    assert peak < 4e6
+
+
+def test_grid_axis_count_beyond_an_index_is_a_config_error():
+    with pytest.raises(ConfigError, match="count must be in 1.."):
+        parse_grid(f"a_hat=0:1:{2**64}")
 
 
 class TestClassifyCommand:

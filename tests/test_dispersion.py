@@ -188,6 +188,62 @@ def test_cleared_polynomial_matches_hand_expansion(model):
     np.testing.assert_allclose(got, expected, rtol=1e-13, atol=1e-13 * scale)
 
 
+def convolution_polynomial(sym, n):
+    """The cleared polynomial written out term by term: B^2 and s^4 as their
+    own arrays, the shorter term of each sum padded as np.polyadd pads it."""
+    a, a0, rho = sym.a, sym.a0, sym.rho
+    if not sym.model.is_mhd:
+        if not sym.model.is_compressible:
+            return np.array([n, -a0, -a / rho], dtype=complex)
+        if a == 0:
+            return np.array([n, -a0, 0.0], dtype=complex)
+        K = a / rho
+        return np.array(
+            [n * n, -2.0 * n * a0, a0 * a0 - (K / sym.c) ** 2, 0.0, -K * K], dtype=complex
+        )
+    P = np.array([rho, 0.0, sym.wp * sym.wp], dtype=complex)
+    A = np.convolve(np.array([n, -a0], dtype=complex), P)
+    Bc = n * sym.wm * sym.wm - sym.c1
+    if not sym.model.is_compressible:
+        quad = np.zeros(4, dtype=complex)
+        quad[2] = Bc
+        return A + quad
+    if Bc == 0:
+        return A
+    D = np.array([sym.alpha, 0.0, sym.beta], dtype=complex)
+    lhs = np.convolve(np.convolve(A, A), D)
+    B2 = np.array([Bc * Bc, 0.0, 0.0], dtype=complex)
+    s4 = np.array([1.0, 0, 0, 0, 0], dtype=complex)
+    pad = np.zeros(2, dtype=complex)
+    rhs = np.concatenate((pad, np.convolve(B2, D))) + np.convolve(B2, s4)
+    return lhs - np.concatenate((pad, rhs))
+
+
+@pytest.mark.parametrize("model", list(ModelKind))
+def test_polynomial_is_the_term_by_term_form_bit_for_bit(model):
+    # signed zeros, unit values and negative Bc included: the bytes must agree
+    rng = np.random.default_rng(18)
+
+    def draw(lo, hi):
+        pick = rng.integers(6)
+        return [0.0, -0.0, 1.0, -1.0][pick] if pick < 4 else float(rng.uniform(lo, hi))
+
+    checked = 0
+    while checked < 300:
+        kw = dict(rho_hat=float(rng.uniform(0.1, 3.0)), c_hat=float(rng.uniform(0.1, 3.0)),
+                  a_hat=draw(-3.0, 3.0), a0_hat=draw(-2.0, 2.0))
+        if model.is_mhd:
+            kw.update(a1_hat=draw(-2.0, 2.0), H_plasma=(draw(-2, 2), draw(-2, 2)),
+                      H_vacuum=(draw(-2, 2), draw(-2, 2)))
+        state = BasicState(**kw)
+        for omega in (Wavevector(1.0, 0.0), Wavevector(0.0, 1.0),
+                      Wavevector(*rng.uniform(-1.0, 1.0, size=2))):
+            sym = mode_symbol(model, state, omega)
+            for n in (1, 7, 100, 10**4, 10**6):
+                assert sym.polynomial(n).tobytes() == convolution_polynomial(sym, n).tobytes()
+        checked += 1
+
+
 # ------------------------------------------------------------- determinants
 
 SCALE_STATE = BasicState(

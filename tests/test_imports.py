@@ -3,7 +3,8 @@
 A name imported into a module of src/mhdlab must be referenced in that
 module's code, or, in the package's __init__, be listed in __all__.
 Re-exports through any other module are not allowed, so deleting code
-cannot leave a stale import behind unnoticed.
+cannot leave a stale import behind unnoticed. The CLI and the config
+reader import no NumPy themselves.
 """
 import ast
 
@@ -46,3 +47,13 @@ def test_every_imported_name_is_used(path):
 def test_the_package_exports_exactly_what_it_imports():
     tree = ast.parse((SRC / "mhdlab" / "__init__.py").read_text())
     assert _exported_names(tree) == set(_imported_names(tree))
+
+
+@pytest.mark.parametrize("name", ["cli.py", "config.py"])
+def test_the_front_end_imports_no_numpy(name):
+    tree = ast.parse((SRC / "mhdlab" / name).read_text())
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names]
+    modules += [node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module]
+    assert [m for m in modules if m.split(".")[0] == "numpy"] == []

@@ -617,6 +617,16 @@ def test_scan_handles_single_field_direction():
     assert report.passed and report.max_re_s0 == 0.0
 
 
+def test_scan_records_an_overflowing_direction_as_a_failure():
+    # wm^4 overflows a double along (1, 0.3); the aligned sample still scans
+    state = BasicState(rho_hat=1e200, H_plasma=(1e200, 0.0), H_vacuum=(0.0, 1e200))
+    report = scan_s0(state, [Wavevector(1.0, 0.3), Wavevector(1.0, 0.0)], 1e-8)
+    assert not report.passed
+    assert math.isnan(report.per_sample[0]) and report.per_sample[1] == 0.0
+    assert len(report.failures) == 1
+    assert report.failures[0].startswith("sample 0:") and "overflows" in report.failures[0]
+
+
 def test_scan_rejects_doubly_orthogonal_direction():
     state = BasicState(H_plasma=(1.0, 0.0), H_vacuum=(2.0, 0.0))
     with pytest.raises(DomainError):
