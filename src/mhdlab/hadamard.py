@@ -16,7 +16,9 @@ invariant under the growth factor, so pde_residual_fd works on the
 normalized factors and cannot overflow by design. Every field is
 amp * e(x1) * phase(tau), e the decay factor, so every interior residual is
 (a e + b D1e) * phase(tau), with complex scalars a, b and D1e the x1
-difference of e: the check builds x1 arrays only, nothing along tau.
+difference of e. e is geometric on the uniform x1 grid and |e| falls away from
+the interface, so each sup sits on a row at an end of the grid: the check reads
+e as numbers at the few points those rows' stencils use and builds no array.
 """
 from __future__ import annotations
 
@@ -55,11 +57,14 @@ class GridSpec:
     tangential_period: float
 
     def __post_init__(self):
-        if not (self.x1_extent_plus > 0 and self.x1_extent_minus > 0):
-            raise GridError("half-space extents must be positive")
-        if self.tangential_period <= 0:
-            raise GridError("tangential period must be positive")
-        mp, mm, mt = self.points_per_direction
+        if not (0 < self.x1_extent_plus < math.inf and 0 < self.x1_extent_minus < math.inf):
+            raise GridError("half-space extents must be finite and positive")
+        if not 0 < self.tangential_period < math.inf:
+            raise GridError("tangential period must be finite and positive")
+        points = self.points_per_direction
+        if not isinstance(points, tuple) or [type(m) for m in points] != [int, int, int]:
+            raise GridError(f"points_per_direction must be a tuple of three ints, got {points!r}")
+        mp, mm, mt = points
         if min(mp, mm) < 4 or mt < 4:
             raise GridError("need at least 4 points per direction")
 
@@ -208,33 +213,23 @@ def _check_truncation(mode: HadamardMode, grid: GridSpec, lam_p: complex) -> Non
         raise GridError(f"vacuum truncation too lossy at n={n}")
 
 
-def _factors(mode: HadamardMode, grid: GridSpec, t: float, lam_p: complex):
-    """The x1 grids, the amplitudes times the time factor, the decay factors
-    exp(n lambda x1) and the log n Re s t of the growth factor they leave out."""
-    _finite("t", t)
-    s, n = mode.root.s, mode.root.n
-    mp, mm, _ = grid.points_per_direction
-    x1p = np.linspace(0.0, grid.x1_extent_plus, mp)
-    tfac = cmath.exp(1j * n * s.imag * t)
-    coef = {k: a * tfac for k, a in zip(mode.names, mode.amplitudes) if k != "phi"}
-    decay = {"plasma": np.exp(n * lam_p * x1p)}
-    x1m = None
-    if mode.model.is_mhd:
-        x1m = np.linspace(-grid.x1_extent_minus, 0.0, mm)
-        decay["vacuum"] = np.exp(n * 1.0 * x1m)
-    return x1p, x1m, coef, decay, n * s.real * t
-
-
 def evaluate_field(mode: HadamardMode, grid: GridSpec, t: float) -> FieldSample:
     """Pointwise mode evaluation; switches to log magnitudes on overflow."""
-    lam_p = mode_symbol(mode.model, mode.state, mode.omega).lambda_plus(mode.root.s)
+    s, n = mode.root.s, mode.root.n
+    lam_p = mode_symbol(mode.model, mode.state, mode.omega).lambda_plus(s)
     _check_truncation(mode, grid, lam_p)
-    x1p, x1m, coef, decay, log_growth = _factors(mode, grid, t, lam_p)
-    mt = grid.points_per_direction[2]
+    _finite("t", t)
+    mp, mm, mt = grid.points_per_direction
+    tfac = cmath.exp(1j * n * s.imag * t)
+    coef = {k: a * tfac for k, a in zip(mode.names, mode.amplitudes) if k != "phi"}
+    x1p = np.linspace(0.0, grid.x1_extent_plus, mp)
+    x1m = np.linspace(-grid.x1_extent_minus, 0.0, mm) if mode.model.is_mhd else None
     tau = np.arange(mt) * (grid.tangential_period / mt)
-    phase = np.exp(1j * mode.root.n * tau)
-    plasma = {k: a * decay["plasma"][:, None] * phase for k, a in coef.items() if k != "xi"}
-    vacuum = {"xi": coef["xi"] * decay["vacuum"][:, None] * phase} if "xi" in coef else {}
+    phase = np.exp(1j * n * tau)
+    ep = np.exp(n * lam_p * x1p)[:, None]
+    plasma = {k: a * ep * phase for k, a in coef.items() if k != "xi"}
+    vacuum = {"xi": coef["xi"] * np.exp(n * 1.0 * x1m)[:, None] * phase} if x1m is not None else {}
+    log_growth = n * s.real * t
     scale = math.exp(log_growth) if abs(log_growth) <= OVERFLOW_EXPONENT else None
 
     def rescale(arr):
@@ -254,26 +249,12 @@ def evaluate_field(mode: HadamardMode, grid: GridSpec, t: float) -> FieldSample:
     )
 
 
-def _d1(arr: np.ndarray, h: float) -> np.ndarray:
-    """np.gradient(arr, h, axis=0, edge_order=2), term for term."""
-    out = np.empty_like(arr)
-    out[1:-1] = (arr[2:] - arr[:-2]) / (2.0 * h)
-    out[0] = -1.5 / h * arr[0] + 2.0 / h * arr[1] + -0.5 / h * arr[2]
-    out[-1] = 0.5 / h * arr[-3] + -2.0 / h * arr[-2] + 1.5 / h * arr[-1]
-    return out
-
-
-def _d2_edge(arr: np.ndarray, h: float) -> np.ndarray:
-    """Second derivative in x1, O(h^2) including one-sided rows."""
-    out = np.empty_like(arr)
-    out[1:-1] = (arr[2:] - 2.0 * arr[1:-1] + arr[:-2]) / (h * h)
-    out[0] = (2.0 * arr[0] - 5.0 * arr[1] + 4.0 * arr[2] - arr[3]) / (h * h)
-    out[-1] = (2.0 * arr[-1] - 5.0 * arr[-2] + 4.0 * arr[-3] - arr[-4]) / (h * h)
-    return out
-
-
-def _sup(arr) -> float:
-    return float(np.abs(arr).max())
+def _decay_ends(rate, start: float, stop: float, m: int, width: int, exp) -> dict:
+    """exp(rate x1) on the first and the last `width` points of np.linspace(start,
+    stop, m), placed as NumPy places them and keyed by row as NumPy indexes them."""
+    step = (stop - start) / (m - 1)
+    rows = (*range(width), *range(-width, 0))
+    return {i: exp(rate * (stop if i % m == m - 1 else i % m * step + start)) for i in rows}
 
 
 def _rel(sup: float, *scales) -> float:
@@ -300,9 +281,13 @@ def pde_residual_fd(mode: HadamardMode, grid: GridSpec, t: float) -> ResidualRep
     decay factor e = exp(n lambda x1) and phase = exp(i n tau). The x1 stencil
     acts on e, the periodic tau-stencils multiply the phase by numbers read at
     tau = 0, +-h, and Dt acts on the time factor. So every interior residual is
-    (a e + b D1e) phase(tau), D1e = _d1(e), with complex scalars a and b; as
-    |phase| = 1 its sup is that of |a e + b D1e| over x1, and no array spans
-    tau. The vacuum Laplacian is F_xi (_d2_edge(ev) + dtau2 ev), ev = exp(n x1).
+    (a e + b D1e) phase(tau), D1e the np.gradient stencil of e, with complex
+    scalars a and b; as |phase| = 1 its sup is that of |a e + b D1e| over x1.
+    e is geometric on the uniform grid, so D1e = kappa e on every interior row,
+    and |e| falls with x1 (Re lambda < 0): the sup is on row 0, row 1 or the
+    last. The vacuum Laplacian is F_xi (D2ev + dtau2 ev), ev = exp(n x1) rising
+    to the interface: its sup is on row 0 or one of the last two. e and ev are
+    computed only at the points those rows' stencils read.
     A wrong phase, sign or tangential amplitude changes a or b and shows.
 
     Interior equations in report order; [..] terms and the equations
@@ -340,7 +325,9 @@ def pde_residual_fd(mode: HadamardMode, grid: GridSpec, t: float) -> ResidualRep
             raise GridError(
                 f"plasma x1 oscillation resolved by {ppw:.2f} < 8 points per wavelength"
             )
-    coef, decay = _factors(mode, grid, t, lam_p)[2:4]
+    _finite("t", t)
+    tfac = cmath.exp(1j * n * s.imag * t)
+    coef = {k: a * tfac for k, a in zip(mode.names, mode.amplitudes)}
     state = mode.state
     rho, c = state.rho_hat, state.c_hat
     o2, o3 = mode.omega.unit()
@@ -351,8 +338,7 @@ def pde_residual_fd(mode: HadamardMode, grid: GridSpec, t: float) -> ResidualRep
     dtau2 = (fwd - 2.0 + back) / (htau * htau)
     Dt = (cmath.exp(n * s * htau) - cmath.exp(-n * s * htau)) / (2.0 * htau)
 
-    # analytic per-term magnitudes; arrays are normalized to the amplitude
-    # scale, so |amp| is the exact sup of every sampled field
+    # analytic per-term magnitudes: |e| <= 1, so |amp| is the sup of every field
     amp = mode.amplitude
     aq = abs(amp("q"))
     av = [abs(amp(f"v{i + 1}")) for i in range(3)]
@@ -396,14 +382,25 @@ def pde_residual_fd(mode: HadamardMode, grid: GridSpec, t: float) -> ResidualRep
     if mhd:
         div_H = td[1] * cH[1] + td[2] * cH[2]
         rows["magnetic_divergence"] = (div_H, cH[0], tuple(n * gmag[i] * aH[i] for i in range(3)))
-    e = decay["plasma"]
-    ab = np.array([row[:2] for row in rows.values()], dtype=complex)
-    sups = np.abs(ab[:, :1] * e + ab[:, 1:] * _d1(e, h1p)).max(axis=1).tolist()
-    interior = {name: _rel(sup, *row[2]) for (name, row), sup in zip(rows.items(), sups)}
+    # e and D1e on the rows that carry the sup: 0, 1 and the last
+    e = _decay_ends(n * lam_p, 0.0, grid.x1_extent_plus, mp, 3, cmath.exp)
+    e0, d0 = e[0], -1.5 / h1p * e[0] + 2.0 / h1p * e[1] + -0.5 / h1p * e[2]
+    e1, d1 = e[1], (e[2] - e[0]) / (2.0 * h1p)
+    ez, dz = e[-1], 0.5 / h1p * e[-3] + -2.0 / h1p * e[-2] + 1.5 / h1p * e[-1]
+    interior = {
+        name: _rel(max(abs(a * e0 + b * d0), abs(a * e1 + b * d1), abs(a * ez + b * dz)), *scales)
+        for name, (a, b, scales) in rows.items()
+    }
     if mhd:
-        ev = decay["vacuum"]
-        lap = abs(coef["xi"]) * _sup(_d2_edge(ev, h1m) + dtau2 * ev)
-        interior["vacuum_laplace"] = _rel(lap, n * n * abs(amp("xi")))
+        # D2ev + dtau2 ev on the rows that carry the sup: 0, the last but one and the last
+        ev = _decay_ends(n * 1.0, -grid.x1_extent_minus, 0.0, mm, 4, math.exp)
+        hh = h1m * h1m
+        lap = max(
+            abs((2.0 * ev[0] - 5.0 * ev[1] + 4.0 * ev[2] - ev[3]) / hh + dtau2 * ev[0]),
+            abs((ev[-1] - 2.0 * ev[-2] + ev[-3]) / hh + dtau2 * ev[-2]),
+            abs((2.0 * ev[-1] - 5.0 * ev[-2] + 4.0 * ev[-3] - ev[-4]) / hh + dtau2 * ev[-1]),
+        )
+        interior["vacuum_laplace"] = _rel(abs(coef["xi"]) * lap, n * n * abs(amp("xi")))
 
     # boundary conditions: purely algebraic in the amplitudes
     a, a0, a1 = state.a_hat, state.a0_hat, state.a1_hat

@@ -2,6 +2,7 @@
 import cmath
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -15,8 +16,6 @@ from mhdlab.domain import BasicState, ModeRoot, ModelKind, Wavevector
 from mhdlab.errors import DomainError, GridError, NotARootError, ResonanceError
 from mhdlab.hadamard import (
     GridSpec,
-    _d1,
-    _d2_edge,
     build_mode,
     evaluate_field,
     grid_for_mode,
@@ -291,6 +290,25 @@ class TestGridForMode:
         with pytest.raises(GridError):
             GridSpec(1.0, 1.0, (16, 16, 16), 0.0)
 
+    @pytest.mark.parametrize(
+        "extents,period",
+        [((math.inf, 1.0), 0.1), ((1.0, math.inf), 0.1), ((math.nan, 1.0), 0.1),
+         ((1.0, 1.0), math.inf), ((1.0, 1.0), math.nan)],
+    )
+    def test_non_finite_sizes_are_rejected(self, extents, period):
+        # an infinite depth used to pass and leave inf * 0 to the sampling
+        with pytest.raises(GridError, match="finite and positive"):
+            GridSpec(*extents, (16, 16, 16), period)
+
+    @pytest.mark.parametrize(
+        "points", [(8.0, 8, 8), (8, 8), (8, 8, 8, 8), [8, 8, 8], (8, np.int64(8), 8), "888"]
+    )
+    def test_points_must_be_a_tuple_of_three_ints(self, points):
+        # a float count ended in a raw TypeError from linspace, a 2-tuple in
+        # a raw unpacking ValueError
+        with pytest.raises(GridError, match="three ints"):
+            GridSpec(1.0, 1.0, points, 0.1)
+
 
 FD_CASES = [
     (M.IncompressibleEuler, EULER_STATE, OM, 25),
@@ -431,7 +449,8 @@ class TestPdeResidualFd:
             assert early.interior[k] == pytest.approx(late.interior[k], rel=1e-6)
 
     def test_peak_memory_is_linear_in_points_per_direction(self):
-        # the check works on x1 factors: memory is O(mp + mm), whatever mt is
+        # the check reads a few x1 samples as numbers: memory is the same at
+        # every mp, mm and mt
         mode = top_mode(M.CompressibleMHD, ALIGNED_COMP, OM, 25)
 
         def peak(points):
@@ -444,43 +463,16 @@ class TestPdeResidualFd:
             finally:
                 tracemalloc.stop()
 
-        small = peak((511, 511, 32))
-        assert peak((2045, 2045, 32)) < 2 * 2**20
+        small, large = peak((511, 511, 32)), peak((2045, 2045, 32))
+        assert large < 2 * 2**20
+        assert large <= 1.1 * small
         assert peak((511, 511, 4096)) <= 1.1 * small
-
-
-def special_complex(rng, rows, cols):
-    """Random complex array with +-0.0, +-inf and nan in some real and
-    imaginary parts."""
-    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
-    parts = rng.standard_normal((2, rows, cols))
-    mask = rng.random((2, rows, cols)) < 0.3
-    parts[mask] = rng.choice(specials, size=mask.sum())
-    arr = np.empty((rows, cols), dtype=complex)
-    arr.real, arr.imag = parts
-    return arr
-
-
-def assert_same_bits(a, b):
-    assert np.array_equal(a, b, equal_nan=True)
-    assert np.array_equal(np.signbit(a.real), np.signbit(b.real))
-    assert np.array_equal(np.signbit(a.imag), np.signbit(b.imag))
-
-
-class TestStencils:
-    @pytest.mark.parametrize("rows", [3, 4, 5])
-    @pytest.mark.parametrize("seed", range(4))
-    def test_d1_equals_gradient(self, rows, seed):
-        rng = np.random.default_rng([seed, rows])
-        arr = special_complex(rng, rows, 9)
-        h = float(rng.uniform(1e-3, 2.0))
-        with np.errstate(all="ignore"):
-            assert_same_bits(_d1(arr, h), np.gradient(arr, h, axis=0, edge_order=2))
 
 
 def whole_grid_residuals(mode, grid):
     """Sup of every interior residual at t = 0, in report order, by stencils on
-    the whole mp x mt samples: np.gradient along x1, np.roll along tau."""
+    the whole mp x mt samples: np.gradient along x1, np.roll along tau, and a
+    one-sided second difference at both ends of the vacuum's x1 rows."""
     sample = evaluate_field(mode, grid, 0.0)
     mhd = mode.model.is_mhd
     wp = mode_symbol(mode.model, mode.state, mode.omega).wp
@@ -504,6 +496,13 @@ def whole_grid_residuals(mode, grid):
     def div(F):
         return d(0, F[0]) + d(1, F[1]) + d(2, F[2])
 
+    def d2(F):
+        out = np.empty_like(F)
+        out[1:-1] = (F[2:] - 2.0 * F[1:-1] + F[:-2]) / (h1m * h1m)
+        out[0] = (2.0 * F[0] - 5.0 * F[1] + 4.0 * F[2] - F[3]) / (h1m * h1m)
+        out[-1] = (2.0 * F[-1] - 5.0 * F[-2] + 4.0 * F[-3] - F[-4]) / (h1m * h1m)
+        return out
+
     q = sample.plasma["q"]
     v = [sample.plasma[f"v{i}"] for i in (1, 2, 3)]
     H = [sample.plasma[f"H{i}"] for i in (1, 2, 3)] if mhd else None
@@ -523,7 +522,7 @@ def whole_grid_residuals(mode, grid):
         xi = sample.vacuum["xi"]
         res["magnetic_divergence"] = div(H)
         dtau2 = (np.roll(xi, -1, axis=1) - 2.0 * xi + np.roll(xi, 1, axis=1)) / (htau * htau)
-        res["vacuum_laplace"] = _d2_edge(xi, h1m) + dtau2
+        res["vacuum_laplace"] = d2(xi) + dtau2
     return {name: float(np.max(np.abs(r))) for name, r in res.items()}
 
 
@@ -539,18 +538,35 @@ REFERENCE_GRIDS = [None, "refined", (4, 4, 8), (301, 203, 24), (9, 9, 4096)]
 EPS = np.finfo(float).eps
 
 
-class TestWholeGridReference:
-    @pytest.mark.parametrize("model,state,omega,n", REFERENCE_MODES)
-    def test_interior_residuals_match_whole_grid_stencils(
-        self, model, state, omega, n, monkeypatch
-    ):
-        mode = top_mode(model, state, omega, n)
-        base = grid_for_mode(mode)
-        # the yardsticks pde_residual_fd divides by, interior ones first in report order
-        yardsticks, rel = [], hadamard._rel
-        monkeypatch.setattr(
+def assert_matches_whole_grid(mode, grid):
+    """pde_residual_fd's interior residuals at t = 0 against
+    whole_grid_residuals, both divided by the yardsticks pde_residual_fd uses."""
+    yardsticks, rel = [], hadamard._rel  # interior ones first, in report order
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
             hadamard, "_rel", lambda sup, *scales: yardsticks.append(scales) or rel(sup, *scales)
         )
+        report = pde_residual_fd(mode, grid, 0.0)
+    want = whole_grid_residuals(mode, grid)
+    assert list(report.interior) == list(want)
+    # a centred difference over a phase step n h = 2 pi / mt loses
+    # eps / (n h) of its terms' size to rounding, a second difference
+    # eps / (n h)^2: at 4096 tangential points that floor, not the
+    # factorisation, sets how far the two computations can differ
+    kh = 2.0 * math.pi / grid.points_per_direction[2]
+    for (name, got), scales in zip(report.interior.items(), yardsticks):
+        ref = rel(want[name], *scales)
+        floor = 16.0 * EPS / kh ** (2 if name == "vacuum_laplace" else 1)
+        label = f"{name} on {grid.points_per_direction}: {got!r} vs {ref!r}"
+        if max(got, ref) > 1e-12:
+            assert abs(got - ref) <= 1e-9 * ref + floor, label
+
+
+class TestWholeGridReference:
+    @pytest.mark.parametrize("model,state,omega,n", REFERENCE_MODES)
+    def test_interior_residuals_match_whole_grid_stencils(self, model, state, omega, n):
+        mode = top_mode(model, state, omega, n)
+        base = grid_for_mode(mode)
         for points in REFERENCE_GRIDS:
             if points is None:
                 grid = base
@@ -558,21 +574,25 @@ class TestWholeGridReference:
                 grid = base.refined()
             else:
                 grid = grid_for_mode(mode, points)
-            yardsticks.clear()
-            report = pde_residual_fd(mode, grid, 0.0)
-            want = whole_grid_residuals(mode, grid)
-            assert list(report.interior) == list(want)
-            # a centred difference over a phase step n h = 2 pi / mt loses
-            # eps / (n h) of its terms' size to rounding, a second difference
-            # eps / (n h)^2: at 4096 tangential points that floor, not the
-            # factorisation, sets how far the two computations can differ
-            kh = 2.0 * math.pi / grid.points_per_direction[2]
-            for (name, got), scales in zip(report.interior.items(), yardsticks):
-                ref = rel(want[name], *scales)
-                floor = 16.0 * EPS / kh ** (2 if name == "vacuum_laplace" else 1)
-                label = f"{name} on {grid.points_per_direction}: {got!r} vs {ref!r}"
-                if max(got, ref) > 1e-12:
-                    assert abs(got - ref) <= 1e-9 * ref + floor, label
+            assert_matches_whole_grid(mode, grid)
+
+    def test_underflowing_decay_factor(self):
+        # on these depths the decay factor underflows to 0 a row or more away
+        # from the interface, so the decay ratio exp(n lambda h) is 0: the
+        # stencils must read samples, never divide by that ratio
+        euler = top_mode(M.IncompressibleEuler, EULER_STATE, OM, 25)
+        mhd = top_mode(M.CompressibleMHD, ALIGNED_COMP, OM, 25)
+        grids = [
+            (euler, GridSpec(1e6, 1.0, (4, 4, 8), 2 * math.pi / 25)),
+            (mhd, replace(grid_for_mode(mhd), x1_extent_minus=1e6)),
+            (mhd, replace(grid_for_mode(mhd, (4, 4, 8)), x1_extent_minus=1e6)),
+        ]
+        for mode, grid in grids:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                report = pde_residual_fd(mode, grid, 0.0)
+            assert all(math.isfinite(v) for v in report.interior.values())
+            assert_matches_whole_grid(mode, grid)
 
 
 class TestGrowthRatio:
