@@ -31,12 +31,24 @@ _A_ZERO_TOL = 1e-12
 
 
 def is_collinear(state: BasicState) -> bool:
-    """Cross-product collinearity test; zero fields count as collinear."""
+    """Cross-product collinearity test; zero fields count as collinear.
+
+    |Hp x Hv| <= COLLINEARITY_REL_TOL * max(1, |Hp| |Hv|). Where a product
+    overflows, the relative test is decided on each field scaled by a power
+    of two to components of size about 1, which leaves it unchanged.
+    """
     hp2, hp3 = state.H_plasma
     hv2, hv3 = state.H_vacuum
     cross = hp2 * hv3 - hp3 * hv2
-    scale = max(1.0, math.hypot(hp2, hp3) * math.hypot(hv2, hv3))
-    return abs(cross) <= COLLINEARITY_REL_TOL * scale
+    scale = math.hypot(hp2, hp3) * math.hypot(hv2, hv3)
+    if math.isfinite(cross) and math.isfinite(scale):
+        return abs(cross) <= COLLINEARITY_REL_TOL * max(1.0, scale)
+    p = -math.frexp(max(abs(hp2), abs(hp3)))[1]
+    v = -math.frexp(max(abs(hv2), abs(hv3)))[1]
+    hp2, hp3 = math.ldexp(hp2, p), math.ldexp(hp3, p)
+    hv2, hv3 = math.ldexp(hv2, v), math.ldexp(hv3, v)
+    cross = hp2 * hv3 - hp3 * hv2
+    return abs(cross) <= COLLINEARITY_REL_TOL * math.hypot(hp2, hp3) * math.hypot(hv2, hv3)
 
 
 def _a_is_zero(state: BasicState) -> bool:
@@ -62,27 +74,26 @@ def _witness_direction(state: BasicState) -> Wavevector:
     return Wavevector(1.0, 0.0)
 
 
+# Every witness-free outcome, shared by all the states that reach it.
+_ILL_POSED = Classification(Verdict.IllPosed, collinear=True, rt_sign_ok=False)
+_EXPONENTIAL = Classification(Verdict.ExponentiallyUnstable, collinear=True, rt_sign_ok=False)
+_NO_GROWTH = tuple(  # indexed [collinear][rt_sign_ok]
+    tuple(Classification(Verdict.NoHadamardGrowth, c, r) for r in (False, True))
+    for c in (False, True)
+)
+
+
 def classify_frozen(model: ModelKind, state: BasicState) -> Classification:
     """Algebraic stability verdict for one frozen state."""
     require_valid(model, state)
     collinear = is_collinear(state) if model.is_mhd else True
-    a_zero = _a_is_zero(state)
-    rt_sign_ok = (not a_zero) and state.a_hat < 0.0
-    if collinear and not a_zero and state.a_hat > 0.0:
-        verdict = Verdict.IllPosed
-    elif collinear and a_zero and state.a0_hat > 0.0:
-        verdict = Verdict.ExponentiallyUnstable
-    else:
-        verdict = Verdict.NoHadamardGrowth
-    witness = None
-    if model.is_mhd and verdict is Verdict.IllPosed:
-        witness = _witness_direction(state)
-    return Classification(
-        verdict=verdict,
-        collinear=collinear,
-        rt_sign_ok=rt_sign_ok,
-        witness=witness,
-    )
+    if _a_is_zero(state):
+        return _EXPONENTIAL if collinear and state.a0_hat > 0.0 else _NO_GROWTH[collinear][False]
+    if state.a_hat < 0.0 or not collinear:
+        return _NO_GROWTH[collinear][state.a_hat < 0.0]
+    if model.is_mhd:
+        return Classification(Verdict.IllPosed, True, False, witness=_witness_direction(state))
+    return _ILL_POSED
 
 
 def numeric_classify(

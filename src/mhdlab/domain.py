@@ -251,6 +251,8 @@ class Classification:
     holds (a_hat < 0). ``witness`` is the tangential direction along which
     both field projections vanish, attached for ill-posed magnetic states.
     ``evidence`` carries the best numerical scaling fit when one was run.
+    Results are immutable and may be shared between states: compare them
+    with ==, not ``is``.
     """
 
     verdict: Verdict

@@ -1,6 +1,7 @@
 """Verdict trichotomy, numeric confirmation and sweep bookkeeping."""
 import itertools
 import math
+import warnings
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import MHD_MODELS, bounded, model_state_pairs, states
+from mhdlab import classifier
 from mhdlab.classifier import (
     COLLINEARITY_REL_TOL,
     SweepSpec,
@@ -17,7 +19,9 @@ from mhdlab.classifier import (
     numeric_classify,
     sweep,
 )
-from mhdlab.domain import STATE_FIELDS, BasicState, ModelKind, Verdict, Wavevector
+from mhdlab.domain import (
+    STATE_FIELDS, BasicState, Classification, ModelKind, Verdict, Wavevector
+)
 from mhdlab.errors import ConfigError, DomainError
 
 N_GRID = [100, 1000, 10000]
@@ -55,6 +59,21 @@ def test_noncollinearity_stable_under_independent_field_rescaling(state, lam, mu
         H_vacuum=(mu * state.H_vacuum[0], mu * state.H_vacuum[1]),
     )
     assert not is_collinear(state) and not is_collinear(scaled)
+
+
+@pytest.mark.parametrize("h", [1e154, 1e155, 1e200, 1e300])
+def test_collinearity_of_fields_whose_products_overflow(h):
+    # from 1e155 on the products |Hp||Hv| and Hp x Hv overflow
+    perpendicular = BasicState(H_plasma=(h, 0.0), H_vacuum=(0.0, h), a_hat=1.0)
+    assert not is_collinear(perpendicular)
+    assert not is_collinear(replace(perpendicular, H_vacuum=(1e-300, h)))
+    got = classify_frozen(ModelKind.CompressibleMHD, perpendicular)
+    assert got.verdict is Verdict.NoHadamardGrowth and not got.collinear
+    for hp, hv in [((h, 0.0), (h, 0.0)), ((h, h), (h, h)), ((h, -h), (-h / 2, h / 2))]:
+        parallel = BasicState(H_plasma=hp, H_vacuum=hv, a_hat=1.0)
+        assert is_collinear(parallel)
+        got = classify_frozen(ModelKind.CompressibleMHD, parallel)
+        assert got.verdict is Verdict.IllPosed and got.collinear
 
 
 # ----------------------------------------------------------------- verdicts
@@ -116,6 +135,71 @@ def test_a0_never_changes_the_illposedness_verdict():
         assert ill.verdict is Verdict.IllPosed
         ok = classify_frozen(ModelKind.CompressibleMHD, collinear_state(a_hat=-1.0, a0_hat=a0))
         assert ok.verdict is Verdict.NoHadamardGrowth
+
+
+def _truth_table_cases():
+    fields = {
+        True: dict(H_plasma=(1.0, 0.0), H_vacuum=(2.0, 0.0)),
+        False: dict(H_plasma=(1.0, 0.0), H_vacuum=(0.0, 1.0)),
+    }
+    for model in ModelKind:
+        for collinear in (True, False) if model.is_mhd else (True,):
+            for a, a0 in itertools.product((-1.0, 0.0, 1e-13, 1.0), (0.0, 1.0)):
+                magnetic = fields[collinear] if model.is_mhd else {}
+                state = BasicState(a_hat=a, a0_hat=a0, **magnetic)
+                a_zero = abs(a) <= 1e-12
+                if collinear and a > 1e-12:
+                    verdict = Verdict.IllPosed
+                elif collinear and a_zero and a0 > 0:
+                    verdict = Verdict.ExponentiallyUnstable
+                else:
+                    verdict = Verdict.NoHadamardGrowth
+                witness = None
+                if verdict is Verdict.IllPosed and model.is_mhd:
+                    witness = Wavevector(-0.0, 1.0)
+                yield model, state, Classification(
+                    verdict=verdict, collinear=collinear, rt_sign_ok=a < -1e-12, witness=witness
+                )
+
+
+@pytest.mark.parametrize("model, state, expected", list(_truth_table_cases()))
+def test_every_outcome_equals_one_built_field_by_field(model, state, expected):
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "a_hat=1e-13", UserWarning)
+        got = classify_frozen(model, state)
+        again = classify_frozen(model, state)
+    assert got == expected and hash(got) == hash(expected) and repr(got) == repr(expected)
+    assert again == got
+    if expected.witness is not None:
+        # a witness belongs to its state: each call builds a fresh result
+        assert again is not got
+        assert got.witness == classifier._witness_direction(state)
+
+
+def test_shared_outcomes_are_the_six_witness_free_classifications():
+    shared = [
+        classifier._ILL_POSED, classifier._EXPONENTIAL, *itertools.chain(*classifier._NO_GROWTH)
+    ]
+    assert [(c.verdict, c.collinear, c.rt_sign_ok) for c in shared] == [
+        (Verdict.IllPosed, True, False),
+        (Verdict.ExponentiallyUnstable, True, False),
+        (Verdict.NoHadamardGrowth, False, False),
+        (Verdict.NoHadamardGrowth, False, True),
+        (Verdict.NoHadamardGrowth, True, False),
+        (Verdict.NoHadamardGrowth, True, True),
+    ]
+    euler = BasicState(a_hat=1.0)
+    assert classify_frozen(ModelKind.CompressibleEuler, euler) is classifier._ILL_POSED
+    mhd = ModelKind.CompressibleMHD
+    for model, state in [
+        (ModelKind.IncompressibleEuler, euler),
+        (mhd, collinear_state(a_hat=0.0, a0_hat=1.0)),
+        (mhd, collinear_state(a_hat=-1.0, a0_hat=1.0)),
+    ]:
+        got = numeric_classify(model, state, N_GRID, [])
+        assert got.evidence is not None
+        assert got == replace(classify_frozen(model, state), evidence=got.evidence)
+    assert all(c.witness is None and c.evidence is None for c in shared)
 
 
 # ------------------------------------------------------ numeric confirmation
@@ -225,6 +309,22 @@ def test_sweep_truth_table_along_a():
         Verdict.ExponentiallyUnstable,
         Verdict.IllPosed,
     ]
+
+
+@pytest.mark.parametrize("model", [ModelKind.CompressibleEuler, ModelKind.IncompressibleMHD])
+def test_sweep_warns_once_per_near_zero_a_state(model):
+    near_zero = (1e-300, 1e-13, 1e-12)
+    a_axis = ("a_hat", (-1.0, near_zero[0], 0.0, *near_zero[1:], 2e-12, 1.0))
+    other = ("a0_hat", (-1.0, 0.0, 1.0, 2.0))
+    base = collinear_state() if model.is_mhd else BasicState()
+    for axes in [(a_axis, other), (other, a_axis)]:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rows = sweep(model, SweepSpec(base=base, axes=axes))
+        near = [w for w in caught if "zero-detection threshold" in str(w.message)]
+        assert len(near) == len(caught) == len(near_zero) * len(other[1])
+        assert all(w.category is UserWarning for w in near)
+        assert len(rows) == len(a_axis[1]) * len(other[1])
 
 
 def test_sweep_empty_axis_gives_empty_table():

@@ -435,6 +435,49 @@ class TestSweepCommand:
         assert lines[2].startswith("1,IllPosed,true,0.5")
         assert len(lines) == 3
 
+    @pytest.mark.parametrize(
+        "ini, grid, csv",
+        [
+            (
+                "model = CompressibleMHD\nH_plasma_2 = 1.0\nH_vacuum_2 = 2.0\n",
+                "H_vacuum_3=0,1;a_hat=-1,0,1;a0_hat=0,1",
+                "H_vacuum_3,a_hat,a0_hat,verdict,collinear\n"
+                "0,-1,0,NoHadamardGrowth,true\n"
+                "0,-1,1,NoHadamardGrowth,true\n"
+                "0,0,0,NoHadamardGrowth,true\n"
+                "0,0,1,ExponentiallyUnstable,true\n"
+                "0,1,0,IllPosed,true\n"
+                "0,1,1,IllPosed,true\n"
+                "1,-1,0,NoHadamardGrowth,false\n"
+                "1,-1,1,NoHadamardGrowth,false\n"
+                "1,0,0,NoHadamardGrowth,false\n"
+                "1,0,1,NoHadamardGrowth,false\n"
+                "1,1,0,NoHadamardGrowth,false\n"
+                "1,1,1,NoHadamardGrowth,false\n",
+            ),
+            (
+                "model = CompressibleEuler\n",
+                "a_hat=-1,0,1;a0_hat=0,1",
+                "a_hat,a0_hat,verdict,collinear\n"
+                "-1,0,NoHadamardGrowth,true\n"
+                "-1,1,NoHadamardGrowth,true\n"
+                "0,0,NoHadamardGrowth,true\n"
+                "0,1,ExponentiallyUnstable,true\n"
+                "1,0,IllPosed,true\n"
+                "1,1,IllPosed,true\n",
+            ),
+        ],
+        ids=["CompressibleMHD", "CompressibleEuler"],
+    )
+    def test_pinned_csv_over_every_verdict_branch(self, tmp_path, ini, grid, csv):
+        # together the two grids reach each (verdict, collinear, rt_sign_ok)
+        # outcome and a collinear ill-posed magnetic state with its witness
+        path = tmp_path / "base.ini"
+        path.write_text(ini)
+        out = tmp_path / "map.csv"
+        assert main(["sweep", str(path), "--grid", grid, "--out", str(out)]) == 0
+        assert out.read_bytes() == csv.encode()
+
 
 @pytest.mark.parametrize(
     "section, argv_tail, message",
