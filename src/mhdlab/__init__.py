@@ -1,14 +1,7 @@
 """Numerical stability toolkit for plasma-vacuum interface models."""
 
 from .classifier import SweepSpec, classify_frozen, is_collinear, numeric_classify, sweep
-from .dispersion import (
-    AsymptoticRoot,
-    asymptotic_root,
-    boundary_matrix,
-    dispersion_eval,
-    lambda_minus,
-    lambda_plus,
-)
+from .dispersion import AsymptoticRoot, dispersion_eval, mode_symbol
 from .domain import (
     BasicState,
     Classification,
@@ -47,8 +40,6 @@ __all__ = [
     "SweepSpec",
     "Verdict",
     "Wavevector",
-    "asymptotic_root",
-    "boundary_matrix",
     "build_mode",
     "classify_frozen",
     "dispersion_eval",
@@ -59,8 +50,7 @@ __all__ = [
     "grid_for_mode",
     "growth_ratio",
     "is_collinear",
-    "lambda_minus",
-    "lambda_plus",
+    "mode_symbol",
     "numeric_classify",
     "pde_residual_fd",
     "scan_s0",

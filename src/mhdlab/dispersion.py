@@ -6,9 +6,11 @@ take the principal branch (Re sqrt >= 0) throughout, so the flow-side
 exponent -sqrt(...) automatically has nonpositive real part.
 
 The interface symbol of one (model, state, direction) is a ModeSymbol, built
-once by mode_symbol(); the public functions below are thin wrappers over it.
-Its determinant (s is the frequency per unit mode index n) has one of two
-forms:
+once by mode_symbol(), the one public way into it: value(s, n),
+lambda_plus(s), matrix(s, n), families and polynomial(n). dispersion_eval
+and dispersion_scale are the solver's evaluations of value and scale, module
+functions so that the benchmark can count them. Its determinant (s is the
+frequency per unit mode index n) has one of two forms:
 
   Euler models   n s^2 - a0 s - (a/rho) g(s)
   MHD models     (n s - a0) P + s (n wm^2 - (a + i wm a1)) g(s)
@@ -36,7 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from .domain import BasicState, ModelKind, Wavevector, alfven_speed, require_valid, w_pair
-from .errors import BranchPointError, DomainError, ResonanceError, UnsupportedModelError
+from .errors import BranchPointError, DomainError, ResonanceError
 
 # Relative threshold below which the g(s) radicand denominator counts as a
 # genuine branch-point hit (only reachable when wp != 0).
@@ -193,7 +195,10 @@ class ModeSymbol:
         return np.convolve(np.convolve(A, A), D) - Bc * Bc * B2
 
     def matrix(self, s: complex, n: int) -> np.ndarray:
-        """Interface matrix in the unknowns (phi, q[, xi]); see boundary_matrix."""
+        """Interface matrix in the unknowns (phi, q[, xi]). Its determinant is
+        value times 1/s (Euler) or -n/P (MHD): the pressure column is oriented
+        for that identity, so the solvability system, where the pressure enters
+        the kinematic row as -v1(q), carries it with opposite sign."""
         a, a0, rho = self.a, self.a0, self.rho
         if not self.model.is_mhd:
             if s == 0:
@@ -241,7 +246,8 @@ class AsymptoticRoot:
 def _poly_candidates(coeffs) -> list:
     """Companion-matrix roots, with exact s = 0 factors deflated first. Leading
     coefficients up to 1e-300 times the largest are dropped (only exact zeros
-    if it is inf or nan); the matrix and its eigenvalues are np.roots'."""
+    if it is inf or nan); the matrix and its eigenvalues are np.roots'. A
+    companion with a coefficient that is not finite raises DomainError."""
     c = np.asarray(coeffs, dtype=complex)
     mags = np.abs(c)
     lead = mags.max()
@@ -255,6 +261,9 @@ def _poly_candidates(coeffs) -> list:
         out.append(0j)
         end -= 1
     if end - first > 1:
+        if not math.isfinite(lead):
+            bad = next(i for i, m in enumerate(mags) if not math.isfinite(m))
+            raise DomainError(f"s^{len(mags) - 1 - bad} coefficient {complex(c[bad])} is not finite")
         companion = np.eye(end - first - 1, k=-1, dtype=complex)
         companion[0] = -c[first + 1 : end] / c[first]
         out.extend(np.linalg.eigvals(companion).tolist())
@@ -300,7 +309,7 @@ def _s0_candidates(sym: ModeSymbol) -> list:
         for s in (root_u, -root_u):
             try:
                 phi, _, scale = _leading_symbol(sym, s)
-            except BranchPointError:
+            except (BranchPointError, OverflowError):
                 continue
             if abs(phi) <= 1e-8 * scale:
                 out.append(s)
@@ -334,7 +343,7 @@ def _series_families(sym: ModeSymbol) -> list:
         try:
             _, dphi, _ = _leading_symbol(sym, s0)
             g0 = sym.g(s0)[0]
-        except BranchPointError:
+        except (BranchPointError, OverflowError):
             continue
         if abs(dphi) <= 1e-12 * max(1.0, rho * abs(s0)):
             continue
@@ -346,10 +355,10 @@ def _series_families(sym: ModeSymbol) -> list:
 
 
 # The last symbol built and the (model, state, omega) objects it came from:
-# the solver evaluates one symbol many times through the public functions
-# below, and the symbol carries the root sets solve_dispersion stored on it
-# across public calls (growth_ratio reuses the solves of the modes it
-# amplifies). Matched by identity, since states equal up to the sign of a
+# the solver evaluates one symbol many times through dispersion_eval and
+# dispersion_scale, and the symbol carries the root sets solve_dispersion
+# stored on it across public calls (growth_ratio reuses the solves of the
+# modes it amplifies). Matched by identity, since states equal up to the sign of a
 # zero field must not share a symbol; the held references keep ids from reuse.
 _last_symbol = (None, None, None, None)
 
@@ -381,23 +390,6 @@ def mode_symbol(model: ModelKind, state: BasicState, omega: Wavevector) -> ModeS
     return sym
 
 
-def asymptotic_root(model: ModelKind, state: BasicState, omega: Wavevector) -> list:
-    """Frequency series families for large n, one per root branch (a fresh list)."""
-    return list(mode_symbol(model, state, omega).families)
-
-
-def lambda_plus(model: ModelKind, state: BasicState, omega: Wavevector, s: complex) -> complex:
-    """Flow-side spatial exponent -g(s) of the decaying mode, at unit wavevector."""
-    return mode_symbol(model, state, omega).lambda_plus(complex(s))
-
-
-def lambda_minus(model: ModelKind) -> complex:
-    """Vacuum-side spatial exponent (+1); Euler models have no vacuum side."""
-    if not model.is_mhd:
-        raise UnsupportedModelError(f"{model.value} has no vacuum potential")
-    return complex(1.0)
-
-
 def dispersion_eval(
     model: ModelKind, state: BasicState, omega: Wavevector, s: complex, n: int
 ) -> DeterminantValue:
@@ -411,18 +403,3 @@ def dispersion_scale(
     """Termwise magnitude of the determinant at s, for relative residuals."""
     return mode_symbol(model, state, omega).scale(complex(s), n)
 
-
-def boundary_matrix(
-    model: ModelKind, state: BasicState, omega: Wavevector, s: complex, n: int
-) -> np.ndarray:
-    """Interface matrix in the unknowns (phi, q[, xi]).
-
-    The determinant of the returned matrix is proportional to
-    ``dispersion_eval`` (prefactor 1/s for Euler models, -n/P for magnetic
-    ones). Sign convention: the pressure column is oriented so that the
-    determinant reproduces the dispersion function with positive sign; the
-    amplitude (solvability) system carries that column with opposite sign,
-    since the pressure enters the kinematic row as -v1(q). Mode construction
-    restores the physical sign before extracting nullspaces.
-    """
-    return mode_symbol(model, state, omega).matrix(complex(s), n)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .dispersion import mode_symbol
 from .domain import BasicState, HadamardMode, ModeRoot, ModelKind, Wavevector, _finite
-from .errors import DomainError, GridError, NotARootError
+from .errors import DomainError, GridError, NotARootError, ResonanceError
 from .roots import dominant_root, solve_dispersion
 
 NULLSPACE_TOLERANCE = 1e-8
@@ -127,7 +127,10 @@ def build_mode(
     if not (root.admissible or root.neutral):
         raise NotARootError("mode construction needs an admissible or neutral root")
     s, n = root.s, root.n
-    # boundary_matrix orients the pressure column for the determinant
+    if s != 0 and math.isinf(1.0 / abs(s)):
+        # the amplitude relations divide by s
+        raise ResonanceError(f"1/s overflows double precision at s={s!r}")
+    # the symbol's matrix orients the pressure column for the determinant
     # identity; the solvability system carries -v1(q), so flip that column
     phys = sym.matrix(s, n)
     phys[:, 1] = -phys[:, 1]
@@ -184,10 +187,10 @@ def build_mode(
 
 
 def grid_for_mode(mode: HadamardMode, points_per_direction=(256, 256, 16)) -> GridSpec:
-    """Depths from the decay rates: L = min(40/(n|Re lambda|), 20/|omega|)."""
+    """Depths from the decay rates: L = min(40/(n|Re lambda|), 20), for every |omega|."""
     n = mode.root.n
     lam_p = mode_symbol(mode.model, mode.state, mode.omega).lambda_plus(mode.root.s)
-    cap = 20.0 / mode.omega.norm
+    cap = 20.0
     rate_p = n * abs(lam_p.real)
     if rate_p == 0:
         raise GridError("plasma-side mode does not decay; cannot truncate the half-space")
@@ -274,8 +277,9 @@ def pde_residual_fd(mode: HadamardMode, grid: GridSpec, t: float) -> ResidualRep
 
     x1 derivatives are one-sided at the interface rows; the tangential
     direction wraps periodically; time uses a centered difference with
-    dt equal to the tangential spacing. Boundary conditions involve no
-    differencing and must vanish at machine precision.
+    dt = htau / max(1, |s|), htau the tangential spacing: a step turns the
+    mode by at most n htau radians in t, as in tau. Boundary conditions
+    involve no differencing and must vanish at machine precision.
 
     Every plasma field is F e(x1) phase(tau) exp(n s t), with amplitude F,
     decay factor e = exp(n lambda x1) and phase = exp(i n tau). The x1 stencil
@@ -336,7 +340,8 @@ def pde_residual_fd(mode: HadamardMode, grid: GridSpec, t: float) -> ResidualRep
     fwd, back = cmath.exp(1j * n * htau), cmath.exp(-1j * n * htau)
     dtau = (fwd - back) / (2.0 * htau)
     dtau2 = (fwd - 2.0 + back) / (htau * htau)
-    Dt = (cmath.exp(n * s * htau) - cmath.exp(-n * s * htau)) / (2.0 * htau)
+    dt = htau / max(1.0, abs(s))
+    Dt = (cmath.exp(n * s * dt) - cmath.exp(-n * s * dt)) / (2.0 * dt)
 
     # analytic per-term magnitudes: |e| <= 1, so |amp| is the sup of every field
     amp = mode.amplitude
@@ -414,7 +419,7 @@ def pde_residual_fd(mode: HadamardMode, grid: GridSpec, t: float) -> ResidualRep
         boundary["vacuum_neumann"] = _rel(abs(vac), n * xi0, (a1 + 1j * n * wm) * phi)
     else:
         boundary["pressure"] = _rel(abs(q0 - a * phi), q0, a * phi)
-    return ResidualReport(interior=interior, boundary=boundary, spacings=(h1p, h1m, htau, htau))
+    return ResidualReport(interior=interior, boundary=boundary, spacings=(h1p, h1m, htau, dt))
 
 
 def growth_ratio(

@@ -17,8 +17,9 @@ that solves the other branch A - B g = 0 by a margin (|A + B g| greater than
 _BRANCH_MARGIN times |A - B g|) cannot polish onto a root of A + B g = 0 and
 is not polished. The branch test never drops an asymptotic seed, an exact
 zero, a candidate of the incompressible models (which have no radical) or a
-candidate where g(s) raises BranchPointError; those go through Newton and
-the gate as before (an exact zero is polished only if it fails the gate).
+candidate where g(s) raises BranchPointError or overflows; those go through
+Newton and the gate as before (an exact zero is polished only if it fails
+the gate).
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dispersion import ModeSymbol, _poly_candidates, _s0_candidates
-from .dispersion import dispersion_eval, dispersion_scale, lambda_minus, lambda_plus, mode_symbol
+from .dispersion import dispersion_eval, dispersion_scale, mode_symbol
 from .domain import BasicState, ModeRoot, ModelKind, ScalingFit, Wavevector
 from .errors import BranchPointError, DomainError, FitError
 
@@ -97,12 +98,12 @@ def newton_refine(
 
 def _wrong_branch(sym: ModeSymbol, s: complex, n: int) -> bool:
     """True when s plainly solves A - B g = 0 rather than the determinant
-    A + B g = 0; never for incompressible models or at a branch point of g."""
+    A + B g = 0; never for incompressible models or where g raises."""
     if not sym.model.is_compressible:
         return False
     try:
         g = sym.g(s)[0]
-    except BranchPointError:
+    except (BranchPointError, OverflowError):
         return False
     if sym.model.is_mhd:
         A = (n * s - sym.a0) * (sym.rho * s * s + sym.wp * sym.wp)
@@ -113,16 +114,17 @@ def _wrong_branch(sym: ModeSymbol, s: complex, n: int) -> bool:
     return abs(A + Bg) > _BRANCH_MARGIN * abs(A - Bg)
 
 
-def _finish_root(model, state, omega, s, residual, n) -> ModeRoot | None:
+def _finish_root(sym: ModeSymbol, s: complex, residual: float, n) -> ModeRoot | None:
     # written so that a nan residual fails the gate too
     if not residual <= RESIDUAL_TOLERANCE:
         return None
     # a finite residual means g was evaluated at this very s, so lambda_plus
     # cannot hit a branch point
-    lp = lambda_plus(model, state, omega, s)
-    lm = lambda_minus(model) if model.is_mhd else complex(math.nan, math.nan)
+    lp = sym.lambda_plus(s)
+    # the vacuum exponent is +1 on the magnetic models; Euler has no vacuum side
+    lm = complex(1.0) if sym.model.is_mhd else complex(math.nan, math.nan)
     neutral = s == 0
-    # lambda_minus is +1 on the magnetic models: only the plasma side can fail
+    # only the plasma side can fail
     admissible = not neutral and s.real > 0.0 and lp.real < 0.0
     return ModeRoot(
         s=s, lambda_plus=lp, lambda_minus=lm, residual=residual, admissible=admissible, n=n,
@@ -159,7 +161,7 @@ def solve_dispersion(model: ModelKind, state: BasicState, omega: Wavevector, n: 
         s, residual = cand, (_residual(model, state, omega, cand, n)[1] if cand == 0 else math.inf)
         if not residual <= RESIDUAL_TOLERANCE:
             s, residual = newton_refine(model, state, omega, cand, n)
-        made = _finish_root(model, state, omega, s, residual, n)
+        made = _finish_root(sym, s, residual, n)
         if made is None:
             continue
         tol = _DEDUPE_TOL * (1.0 + abs(made.s))

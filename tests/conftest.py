@@ -20,9 +20,11 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def subprocess_env() -> dict:
-    """Environment for a child Python that imports mhdlab from this checkout."""
+    """Environment for a child Python that imports mhdlab from this checkout
+    and, as pyproject's filterwarnings does in process, fails on a
+    RuntimeWarning."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    return {**os.environ, "PYTHONPATH": path}
+    return {**os.environ, "PYTHONPATH": path, "PYTHONWARNINGS": "error::RuntimeWarning"}
 
 
 def load_bench_oracle():

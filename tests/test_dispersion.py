@@ -10,16 +10,10 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from conftest import MHD_MODELS, bounded, model_state_pairs, states, wavevectors
-from mhdlab.dispersion import (
-    boundary_matrix,
-    dispersion_eval,
-    dispersion_scale,
-    lambda_minus,
-    lambda_plus,
-    mode_symbol,
-)
+from mhdlab.dispersion import dispersion_eval, dispersion_scale, mode_symbol
 from mhdlab.domain import BasicState, ModelKind, Wavevector, alfven_speed, w_pair
 from mhdlab.errors import BranchPointError, ResonanceError, UnsupportedModelError
+from mhdlab.roots import solve_dispersion
 
 OM = Wavevector(1.0, 0.0)
 
@@ -74,17 +68,17 @@ def same_sheet(model, state, omega, s, points):
 
 def test_flow_side_exponent_closed_forms():
     st0 = BasicState(c_hat=2.0)
-    assert lambda_plus(ModelKind.CompressibleEuler, st0, OM, 0.0) == -1.0
+    assert mode_symbol(ModelKind.CompressibleEuler, st0, OM).lambda_plus(0.0) == -1.0
     st1 = BasicState(H_plasma=(1.0, 0.0), H_vacuum=(1.0, 0.0))
-    assert lambda_plus(ModelKind.CompressibleMHD, st1, OM, 0.0) == -1.0
-    assert lambda_plus(ModelKind.IncompressibleMHD, st1, OM, 0.7 + 0.2j) == -1.0
-    assert lambda_plus(ModelKind.IncompressibleEuler, BasicState(), OM, 5.0) == -1.0
+    assert mode_symbol(ModelKind.CompressibleMHD, st1, OM).lambda_plus(0.0) == -1.0
+    assert mode_symbol(ModelKind.IncompressibleMHD, st1, OM).lambda_plus(0.7 + 0.2j) == -1.0
+    assert mode_symbol(ModelKind.IncompressibleEuler, BasicState(), OM).lambda_plus(5.0) == -1.0
 
 
 @given(states(model=ModelKind.CompressibleEuler), complex_s())
 def test_flow_side_exponent_has_nonpositive_real_part(state, s):
     try:
-        lam = lambda_plus(ModelKind.CompressibleEuler, state, OM, s)
+        lam = mode_symbol(ModelKind.CompressibleEuler, state, OM).lambda_plus(s)
     except BranchPointError:
         assume(False)
     assert lam.real <= 0.0
@@ -93,7 +87,7 @@ def test_flow_side_exponent_has_nonpositive_real_part(state, s):
 @given(states(), wavevectors(), complex_s())
 def test_magnetic_flow_side_exponent_has_nonpositive_real_part(state, omega, s):
     try:
-        lam = lambda_plus(ModelKind.CompressibleMHD, state, omega, s)
+        lam = mode_symbol(ModelKind.CompressibleMHD, state, omega).lambda_plus(s)
     except BranchPointError:
         assume(False)
     assert lam.real <= 0.0
@@ -104,7 +98,7 @@ def test_flow_side_exponent_reports_branch_point():
     # (c^2 + cA^2) s^2 + c^2 wp^2 / rho = 0 at s = i wp c / sqrt(rho (c^2+cA^2))
     s = 1j * 1.0 / math.sqrt(2.0)
     with pytest.raises(BranchPointError):
-        lambda_plus(ModelKind.CompressibleMHD, state, OM, s)
+        mode_symbol(ModelKind.CompressibleMHD, state, OM).lambda_plus(s)
 
 
 BRANCH_POINTS = [
@@ -113,10 +107,10 @@ BRANCH_POINTS = [
     (ModelKind.CompressibleMHD, BasicState(H_plasma=(1.0, 0.0)), 1j / math.sqrt(2.0)),
 ]
 AT_S = {
-    "lambda_plus": lambda model, state, s: lambda_plus(model, state, OM, s),
+    "lambda_plus": lambda model, state, s: mode_symbol(model, state, OM).lambda_plus(s),
     "dispersion_eval": lambda model, state, s: dispersion_eval(model, state, OM, s, 10),
     "dispersion_scale": lambda model, state, s: dispersion_scale(model, state, OM, s, 10),
-    "boundary_matrix": lambda model, state, s: boundary_matrix(model, state, OM, s, 10),
+    "matrix": lambda model, state, s: mode_symbol(model, state, OM).matrix(s, 10),
 }
 
 
@@ -129,10 +123,12 @@ def test_every_evaluation_rejects_a_branch_point(model, state, s, name):
 
 
 def test_vacuum_side_exponent_and_euler_rejection():
-    assert lambda_minus(ModelKind.IncompressibleMHD) == 1.0
-    assert lambda_minus(ModelKind.CompressibleMHD) == 1.0
-    with pytest.raises(UnsupportedModelError):
-        lambda_minus(ModelKind.CompressibleEuler)
+    state = BasicState(H_plasma=(1.0, 0.0), H_vacuum=(1.0, 0.0), a_hat=1.0)
+    for model in MHD_MODELS:
+        roots = solve_dispersion(model, state, OM, 10)
+        assert roots and all(r.lambda_minus == 1.0 for r in roots)
+    roots = solve_dispersion(ModelKind.CompressibleEuler, BasicState(a_hat=1.0), OM, 10)
+    assert roots and all(cmath.isnan(r.lambda_minus) for r in roots)
     magnetized = BasicState(H_plasma=(1.0, 0.0))
     with pytest.raises(UnsupportedModelError):
         dispersion_scale(ModelKind.CompressibleEuler, magnetized, OM, 0.5, 10)
@@ -392,7 +388,7 @@ def test_large_sound_speed_recovers_incompressible_euler(state, s, n):
 def test_boundary_matrix_entries_euler():
     state = BasicState(a_hat=0.8, a0_hat=0.3)
     n, s = 12, 0.25
-    mat = boundary_matrix(ModelKind.IncompressibleEuler, state, OM, s, n)
+    mat = mode_symbol(ModelKind.IncompressibleEuler, state, OM).matrix(s, n)
     assert mat.shape == (2, 2)
     assert mat[0, 0] == pytest.approx(n * s - 0.3)
     assert mat[0, 1] == pytest.approx(1.0 / s)
@@ -404,7 +400,7 @@ def test_boundary_matrix_third_row_magnetic():
     state = BasicState(H_plasma=(1.0, 0.0), H_vacuum=(0.6, 0.8), a1_hat=0.5)
     omega = Wavevector(1.0, 0.0)
     n = 9
-    mat = boundary_matrix(ModelKind.IncompressibleMHD, state, omega, 0.4, n)
+    mat = mode_symbol(ModelKind.IncompressibleMHD, state, omega).matrix(0.4, n)
     wm = 0.6
     assert mat.shape == (3, 3)
     assert mat[2, 0] == pytest.approx(0.5 + 1j * n * wm)
@@ -417,7 +413,7 @@ def test_matrix_determinant_proportional_to_dispersion(pair, omega, s, n):
     model, state = pair
     assume(abs(s) > 0.05)
     try:
-        mat = boundary_matrix(model, state, omega, s, n)
+        mat = mode_symbol(model, state, omega).matrix(s, n)
         dv = dispersion_eval(model, state, omega, s, n)
     except (ResonanceError, BranchPointError):
         assume(False)

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 
 from mhdlab import hadamard
 from mhdlab import roots as roots_module
-from mhdlab.dispersion import boundary_matrix, mode_symbol
+from mhdlab.dispersion import mode_symbol
 from mhdlab.domain import BasicState, ModeRoot, ModelKind, Wavevector
 from mhdlab.errors import DomainError, GridError, NotARootError, ResonanceError
 from mhdlab.hadamard import (
@@ -49,9 +49,7 @@ def top_mode(model, state, omega, n):
 
 
 def physical_matrix(mode):
-    mat = boundary_matrix(
-        mode.model, mode.state, mode.omega, mode.root.s, mode.root.n
-    ).copy()
+    mat = mode_symbol(mode.model, mode.state, mode.omega).matrix(mode.root.s, mode.root.n)
     mat[:, 1] = -mat[:, 1]
     return mat
 
@@ -156,6 +154,11 @@ class TestBuildMode:
     @given(pair=model_state_pairs(collinear=True), omega=wavevectors())
     @example(
         pair=(M.IncompressibleEuler, BasicState(a_hat=1.8763167430892094e-173, a0_hat=-1.0)),
+        omega=Wavevector(1.0, 0.0),
+    )
+    @example(
+        # the admissible root s = 4.45e-310 has no finite 1/s
+        pair=(M.CompressibleMHD, BasicState(H_plasma=(1.0, 0.0), a0_hat=2.2250738585072014e-308)),
         omega=Wavevector(1.0, 0.0),
     )
     def test_random_modes_solve_the_boundary_system(self, pair, omega):
@@ -352,7 +355,47 @@ REPORT_KEYS = [
 ]
 
 
+def strong_field_state(h):
+    return BasicState(
+        a_hat=1.0, a0_hat=0.2, a1_hat=0.7, c_hat=2.0,
+        H_plasma=(0.6 * h, 0.8 * h), H_vacuum=(1.6 * h, -1.2 * h),
+    )
+
+
+# modes with |s| >> 1: a time step of one tangential spacing htau would turn
+# the time factor by n |s| htau = 2 pi |s| / 16 radians on the mode's grid
+FAST_MODES = [
+    (model, BasicState(a_hat=1.0, a0_hat=a0))
+    for model in (M.IncompressibleEuler, M.CompressibleMHD)
+    for a0 in (30.0, 100.0, 300.0, 1000.0, 5000.0)
+] + [(M.CompressibleMHD, strong_field_state(h)) for h in (10.0, 30.0, 100.0)]
+
+
+def convergence_ratios(mode):
+    """coarse/fine ratio of every interior residual on the mode's grid, leaving
+    out equations that vanish identically on both grids."""
+    grid = grid_for_mode(mode)
+    coarse = pde_residual_fd(mode, grid, 0.0).interior
+    fine = pde_residual_fd(mode, grid.refined(), 0.0).interior
+    return {k: v / fine[k] for k, v in coarse.items() if v or fine[k]}
+
+
 class TestPdeResidualFd:
+    @pytest.mark.parametrize("model,state", FAST_MODES)
+    def test_fast_modes_converge_at_second_order(self, model, state):
+        ratios = convergence_ratios(top_mode(model, state, Wavevector(1.0, 0.0), 25))
+        assert ratios and all(3.2 <= r <= 4.8 for r in ratios.values()), ratios
+
+    def test_report_depends_only_on_the_direction_of_omega(self):
+        state = BasicState(a_hat=1.0, a0_hat=0.2, c_hat=2.0)
+        reports = []
+        for size in (1e-3, 1.0, 10.0, 1000.0):
+            mode = top_mode(M.CompressibleEuler, state, Wavevector(size, 0.0), 25)
+            reports.append(pde_residual_fd(mode, grid_for_mode(mode), 0.0))
+            ratios = convergence_ratios(mode)
+            assert ratios and all(3.2 <= r <= 4.8 for r in ratios.values()), ratios
+        assert all(report == reports[0] for report in reports)
+
     @pytest.mark.parametrize("model,state,interior,boundary", REPORT_KEYS)
     def test_equation_names_and_order_per_model(self, model, state, interior, boundary):
         mode = top_mode(model, state, OM, 100)
@@ -480,6 +523,7 @@ def whole_grid_residuals(mode, grid):
     mp, mm, mt = grid.points_per_direction
     h1p, h1m = grid.x1_extent_plus / (mp - 1), grid.x1_extent_minus / (mm - 1)
     htau = grid.tangential_period / mt
+    dt = htau / max(1.0, abs(s))
     rho, c = mode.state.rho_hat, mode.state.c_hat
     o2, o3 = mode.omega.unit()
     Hhat = (0.0, *mode.state.H_plasma)
@@ -491,7 +535,7 @@ def whole_grid_residuals(mode, grid):
         return np.gradient(F, h1p, axis=0, edge_order=2) if i == 0 else (o2, o3)[i - 1] * dtau(F)
 
     def Dt(F):
-        return (F * cmath.exp(n * s * htau) - F * cmath.exp(-n * s * htau)) / (2.0 * htau)
+        return (F * cmath.exp(n * s * dt) - F * cmath.exp(-n * s * dt)) / (2.0 * dt)
 
     def div(F):
         return d(0, F[0]) + d(1, F[1]) + d(2, F[2])

@@ -1,5 +1,6 @@
 """Root finding, asymptotic series and scaling-law fits."""
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -17,10 +18,11 @@ from conftest import (
     wavevectors,
 )
 from mhdlab import dispersion as dispersion_module
+from mhdlab import errors as errors_module
 from mhdlab import roots as roots_module
 from mhdlab.classifier import _witness_direction
-from mhdlab.dispersion import AsymptoticRoot, asymptotic_root, dispersion_eval, dispersion_scale, mode_symbol
-from mhdlab.domain import BasicState, ModelKind, Wavevector, w_pair
+from mhdlab.dispersion import AsymptoticRoot, dispersion_eval, dispersion_scale, mode_symbol
+from mhdlab.domain import BasicState, ModeRoot, ModelKind, Wavevector, w_pair
 from mhdlab.errors import DomainError, FitError
 from mhdlab.roots import (
     _DEDUPE_TOL,
@@ -183,7 +185,7 @@ def test_newton_stops_where_g_overflows():
     start = 1.055434455743591e-10 + 0j
     s, residual = newton_refine(ModelKind.CompressibleEuler, state, OM, start, 1)
     assert (s, residual) == (start, 1.0)
-    assert _finish_root(ModelKind.CompressibleEuler, state, OM, s, residual, 1) is None
+    assert _finish_root(mode_symbol(ModelKind.CompressibleEuler, state, OM), s, residual, 1) is None
 
 
 @pytest.mark.parametrize("model, fields", [
@@ -235,7 +237,7 @@ def test_polish_evaluates_each_iterate_once_and_the_gate_none(monkeypatch):
         found = solve_dispersion(model, state, omega, n)
         cands = _poly_candidates(mode_symbol(model, state, omega).polynomial(n))
         if model is ModelKind.CompressibleMHD:
-            cands += [f.evaluate(n) for f in asymptotic_root(model, state, omega)]
+            cands += [f.evaluate(n) for f in mode_symbol(model, state, omega).families]
         zeros = [c for c in cands if c == 0]
         assert [s for depth_, s, _ in calls if depth_ == 0] == zeros
         prev = None
@@ -263,7 +265,7 @@ def test_overflowing_scale_ends_the_polish_without_a_root(model):
         dispersion_scale(model, state, PERP, s, 7)
     best, residual = newton_refine(model, state, PERP, s, 7)
     assert best == s and math.isinf(residual)
-    assert _finish_root(model, state, PERP, best, residual, 7) is None
+    assert _finish_root(mode_symbol(model, state, PERP), best, residual, 7) is None
 
 
 # ------------------------------------------------------- branch prefilter
@@ -307,7 +309,7 @@ def test_skipped_candidates_polish_onto_no_new_root(case):
     found = [r.s for r in solve_dispersion(model, state, omega, n)]
     for cand in skipped_candidates(model, state, omega, n):
         s, residual = newton_refine(model, state, omega, cand, n)
-        made = _finish_root(model, state, omega, s, residual, n)
+        made = _finish_root(mode_symbol(model, state, omega), s, residual, n)
         if made is None or any(abs(made.s - f) <= _DEDUPE_TOL * (1.0 + abs(made.s)) for f in found):
             continue
         oracle = load_bench_oracle()
@@ -373,7 +375,7 @@ def test_seeds_and_exact_zeros_bypass_the_branch_test(monkeypatch):
     # and the sqrt(a/rho) family gives an asymptotic seed
     state = aligned_state(a_hat=1.0, a0_hat=1.5, rho_hat=2.0, c_hat=1.5)
     model, n = ModelKind.CompressibleMHD, 10**4
-    seeds = [f.evaluate(n) for f in asymptotic_root(model, state, PERP)]
+    seeds = [f.evaluate(n) for f in mode_symbol(model, state, PERP).families]
     assert seeds
     monkeypatch.setattr(roots_module, "_wrong_branch", lambda sym, s, n: True)
     starts = record_polish(monkeypatch)
@@ -403,19 +405,19 @@ def test_branch_point_candidates_are_polished(monkeypatch, model, state, s):
 
 def test_series_families_select_regime():
     # growing square-root branch
-    fams = asymptotic_root(ModelKind.CompressibleMHD, aligned_state(a_hat=4.0), PERP)
+    fams = mode_symbol(ModelKind.CompressibleMHD, aligned_state(a_hat=4.0), PERP).families
     assert len(fams) == 1 and fams[0].s1 == pytest.approx(2.0)
     # exact a0/n branch
-    fams = asymptotic_root(ModelKind.CompressibleEuler, BasicState(a0_hat=2.0), OM)
+    fams = mode_symbol(ModelKind.CompressibleEuler, BasicState(a0_hat=2.0), OM).families
     assert len(fams) == 1 and fams[0].s2 == pytest.approx(2.0) and fams[0].s1 == 0
     # no growing branch at all
-    assert asymptotic_root(ModelKind.IncompressibleEuler, BasicState(a_hat=-1.0), OM) == []
-    assert asymptotic_root(ModelKind.IncompressibleEuler, BasicState(), OM) == []
+    assert mode_symbol(ModelKind.IncompressibleEuler, BasicState(a_hat=-1.0), OM).families == ()
+    assert mode_symbol(ModelKind.IncompressibleEuler, BasicState(), OM).families == ()
 
 
 def test_series_leading_term_for_oscillatory_regime():
     state = BasicState(H_plasma=(3.0, 0.0), H_vacuum=(4.0, 0.0))
-    fams = asymptotic_root(ModelKind.IncompressibleMHD, state, OM)
+    fams = mode_symbol(ModelKind.IncompressibleMHD, state, OM).families
     assert len(fams) == 2
     assert fams[0].s0 == pytest.approx(5j, abs=1e-12)
     assert fams[1].s0 == pytest.approx(-5j, abs=1e-12)
@@ -427,7 +429,7 @@ def test_oscillatory_series_real_part_closed_form():
     state = BasicState(
         H_plasma=(0.6, 0.0), H_vacuum=(0.8, 0.0), a_hat=0.5, a0_hat=1.0, a1_hat=0.3
     )
-    fams = asymptotic_root(ModelKind.IncompressibleMHD, state, OM)
+    fams = mode_symbol(ModelKind.IncompressibleMHD, state, OM).families
     W = 1.0
     expect = {
         round(math.sqrt(W) * 0.8 * 0.3 / (2 * W) + 1.0 * 0.64 / (2 * W), 12),
@@ -447,7 +449,7 @@ def test_series_residual_meets_advertised_budget(pair, n):
     else:
         omega = OM
     assume(state.a_hat > 0.1)
-    fams = asymptotic_root(model, state, omega)
+    fams = mode_symbol(model, state, omega).families
     assert len(fams) == 1
     s = fams[0].evaluate(n)
     rel = abs(dispersion_eval(model, state, omega, s, n).value) / dispersion_scale(
@@ -459,7 +461,7 @@ def test_series_residual_meets_advertised_budget(pair, n):
 def test_series_matches_polished_root_to_high_order():
     state = aligned_state(a_hat=1.0, a0_hat=1.5, rho_hat=2.0, c_hat=1.5)
     for n in (10**3, 10**4):
-        fam = asymptotic_root(ModelKind.CompressibleMHD, state, PERP)[0]
+        fam = mode_symbol(ModelKind.CompressibleMHD, state, PERP).families[0]
         top = dominant_root(solve_dispersion(ModelKind.CompressibleMHD, state, PERP, n))
         assert abs(fam.evaluate(n) - top.s) < 5.0 * n ** (-2)
 
@@ -470,8 +472,8 @@ def test_subnormal_a_over_rho_takes_the_a_zero_families(a0):
     # by s1 = 0, so the symbol has the families of a = 0
     state = BasicState(rho_hat=2.0, c_hat=1.0, a_hat=5e-324, a0_hat=a0)
     model = ModelKind.CompressibleMHD
-    expect = [AsymptoticRoot(0j, 0j, complex(a0), 0j)] if a0 != 0 else []
-    assert asymptotic_root(model, state, OM) == expect
+    expect = (AsymptoticRoot(0j, 0j, complex(a0), 0j),) if a0 != 0 else ()
+    assert mode_symbol(model, state, OM).families == expect
     for n in (1, 100, 10**6):
         got = sorted((r.s for r in solve_dispersion(model, state, OM, n)), key=lambda s: s.real)
         want = sorted({0.0, a0 / n})
@@ -495,17 +497,9 @@ def test_series_families_are_built_once_per_scaling_fit(monkeypatch):
     assert len(calls) == 1
 
 
-def test_asymptotic_root_returns_a_fresh_list():
-    state = aligned_state(a_hat=4.0)
-    fams = asymptotic_root(ModelKind.CompressibleMHD, state, PERP)
-    expect = list(fams)
-    fams.append(AsymptoticRoot(1j, 0j, 0j))
-    fams[0] = AsymptoticRoot(0j, 0j, 0j)
-    assert asymptotic_root(ModelKind.CompressibleMHD, state, PERP) == expect
-
-
 def _np_roots_candidates(coeffs) -> list:
-    """The companion solve as it was written on np.roots: the reference."""
+    """The companion solve as it was written on np.roots, refusing a companion
+    with a coefficient that is not finite: the reference."""
     c = np.asarray(coeffs, dtype=complex)
     lead = np.max(np.abs(c))
     if lead == 0:
@@ -517,6 +511,8 @@ def _np_roots_candidates(coeffs) -> list:
         out.append(0j)
         c = c[:-1]
     if len(c) > 1:
+        if len(np.trim_zeros(c, "f")) > 1 and not np.isfinite(c).all():
+            raise DomainError("non-finite companion")
         out.extend(np.roots(c).tolist())
     return out
 
@@ -551,6 +547,45 @@ def test_poly_candidates_match_np_roots_bit_for_bit():
         cases.append(c)
     for coeffs in cases:
         assert _outcome(_poly_candidates, coeffs) == _outcome(_np_roots_candidates, coeffs), coeffs
+
+
+# CompressibleMHD states far outside the property tests' windows, where the
+# cleared polynomial or g(s) overflows double precision
+CENSUS_CASES = [
+    (BasicState(rho_hat=1e200, H_plasma=(1.0, 0.0), H_vacuum=(1.0, 0.0)), Wavevector(1.0, 0.3), 10),
+    (
+        BasicState(
+            rho_hat=2.569926169674014, c_hat=2.168817357777062,
+            H_plasma=(-9.322097302961491e-24, 2.289081405142153),
+            H_vacuum=(-8.522305780054416e54, 3.440728887334117),
+            a_hat=0.40180369247036174, a0_hat=-2.0405762771057705, a1_hat=2.2324648310922667e47,
+        ),
+        Wavevector(0.8434849041474717, -0.11600703014840597),
+        1,
+    ),
+    (
+        BasicState(
+            rho_hat=2.851553881867643, c_hat=0.00012027359183316996,
+            H_plasma=(-0.654629120439143, 0.0),
+            H_vacuum=(-2.0842388398698112e-23, -9.511562948072276e44),
+            a0_hat=-7.695510295187957e-15, a1_hat=0.8089396286853963,
+        ),
+        Wavevector(-0.9474112051610994, -0.7910413275463382),
+        1,
+    ),
+]
+
+
+@pytest.mark.parametrize("state, omega, n", CENSUS_CASES)
+def test_overflowing_states_return_roots_or_a_typed_error(state, omega, n):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            found = solve_dispersion(ModelKind.CompressibleMHD, state, omega, n)
+        except Exception as exc:
+            assert type(exc).__module__ == errors_module.__name__, repr(exc)
+        else:
+            assert all(isinstance(r, ModeRoot) for r in found)
 
 
 # ------------------------------------------------------------ scaling fits
