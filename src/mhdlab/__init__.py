@@ -1,7 +1,7 @@
 """Numerical stability toolkit for plasma-vacuum interface models."""
 
 from .classifier import SweepSpec, classify_frozen, is_collinear, numeric_classify, sweep
-from .dispersion import AsymptoticRoot, dispersion_eval, mode_symbol
+from .dispersion import AsymptoticRoot, mode_symbol
 from .domain import (
     BasicState,
     Classification,
@@ -42,7 +42,6 @@ __all__ = [
     "Wavevector",
     "build_mode",
     "classify_frozen",
-    "dispersion_eval",
     "dominant_root",
     "evaluate_field",
     "fit_scaling",

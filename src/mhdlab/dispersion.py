@@ -6,11 +6,11 @@ take the principal branch (Re sqrt >= 0) throughout, so the flow-side
 exponent -sqrt(...) automatically has nonpositive real part.
 
 The interface symbol of one (model, state, direction) is a ModeSymbol, built
-once by mode_symbol(), the one public way into it: value(s, n),
+once by mode_symbol(), the one public way into it: value(s, n), scale(s, n),
 lambda_plus(s), matrix(s, n), families and polynomial(n). dispersion_eval
-and dispersion_scale are the solver's evaluations of value and scale, module
-functions so that the benchmark can count them. Its determinant (s is the
-frequency per unit mode index n) has one of two forms:
+and dispersion_scale are value and scale under the module names the solver
+calls them by, so that the benchmark can count them. Its determinant (s is
+the frequency per unit mode index n) has one of two forms:
 
   Euler models   n s^2 - a0 s - (a/rho) g(s)
   MHD models     (n s - a0) P + s (n wm^2 - (a + i wm a1)) g(s)
@@ -355,11 +355,10 @@ def _series_families(sym: ModeSymbol) -> list:
 
 
 # The last symbol built and the (model, state, omega) objects it came from:
-# the solver evaluates one symbol many times through dispersion_eval and
-# dispersion_scale, and the symbol carries the root sets solve_dispersion
-# stored on it across public calls (growth_ratio reuses the solves of the
-# modes it amplifies). Matched by identity, since states equal up to the sign of a
-# zero field must not share a symbol; the held references keep ids from reuse.
+# the symbol carries the root sets solve_dispersion stored on it across
+# public calls (growth_ratio reuses the solves of the modes it amplifies).
+# Matched by identity, since states equal up to the sign of a zero field must
+# not share a symbol; the held references keep ids from reuse.
 _last_symbol = (None, None, None, None)
 
 
@@ -390,16 +389,7 @@ def mode_symbol(model: ModelKind, state: BasicState, omega: Wavevector) -> ModeS
     return sym
 
 
-def dispersion_eval(
-    model: ModelKind, state: BasicState, omega: Wavevector, s: complex, n: int
-) -> DeterminantValue:
-    """Evaluate the model's interface determinant and its s-derivative."""
-    return mode_symbol(model, state, omega).value(complex(s), n)
-
-
-def dispersion_scale(
-    model: ModelKind, state: BasicState, omega: Wavevector, s: complex, n: int
-) -> float:
-    """Termwise magnitude of the determinant at s, for relative residuals."""
-    return mode_symbol(model, state, omega).scale(complex(s), n)
-
+# the solver's evaluations, dispersion_eval(sym, s, n) = sym.value(s, n) and
+# likewise scale, under module names so that the benchmark can count them
+dispersion_eval = ModeSymbol.value
+dispersion_scale = ModeSymbol.scale

@@ -30,8 +30,8 @@ import numpy as np
 
 from .dispersion import mode_symbol
 from .domain import BasicState, HadamardMode, ModeRoot, ModelKind, Wavevector, _finite
-from .errors import DomainError, GridError, NotARootError, ResonanceError
-from .roots import dominant_root, solve_dispersion
+from .errors import GridError, NotARootError, ResonanceError
+from .roots import _mode_indices, dominant_root, solve_dispersion
 
 NULLSPACE_TOLERANCE = 1e-8
 TRUNCATION_EPSILON = 1e-16
@@ -435,15 +435,7 @@ def growth_ratio(
     is exactly exp(n Re s t); log_ratio carries that value even when the
     ratio itself overflows (ratio is then inf).
     """
-    given = list(n_list)
-    try:
-        ns = [int(n) for n in given]
-    except (TypeError, ValueError, OverflowError):
-        ns = None
-    if not ns or ns != given or any(b <= a for a, b in zip(ns, ns[1:])) or ns[0] < 1:
-        raise DomainError(
-            f"n_list must be nonempty integers, strictly increasing with every n >= 1, got {given}"
-        )
+    ns = _mode_indices("n_list", n_list)
     _finite("t", t)
     out = []
     for n in ns:

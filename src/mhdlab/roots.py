@@ -58,19 +58,17 @@ class S0Report:
     failures: tuple = ()
 
 
-def _residual(model, state, omega, s, n):
+def _residual(sym: ModeSymbol, s: complex, n):
     """The determinant at s and its relative residual |D(s)|/scale(s), or
     (None, inf) where g(s) hits a branch point or overflows."""
     try:
-        dv = dispersion_eval(model, state, omega, s, n)
-        return dv, abs(dv.value) / dispersion_scale(model, state, omega, s, n)
+        dv = dispersion_eval(sym, s, n)
+        return dv, abs(dv.value) / dispersion_scale(sym, s, n)
     except (BranchPointError, OverflowError):
         return None, math.inf
 
 
-def newton_refine(
-    model: ModelKind, state: BasicState, omega: Wavevector, s: complex, n: int
-) -> tuple[complex, float]:
+def newton_refine(sym: ModeSymbol, s: complex, n: int) -> tuple[complex, float]:
     """Polish a root candidate by Newton iteration on the determinant.
 
     Returns the iterate with the smallest relative residual and that
@@ -79,7 +77,7 @@ def newton_refine(
     s = complex(s)
     best, best_res = s, math.inf
     for _ in range(MAX_ITERATIONS):
-        dv, res = _residual(model, state, omega, s, n)
+        dv, res = _residual(sym, s, n)
         if dv is None:
             break
         if res < best_res:
@@ -89,7 +87,7 @@ def newton_refine(
         step = dv.value / dv.jacobian_ds
         s = s - step
         if abs(step) < _STEP_TOL * (1.0 + abs(s)):
-            res = _residual(model, state, omega, s, n)[1]
+            res = _residual(sym, s, n)[1]
             if res < best_res:
                 best, best_res = s, res
             break
@@ -142,7 +140,11 @@ def solve_dispersion(model: ModelKind, state: BasicState, omega: Wavevector, n: 
     a repeated int n on one symbol returns a fresh list of its stored roots."""
     sym = mode_symbol(model, state, omega)
     if n < 1:
-        raise ValueError(f"mode index must be >= 1, got {n}")
+        raise DomainError(f"mode index must be >= 1, got {n}")
+    try:
+        float(n)
+    except OverflowError:
+        raise DomainError(f"mode index {n} overflows a float") from None
     # only an int n is stored, so 25.0 or True gets roots that carry it
     key = n if type(n) is int else None
     if key in sym.solved:
@@ -158,9 +160,9 @@ def solve_dispersion(model: ModelKind, state: BasicState, omega: Wavevector, n: 
     for cand in candidates:
         # an exact zero is polished only when it fails the gate: then the
         # constant term underflowed or fell below the companion's rounding
-        s, residual = cand, (_residual(model, state, omega, cand, n)[1] if cand == 0 else math.inf)
+        s, residual = cand, (_residual(sym, cand, n)[1] if cand == 0 else math.inf)
         if not residual <= RESIDUAL_TOLERANCE:
-            s, residual = newton_refine(model, state, omega, cand, n)
+            s, residual = newton_refine(sym, cand, n)
         made = _finish_root(sym, s, residual, n)
         if made is None:
             continue
@@ -178,6 +180,21 @@ def solve_dispersion(model: ModelKind, state: BasicState, omega: Wavevector, n: 
     return roots
 
 
+def _mode_indices(name: str, given) -> list:
+    """The mode indices of a list as ints: a nonempty list of whole numbers,
+    strictly increasing with every n >= 1, else DomainError."""
+    given = list(given)
+    try:
+        ns = [int(n) for n in given]
+    except (TypeError, ValueError, OverflowError):
+        ns = None
+    if not ns or ns != given or any(b <= a for a, b in zip(ns, ns[1:])) or ns[0] < 1:
+        raise DomainError(
+            f"{name} must be nonempty integers, strictly increasing with every n >= 1, got {given}"
+        )
+    return ns
+
+
 def dominant_root(roots) -> ModeRoot | None:
     """Admissible root with the largest growth rate, or None."""
     adm = [r for r in roots if r.admissible]
@@ -186,11 +203,9 @@ def dominant_root(roots) -> ModeRoot | None:
 
 def fit_scaling(model: ModelKind, state: BasicState, omega: Wavevector, n_grid) -> ScalingFit:
     """OLS fit of log(max admissible Re s) against log n: Re s ~ C n^{-p}."""
-    ns = [int(n) for n in n_grid]
-    if any(b <= a for a, b in zip(ns, ns[1:])) or not ns:
-        raise ValueError("n_grid must be strictly increasing")
-    if ns[0] < 1 or ns[-1] < 10 * ns[0]:
-        raise ValueError("n_grid must start at n >= 1 and span at least one decade")
+    ns = _mode_indices("n_grid", n_grid)
+    if ns[-1] < 10 * ns[0]:
+        raise DomainError(f"n_grid must span at least one decade, got {ns}")
     growth, failing = [], []
     for n in ns:
         best = dominant_root(solve_dispersion(model, state, omega, n))

@@ -247,7 +247,7 @@ def test_criterion_05_mode_verification():
 
 
 def test_criterion_06_incompressible_limit():
-    from mhdlab.dispersion import dispersion_eval, dispersion_scale
+    from mhdlab.dispersion import mode_symbol
 
     def body():
         rng = np.random.default_rng(2024)
@@ -276,11 +276,11 @@ def test_criterion_06_incompressible_limit():
             inc_state = BasicState(**kw)
             comp_state = BasicState(**kw, c_hat=1e6)
             try:
-                inc_value = dispersion_eval(inc_model, inc_state, omega, s, n).value
-                comp_value = dispersion_eval(comp_model, comp_state, omega, s, n).value
+                inc_value = mode_symbol(inc_model, inc_state, omega).value(s, n).value
+                comp_value = mode_symbol(comp_model, comp_state, omega).value(s, n).value
             except ValueError:
                 continue  # resonance or branch degeneracy; resample
-            scale = dispersion_scale(inc_model, inc_state, omega, s, n)
+            scale = mode_symbol(inc_model, inc_state, omega).scale(s, n)
             if abs(inc_value) < 1e-6 * scale:
                 continue  # too close to a root for a relative comparison
             worst = max(worst, abs(comp_value - inc_value) / abs(inc_value))

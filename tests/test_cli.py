@@ -253,6 +253,14 @@ class TestRootsCommand:
         assert main(["roots", euler_cfg, "--omega", "0", "0"]) == 1
         assert "zero wavevector" in capsys.readouterr().err
 
+    def test_bad_mode_indices_are_domain_error_rows(self, euler_cfg, capsys):
+        huge = "1" + "0" * 400
+        assert main(["roots", euler_cfg, "--n", "0", huge, "100"]) == 3
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[1] == "# error: n=0 DomainError: mode index must be >= 1, got 0"
+        assert lines[2] == f"# error: n={huge} DomainError: mode index {huge} overflows a float"
+        assert lines[3].startswith("100,") and all(l.startswith("100,") for l in lines[3:])
+
     def test_output_file(self, euler_cfg, tmp_path):
         out = tmp_path / "roots.csv"
         assert main(["roots", euler_cfg, "--n", "50", "--out", str(out)]) == 0
@@ -544,6 +552,11 @@ def test_malformed_value_exits_one_without_traceback(tmp_path, command, section,
             ["hadamard", "{cfg}", "--n-list", "0", "25", "--out", "{out}"],
             EULER,
             id="hadamard-zero-n",
+        ),
+        pytest.param(
+            ["hadamard", "{cfg}", "--n-list", "1" + "0" * 400, "--out", "{out}"],
+            EULER,
+            id="hadamard-huge-n",
         ),
         pytest.param(
             ["hadamard", "{cfg}", "--t", "nan", "--out", "{out}"], EULER, id="hadamard-nan-t"

@@ -10,7 +10,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from conftest import MHD_MODELS, bounded, model_state_pairs, states, wavevectors
-from mhdlab.dispersion import dispersion_eval, dispersion_scale, mode_symbol
+from mhdlab.dispersion import mode_symbol
 from mhdlab.domain import BasicState, ModelKind, Wavevector, alfven_speed, w_pair
 from mhdlab.errors import BranchPointError, ResonanceError, UnsupportedModelError
 from mhdlab.roots import solve_dispersion
@@ -108,8 +108,8 @@ BRANCH_POINTS = [
 ]
 AT_S = {
     "lambda_plus": lambda model, state, s: mode_symbol(model, state, OM).lambda_plus(s),
-    "dispersion_eval": lambda model, state, s: dispersion_eval(model, state, OM, s, 10),
-    "dispersion_scale": lambda model, state, s: dispersion_scale(model, state, OM, s, 10),
+    "dispersion_eval": lambda model, state, s: mode_symbol(model, state, OM).value(s, 10),
+    "dispersion_scale": lambda model, state, s: mode_symbol(model, state, OM).scale(s, 10),
     "matrix": lambda model, state, s: mode_symbol(model, state, OM).matrix(s, 10),
 }
 
@@ -131,7 +131,7 @@ def test_vacuum_side_exponent_and_euler_rejection():
     assert roots and all(cmath.isnan(r.lambda_minus) for r in roots)
     magnetized = BasicState(H_plasma=(1.0, 0.0))
     with pytest.raises(UnsupportedModelError):
-        dispersion_scale(ModelKind.CompressibleEuler, magnetized, OM, 0.5, 10)
+        mode_symbol(ModelKind.CompressibleEuler, magnetized, OM).scale(0.5, 10)
 
 
 def test_mode_symbol_is_reused_only_for_the_same_objects():
@@ -274,16 +274,16 @@ def test_scale_is_the_termwise_magnitude(model):
     for s in (0.3 + 0.2j, -0.7j, 1.5 + 0j, 1e-3 + 2.0j, -4.0 - 0.5j, 0j):
         for n in (1, 7, 100, 10**6):
             want = termwise_magnitude(model, state, SCALE_OMEGA, s, n)
-            assert dispersion_scale(model, state, SCALE_OMEGA, s, n) == want
+            assert mode_symbol(model, state, SCALE_OMEGA).scale(s, n) == want
 
 
 def test_determinant_worked_values():
-    dv = dispersion_eval(ModelKind.IncompressibleEuler, BasicState(a_hat=1.0), OM, 0.1, 100)
+    dv = mode_symbol(ModelKind.IncompressibleEuler, BasicState(a_hat=1.0), OM).value(0.1, 100)
     assert abs(dv.value) < 1e-14
     assert dv.jacobian_ds == pytest.approx(20.0)
     quiet = BasicState(H_plasma=(1.0, 0.0), H_vacuum=(1.0, 0.0))
     perp = Wavevector(0.0, 1.0)  # orthogonal to both fields: wp = wm = 0
-    dv2 = dispersion_eval(ModelKind.IncompressibleMHD, quiet, perp, 0.3, 7)
+    dv2 = mode_symbol(ModelKind.IncompressibleMHD, quiet, perp).value(0.3, 7)
     assert dv2.value == pytest.approx(0.189, rel=1e-12)
 
 
@@ -298,7 +298,7 @@ def test_aligned_fields_reduce_determinant_to_scalar_form(state, s):
     alpha = state.c_hat**2 + hp * hp / state.rho_hat
     scalar = 7 * s * s - state.a0_hat * s - (state.a_hat / state.rho_hat) * cmath.sqrt(1 + s * s / alpha)
     try:
-        full = dispersion_eval(ModelKind.CompressibleMHD, state, perp, s, 7).value
+        full = mode_symbol(ModelKind.CompressibleMHD, state, perp).value(s, 7).value
     except BranchPointError:
         assume(False)
     expected = state.rho_hat * s * scalar
@@ -318,8 +318,8 @@ def test_jacobian_matches_finite_differences(pair, omega, s, n):
     stencil = [s - 2.0 * h, s - h, s + h, s + 2.0 * h]
     assume(all(smooth_point(model, state, omega, p) for p in [s] + stencil))
     assume(same_sheet(model, state, omega, s, stencil))
-    dv = dispersion_eval(model, state, omega, s, n)
-    fm2, fm1, fp1, fp2 = (dispersion_eval(model, state, omega, p, n).value for p in stencil)
+    dv = mode_symbol(model, state, omega).value(s, n)
+    fm2, fm1, fp1, fp2 = (mode_symbol(model, state, omega).value(p, n).value for p in stencil)
     fd = (fm2 - 8.0 * fm1 + 8.0 * fp1 - fp2) / (12.0 * h)
     scale = max(abs(dv.jacobian_ds), abs(fd))
     assume(scale > 1e-6)  # away from critical points the test is meaningful
@@ -333,8 +333,8 @@ def test_jacobian_matches_finite_differences(pair, omega, s, n):
 def test_determinant_depends_only_on_field_projections(state, stretch, omega, s, n):
     scaled = Wavevector(stretch * omega.omega2, stretch * omega.omega3)
     try:
-        a = dispersion_eval(ModelKind.CompressibleMHD, state, omega, s, n).value
-        b = dispersion_eval(ModelKind.CompressibleMHD, state, scaled, s, n).value
+        a = mode_symbol(ModelKind.CompressibleMHD, state, omega).value(s, n).value
+        b = mode_symbol(ModelKind.CompressibleMHD, state, scaled).value(s, n).value
     except BranchPointError:
         assume(False)
     assert cmath.isclose(a, b, rel_tol=1e-12, abs_tol=1e-12)
@@ -347,8 +347,8 @@ def test_determinant_matches_under_projection_preserving_reflection():
     om_up = Wavevector(0.6, 0.8)
     om_dn = Wavevector(0.6, -0.8)
     for model in MHD_MODELS:
-        a = dispersion_eval(model, state, om_up, 0.37 + 0.21j, 50).value
-        b = dispersion_eval(model, state, om_dn, 0.37 + 0.21j, 50).value
+        a = mode_symbol(model, state, om_up).value(0.37 + 0.21j, 50).value
+        b = mode_symbol(model, state, om_dn).value(0.37 + 0.21j, 50).value
         assert cmath.isclose(a, b, rel_tol=1e-12)
 
 
@@ -358,8 +358,8 @@ def test_real_coefficient_determinants_commute_with_conjugation(pair, omega, s, 
     if model.is_mhd:
         state = replace(state, a1_hat=0.0)
     assume(smooth_point(model, state, omega, s))
-    direct = dispersion_eval(model, state, omega, s.conjugate(), n).value
-    mirrored = dispersion_eval(model, state, omega, s, n).value.conjugate()
+    direct = mode_symbol(model, state, omega).value(s.conjugate(), n).value
+    mirrored = mode_symbol(model, state, omega).value(s, n).value.conjugate()
     assert cmath.isclose(direct, mirrored, rel_tol=1e-12, abs_tol=1e-12)
 
 
@@ -369,16 +369,16 @@ def test_large_sound_speed_recovers_incompressible_determinant(state, omega, s, 
     wp, _ = w_pair(state, omega)
     # the limit is not uniform at the leading-order resonance s^2 = -wp^2/rho
     assume(abs(s * s + wp * wp / state.rho_hat) > 1e-3)
-    comp = dispersion_eval(ModelKind.CompressibleMHD, stiff, omega, s, n).value
-    inc = dispersion_eval(ModelKind.IncompressibleMHD, stiff, omega, s, n).value
+    comp = mode_symbol(ModelKind.CompressibleMHD, stiff, omega).value(s, n).value
+    inc = mode_symbol(ModelKind.IncompressibleMHD, stiff, omega).value(s, n).value
     assert abs(comp - inc) <= 1e-4 * max(1.0, abs(inc))
 
 
 @given(states(model=ModelKind.CompressibleEuler), complex_s(), st.integers(min_value=1, max_value=1000))
 def test_large_sound_speed_recovers_incompressible_euler(state, s, n):
     stiff = replace(state, c_hat=1e6)
-    comp = dispersion_eval(ModelKind.CompressibleEuler, stiff, OM, s, n).value
-    inc = dispersion_eval(ModelKind.IncompressibleEuler, stiff, OM, s, n).value
+    comp = mode_symbol(ModelKind.CompressibleEuler, stiff, OM).value(s, n).value
+    inc = mode_symbol(ModelKind.IncompressibleEuler, stiff, OM).value(s, n).value
     assert abs(comp - inc) <= 1e-4 * max(1.0, abs(inc))
 
 
@@ -414,7 +414,7 @@ def test_matrix_determinant_proportional_to_dispersion(pair, omega, s, n):
     assume(abs(s) > 0.05)
     try:
         mat = mode_symbol(model, state, omega).matrix(s, n)
-        dv = dispersion_eval(model, state, omega, s, n)
+        dv = mode_symbol(model, state, omega).value(s, n)
     except (ResonanceError, BranchPointError):
         assume(False)
     det = complex(np.linalg.det(mat))

@@ -21,7 +21,7 @@ from mhdlab import dispersion as dispersion_module
 from mhdlab import errors as errors_module
 from mhdlab import roots as roots_module
 from mhdlab.classifier import _witness_direction
-from mhdlab.dispersion import AsymptoticRoot, dispersion_eval, dispersion_scale, mode_symbol
+from mhdlab.dispersion import AsymptoticRoot, dispersion_eval, mode_symbol
 from mhdlab.domain import BasicState, ModeRoot, ModelKind, Wavevector, w_pair
 from mhdlab.errors import DomainError, FitError
 from mhdlab.roots import (
@@ -107,8 +107,8 @@ def test_all_reported_roots_satisfy_residual_bound(pair, omega, n):
     roots = solve_dispersion(model, state, omega, n)
     for r in roots:
         assert r.residual <= RESIDUAL_TOLERANCE
-        value = dispersion_eval(model, state, omega, r.s, n).value
-        assert abs(value) <= RESIDUAL_TOLERANCE * dispersion_scale(model, state, omega, r.s, n) * 1.01
+        value = mode_symbol(model, state, omega).value(r.s, n).value
+        assert abs(value) <= RESIDUAL_TOLERANCE * mode_symbol(model, state, omega).scale(r.s, n) * 1.01
 
 
 @given(model_state_pairs(), wavevectors(), st.integers(min_value=1, max_value=2000))
@@ -171,7 +171,8 @@ def test_incompressible_cubic_matches_companion_oracle():
 def test_newton_reports_nonconvergence_with_best_iterate():
     # s^2 + 1 has no real roots and real Newton iteration stays real, so a
     # huge real start can never satisfy the step criterion
-    s, residual = newton_refine(ModelKind.IncompressibleEuler, BasicState(a_hat=-1.0), OM, 1e30, 1)
+    sym = mode_symbol(ModelKind.IncompressibleEuler, BasicState(a_hat=-1.0), OM)
+    s, residual = newton_refine(sym, 1e30, 1)
     assert s.imag == 0.0
     assert RESIDUAL_TOLERANCE < residual < math.inf
 
@@ -183,7 +184,7 @@ def test_newton_stops_where_g_overflows():
         rho_hat=1.0, c_hat=1.0, a_hat=-1.1139418903707701e-20, a0_hat=8.703767873931549e-181
     )
     start = 1.055434455743591e-10 + 0j
-    s, residual = newton_refine(ModelKind.CompressibleEuler, state, OM, start, 1)
+    s, residual = newton_refine(mode_symbol(ModelKind.CompressibleEuler, state, OM), start, 1)
     assert (s, residual) == (start, 1.0)
     assert _finish_root(mode_symbol(ModelKind.CompressibleEuler, state, OM), s, residual, 1) is None
 
@@ -213,16 +214,16 @@ def test_polish_evaluates_each_iterate_once_and_the_gate_none(monkeypatch):
     calls = []
     depth = [0]
 
-    def counting_eval(model, state, omega, s, n):
-        dv = dispersion_eval(model, state, omega, s, n)
+    def counting_eval(sym, s, n):
+        dv = dispersion_eval(sym, s, n)
         calls.append((depth[0], s, dv))
         return dv
 
-    def counting_newton(model, state, omega, s, n):
+    def counting_newton(sym, s, n):
         calls.append((None, s, None))
         depth[0] += 1
         try:
-            return newton_refine(model, state, omega, s, n)
+            return newton_refine(sym, s, n)
         finally:
             depth[0] -= 1
 
@@ -248,8 +249,8 @@ def test_polish_evaluates_each_iterate_once_and_the_gate_none(monkeypatch):
                 assert s == prev
                 prev = s - dv.value / dv.jacobian_ds if dv.jacobian_ds != 0 else None
         for r in found:
-            value = dispersion_eval(model, state, omega, r.s, n).value
-            assert r.residual == abs(value) / dispersion_scale(model, state, omega, r.s, n)
+            value = mode_symbol(model, state, omega).value(r.s, n).value
+            assert r.residual == abs(value) / mode_symbol(model, state, omega).scale(r.s, n)
 
     check()
 
@@ -262,8 +263,8 @@ def test_overflowing_scale_ends_the_polish_without_a_root(model):
     state = aligned_state(a_hat=1.0, c_hat=2.0) if model.is_mhd else BasicState(a_hat=1.0, c_hat=2.0)
     s = 1e160 * (0.6 + 0.8j)
     with pytest.raises(OverflowError):
-        dispersion_scale(model, state, PERP, s, 7)
-    best, residual = newton_refine(model, state, PERP, s, 7)
+        mode_symbol(model, state, PERP).scale(s, 7)
+    best, residual = newton_refine(mode_symbol(model, state, PERP), s, 7)
     assert best == s and math.isinf(residual)
     assert _finish_root(mode_symbol(model, state, PERP), best, residual, 7) is None
 
@@ -308,7 +309,7 @@ def test_skipped_candidates_polish_onto_no_new_root(case):
     model, state, omega, n = case
     found = [r.s for r in solve_dispersion(model, state, omega, n)]
     for cand in skipped_candidates(model, state, omega, n):
-        s, residual = newton_refine(model, state, omega, cand, n)
+        s, residual = newton_refine(mode_symbol(model, state, omega), cand, n)
         made = _finish_root(mode_symbol(model, state, omega), s, residual, n)
         if made is None or any(abs(made.s - f) <= _DEDUPE_TOL * (1.0 + abs(made.s)) for f in found):
             continue
@@ -326,7 +327,8 @@ def test_skipped_candidates_polish_onto_no_new_root(case):
 def test_an_exact_zero_that_fails_the_gate_is_polished():
     model = ModelKind.CompressibleMHD
     assert 0 in _poly_candidates(mode_symbol(model, UNDERFLOW_STATE, OM).polynomial(1))
-    assert not roots_module._residual(model, UNDERFLOW_STATE, OM, 0j, 1)[1] <= RESIDUAL_TOLERANCE
+    sym = mode_symbol(model, UNDERFLOW_STATE, OM)
+    assert not roots_module._residual(sym, 0j, 1)[1] <= RESIDUAL_TOLERANCE
     (root,) = solve_dispersion(model, UNDERFLOW_STATE, OM, 1)
     assert root.s == pytest.approx(3.570495017937298e-241, rel=1e-12)
     assert root.admissible and not root.neutral and root.residual <= RESIDUAL_TOLERANCE
@@ -344,9 +346,9 @@ def test_wrong_branch_candidates_are_skipped():
 def record_polish(monkeypatch):
     starts = []
 
-    def recorder(model, state, omega, s, n):
+    def recorder(sym, s, n):
         starts.append(s)
-        return newton_refine(model, state, omega, s, n)
+        return newton_refine(sym, s, n)
 
     monkeypatch.setattr(roots_module, "newton_refine", recorder)
     return starts
@@ -452,9 +454,8 @@ def test_series_residual_meets_advertised_budget(pair, n):
     fams = mode_symbol(model, state, omega).families
     assert len(fams) == 1
     s = fams[0].evaluate(n)
-    rel = abs(dispersion_eval(model, state, omega, s, n).value) / dispersion_scale(
-        model, state, omega, s, n
-    )
+    sym = mode_symbol(model, state, omega)
+    rel = abs(sym.value(s, n).value) / sym.scale(s, n)
     assert rel <= 10.0 * n ** (-1.5)
 
 
@@ -624,6 +625,14 @@ def test_scaling_fit_reports_failing_indices():
     assert info.value.failing_n == (100, 1000, 10000)
 
 
+@pytest.mark.parametrize(
+    "n_grid", [[1, math.inf], [1, math.nan], [1.9, 100.2], [0, 100], [], [100, 100, 1000]]
+)
+def test_scaling_fit_takes_growth_ratios_mode_index_rule(n_grid):
+    with pytest.raises(DomainError, match="strictly increasing with every n >= 1"):
+        fit_scaling(ModelKind.IncompressibleEuler, BasicState(a_hat=1.0), OM, n_grid)
+
+
 def test_scaling_fit_validates_grid():
     state = BasicState(a_hat=1.0)
     with pytest.raises(ValueError):
@@ -722,6 +731,37 @@ def test_a_failed_solve_stores_nothing(monkeypatch):
     assert repr(solve_dispersion(model, state, OM, 100)) == repr(
         solve_dispersion(model, readme_state(), OM, 100)
     )
+
+
+def test_a_solve_looks_its_symbol_up_once(monkeypatch):
+    """The polish evaluates the symbol solve_dispersion built, so a solve
+    calls mode_symbol once however many Newton iterates it takes."""
+    lookups = []
+
+    def counting(*args):
+        lookups.append(args)
+        return mode_symbol(*args)
+
+    monkeypatch.setattr(dispersion_module, "mode_symbol", counting)
+    monkeypatch.setattr(roots_module, "mode_symbol", counting)
+    starts = record_polish(monkeypatch)
+    cases = [
+        (ModelKind.CompressibleMHD, readme_state, OM),
+        (ModelKind.IncompressibleMHD, readme_state, PERP),
+        (ModelKind.CompressibleEuler, lambda: BasicState(a_hat=1.0, a0_hat=0.3), OM),
+    ]
+    for model, make_state, omega in cases:
+        for n in (1, 7, 100, 10**4):
+            lookups.clear()
+            assert solve_dispersion(model, make_state(), omega, n)
+            assert len(lookups) == 1, (model, n)
+    assert starts
+
+
+@pytest.mark.parametrize("n", [0, -3, 0.5, 10**400])
+def test_a_bad_mode_index_is_a_domain_error(n):
+    with pytest.raises(DomainError, match="mode index"):
+        solve_dispersion(ModelKind.CompressibleMHD, readme_state(), OM, n)
 
 
 def test_a_symbol_keeps_only_its_last_root_sets():
