@@ -86,7 +86,7 @@ _MODEL_NAMES = {kind.value: kind for kind in ModelKind}
 
 def _model(value: str) -> ModelKind:
     if value not in _MODEL_NAMES:
-        raise ValueError(f"unknown model '{value}'; choose one of {sorted(_MODEL_NAMES)}")
+        raise ConfigError(f"unknown model '{value}'; choose one of {sorted(_MODEL_NAMES)}")
     return _MODEL_NAMES[value]
 
 

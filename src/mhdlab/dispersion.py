@@ -38,19 +38,12 @@ from functools import cached_property
 import numpy as np
 
 from .domain import BasicState, ModelKind, Wavevector, alfven_speed, require_valid, w_pair
+from .domain import require_mode_index
 from .errors import BranchPointError, DomainError, ResonanceError
 
 # Relative threshold below which the g(s) radicand denominator counts as a
 # genuine branch-point hit (only reachable when wp != 0).
 _BRANCH_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class DeterminantValue:
-    """Determinant value and its analytic s-derivative, for Newton steps."""
-
-    value: complex
-    jacobian_ds: complex
 
 
 @dataclass(frozen=True)
@@ -130,10 +123,9 @@ class ModeSymbol:
             )
         return P
 
-    def value(self, s: complex, n: int) -> DeterminantValue:
-        """The determinant and its s-derivative."""
-        if n < 1:
-            raise ValueError(f"mode index must be >= 1, got {n}")
+    def value(self, s: complex, n: int) -> tuple[complex, complex]:
+        """The pair (D, dD/ds): the determinant and its s-derivative."""
+        require_mode_index(n)
         g, dg = self.g(s)
         a0, rho = self.a0, self.rho
         compressible = self.model.is_compressible
@@ -143,17 +135,18 @@ class ModeSymbol:
             jac = 2.0 * n * s - a0
             if compressible:
                 jac = jac - K * s / (self.c**2 * g)
-            return DeterminantValue(value, jac)
+            return value, jac
         P = rho * s * s + self.wp * self.wp
         A = (n * s - a0) * P
         dA = n * P + (n * s - a0) * 2.0 * rho * s
         Bc = n * self.wm * self.wm - self.c1
         if not compressible:
-            return DeterminantValue(A + s * Bc, dA + Bc)
-        return DeterminantValue(A + s * Bc * g, dA + Bc * g + s * Bc * dg)
+            return A + s * Bc, dA + Bc
+        return A + s * Bc * g, dA + Bc * g + s * Bc * dg
 
     def scale(self, s: complex, n: int) -> float:
         """Termwise magnitude of the determinant at s, for relative residuals."""
+        require_mode_index(n)
         gmag = abs(self.g(s)[0])
         if not self.model.is_mhd:
             return max(n * abs(s) ** 2 + abs(self.a0 * s) + abs(self.a / self.rho) * gmag, 1e-300)
@@ -167,6 +160,7 @@ class ModeSymbol:
 
     def polynomial(self, n: int) -> np.ndarray:
         """Polynomial whose root set contains every root of the determinant."""
+        require_mode_index(n)
         a, a0, rho = self.a, self.a0, self.rho
         compressible = self.model.is_compressible
         if not self.model.is_mhd:
@@ -199,6 +193,7 @@ class ModeSymbol:
         value times 1/s (Euler) or -n/P (MHD): the pressure column is oriented
         for that identity, so the solvability system, where the pressure enters
         the kinematic row as -v1(q), carries it with opposite sign."""
+        require_mode_index(n)
         a, a0, rho = self.a, self.a0, self.rho
         if not self.model.is_mhd:
             if s == 0:
@@ -239,6 +234,7 @@ class AsymptoticRoot:
     s3: complex = 0j
 
     def evaluate(self, n: int) -> complex:
+        require_mode_index(n)
         rt = math.sqrt(n)
         return self.s0 + self.s1 / rt + self.s2 / n + self.s3 / (n * rt)
 
@@ -389,7 +385,5 @@ def mode_symbol(model: ModelKind, state: BasicState, omega: Wavevector) -> ModeS
     return sym
 
 
-# the solver's evaluations, dispersion_eval(sym, s, n) = sym.value(s, n) and
-# likewise scale, under module names so that the benchmark can count them
 dispersion_eval = ModeSymbol.value
 dispersion_scale = ModeSymbol.scale

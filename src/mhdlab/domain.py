@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -65,6 +66,29 @@ def _finite(name: str, value: float) -> float:
     if not math.isfinite(value):
         raise DomainError(f"{name} must be finite, got {value!r}")
     return value
+
+
+def require_mode_index(n) -> None:
+    """DomainError unless 1 <= n <= the largest float; written so that nan fails too."""
+    if not n >= 1:
+        raise DomainError(f"mode index must be >= 1, got {n}")
+    if not n <= sys.float_info.max:
+        raise DomainError(f"mode index {n} overflows a float")
+
+
+def mode_indices(name: str, given) -> list:
+    """The mode indices of a list as ints: a nonempty list of whole numbers,
+    strictly increasing with every n >= 1, else DomainError."""
+    given = list(given)
+    try:
+        ns = [int(n) for n in given]
+    except (TypeError, ValueError, OverflowError):
+        ns = None
+    if not ns or ns != given or any(b <= a for a, b in zip(ns, ns[1:])) or ns[0] < 1:
+        raise DomainError(
+            f"{name} must be nonempty integers, strictly increasing with every n >= 1, got {given}"
+        )
+    return ns
 
 
 @dataclass(frozen=True)
@@ -192,8 +216,7 @@ class ModeRoot:
     neutral: bool = False
 
     def __post_init__(self):
-        if self.n < 1:
-            raise DomainError(f"mode index must be >= 1, got {self.n}")
+        require_mode_index(self.n)
         if self.residual < 0:
             raise DomainError("residual must be nonnegative")
         if self.admissible:

@@ -29,9 +29,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dispersion import mode_symbol
-from .domain import BasicState, HadamardMode, ModeRoot, ModelKind, Wavevector, _finite
+from .domain import BasicState, HadamardMode, ModeRoot, ModelKind, Wavevector, _finite, mode_indices
 from .errors import GridError, NotARootError, ResonanceError
-from .roots import _mode_indices, dominant_root, solve_dispersion
+from .roots import dominant_root, solve_dispersion
 
 NULLSPACE_TOLERANCE = 1e-8
 TRUNCATION_EPSILON = 1e-16
@@ -435,7 +435,7 @@ def growth_ratio(
     is exactly exp(n Re s t); log_ratio carries that value even when the
     ratio itself overflows (ratio is then inf).
     """
-    ns = _mode_indices("n_list", n_list)
+    ns = mode_indices("n_list", n_list)
     _finite("t", t)
     out = []
     for n in ns:

@@ -23,6 +23,7 @@ the gate).
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -30,7 +31,7 @@ import numpy as np
 
 from .dispersion import ModeSymbol, _poly_candidates, _s0_candidates
 from .dispersion import dispersion_eval, dispersion_scale, mode_symbol
-from .domain import BasicState, ModeRoot, ModelKind, ScalingFit, Wavevector
+from .domain import BasicState, ModeRoot, ModelKind, ScalingFit, Wavevector, mode_indices
 from .errors import BranchPointError, DomainError, FitError
 
 RESIDUAL_TOLERANCE = 1e-10
@@ -59,13 +60,13 @@ class S0Report:
 
 
 def _residual(sym: ModeSymbol, s: complex, n):
-    """The determinant at s and its relative residual |D(s)|/scale(s), or
-    (None, inf) where g(s) hits a branch point or overflows."""
+    """The determinant D(s), dD/ds and the relative residual |D(s)|/scale(s),
+    or (None, None, inf) where g(s) hits a branch point or overflows."""
     try:
-        dv = dispersion_eval(sym, s, n)
-        return dv, abs(dv.value) / dispersion_scale(sym, s, n)
+        value, jac = dispersion_eval(sym, s, n)
+        return value, jac, abs(value) / dispersion_scale(sym, s, n)
     except (BranchPointError, OverflowError):
-        return None, math.inf
+        return None, None, math.inf
 
 
 def newton_refine(sym: ModeSymbol, s: complex, n: int) -> tuple[complex, float]:
@@ -77,17 +78,19 @@ def newton_refine(sym: ModeSymbol, s: complex, n: int) -> tuple[complex, float]:
     s = complex(s)
     best, best_res = s, math.inf
     for _ in range(MAX_ITERATIONS):
-        dv, res = _residual(sym, s, n)
-        if dv is None:
+        value, jac, res = _residual(sym, s, n)
+        if value is None:
             break
         if res < best_res:
             best, best_res = s, res
-        if dv.jacobian_ds == 0:
+        if jac == 0:
             break
-        step = dv.value / dv.jacobian_ds
+        step = value / jac
         s = s - step
+        if not cmath.isfinite(s):
+            break
         if abs(step) < _STEP_TOL * (1.0 + abs(s)):
-            res = _residual(sym, s, n)[1]
+            res = _residual(sym, s, n)[2]
             if res < best_res:
                 best, best_res = s, res
             break
@@ -139,12 +142,6 @@ def solve_dispersion(model: ModelKind, state: BasicState, omega: Wavevector, n: 
     """All residual-verified roots of the determinant, most unstable first;
     a repeated int n on one symbol returns a fresh list of its stored roots."""
     sym = mode_symbol(model, state, omega)
-    if n < 1:
-        raise DomainError(f"mode index must be >= 1, got {n}")
-    try:
-        float(n)
-    except OverflowError:
-        raise DomainError(f"mode index {n} overflows a float") from None
     # only an int n is stored, so 25.0 or True gets roots that carry it
     key = n if type(n) is int else None
     if key in sym.solved:
@@ -160,7 +157,7 @@ def solve_dispersion(model: ModelKind, state: BasicState, omega: Wavevector, n: 
     for cand in candidates:
         # an exact zero is polished only when it fails the gate: then the
         # constant term underflowed or fell below the companion's rounding
-        s, residual = cand, (_residual(sym, cand, n)[1] if cand == 0 else math.inf)
+        s, residual = cand, (_residual(sym, cand, n)[2] if cand == 0 else math.inf)
         if not residual <= RESIDUAL_TOLERANCE:
             s, residual = newton_refine(sym, cand, n)
         made = _finish_root(sym, s, residual, n)
@@ -180,21 +177,6 @@ def solve_dispersion(model: ModelKind, state: BasicState, omega: Wavevector, n: 
     return roots
 
 
-def _mode_indices(name: str, given) -> list:
-    """The mode indices of a list as ints: a nonempty list of whole numbers,
-    strictly increasing with every n >= 1, else DomainError."""
-    given = list(given)
-    try:
-        ns = [int(n) for n in given]
-    except (TypeError, ValueError, OverflowError):
-        ns = None
-    if not ns or ns != given or any(b <= a for a, b in zip(ns, ns[1:])) or ns[0] < 1:
-        raise DomainError(
-            f"{name} must be nonempty integers, strictly increasing with every n >= 1, got {given}"
-        )
-    return ns
-
-
 def dominant_root(roots) -> ModeRoot | None:
     """Admissible root with the largest growth rate, or None."""
     adm = [r for r in roots if r.admissible]
@@ -203,7 +185,7 @@ def dominant_root(roots) -> ModeRoot | None:
 
 def fit_scaling(model: ModelKind, state: BasicState, omega: Wavevector, n_grid) -> ScalingFit:
     """OLS fit of log(max admissible Re s) against log n: Re s ~ C n^{-p}."""
-    ns = _mode_indices("n_grid", n_grid)
+    ns = mode_indices("n_grid", n_grid)
     if ns[-1] < 10 * ns[0]:
         raise DomainError(f"n_grid must span at least one decade, got {ns}")
     growth, failing = [], []
@@ -236,7 +218,7 @@ def scan_s0(state: BasicState, omega_samples, tolerance: float) -> S0Report:
     """
     samples = list(omega_samples)
     if not samples:
-        raise ValueError("need at least one direction sample")
+        raise DomainError("need at least one direction sample")
     per_sample = []
     failures = []
     for idx, omega in enumerate(samples):

@@ -276,8 +276,8 @@ def test_criterion_06_incompressible_limit():
             inc_state = BasicState(**kw)
             comp_state = BasicState(**kw, c_hat=1e6)
             try:
-                inc_value = mode_symbol(inc_model, inc_state, omega).value(s, n).value
-                comp_value = mode_symbol(comp_model, comp_state, omega).value(s, n).value
+                inc_value = mode_symbol(inc_model, inc_state, omega).value(s, n)[0]
+                comp_value = mode_symbol(comp_model, comp_state, omega).value(s, n)[0]
             except ValueError:
                 continue  # resonance or branch degeneracy; resample
             scale = mode_symbol(inc_model, inc_state, omega).scale(s, n)

@@ -4,9 +4,11 @@ A name imported into a module of src/mhdlab must be referenced in that
 module's code, or, in the package's __init__, be listed in __all__.
 Re-exports through any other module are not allowed, so deleting code
 cannot leave a stale import behind unnoticed. The CLI and the config
-reader import no NumPy themselves.
+reader import no NumPy themselves. No module raises a builtin exception
+class by name: a failure the package reports is one of the errors.py types.
 """
 import ast
+import builtins
 
 import pytest
 
@@ -57,3 +59,18 @@ def test_the_front_end_imports_no_numpy(name):
     modules += [node.module for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) and node.module]
     assert [m for m in modules if m.split(".")[0] == "numpy"] == []
+
+
+def _builtin_exception(name):
+    obj = getattr(builtins, name, None)
+    return isinstance(obj, type) and issubclass(obj, BaseException)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_raises_a_builtin_exception(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    raised = [node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+              for node in ast.walk(tree) if isinstance(node, ast.Raise) and node.exc is not None]
+    builtin = [f"line {exc.lineno}: {exc.id}" for exc in raised
+               if isinstance(exc, ast.Name) and _builtin_exception(exc.id)]
+    assert builtin == [], f"{path.name} raises builtin exceptions: {builtin}"
