@@ -278,10 +278,8 @@ def _leading_symbol(sym: ModeSymbol, s: complex):
 
 
 def _s0_candidates(sym: ModeSymbol) -> list:
-    """Nonzero roots of the leading-order symbol, residual filtered."""
+    """Nonzero roots of the leading-order symbol (wp or wm nonzero), residual filtered."""
     rho, wp, wm = sym.rho, sym.wp, sym.wm
-    if wp == 0 and wm == 0:
-        return []
     if not sym.model.is_compressible:
         y = math.sqrt((wp * wp + wm * wm) / rho)
         return [complex(0.0, y), complex(0.0, -y)]

@@ -293,6 +293,8 @@ def pde_residual_fd(mode: HadamardMode, grid: GridSpec, t: float) -> ResidualRep
     to the interface: its sup is on row 0 or one of the last two. e and ev are
     computed only at the points those rows' stencils read.
     A wrong phase, sign or tangential amplitude changes a or b and shows.
+    t only multiplies every residual by the unit phase exp(i n Im(s) t), so
+    the report depends on t only through rounding.
 
     Interior equations in report order; [..] terms and the equations
     marked MHD belong to the magnetic models, Hhat = (0, H_plasma):

@@ -18,8 +18,8 @@ _BRANCH_MARGIN times |A - B g|) cannot polish onto a root of A + B g = 0 and
 is not polished. The branch test never drops an asymptotic seed, an exact
 zero, a candidate of the incompressible models (which have no radical) or a
 candidate where g(s) raises BranchPointError or overflows; those go through
-Newton and the gate as before (an exact zero is polished only if it fails
-the gate).
+Newton and the gate as before. Every kept candidate is polished: an exact
+zero that is an exact root stops the polish on its first evaluation.
 """
 from __future__ import annotations
 
@@ -59,41 +59,32 @@ class S0Report:
     failures: tuple = ()
 
 
-def _residual(sym: ModeSymbol, s: complex, n):
-    """The determinant D(s), dD/ds and the relative residual |D(s)|/scale(s),
-    or (None, None, inf) where g(s) hits a branch point or overflows."""
-    try:
-        value, jac = dispersion_eval(sym, s, n)
-        return value, jac, abs(value) / dispersion_scale(sym, s, n)
-    except (BranchPointError, OverflowError):
-        return None, None, math.inf
-
-
 def newton_refine(sym: ModeSymbol, s: complex, n: int) -> tuple[complex, float]:
     """Polish a root candidate by Newton iteration on the determinant.
 
-    Returns the iterate with the smallest relative residual and that
-    residual; the start and inf if no iterate could be evaluated.
+    Stops at an exact root, a zero derivative, a non-finite iterate, the
+    iterate after a step below _STEP_TOL, or where g(s) hits a branch point
+    or overflows: at most MAX_ITERATIONS evaluations. Returns the iterate of
+    smallest relative residual and that residual; the start and inf if none.
     """
     s = complex(s)
     best, best_res = s, math.inf
+    small_step = False
     for _ in range(MAX_ITERATIONS):
-        value, jac, res = _residual(sym, s, n)
-        if value is None:
+        try:
+            value, jac = dispersion_eval(sym, s, n)
+            res = abs(value) / dispersion_scale(sym, s, n)
+        except (BranchPointError, OverflowError):
             break
         if res < best_res:
             best, best_res = s, res
-        if jac == 0:
+        if small_step or value == 0 or jac == 0:
             break
         step = value / jac
         s = s - step
         if not cmath.isfinite(s):
             break
-        if abs(step) < _STEP_TOL * (1.0 + abs(s)):
-            res = _residual(sym, s, n)[2]
-            if res < best_res:
-                best, best_res = s, res
-            break
+        small_step = abs(step) < _STEP_TOL * (1.0 + abs(s))
     return best, best_res
 
 
@@ -155,12 +146,7 @@ def solve_dispersion(model: ModelKind, state: BasicState, omega: Wavevector, n: 
         candidates.extend(fam.evaluate(n) for fam in sym.families)
     roots: list[ModeRoot] = []
     for cand in candidates:
-        # an exact zero is polished only when it fails the gate: then the
-        # constant term underflowed or fell below the companion's rounding
-        s, residual = cand, (_residual(sym, cand, n)[2] if cand == 0 else math.inf)
-        if not residual <= RESIDUAL_TOLERANCE:
-            s, residual = newton_refine(sym, cand, n)
-        made = _finish_root(sym, s, residual, n)
+        made = _finish_root(sym, *newton_refine(sym, cand, n), n)
         if made is None:
             continue
         tol = _DEDUPE_TOL * (1.0 + abs(made.s))

@@ -26,6 +26,7 @@ from mhdlab.domain import BasicState, ModeRoot, ModelKind, Wavevector, w_pair
 from mhdlab.errors import DomainError, FitError
 from mhdlab.roots import (
     _DEDUPE_TOL,
+    MAX_ITERATIONS,
     RESIDUAL_TOLERANCE,
     _finish_root,
     _poly_candidates,
@@ -209,8 +210,9 @@ def test_sound_speed_whose_square_overflows(model, fields):
 
 def test_polish_evaluates_each_iterate_once_and_the_gate_none(monkeypatch):
     """Every determinant evaluation in a solve is a Newton iterate (each the
-    Newton step from the one before) or an exact-zero candidate, and each
-    reported residual is the one the polish computed."""
+    Newton step from the one before), exact-zero candidates included, a
+    polish makes at most MAX_ITERATIONS of them, and each reported residual
+    is the one the polish computed."""
     calls = []
     depth = [0]
 
@@ -241,20 +243,53 @@ def test_polish_evaluates_each_iterate_once_and_the_gate_none(monkeypatch):
         cands = _poly_candidates(mode_symbol(model, state, omega).polynomial(n))
         if model is ModelKind.CompressibleMHD:
             cands += [f.evaluate(n) for f in mode_symbol(model, state, omega).families]
-        zeros = [c for c in cands if c == 0]
-        assert [s for depth_, s, _ in calls if depth_ == 0] == zeros
+        assert 0 not in cands or any(depth_ is None and s == 0 for depth_, s, _ in calls)
+        assert all(depth_ != 0 for depth_, _, _ in calls)
         prev = None
         for depth_, s, dv in calls:
             if depth_ is None:  # a polish starts
-                prev = complex(s)
-            elif depth_ == 1:
+                prev, evals = complex(s), 0
+            else:
                 assert s == prev
                 prev = s - dv[0] / dv[1] if dv[1] != 0 else None
+                evals += 1
+                assert evals <= MAX_ITERATIONS
         for r in found:
             value = mode_symbol(model, state, omega).value(r.s, n)[0]
             assert r.residual == abs(value) / mode_symbol(model, state, omega).scale(r.s, n)
 
     check()
+
+
+def count_evaluations(monkeypatch, fake=None):
+    calls = []
+
+    def counting_eval(sym, s, n):
+        calls.append(s)
+        return fake(len(calls)) if fake else dispersion_eval(sym, s, n)
+
+    monkeypatch.setattr(roots_module, "dispersion_eval", counting_eval)
+    return calls
+
+
+def test_polish_stops_at_an_exact_root(monkeypatch):
+    # 3 s^2 - s vanishes in floating point at s = 1/3
+    sym = mode_symbol(ModelKind.IncompressibleEuler, BasicState(a_hat=0.0, a0_hat=1.0), OM)
+    calls = count_evaluations(monkeypatch)
+    assert newton_refine(sym, 1 / 3, 3) == (1 / 3, 0.0)
+    assert calls == [1 / 3]
+
+
+def test_polish_makes_at_most_max_iterations_evaluations(monkeypatch):
+    """A step first drops below the step tolerance on the last iterate the
+    loop allows: the polish stops there without evaluating the next one."""
+    sym = mode_symbol(ModelKind.IncompressibleEuler, BasicState(a_hat=1.0), OM)
+    calls = count_evaluations(
+        monkeypatch, lambda k: (1e-20 if k == MAX_ITERATIONS else 1.0, 1.0)
+    )
+    newton_refine(sym, 0.0, 1)
+    assert len(calls) == MAX_ITERATIONS
+    assert calls[-1] == -(MAX_ITERATIONS - 1)
 
 
 @pytest.mark.parametrize("model", list(ModelKind))
@@ -328,9 +363,9 @@ def test_skipped_candidates_polish_onto_no_new_root(case):
 
 def test_an_exact_zero_that_fails_the_gate_is_polished():
     model = ModelKind.CompressibleMHD
-    assert 0 in _poly_candidates(mode_symbol(model, UNDERFLOW_STATE, OM).polynomial(1))
     sym = mode_symbol(model, UNDERFLOW_STATE, OM)
-    assert not roots_module._residual(sym, 0j, 1)[2] <= RESIDUAL_TOLERANCE
+    assert 0 in _poly_candidates(sym.polynomial(1))
+    assert not abs(sym.value(0j, 1)[0]) / sym.scale(0j, 1) <= RESIDUAL_TOLERANCE
     (root,) = solve_dispersion(model, UNDERFLOW_STATE, OM, 1)
     assert root.s == pytest.approx(3.570495017937298e-241, rel=1e-12)
     assert root.admissible and not root.neutral and root.residual <= RESIDUAL_TOLERANCE
@@ -371,7 +406,7 @@ def test_incompressible_candidates_are_all_polished(monkeypatch, model, state):
         assert not any(_wrong_branch(sym, c, n) for c in cands)
         starts = record_polish(monkeypatch)
         solve_dispersion(model, state, OM, n)
-        assert starts == [c for c in cands if c != 0]
+        assert starts == cands
 
 
 def test_seeds_and_exact_zeros_bypass_the_branch_test(monkeypatch):
@@ -379,12 +414,14 @@ def test_seeds_and_exact_zeros_bypass_the_branch_test(monkeypatch):
     # and the sqrt(a/rho) family gives an asymptotic seed
     state = aligned_state(a_hat=1.0, a0_hat=1.5, rho_hat=2.0, c_hat=1.5)
     model, n = ModelKind.CompressibleMHD, 10**4
-    seeds = [f.evaluate(n) for f in mode_symbol(model, state, PERP).families]
-    assert seeds
+    sym = mode_symbol(model, state, PERP)
+    zeros = [c for c in _poly_candidates(sym.polynomial(n)) if c == 0]
+    seeds = [f.evaluate(n) for f in sym.families]
+    assert zeros and seeds
     monkeypatch.setattr(roots_module, "_wrong_branch", lambda sym, s, n: True)
     starts = record_polish(monkeypatch)
     got = solve_dispersion(model, state, PERP, n)
-    assert starts == seeds
+    assert starts == zeros + seeds
     assert any(r.neutral for r in got)
 
 
