@@ -22,7 +22,7 @@ class NotARootError(ValueError):
 
 
 class FitError(RuntimeError):
-    """Scaling fit could not be formed; lists the mode indices without usable roots."""
+    """Scaling fit could not be formed; names the first mode index without an admissible root."""
 
     def __init__(self, message, failing_n=()):
         super().__init__(message)

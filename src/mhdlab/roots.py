@@ -170,19 +170,17 @@ def dominant_root(roots) -> ModeRoot | None:
 
 
 def fit_scaling(model: ModelKind, state: BasicState, omega: Wavevector, n_grid) -> ScalingFit:
-    """OLS fit of log(max admissible Re s) against log n: Re s ~ C n^{-p}."""
+    """OLS fit of log(max admissible Re s) against log n: Re s ~ C n^{-p};
+    raises FitError at the first n of n_grid without an admissible root."""
     ns = mode_indices("n_grid", n_grid)
     if ns[-1] < 10 * ns[0]:
         raise DomainError(f"n_grid must span at least one decade, got {ns}")
-    growth, failing = [], []
+    growth = []
     for n in ns:
         best = dominant_root(solve_dispersion(model, state, omega, n))
         if best is None:
-            failing.append(n)
-        else:
-            growth.append(best.s.real)
-    if failing:
-        raise FitError(f"no admissible root at n = {failing}", failing_n=tuple(failing))
+            raise FitError(f"no admissible root at n = {n}", failing_n=(n,))
+        growth.append(best.s.real)
     logn = np.log(np.array(ns, dtype=float))
     logg = np.log(np.array(growth))
     slope, intercept = np.polyfit(logn, logg, 1)

@@ -9,6 +9,7 @@ from pathlib import Path
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
+from mhdlab import roots
 from mhdlab.domain import BasicState, ModelKind, Wavevector
 
 settings.register_profile(
@@ -35,6 +36,19 @@ def load_bench_oracle():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def count_solves(monkeypatch) -> list:
+    """Patch roots.solve_dispersion to log the n of every call; returns the log."""
+    solved = []
+    real_solve = roots.solve_dispersion
+
+    def counting_solve(model, state, omega, n):
+        solved.append(n)
+        return real_solve(model, state, omega, n)
+
+    monkeypatch.setattr(roots, "solve_dispersion", counting_solve)
+    return solved
 
 
 def state_dict(state: BasicState) -> dict:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import MHD_MODELS, bounded, model_state_pairs, states
+from conftest import MHD_MODELS, bounded, count_solves, model_state_pairs, states
 from mhdlab import classifier
 from mhdlab.classifier import (
     COLLINEARITY_REL_TOL,
@@ -248,6 +248,15 @@ def test_numeric_result_is_the_analytic_one_plus_evidence(model, state):
     got = numeric_classify(model, state, N_GRID, [Wavevector(1.0, 0.0)])
     assert replace(got, evidence=None) == classify_frozen(model, state)
     assert (got.evidence is None) == (model is ModelKind.IncompressibleEuler)
+
+
+def test_numeric_stops_a_fit_at_its_first_n_without_an_admissible_root(monkeypatch):
+    solved = count_solves(monkeypatch)
+    model, state = ModelKind.IncompressibleEuler, BasicState(a_hat=-1.0)
+    got = numeric_classify(model, state, [100, 1000, 10000], [Wavevector(1.0, 0.0)])
+    assert got == classify_frozen(model, state)
+    assert got.evidence is None
+    assert solved == [100]
 
 
 def test_numeric_agrees_with_analytic_on_random_states():

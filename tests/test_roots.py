@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import (
     MHD_MODELS,
     bounded,
+    count_solves,
     load_bench_oracle,
     model_state_pairs,
     state_dict,
@@ -657,11 +658,29 @@ def test_scaling_fit_oscillatory_case_has_unit_exponent():
     assert fit.exponent == pytest.approx(1.0, abs=0.01)
 
 
-def test_scaling_fit_reports_failing_indices():
+def test_scaling_fit_reports_failing_indices(monkeypatch):
+    solved = count_solves(monkeypatch)
     state = BasicState(a_hat=-1.0)  # no admissible root at any n
     with pytest.raises(FitError) as info:
         fit_scaling(ModelKind.IncompressibleEuler, state, OM, [100, 1000, 10000])
-    assert info.value.failing_n == (100, 1000, 10000)
+    assert info.value.failing_n == (100,)
+    assert solved == [100]
+
+
+def test_scaling_fit_stops_at_a_later_first_failure(monkeypatch):
+    # an admissible root at n = 100 and none at n = 1000
+    state = BasicState(
+        rho_hat=2.521031771850565, c_hat=1.6421156448675407,
+        H_plasma=(0.6939453038447271, -1.5760791523763311),
+        H_vacuum=(0.6805697374685907, -1.5457007476233087),
+        a_hat=3.5159572367474126, a0_hat=-0.9489855110602132, a1_hat=1.0271543422402787,
+    )
+    omega = Wavevector(-0.9867310311630039, -0.1623633953204817)
+    solved = count_solves(monkeypatch)
+    with pytest.raises(FitError) as info:
+        fit_scaling(ModelKind.IncompressibleMHD, state, omega, [100, 1000, 10000, 100000, 1000000])
+    assert info.value.failing_n == (1000,)
+    assert solved == [100, 1000]
 
 
 @pytest.mark.parametrize(
