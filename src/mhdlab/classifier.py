@@ -164,42 +164,48 @@ class SweepSpec:
     def points(self):
         """States in row-major order (last axis varies fastest).
 
-        Each point starts from the base state's fields and replaces only the
-        swept ones; an H_*_2/3 axis rebuilds just that one tuple. BasicState
-        checks each field on its own, so each axis value is checked once:
-        a point that holds a value no earlier point held is built by
-        BasicState, and every other point is made, unchecked, from the
-        values those built states converted. Values are told apart by their
-        index on the axis, never by ==, so 0.0 and -0.0 stay distinct. An
-        invalid value fails on the first point that holds it, with
-        BasicState's own error, after the points before it were yielded.
+        The walk sets the outer axes' fields once per row, then the last
+        axis's one field on each point (an H_*_2/3 axis rebuilds just that
+        tuple). BasicState checks each field on its own, so each axis value
+        is checked once: a point that holds a value no earlier point held is
+        built by BasicState from all of its fields, and every other point is
+        made, unchecked, from the values those built states converted. Values
+        are told apart by their index on the axis, never by ==, so 0.0 and
+        -0.0 stay distinct. An invalid value fails on the first point that
+        holds it, with BasicState's own error, after the points before it.
         """
+        if not self.axes:
+            yield self.base
+            return
         slots = [FIELD_SLOTS[name] for name, _ in self.axes]
         axes = [tuple(values) for _, values in self.axes]
         checked = [[] for _ in axes]  # per axis, the converted values by index
         fields = vars(self.base).copy()
-        for indices in itertools.product(*(range(len(values)) for values in axes)):
-            fresh = False
-            for (attr, index), values, done, i in zip(slots, axes, checked, indices):
-                if i < len(done):
-                    value = done[i]
+        last, last_done = slots[-1], checked[-1]
+        for row in itertools.product(*(range(len(values)) for values in axes[:-1])):
+            fresh = any(i == len(done) for done, i in zip(checked, row))
+            for slot, values, done, i in zip(slots, axes, checked, row):
+                _put(fields, slot, done[i] if i < len(done) else values[i])
+            for j, value in enumerate(axes[-1]):
+                new = j == len(last_done)
+                _put(fields, last, value if new else last_done[j])
+                if new or (fresh and j == 0):
+                    state = BasicState(**fields)
+                    fields = vars(state).copy()
+                    for (attr, index), done, i in zip(slots, checked, (*row, j)):
+                        if i == len(done):
+                            done.append(fields[attr] if index is None else fields[attr][index])
                 else:
-                    value, fresh = values[i], True
-                if index is None:
-                    fields[attr] = value
-                else:
-                    vec = fields[attr]
-                    fields[attr] = (value, vec[1]) if index == 0 else (vec[0], value)
-            if fresh:
-                state = BasicState(**fields)
-                fields = vars(state).copy()
-                for (attr, index), done, i in zip(slots, checked, indices):
-                    if i == len(done):
-                        done.append(fields[attr] if index is None else fields[attr][index])
-            else:
-                state = object.__new__(BasicState)
-                vars(state).update(fields)
-            yield state
+                    state = object.__new__(BasicState)
+                    vars(state).update(fields)
+                yield state
+
+
+def _put(fields: dict, slot, value) -> None:
+    """Set one FIELD_SLOTS slot in a dict of BasicState attributes."""
+    attr, index = slot
+    vec = fields[attr]
+    fields[attr] = value if index is None else (value, vec[1]) if index == 0 else (vec[0], value)
 
 
 def sweep(model: ModelKind, grid: SweepSpec):

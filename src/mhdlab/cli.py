@@ -131,11 +131,17 @@ def cmd_sweep(args) -> int:
         header.append("fitted_exponent")
     lines = [",".join(header)]
     status = 0
-    # each axis value is formatted once; the product walks the rows' order
+    # axis values are formatted once, in the product's row order; the rest of a
+    # row once per (verdict, collinear), keyed by _value_ (Enum .value is slow)
     cells = itertools.product(*([fmt(float(v)) for v in values] for _, values in axes))
     a_hat_cell = [] if "a_hat" in axis_names else [fmt(spec.base.a_hat)]
+    tails = {}
     for coords, (state, outcome) in zip(cells, sweep(cfg.model, spec)):
-        row = [*coords, outcome.verdict.value, fmt(outcome.collinear), *a_hat_cell]
+        key = outcome.verdict._value_, outcome.collinear
+        tail = tails.get(key)
+        if tail is None:
+            tail = tails[key] = ",".join([key[0], fmt(key[1]), *a_hat_cell])
+        row = ",".join([*coords, tail])
         if numeric:
             try:
                 confirmed = numeric_classify(
@@ -147,8 +153,8 @@ def cmd_sweep(args) -> int:
                 status = 3
                 continue
             exp = confirmed.evidence.exponent if confirmed.evidence else math.nan
-            row.append(fmt(exp))
-        lines.append(",".join(row))
+            row += "," + fmt(exp)
+        lines.append(row)
     _write_lines(lines, args.out)
     return status
 

@@ -18,8 +18,8 @@ _BRANCH_MARGIN times |A - B g|) cannot polish onto a root of A + B g = 0 and
 is not polished. The branch test never drops an asymptotic seed, an exact
 zero, a candidate of the incompressible models (which have no radical) or a
 candidate where g(s) raises BranchPointError or overflows; those go through
-Newton and the gate as before. Every kept candidate is polished: an exact
-zero that is an exact root stops the polish on its first evaluation.
+Newton and the gate as before. Each bit-distinct kept candidate is polished
+once; an exact zero that is an exact root stops at its first evaluation.
 """
 from __future__ import annotations
 
@@ -145,7 +145,10 @@ def solve_dispersion(model: ModelKind, state: BasicState, omega: Wavevector, n: 
         # polynomial at large n.
         candidates.extend(fam.evaluate(n) for fam in sym.families)
     roots: list[ModeRoot] = []
-    for cand in candidates:
+    # Newton is deterministic, so a repeat (== and, for signed zeros, repr) adds nothing
+    for i, cand in enumerate(candidates):
+        if cand in candidates[:i] and repr(cand) in map(repr, candidates[:i]):
+            continue
         made = _finish_root(sym, *newton_refine(sym, cand, n), n)
         if made is None:
             continue

@@ -429,6 +429,8 @@ def test_sweep_points_equal_states_built_from_all_fields(base, axes):
         ((("a1_hat", (0.0, 1.0)), ("H_vacuum_3", (0.5, math.inf))), 1),
         # the slowest axis's invalid value is first reached after a full inner row
         ((("rho_hat", (1.0, -1.0)), ("a_hat", (0.0, 1.0, 2.0))), 3),
+        # the middle axis's invalid value is first reached on the second row
+        ((("a_hat", (0.0, 1.0)), ("rho_hat", (1.0, -1.0)), ("a0_hat", (0.0, 1.0, 2.0))), 3),
         # two invalid fields on one point: BasicState's field order picks the message
         ((("a_hat", (math.inf, 0.0)), ("c_hat", (-1.0, 1.0))), 0),
     ],
@@ -475,3 +477,22 @@ def test_sweep_checks_each_axis_value_once(monkeypatch):
         with pytest.raises(FrozenInstanceError):
             state.a_hat = 3.0
         assert replace(state, a0_hat=3.0) == replace(expected, a0_hat=3.0)
+
+
+def test_sweep_rows_set_both_components_of_one_field():
+    # the outer axis sets H_vacuum[0] once per row, the inner one H_vacuum[1]
+    # on each point; both keep the sign of a zero
+    base = collinear_state(a_hat=1.0)
+    axes = (("H_vacuum_2", (1.0, -0.0, np.float64(2.5))), ("H_vacuum_3", (-0.0, 0.5, 0)))
+    want = built_from_all_fields(base, axes)
+    got = list(SweepSpec(base=base, axes=axes).points())
+    assert got == want
+    assert [hash(s) for s in got] == [hash(s) for s in want]
+    assert [repr(s.fields()) for s in got] == [repr(s.fields()) for s in want]
+    assert repr(got[3].H_vacuum) == "(-0.0, -0.0)"
+
+
+def test_sweep_without_axes_yields_the_base():
+    base = collinear_state(a_hat=1.0, a0_hat=0.5)
+    (state,) = SweepSpec(base=base, axes=()).points()
+    assert state == base and repr(state) == repr(base)

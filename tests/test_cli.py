@@ -406,11 +406,14 @@ class TestSweepCommand:
         grid = "rho_hat=1:2:3;a0_hat=-1:1:4;H_vacuum_3=0:1:5"
         out = tmp_path / "map.csv"
         assert main(["sweep", str(path), "--grid", grid, "--out", str(out)]) == 0
-        rows = math.prod(sizes)
-        assert len(out.read_text().splitlines()) == rows + 1
+        lines = out.read_text().splitlines()
+        assert len(lines) == math.prod(sizes) + 1
         assert counts["fields"] == 0
-        # the axis values once, the collinear flag per row, the constant a_hat once
-        assert counts["fmt"] <= sum(sizes) + rows + 1
+        # the axis values once, each (verdict, collinear) outcome once, the
+        # constant a_hat once
+        outcomes = len({tuple(line.split(",")[3:5]) for line in lines[1:]})
+        assert 1 < outcomes < math.prod(sizes)
+        assert counts["fmt"] <= sum(sizes) + outcomes + 1
 
     @pytest.mark.parametrize("grid", ["a_hat=0,1;rho_hat=1,2,-1", "a0_hat=0,1;c_hat=1,nan"])
     def test_invalid_late_point_exits_one_without_output(self, euler_cfg, tmp_path, capsys, grid):
@@ -474,12 +477,32 @@ class TestSweepCommand:
                 "1,0,IllPosed,true\n"
                 "1,1,IllPosed,true\n",
             ),
+            (
+                "model = CompressibleMHD\na_hat = 0.25\n"
+                "H_plasma_2 = 1.0\nH_plasma_3 = 0.5\nH_vacuum_2 = 2.0\n",
+                "rho_hat=1,2;a0_hat=-0.0,0.5;H_vacuum_3=-1,1,3",
+                "rho_hat,a0_hat,H_vacuum_3,verdict,collinear,a_hat\n"
+                "1,0,-1,NoHadamardGrowth,false,0.25\n"
+                "1,0,1,IllPosed,true,0.25\n"
+                "1,0,3,NoHadamardGrowth,false,0.25\n"
+                "1,0.5,-1,NoHadamardGrowth,false,0.25\n"
+                "1,0.5,1,IllPosed,true,0.25\n"
+                "1,0.5,3,NoHadamardGrowth,false,0.25\n"
+                "2,0,-1,NoHadamardGrowth,false,0.25\n"
+                "2,0,1,IllPosed,true,0.25\n"
+                "2,0,3,NoHadamardGrowth,false,0.25\n"
+                "2,0.5,-1,NoHadamardGrowth,false,0.25\n"
+                "2,0.5,1,IllPosed,true,0.25\n"
+                "2,0.5,3,NoHadamardGrowth,false,0.25\n",
+            ),
         ],
-        ids=["CompressibleMHD", "CompressibleEuler"],
+        ids=["CompressibleMHD", "CompressibleEuler", "CompressibleMHD-fixed-a_hat"],
     )
     def test_pinned_csv_over_every_verdict_branch(self, tmp_path, ini, grid, csv):
-        # together the two grids reach each (verdict, collinear, rt_sign_ok)
-        # outcome and a collinear ill-posed magnetic state with its witness
+        # together the first two grids reach each (verdict, collinear,
+        # rt_sign_ok) outcome and a collinear ill-posed magnetic state with its
+        # witness; the third has the benchmark's shape, an innermost
+        # H_vacuum_3 axis with one collinear value and a_hat not swept
         path = tmp_path / "base.ini"
         path.write_text(ini)
         out = tmp_path / "map.csv"

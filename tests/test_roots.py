@@ -422,8 +422,35 @@ def test_seeds_and_exact_zeros_bypass_the_branch_test(monkeypatch):
     monkeypatch.setattr(roots_module, "_wrong_branch", lambda sym, s, n: True)
     starts = record_polish(monkeypatch)
     got = solve_dispersion(model, state, PERP, n)
-    assert starts == zeros + seeds
+    # the copies of the s = 0 factor are one candidate
+    assert starts == zeros[:1] + seeds
     assert any(r.neutral for r in got)
+
+
+def test_each_distinct_candidate_is_polished_once(monkeypatch):
+    state = BasicState(
+        rho_hat=2.0, c_hat=1.5, H_plasma=(0.0, 1.0), H_vacuum=(0.0, 0.5),
+        a_hat=1.0, a0_hat=0.3, a1_hat=0.7,
+    )
+    model, n = ModelKind.CompressibleMHD, 25
+    sym = mode_symbol(model, state, OM)
+    cands = _poly_candidates(sym.polynomial(n))
+    assert [repr(c) for c in cands[:4]] == ["0j"] * 4 and all(c != 0 for c in cands[4:])
+    starts = record_polish(monkeypatch)
+    got = solve_dispersion(model, state, OM, n)
+    # one polish of s = 0, two of the other polynomial candidates (two are on
+    # the other branch) and one of the asymptotic seed
+    assert len(starts) == 4 and [c for c in starts if c == 0] == [0j]
+    # the root set is the one made when every copy of s = 0 was polished
+    assert [repr(r) for r in got] == [
+        "ModeRoot(s=(0.14782844960408356+0j), lambda_plus=(-1.0039654558549036-0j), "
+        "lambda_minus=(1+0j), residual=0.0, admissible=True, n=25, neutral=False)",
+        "ModeRoot(s=0j, lambda_plus=(-1-0j), lambda_minus=(1+0j), residual=0.0, "
+        "admissible=False, n=25, neutral=True)",
+        "ModeRoot(s=(-0.13578481410015508+1.5407439555097887e-33j), "
+        "lambda_plus=(-1.0033466754707765+7.582247644153568e-35j), lambda_minus=(1+0j), "
+        "residual=1.0186336641166605e-16, admissible=False, n=25, neutral=False)",
+    ]
 
 
 @pytest.mark.parametrize(
