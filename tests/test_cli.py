@@ -1,5 +1,6 @@
 """Configuration parsing and the command-line front end."""
 import collections
+import gc
 import json
 import math
 import subprocess
@@ -508,6 +509,89 @@ class TestSweepCommand:
         out = tmp_path / "map.csv"
         assert main(["sweep", str(path), "--grid", grid, "--out", str(out)]) == 0
         assert out.read_bytes() == csv.encode()
+
+    def test_a_benchmark_shaped_sweep_starts_at_most_one_collection(self, tmp_path):
+        # 21 x 20 x 20 points, innermost H_vacuum_3 with one collinear value
+        # (its last, 1.0); the grid's pairs are acyclic, so a collection
+        # during the sweep frees nothing from it
+        path = tmp_path / "base.ini"
+        path.write_text(
+            "model = CompressibleMHD\nH_plasma_2 = 1.0\nH_plasma_3 = 0.5\nH_vacuum_2 = 2.0\n"
+        )
+        grid = "a_hat=-2:2:21;a0_hat=-1:1:20;H_vacuum_3=-3.75:1:20"
+        out = tmp_path / "map.csv"
+        starts = []
+
+        def count(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            code = main(["sweep", str(path), "--grid", grid, "--out", str(out)])
+        finally:
+            gc.callbacks.remove(count)
+        assert code == 0
+        lines = out.read_text().splitlines()
+        assert len(lines) == 21 * 20 * 20 + 1
+        assert sum(line.split(",")[4] == "true" for line in lines) == 21 * 20
+        assert len(starts) <= 1, starts
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    @pytest.mark.parametrize(
+        "ini, argv_tail, code",
+        [
+            (ILLPOSED_INI, ["--grid", "a_hat=-1:1:3"], 0),
+            (EULER_INI, ["--grid", "a_hat=0,1;rho_hat=1,2,-1"], 1),
+            (EULER_INI, ["--grid", "a_hat=0,1", "--out", "{tmp}/missing/map.csv"], 1),
+            (
+                "model = IncompressibleMHD\na0_hat = 1.0\nH_plasma_2 = 1.0\nH_vacuum_2 = 2.0\n",
+                ["--grid", "a_hat=0.003,1", "--numeric"],
+                3,
+            ),
+        ],
+        ids=["written", "invalid-late-point", "unwritable-out", "numeric-conflict-row"],
+    )
+    def test_the_collector_is_restored_on_every_exit(self, tmp_path, enabled, ini, argv_tail, code):
+        path = tmp_path / "base.ini"
+        path.write_text(ini)
+        argv = ["sweep", str(path), *(arg.format(tmp=tmp_path) for arg in argv_tail)]
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert main(argv) == code
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+
+    def test_the_pause_hides_no_package_cycle(self, tmp_path):
+        # the README config; one row of this grid is a numeric conflict
+        path = tmp_path / "readme.ini"
+        path.write_text(
+            "model = CompressibleMHD\nc_hat = 2.0\na_hat = 1.0\na0_hat = 0.2\na1_hat = 0.7\n"
+            "H_plasma_2 = 0.6\nH_plasma_3 = 0.8\nH_vacuum_2 = 1.2\nH_vacuum_3 = 1.6\n"
+        )
+        out = tmp_path / "map.csv"
+        argv = ["sweep", str(path), "--numeric", "--grid", "a_hat=-2:2:7;a0_hat=-1:1:5"]
+        gc.collect()
+        flags = gc.get_debug()
+        gc.set_debug(flags | gc.DEBUG_SAVEALL)
+        try:
+            code = main([*argv, "--out", str(out)])
+            gc.collect()
+            leaked = {
+                type(obj).__qualname__
+                for obj in gc.garbage
+                if type(obj).__module__.split(".")[0] == "mhdlab"
+            }
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
+        assert code == 3
+        lines = out.read_text().splitlines()
+        assert sum(line.startswith("# error: ") for line in lines) == 1
+        assert leaked == set()
 
 
 @pytest.mark.parametrize(
