@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 from .domain import (
     FIELD_SLOTS, STATE_FIELDS, BasicState, Classification, ModelKind, Verdict, Wavevector,
-    require_valid
+    put_slot, require_valid
 )
 from .errors import ConfigError, ConflictError, FitError
 from .roots import fit_scaling
@@ -185,10 +185,10 @@ class SweepSpec:
         for row in itertools.product(*(range(len(values)) for values in axes[:-1])):
             fresh = any(i == len(done) for done, i in zip(checked, row))
             for slot, values, done, i in zip(slots, axes, checked, row):
-                _put(fields, slot, done[i] if i < len(done) else values[i])
+                put_slot(fields, slot, done[i] if i < len(done) else values[i])
             for j, value in enumerate(axes[-1]):
                 new = j == len(last_done)
-                _put(fields, last, value if new else last_done[j])
+                put_slot(fields, last, value if new else last_done[j])
                 if new or (fresh and j == 0):
                     state = BasicState(**fields)
                     fields = vars(state).copy()
@@ -199,13 +199,6 @@ class SweepSpec:
                     state = object.__new__(BasicState)
                     vars(state).update(fields)
                 yield state
-
-
-def _put(fields: dict, slot, value) -> None:
-    """Set one FIELD_SLOTS slot in a dict of BasicState attributes."""
-    attr, index = slot
-    vec = fields[attr]
-    fields[attr] = value if index is None else (value, vec[1]) if index == 0 else (vec[0], value)
 
 
 def sweep(model: ModelKind, grid: SweepSpec):

@@ -3,9 +3,12 @@
 Output contract: every CSV has a one-line header, floats are serialized
 with 17 significant digits (round-trip exact for doubles), booleans as
 true/false. Sweeps are emitted in row-major axis order, so identical
-inputs give byte-identical files. Exit codes: 0 success, 1 configuration
-or domain errors, 2 analytic/numeric verdict conflict, 3 partial output
-after per-row solver errors.
+inputs give byte-identical files. hadamard's residuals.jsonl is RFC 8259
+JSON, a missing spacing null; after its grid record, one refined record per
+interior equation gives the residual on grid.refined() and the observed
+order log2(coarse/fine), left out where both are below ORDER_FLOOR. Exit
+codes: 0 success, 1 configuration or domain errors, 2 analytic/numeric
+verdict conflict, 3 partial output after per-row solver errors.
 """
 from __future__ import annotations
 
@@ -33,6 +36,8 @@ from .roots import dominant_root, solve_dispersion
 from .vacuum_green import green_identity_check
 
 DEFAULT_N_GRID = (100, 1000, 10000)
+# below this on both grids a residual is roundoff, with no truncation error to converge
+ORDER_FLOOR = 1e-13
 
 # the roots CSV: each column and its cell for one root along omega
 ROOTS_COLUMNS = {
@@ -217,7 +222,14 @@ def cmd_hadamard(args) -> int:
         {"block": "boundary", "condition": name, "value": value}
         for name, value in report.boundary.items()
     ]
-    records.append({"block": "grid", "spacings": list(report.spacings), "n": mode_n, "t": t})
+    spacings = [None if math.isnan(h) else h for h in report.spacings]  # RFC 8259 has no NaN
+    records.append({"block": "grid", "spacings": spacings, "n": mode_n, "t": t})
+    fine = pde_residual_fd(mode, grid.refined(), t).interior
+    for name, coarse in report.interior.items():
+        record = {"block": "refined", "equation": name, "value": fine[name]}
+        if max(coarse, fine[name]) >= ORDER_FLOOR:
+            record["order"] = math.log2(coarse / fine[name])
+        records.append(record)
     _write_lines([json.dumps(record) for record in records], out_dir / "residuals.jsonl")
     if dump_fields:
         _dump_fields(mode, grid, t, out_dir)

@@ -5,6 +5,7 @@ never mutate them.
 """
 from __future__ import annotations
 
+import dataclasses
 import enum
 import math
 import sys
@@ -48,6 +49,13 @@ FIELD_SLOTS = {
     name: (name[:-2], int(name[-1]) - 2) if name[-1].isdigit() else (name, None)
     for name in STATE_FIELDS
 }
+
+
+def put_slot(fields: dict, slot, value) -> None:
+    """Set one FIELD_SLOTS slot in a dict of BasicState attributes."""
+    attr, index = slot
+    vec = fields[attr]
+    fields[attr] = value if index is None else (value, vec[1]) if index == 0 else (vec[0], value)
 
 
 class Verdict(enum.Enum):
@@ -151,15 +159,9 @@ class BasicState:
         unknown = [name for name in values if name not in FIELD_SLOTS]
         if unknown:
             raise DomainError(f"unknown state fields: {unknown}; valid: {list(STATE_FIELDS)}")
-        kwargs = {}
+        kwargs = {f.name: f.default for f in dataclasses.fields(cls)}
         for name, value in values.items():
-            attr, index = FIELD_SLOTS[name]
-            if index is None:
-                kwargs[attr] = value
-            else:
-                vec = list(kwargs.get(attr, getattr(cls, attr)))
-                vec[index] = value
-                kwargs[attr] = tuple(vec)
+            put_slot(kwargs, FIELD_SLOTS[name], value)
         return cls(**kwargs)
 
     def fields(self) -> dict:

@@ -33,6 +33,18 @@ a_hat = 1.0
 """
 EULER = EULER_INI.encode()
 
+README_INI = """\
+model = CompressibleMHD
+c_hat = 2.0
+a_hat = 1.0
+a0_hat = 0.2
+a1_hat = 0.7
+H_plasma_2 = 0.6
+H_plasma_3 = 0.8
+H_vacuum_2 = 1.2
+H_vacuum_3 = 1.6
+"""
+
 
 @pytest.fixture
 def illposed_cfg(tmp_path):
@@ -568,10 +580,7 @@ class TestSweepCommand:
     def test_the_pause_hides_no_package_cycle(self, tmp_path):
         # the README config; one row of this grid is a numeric conflict
         path = tmp_path / "readme.ini"
-        path.write_text(
-            "model = CompressibleMHD\nc_hat = 2.0\na_hat = 1.0\na0_hat = 0.2\na1_hat = 0.7\n"
-            "H_plasma_2 = 0.6\nH_plasma_3 = 0.8\nH_vacuum_2 = 1.2\nH_vacuum_3 = 1.6\n"
-        )
+        path.write_text(README_INI)
         out = tmp_path / "map.csv"
         argv = ["sweep", str(path), "--numeric", "--grid", "a_hat=-2:2:7;a0_hat=-1:1:5"]
         gc.collect()
@@ -691,6 +700,57 @@ def test_bad_input_exits_one_without_traceback(tmp_path, argv, config_bytes):
     assert not any("nan" in text.lower() for text in written)
 
 
+# one hadamard config per model, README's first; the Euler models have no
+# vacuum side, so their grid records hold a null spacing
+HADAMARD_INIS = {
+    "CompressibleMHD": README_INI,
+    "IncompressibleMHD": ILLPOSED_INI + "a0_hat = 0.2\n",
+    "IncompressibleEuler": EULER_INI + "a0_hat = 0.2\n",
+    "CompressibleEuler": "model = CompressibleEuler\nc_hat = 2.0\na_hat = 1.0\na0_hat = 0.2\n",
+}
+
+# README's config: the residuals.jsonl lines before its refined records,
+# pinned so that appending those records moves none of them
+README_RESIDUALS = "".join(line + "\n" for line in (
+    '{"block": "interior", "equation": "momentum_1", "value": 0.019136963123996223}',
+    '{"block": "interior", "equation": "momentum_2", "value": 0.0005019521348588609}',
+    '{"block": "interior", "equation": "momentum_3", "value": 0.0005019521348588407}',
+    '{"block": "interior", "equation": "induction_1", "value": 0.0005019521348588669}',
+    '{"block": "interior", "equation": "induction_2", "value": 0.017612051814685132}',
+    '{"block": "interior", "equation": "induction_3", "value": 0.017619629748695815}',
+    '{"block": "interior", "equation": "continuity", "value": 0.01761864136645384}',
+    '{"block": "interior", "equation": "magnetic_divergence", "value": 0.025311791331340962}',
+    '{"block": "interior", "equation": "vacuum_laplace", "value": 0.01268327987159373}',
+    '{"block": "boundary", "condition": "kinematic", "value": 4.6852986501161314e-15}',
+    '{"block": "boundary", "condition": "pressure", "value": 1.8849931053367854e-15}',
+    '{"block": "boundary", "condition": "vacuum_neumann", "value": 5.942845480605001e-15}',
+    '{"block": "grid", "spacings": [0.007882855970555682, '
+    '0.006274509803921569, 0.015707963267948967, 0.012935297242993785], "n": 25, "t": 1.0}',
+))
+
+
+def run_hadamard(tmp_path, ini):
+    """mhdlab hadamard on ini: residuals.jsonl's text and its records, each
+    line parsed as RFC 8259 JSON (no NaN or Infinity)."""
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    cfg = tmp_path / "state.ini"
+    cfg.write_text(ini)
+    out = tmp_path / "dump"
+    assert main(["hadamard", str(cfg), "--out", str(out)]) == 0
+    text = (out / "residuals.jsonl").read_text()
+    return text, [json.loads(line, parse_constant=reject) for line in text.splitlines()]
+
+
+def refinement(records) -> dict:
+    """equation -> (coarse residual, refined residual, order or None)."""
+    coarse = {r["equation"]: r["value"] for r in records if r["block"] == "interior"}
+    refined = [r for r in records if r["block"] == "refined"]
+    assert [r["equation"] for r in refined] == list(coarse)
+    return {r["equation"]: (coarse[r["equation"]], r["value"], r.get("order")) for r in refined}
+
+
 class TestHadamardCommand:
     def test_growth_table_and_residuals(self, tmp_path, euler_cfg):
         out = tmp_path / "dump"
@@ -733,10 +793,7 @@ class TestHadamardCommand:
     def test_untruncatable_first_n_skips_the_residuals(self, tmp_path, capsys):
         # at n = 1 the README state's mode keeps exp(-17.9) at the depth cap
         cfg = tmp_path / "readme.ini"
-        cfg.write_text(
-            "model = CompressibleMHD\nc_hat = 2.0\na_hat = 1.0\na0_hat = 0.2\na1_hat = 0.7\n"
-            "H_plasma_2 = 0.6\nH_plasma_3 = 0.8\nH_vacuum_2 = 1.2\nH_vacuum_3 = 1.6\n"
-        )
+        cfg.write_text(README_INI)
         out = tmp_path / "dump"
         assert main(["hadamard", str(cfg), "--n-list", "1", "--out", str(out)]) == 0
         err = capsys.readouterr().err
@@ -746,6 +803,37 @@ class TestHadamardCommand:
     def test_unwritable_output_exits_one(self, euler_cfg, capsys):
         assert main(["hadamard", euler_cfg, "--out", "/dev/null/x"]) == 1
         assert "not writable" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model", HADAMARD_INIS)
+    def test_refined_records_converge_at_second_order(self, tmp_path, model):
+        _, records = run_hadamard(tmp_path, HADAMARD_INIS[model])
+        blocks = [r["block"] for r in records]
+        grid_at = blocks.index("grid")
+        assert set(blocks[grid_at + 1:]) == {"refined"}
+        assert (records[grid_at]["spacings"][1] is None) is not ModelKind(model).is_mhd
+        for equation, (coarse, fine, order) in refinement(records).items():
+            if max(coarse, fine) < 1e-13:
+                assert order is None, equation
+            else:
+                assert 1.7 <= order <= 2.3, (equation, coarse, fine)
+
+    def test_readme_residuals_keep_their_lines(self, tmp_path):
+        text, _ = run_hadamard(tmp_path, README_INI)
+        assert text.startswith(README_RESIDUALS)
+
+    def test_a_check_that_does_not_converge_shows_its_order(self, tmp_path, monkeypatch):
+        real = cli.pde_residual_fd
+        reports = []
+
+        def coarse_every_time(mode, grid, t):
+            if not reports:
+                reports.append(real(mode, grid, t))
+            return reports[0]
+
+        monkeypatch.setattr(cli, "pde_residual_fd", coarse_every_time)
+        _, records = run_hadamard(tmp_path, README_INI)
+        orders = [order for _, _, order in refinement(records).values()]
+        assert orders and not any(1.7 <= order <= 2.3 for order in orders)
 
 
 class TestGreenCommand:

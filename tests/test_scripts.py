@@ -1,4 +1,4 @@
-"""Smoke runs of the study scripts with small arguments."""
+"""Smoke runs of the study scripts with small arguments, and their listing."""
 import subprocess
 import sys
 from pathlib import Path
@@ -12,10 +12,16 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # script -> (small arguments, CSV header)
 SCRIPTS = {
-    "stability_map.py": (["--resolution", "5"], "a_hat,a0_hat,verdict,collinear"),
     "growth_scaling_study.py": (["--n-max-exp", "3"], "model,a_hat,rho_hat,n,re_s"),
-    "mode_convergence_study.py": (["--levels", "2"], "equation,level,residual,order"),
 }
+
+
+def test_every_script_is_smoke_run_and_listed_in_the_readme():
+    scripts = sorted(p.name for p in (ROOT / "scripts").glob("*.py"))
+    section = (ROOT / "README.md").read_text().split("\n## Scripts\n", 1)[1].split("\n## ", 1)[0]
+    bullets = sorted(line.split("`")[1] for line in section.splitlines() if line.startswith("- "))
+    assert scripts == sorted(SCRIPTS)
+    assert bullets == [f"scripts/{name}" for name in scripts]
 
 
 @pytest.mark.parametrize("script", SCRIPTS)
