@@ -24,6 +24,10 @@ Alfven speed. The flow-side exponent is -g(s). The incompressible forms are
 the exact pointwise c -> infinity limits of the compressible ones and reduce
 to the familiar density-scaled displays at rho = 1.
 
+A compressible symbol keeps its last g result with the s object it was
+computed at and returns it when g is next given that very object, so the
+branch test, value, scale and lambda_plus at one s share one radical.
+
 The large-n frequency series of a symbol, AsymptoticRoot families built from
 the roots of its leading-order symbol, live here too: ModeSymbol.families
 computes them on first use and keeps them, once per (state, direction).
@@ -74,40 +78,53 @@ class ModeSymbol:
     beta: float
     # root sets solve_dispersion computed on this symbol, keyed by int n
     solved: dict = field(default_factory=dict, compare=False, repr=False)
+    # [(s, (g, dg))] of the last successful compressible g call, in a list
+    # since the dataclass is frozen; the tuple is replaced in one store, so a
+    # reader never sees half of an update
+    _last_g: list = field(
+        default_factory=lambda: [(None, None)], init=False, compare=False, repr=False
+    )
 
     def g(self, s: complex):
         """Radical factor g(s) and dg/ds on the principal branch.
 
         For wp = 0 the MHD ratio s^4/D reduces analytically to s^2/alpha,
         which keeps the neutral frequency s = 0 regular (the apparent 0/0
-        there is removable).
+        there is removable). A compressible symbol returns its last result
+        again when given the very same s object; equality would not do, as
+        0j == -0j but their dg differ in the sign of zero.
         """
         if not self.model.is_compressible:
             return 1.0, 0.0
+        last = self._last_g[0]
+        if last[0] is s:
+            return last[1]
         if not self.model.is_mhd:
             g = cmath.sqrt(1.0 + (s / self.c) ** 2)
             if g == 0:
                 raise BranchPointError(f"spatial-exponent turning point at s={s!r}")
-            return g, s / (self.c**2 * g)
-        alpha, beta = self.alpha, self.beta
-        if beta == 0.0:
-            ratio = s * s / alpha
-            g = cmath.sqrt(1.0 + ratio)
+            dg = s / (self.c**2 * g)
+        elif self.beta == 0.0:
+            g = cmath.sqrt(1.0 + s * s / self.alpha)
             if g == 0:
                 raise BranchPointError(f"radical factor vanishes at s={s!r}")
-            return g, s / (alpha * g)
-        D = alpha * s * s + beta
-        scale = alpha * abs(s) ** 2 + beta
-        if abs(D) <= _BRANCH_TOL * scale:
-            raise BranchPointError(
-                f"branch point of the spatial exponent: (c^2+cA^2)s^2 + c^2 wp^2/rho = 0 at s={s!r}"
-            )
-        g = cmath.sqrt(1.0 + s**4 / D)
-        if g == 0:
-            raise BranchPointError(f"radical factor vanishes at s={s!r}")
-        # two divisions by D, not one by D^2: D^2 can underflow for tiny beta
-        dg = (s**3 / D) * ((alpha * s * s + 2.0 * beta) / D) / g
-        return g, dg
+            dg = s / (self.alpha * g)
+        else:
+            alpha, beta = self.alpha, self.beta
+            D = alpha * s * s + beta
+            scale = alpha * abs(s) ** 2 + beta
+            if abs(D) <= _BRANCH_TOL * scale:
+                raise BranchPointError(
+                    f"branch point of the spatial exponent: (c^2+cA^2)s^2 + c^2 wp^2/rho = 0 at s={s!r}"
+                )
+            g = cmath.sqrt(1.0 + s**4 / D)
+            if g == 0:
+                raise BranchPointError(f"radical factor vanishes at s={s!r}")
+            # two divisions by D, not one by D^2: D^2 can underflow for tiny beta
+            dg = (s**3 / D) * ((alpha * s * s + 2.0 * beta) / D) / g
+        out = g, dg
+        self._last_g[0] = (s, out)
+        return out
 
     def lambda_plus(self, s: complex) -> complex:
         """Flow-side spatial exponent -g(s) of the decaying mode."""

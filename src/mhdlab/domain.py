@@ -76,11 +76,15 @@ def _finite(name: str, value: float) -> float:
     return value
 
 
+# read once: require_mode_index runs on every determinant evaluation
+_FLOAT_MAX = sys.float_info.max
+
+
 def require_mode_index(n) -> None:
     """DomainError unless 1 <= n <= the largest float; written so that nan fails too."""
     if not n >= 1:
         raise DomainError(f"mode index must be >= 1, got {n}")
-    if not n <= sys.float_info.max:
+    if not n <= _FLOAT_MAX:
         raise DomainError(f"mode index {n} overflows a float")
 
 

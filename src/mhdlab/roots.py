@@ -111,7 +111,8 @@ def _finish_root(sym: ModeSymbol, s: complex, residual: float, n) -> ModeRoot | 
     if not residual <= RESIDUAL_TOLERANCE:
         return None
     # a finite residual means g was evaluated at this very s, so lambda_plus
-    # cannot hit a branch point
+    # cannot hit a branch point; when s is the polish's last iterate, it reads
+    # that g from the symbol's slot instead of computing it again
     lp = sym.lambda_plus(s)
     # the vacuum exponent is +1 on the magnetic models; Euler has no vacuum side
     lm = complex(1.0) if sym.model.is_mhd else complex(math.nan, math.nan)
@@ -137,27 +138,32 @@ def solve_dispersion(model: ModelKind, state: BasicState, omega: Wavevector, n: 
     key = n if type(n) is int else None
     if key in sym.solved:
         return list(sym.solved[key])
-    candidates = [
-        c for c in _poly_candidates(sym.polynomial(n)) if c == 0 or not _wrong_branch(sym, c, n)
-    ]
+    poly = _poly_candidates(sym.polynomial(n))
+    seeds = []
     if model is ModelKind.CompressibleMHD:
         # Asymptotic seeds guard against conditioning loss in the squared
         # polynomial at large n.
-        candidates.extend(fam.evaluate(n) for fam in sym.families)
+        seeds = [fam.evaluate(n) for fam in sym.families]
+    tried = []
     roots: list[ModeRoot] = []
-    # Newton is deterministic, so a repeat (== and, for signed zeros, repr) adds nothing
-    for i, cand in enumerate(candidates):
-        if cand in candidates[:i] and repr(cand) in map(repr, candidates[:i]):
+    for i, cand in enumerate(poly + seeds):
+        # the branch test leaves g(cand) in the symbol's slot for the polish
+        if i < len(poly) and cand != 0 and _wrong_branch(sym, cand, n):
             continue
-        made = _finish_root(sym, *newton_refine(sym, cand, n), n)
-        if made is None:
+        # Newton is deterministic, so a repeat (== and, for signed zeros, repr) adds nothing
+        if cand in tried and repr(cand) in map(repr, tried):
             continue
-        tol = _DEDUPE_TOL * (1.0 + abs(made.s))
-        dup = next((i for i, r in enumerate(roots) if abs(r.s - made.s) <= tol), None)
+        tried.append(cand)
+        s, residual = newton_refine(sym, cand, n)
+        # written so that a nan residual fails the gate too
+        if not residual <= RESIDUAL_TOLERANCE:
+            continue
+        tol = _DEDUPE_TOL * (1.0 + abs(s))
+        dup = next((j for j, r in enumerate(roots) if abs(r.s - s) <= tol), None)
         if dup is None:
-            roots.append(made)
-        elif made.residual < roots[dup].residual:
-            roots[dup] = made
+            roots.append(_finish_root(sym, s, residual, n))
+        elif residual < roots[dup].residual:
+            roots[dup] = _finish_root(sym, s, residual, n)
     roots.sort(key=root_sort_key)
     if key is not None:
         if len(sym.solved) >= _SOLVED_PER_SYMBOL:

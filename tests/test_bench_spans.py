@@ -6,12 +6,15 @@ SPANS. A rename in the package breaks that trace; this reads the list
 the package defines, so the break shows here and not only in the
 benchmark's own subprocess runs.
 """
+import ast
 import importlib.util
 import inspect
+import textwrap
 
 import pytest
 
 from conftest import SRC
+from mhdlab import roots
 
 
 def _spans():
@@ -30,3 +33,16 @@ def test_every_traced_name_is_a_package_function(module, name, span):
     fn = getattr(module, name, None)
     assert inspect.isfunction(fn), f"{module.__name__}.{name} is not a function"
     assert fn.__module__.startswith("mhdlab"), f"{span} resolves outside the package"
+
+
+def test_the_polish_evaluates_through_the_traced_names():
+    """The traced run counts determinant evaluations where newton_refine
+    calls dispersion_eval and dispersion_scale by their roots-module names;
+    an evaluation made any other way reads as 0 calls in the benchmark."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(roots.newton_refine)))
+    called = {
+        node.func.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+    assert {"dispersion_eval", "dispersion_scale"} <= called

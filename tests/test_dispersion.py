@@ -147,6 +147,40 @@ def test_mode_symbol_is_reused_only_for_the_same_objects():
     assert mode_symbol(euler, state, OM) is not sym
 
 
+@pytest.mark.parametrize(
+    "model, state, branch_point",
+    [
+        (ModelKind.CompressibleEuler, BasicState(c_hat=2.0, a_hat=1.0), 2j),
+        # wp = 0: dg = s / (alpha g) carries the signed zeros of s
+        (ModelKind.CompressibleMHD, BasicState(c_hat=2.0, H_vacuum=(1.0, 0.0)), 2j),
+        (ModelKind.CompressibleMHD, BasicState(H_plasma=(1.0, 0.0)), 1j / math.sqrt(2.0)),
+    ],
+)
+def test_g_gives_a_fresh_symbols_result_at_every_call(model, state, branch_point):
+    """A symbol reuses its last g only for the very same s object: equal
+    zeros of other signs, and an equal s that is another object, get what a
+    fresh symbol computes, and a branch point raises on every call."""
+    sym = mode_symbol(model, state, OM)
+
+    def fresh(s):
+        return repr(mode_symbol(model, replace(state), OM).g(s))
+
+    zeros = [0j, complex(0.0, -0.0), complex(-0.0, 0.0)]
+    s, twin = complex(0.3, 0.7), complex(0.3, 0.7)
+    assert s is not twin
+    if sym.beta == 0.0:
+        # an s == 0 match would return a wrong sign of zero here
+        assert len({fresh(z) for z in zeros}) > 1
+    calls = [s, twin, *zeros, s, zeros[1], zeros[1], zeros[0], twin, twin, zeros[2], s, zeros[0]]
+    for z in calls:
+        assert repr(sym.g(z)) == fresh(z), z
+    for _ in range(3):
+        with pytest.raises(BranchPointError):
+            sym.g(branch_point)
+    assert repr(sym.g(s)) == fresh(s)
+    with pytest.raises(BranchPointError):
+        sym.g(branch_point)
+
 
 @pytest.mark.parametrize("model", MHD_MODELS)
 def test_cleared_polynomial_matches_hand_expansion(model):

@@ -24,7 +24,7 @@ from mhdlab import roots as roots_module
 from mhdlab.classifier import _witness_direction
 from mhdlab.dispersion import AsymptoticRoot, dispersion_eval, mode_symbol
 from mhdlab.domain import BasicState, ModeRoot, ModelKind, Wavevector, w_pair
-from mhdlab.errors import DomainError, FitError
+from mhdlab.errors import BranchPointError, DomainError, FitError
 from mhdlab.roots import (
     _DEDUPE_TOL,
     MAX_ITERATIONS,
@@ -883,3 +883,37 @@ def test_a_symbol_keeps_only_its_last_root_sets():
         solve_dispersion(model, state, OM, n)
     kept = roots_module._SOLVED_PER_SYMBOL
     assert list(mode_symbol(model, state, OM).solved) == list(range(21 - kept, 21))
+
+
+@given(
+    compressible_cases(),
+    st.lists(
+        st.one_of(
+            st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False),
+            st.sampled_from([0j, complex(0.0, -0.0), complex(-0.0, 0.0)]),
+        ),
+        max_size=4,
+    ),
+    st.integers(0, 7),
+)
+@settings(max_examples=100)
+def test_a_primed_symbol_solves_as_a_fresh_one(case, points, pick):
+    """Whatever g last computed on a symbol, at arbitrary points or at one
+    of the solve's roots, its solves return the root sets of a fresh symbol
+    built from equal inputs."""
+    model, state, omega, n = case
+    expected = [solve_dispersion(model, replace(state), replace(omega), m) for m in (n, n + 1)]
+    state, omega = replace(state), replace(omega)
+    sym = mode_symbol(model, state, omega)
+    if expected[0]:
+        points.append(expected[0][pick % len(expected[0])].s)
+    for p in points:
+        for at in (sym.g, sym.lambda_plus):
+            try:
+                at(p)
+            except (BranchPointError, OverflowError):
+                pass
+    # the second solve starts from the slot the first one left
+    for m, want in zip((n, n + 1), expected):
+        assert repr(solve_dispersion(model, state, omega, m)) == repr(want)
+    assert mode_symbol(model, state, omega) is sym
