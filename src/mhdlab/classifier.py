@@ -13,6 +13,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, replace
+from operator import attrgetter
 
 from .domain import (
     FIELD_SLOTS, STATE_FIELDS, BasicState, Classification, ModelKind, Verdict, Wavevector,
@@ -51,20 +52,6 @@ def is_collinear(state: BasicState) -> bool:
     return abs(cross) <= COLLINEARITY_REL_TOL * math.hypot(hp2, hp3) * math.hypot(hv2, hv3)
 
 
-def _a_is_zero(state: BasicState) -> bool:
-    a = state.a_hat
-    if a == 0.0:
-        return True
-    if abs(a) <= _A_ZERO_TOL * (1.0 + abs(a)):
-        warnings.warn(
-            f"a_hat={a!r} is below the zero-detection threshold; "
-            "classifying as the a = 0 case",
-            stacklevel=3,
-        )
-        return True
-    return False
-
-
 def _witness_direction(state: BasicState) -> Wavevector:
     """Unit direction orthogonal to the shared field axis ((1,0) if none)."""
     for vec in (state.H_plasma, state.H_vacuum):
@@ -83,17 +70,34 @@ _NO_GROWTH = tuple(  # indexed [collinear][rt_sign_ok]
 )
 
 
-def classify_frozen(model: ModelKind, state: BasicState) -> Classification:
-    """Algebraic stability verdict for one frozen state."""
-    require_valid(model, state)
-    collinear = is_collinear(state) if model.is_mhd else True
-    if _a_is_zero(state):
+def _outcome(model: ModelKind, state: BasicState, collinear: bool) -> Classification:
+    """The a_hat/a0_hat verdict table of a valid state of known collinearity;
+    a near-zero a_hat warns at the line that called this function's caller."""
+    a = state.a_hat
+    if a and abs(a) <= _A_ZERO_TOL * (1.0 + abs(a)):
+        msg = f"a_hat={a!r} is below the zero-detection threshold; classifying as the a = 0 case"
+        warnings.warn(msg, stacklevel=3)
+        a = 0.0
+    if a == 0.0:
         return _EXPONENTIAL if collinear and state.a0_hat > 0.0 else _NO_GROWTH[collinear][False]
-    if state.a_hat < 0.0 or not collinear:
-        return _NO_GROWTH[collinear][state.a_hat < 0.0]
+    if a < 0.0 or not collinear:
+        return _NO_GROWTH[collinear][a < 0.0]
     if model.is_mhd:
         return Classification(Verdict.IllPosed, True, False, witness=_witness_direction(state))
     return _ILL_POSED
+
+
+def classify_frozen(model: ModelKind, state: BasicState) -> Classification:
+    """Algebraic stability verdict for one frozen state."""
+    require_valid(model, state)
+    return _outcome(model, state, is_collinear(state) if model.is_mhd else True)
+
+
+def _reclassify(model: ModelKind, state: BasicState, collinear: bool) -> Classification:
+    """classify_frozen for a state of decided collinearity. sweep calls both
+    on one line, so that a near-zero a_hat warns from one place."""
+    require_valid(model, state)
+    return _outcome(model, state, collinear)
 
 
 def numeric_classify(
@@ -202,5 +206,24 @@ class SweepSpec:
 
 
 def sweep(model: ModelKind, grid: SweepSpec):
-    """classify_frozen over every grid point, in deterministic grid order."""
-    return [(st, classify_frozen(model, st)) for st in grid.points()]
+    """classify_frozen over every grid point, in deterministic grid order.
+
+    Each distinct (H_plasma, H_vacuum) value's collinearity is decided once,
+    at its first point; later points reuse the flag with their own a_hat,
+    a0_hat and witness. A fluid model, or a grid whose every axis sets a
+    field (so no pair repeats), classifies each point directly.
+    """
+    varied = {FIELD_SLOTS[name][0] for name, _ in grid.axes}
+    if not model.is_mhd or varied <= {"H_plasma", "H_vacuum"}:
+        return [(st, classify_frozen(model, st)) for st in grid.points()]
+    # a field that no axis sets is the base's at every point
+    key = attrgetter(*sorted(varied & {"H_plasma", "H_vacuum"}) or ["H_plasma"])
+    decided = {}
+    out = []
+    for st in grid.points():
+        flag = decided.get(key(st))
+        outcome = classify_frozen(model, st) if flag is None else _reclassify(model, st, flag)
+        if flag is None:
+            decided[key(st)] = outcome.collinear
+        out.append((st, outcome))
+    return out

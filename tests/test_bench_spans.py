@@ -14,7 +14,7 @@ import textwrap
 import pytest
 
 from conftest import SRC
-from mhdlab import roots
+from mhdlab import classifier, roots
 
 
 def _spans():
@@ -35,14 +35,25 @@ def test_every_traced_name_is_a_package_function(module, name, span):
     assert fn.__module__.startswith("mhdlab"), f"{span} resolves outside the package"
 
 
-def test_the_polish_evaluates_through_the_traced_names():
-    """The traced run counts determinant evaluations where newton_refine
-    calls dispersion_eval and dispersion_scale by their roots-module names;
-    an evaluation made any other way reads as 0 calls in the benchmark."""
-    tree = ast.parse(textwrap.dedent(inspect.getsource(roots.newton_refine)))
-    called = {
+def called_names(fn) -> set:
+    """Names that fn's source calls as plain module globals."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+    return {
         node.func.id
         for node in ast.walk(tree)
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
     }
-    assert {"dispersion_eval", "dispersion_scale"} <= called
+
+
+def test_the_polish_evaluates_through_the_traced_names():
+    """The traced run counts determinant evaluations where newton_refine
+    calls dispersion_eval and dispersion_scale by their roots-module names;
+    an evaluation made any other way reads as 0 calls in the benchmark."""
+    assert {"dispersion_eval", "dispersion_scale"} <= called_names(roots.newton_refine)
+
+
+def test_the_sweep_classifies_through_the_traced_name():
+    """The traced run counts classifications where sweep calls classify_frozen
+    by its classifier-module name; a sweep that decided every point another
+    way would read as 0 classify calls in the benchmark."""
+    assert "classify_frozen" in called_names(classifier.sweep)

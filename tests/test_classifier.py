@@ -1,12 +1,14 @@
 """Verdict trichotomy, numeric confirmation and sweep bookkeeping."""
+import inspect
 import itertools
 import math
 import warnings
 from dataclasses import FrozenInstanceError, replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import MHD_MODELS, bounded, count_solves, model_state_pairs, states
@@ -22,7 +24,7 @@ from mhdlab.classifier import (
 from mhdlab.domain import (
     STATE_FIELDS, BasicState, Classification, ModelKind, Verdict, Wavevector
 )
-from mhdlab.errors import ConfigError, DomainError
+from mhdlab.errors import ConfigError, DomainError, UnsupportedModelError
 
 N_GRID = [100, 1000, 10000]
 
@@ -106,6 +108,16 @@ def test_near_zero_a_is_classified_as_zero_with_warning():
     with pytest.warns(UserWarning):
         got = classify_frozen(ModelKind.IncompressibleMHD, state)
     assert got.verdict is Verdict.ExponentiallyUnstable
+
+
+def test_near_zero_a_warns_at_the_callers_line():
+    state = collinear_state(a_hat=1e-13, a0_hat=1.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        line = inspect.currentframe().f_lineno + 1
+        classify_frozen(ModelKind.IncompressibleMHD, state)
+    (w,) = caught
+    assert (w.category, w.filename, w.lineno) == (UserWarning, __file__, line)
 
 
 @given(model_state_pairs())
@@ -496,3 +508,98 @@ def test_sweep_without_axes_yields_the_base():
     base = collinear_state(a_hat=1.0, a0_hat=0.5)
     (state,) = SweepSpec(base=base, axes=()).points()
     assert state == base and repr(state) == repr(base)
+
+
+def recorded(run):
+    """(run()'s rows or the UnsupportedModelError it raised, the points it
+    drew from SweepSpec.points, the texts of the warnings it gave)."""
+    drawn = []
+    points = SweepSpec.points
+
+    def drawing(self):
+        for state in points(self):
+            drawn.append(state)
+            yield state
+
+    with mock.patch.object(SweepSpec, "points", drawing):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                rows = run()
+            except UnsupportedModelError as exc:
+                rows = exc
+    return rows, drawn, [str(w.message) for w in caught]
+
+
+@given(pair=model_state_pairs(), axes=sweep_axes())
+# value-equal field pairs whose zeros differ in sign: the collinearity flag
+# may be shared, the witness of each ill-posed point may not
+@example(
+    pair=(
+        ModelKind.CompressibleMHD,
+        BasicState(H_plasma=(0.0, 1.0), H_vacuum=(0.0, 2.0), a_hat=1.0),
+    ),
+    axes=(("H_plasma_2", (0.0, -0.0)), ("a_hat", (1.0, 2.0))),
+)
+# the fifth point carries a vacuum field, which the Euler model rejects
+@example(
+    pair=(ModelKind.CompressibleEuler, BasicState()),
+    axes=(("H_vacuum_3", (0.0, -0.0, 0.5)), ("a_hat", (1.0, -1.0))),
+)
+# the third point's a1_hat is invalid under a field pair seen before
+@example(
+    pair=(ModelKind.IncompressibleEuler, BasicState()),
+    axes=(("a1_hat", (0.0, 0.5)), ("a_hat", (1.0, -1.0))),
+)
+def test_sweep_equals_classify_frozen_point_by_point(pair, axes):
+    model, base = pair
+    spec = SweepSpec(base=base, axes=axes)
+    want_rows, want_drawn, want_warned = recorded(
+        lambda: [(st, classify_frozen(model, st)) for st in spec.points()]
+    )
+    got_rows, got_drawn, got_warned = recorded(lambda: sweep(model, spec))
+    if isinstance(want_rows, Exception):
+        assert type(got_rows) is type(want_rows) and str(got_rows) == str(want_rows)
+    else:
+        assert got_rows == want_rows
+        assert repr(got_rows) == repr(want_rows)
+    # the same points drawn: an invalid one fails where it fails point by point
+    assert repr(got_drawn) == repr(want_drawn)
+    assert got_warned == want_warned
+
+
+def test_sweep_decides_each_field_pair_once(monkeypatch):
+    # the benchmark's grid shape: 21 a_hat x 20 a0_hat x 20 H_vacuum_3 values,
+    # 8,400 points over 20 field pairs, the first of them collinear
+    rng = np.random.default_rng(31)
+    base = BasicState(rho_hat=2.0, c_hat=1.5, H_plasma=(1.0, 0.5), H_vacuum=(2.0, 0.0), a1_hat=0.3)
+    axes = (
+        ("a_hat", (0.0, *rng.uniform(-4.0, 4.0, 20))),
+        ("a0_hat", tuple(rng.uniform(-2.0, 2.0, 20))),
+        ("H_vacuum_3", (1.0, *rng.uniform(-3.0, 3.0, 19))),
+    )
+    spec = SweepSpec(base=base, axes=axes)
+    model = ModelKind.CompressibleMHD
+    want = [(st, classify_frozen(model, st)) for st in spec.points()]
+    decided, classified = [], []
+    for name, log in (("is_collinear", decided), ("classify_frozen", classified)):
+        real = getattr(classifier, name)
+        counted = lambda *args, log=log, real=real: log.append(args) or real(*args)
+        monkeypatch.setattr(classifier, name, counted)
+    got = sweep(model, spec)
+    # the first point of each pair is classified by classify_frozen itself
+    assert len(decided) == len(classified) == 20
+    assert repr(got) == repr(want)
+    assert {cls.verdict for _, cls in got} == set(Verdict)
+
+
+@pytest.mark.parametrize("model", [ModelKind.CompressibleMHD, ModelKind.CompressibleEuler])
+def test_a_sweep_warns_from_one_place(model):
+    # on MHD the first point decides the field pair and the second reuses it
+    axes = (("a_hat", (1e-13, 1.0)), ("a0_hat", (0.0, 1.0)))
+    base = collinear_state() if model.is_mhd else BasicState()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sweep(model, SweepSpec(base=base, axes=axes))
+    assert len(caught) == 2
+    assert len({(w.filename, w.lineno) for w in caught}) == 1
