@@ -210,20 +210,21 @@ def sweep(model: ModelKind, grid: SweepSpec):
 
     Each distinct (H_plasma, H_vacuum) value's collinearity is decided once,
     at its first point; later points reuse the flag with their own a_hat,
-    a0_hat and witness. A fluid model, or a grid whose every axis sets a
-    field (so no pair repeats), classifies each point directly.
+    a0_hat and witness. A fluid verdict has no collinearity to reuse, so a
+    fluid model classifies each point directly.
     """
-    varied = {FIELD_SLOTS[name][0] for name, _ in grid.axes}
-    if not model.is_mhd or varied <= {"H_plasma", "H_vacuum"}:
+    if not model.is_mhd:
         return [(st, classify_frozen(model, st)) for st in grid.points()]
     # a field that no axis sets is the base's at every point
-    key = attrgetter(*sorted(varied & {"H_plasma", "H_vacuum"}) or ["H_plasma"])
+    varied = {FIELD_SLOTS[name][0] for name, _ in grid.axes} & {"H_plasma", "H_vacuum"}
+    key = attrgetter(*sorted(varied) or ["H_plasma"])
     decided = {}
     out = []
     for st in grid.points():
-        flag = decided.get(key(st))
+        pair = key(st)
+        flag = decided.get(pair)
         outcome = classify_frozen(model, st) if flag is None else _reclassify(model, st, flag)
         if flag is None:
-            decided[key(st)] = outcome.collinear
+            decided[pair] = outcome.collinear
         out.append((st, outcome))
     return out
