@@ -142,7 +142,14 @@ def numeric_classify(
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Cartesian grid over BasicState fields, row-major in axis order."""
+    """Cartesian grid over BasicState fields, row-major in axis order.
+
+    Building it checks each axis value once, after the max_points check, by
+    setting that one field on the base: BasicState checks each field on its
+    own, so a value valid there is valid at every point. ``axes`` holds the
+    converted floats; the first invalid value in axis order raises
+    BasicState's own error.
+    """
 
     base: BasicState
     axes: tuple  # ((field_name, (value, ...)), ...)
@@ -165,53 +172,43 @@ class SweepSpec:
         if total > self.max_points:
             raise ConfigError(f"sweep has {total} points, exceeding max_points={self.max_points}")
 
-    def points(self):
-        """States in row-major order (last axis varies fastest).
+        def checked(name, value):  # value as BasicState converts it, set on the base
+            attr, index = slot = FIELD_SLOTS[name]
+            fields = vars(self.base).copy()
+            put_slot(fields, slot, value)
+            got = getattr(BasicState(**fields), attr)
+            return got if index is None else got[index]
 
-        The walk sets the outer axes' fields once per row, then the last
-        axis's one field on each point (an H_*_2/3 axis rebuilds just that
-        tuple). BasicState checks each field on its own, so each axis value
-        is checked once: a point that holds a value no earlier point held is
-        built by BasicState from all of its fields, and every other point is
-        made, unchecked, from the values those built states converted. Values
-        are told apart by their index on the axis, never by ==, so 0.0 and
-        -0.0 stay distinct. An invalid value fails on the first point that
-        holds it, with BasicState's own error, after the points before it.
-        """
+        axes = tuple((name, tuple(checked(name, v) for v in values)) for name, values in self.axes)
+        object.__setattr__(self, "axes", axes)
+
+    def points(self):
+        """States in row-major order (last axis varies fastest), built
+        unchecked from the checked values: each row sets the outer axes'
+        fields once, each point the last axis's one field."""
         if not self.axes:
             yield self.base
             return
-        slots = [FIELD_SLOTS[name] for name, _ in self.axes]
-        axes = [tuple(values) for _, values in self.axes]
-        checked = [[] for _ in axes]  # per axis, the converted values by index
+        *outer, (last_name, last_values) = self.axes
+        slots = [FIELD_SLOTS[name] for name, _ in outer]
+        last = FIELD_SLOTS[last_name]
         fields = vars(self.base).copy()
-        last, last_done = slots[-1], checked[-1]
-        for row in itertools.product(*(range(len(values)) for values in axes[:-1])):
-            fresh = any(i == len(done) for done, i in zip(checked, row))
-            for slot, values, done, i in zip(slots, axes, checked, row):
-                put_slot(fields, slot, done[i] if i < len(done) else values[i])
-            for j, value in enumerate(axes[-1]):
-                new = j == len(last_done)
-                put_slot(fields, last, value if new else last_done[j])
-                if new or (fresh and j == 0):
-                    state = BasicState(**fields)
-                    fields = vars(state).copy()
-                    for (attr, index), done, i in zip(slots, checked, (*row, j)):
-                        if i == len(done):
-                            done.append(fields[attr] if index is None else fields[attr][index])
-                else:
-                    state = object.__new__(BasicState)
-                    vars(state).update(fields)
+        for row in itertools.product(*(values for _, values in outer)):
+            for slot, value in zip(slots, row):
+                put_slot(fields, slot, value)
+            for value in last_values:
+                put_slot(fields, last, value)
+                state = object.__new__(BasicState)
+                vars(state).update(fields)
                 yield state
 
 
 def sweep(model: ModelKind, grid: SweepSpec):
-    """classify_frozen over every grid point, in deterministic grid order.
-
-    Each distinct (H_plasma, H_vacuum) value's collinearity is decided once,
-    at its first point; later points reuse the flag with their own a_hat,
-    a0_hat and witness. A fluid verdict has no collinearity to reuse, so a
-    fluid model classifies each point directly.
+    """classify_frozen over every grid point, in grid order; building the grid
+    checked every axis value. Each distinct (H_plasma, H_vacuum) value's
+    collinearity is decided once, at its first point; later points reuse the
+    flag with their own a_hat, a0_hat and witness. A fluid model has no
+    collinearity to reuse, so it classifies each point directly.
     """
     if not model.is_mhd:
         return [(st, classify_frozen(model, st)) for st in grid.points()]

@@ -13,7 +13,6 @@ verdict conflict, 3 partial output after per-row solver errors.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import gc
 import itertools
 import json
@@ -130,8 +129,8 @@ def cmd_sweep(args) -> int:
     numeric = args.numeric or sec.get("numeric", False)
     max_points = sec.get("max_points", SweepSpec.max_points)
     spec = SweepSpec(base=cfg.state, axes=axes, max_points=max_points)
-    axis_names = [name for name, _ in axes]
-    header = list(axis_names) + ["verdict", "collinear"]
+    axis_names = [name for name, _ in spec.axes]
+    header = axis_names + ["verdict", "collinear"]
     if "a_hat" not in axis_names:
         header.append("a_hat")
     if numeric:
@@ -140,14 +139,16 @@ def cmd_sweep(args) -> int:
     status = 0
     # axis values are formatted once, in the product's row order; the rest of a
     # row once per (verdict, collinear), keyed by _value_ (Enum .value is slow)
-    cells = itertools.product(*([fmt(float(v)) for v in values] for _, values in axes))
+    cells = itertools.product(*([fmt(v) for v in values] for _, values in spec.axes))
     a_hat_cell = [] if "a_hat" in axis_names else [fmt(spec.base.a_hat)]
     tails = {}
     # sweep() returns every point as a live, acyclic (state, Classification)
     # pair, about 4 tracked containers a point, so an 8,400-point grid would
     # start 46-49 collections that free nothing; the loop frees the list
-    # before the pause ends, so no collection is owed after it
-    with _gc_paused():
+    # before the collector is back on, so no collection is owed after it
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
         for coords, (state, outcome) in zip(cells, sweep(cfg.model, spec)):
             key = outcome.verdict._value_, outcome.collinear
             tail = tails.get(key)
@@ -168,20 +169,10 @@ def cmd_sweep(args) -> int:
                 row += "," + fmt(exp)
             lines.append(row)
         _write_lines(lines, args.out)
-    return status
-
-
-@contextlib.contextmanager
-def _gc_paused():
-    """Hold off the cyclic garbage collector for the block, if it was on."""
-    paused = gc.isenabled()
-    if paused:
-        gc.disable()
-    try:
-        yield
     finally:
-        if paused:
+        if collecting:
             gc.enable()
+    return status
 
 
 def cmd_hadamard(args) -> int:

@@ -17,13 +17,13 @@ from .domain import STATE_FIELDS, BasicState, ModelKind, require_valid
 from .errors import ConfigError
 
 
-def parse_bool(value: str, context: str = "value") -> bool:
+def parse_bool(value: str) -> bool:
     low = value.strip().lower()
     if low in ("true", "1", "yes", "on"):
         return True
     if low in ("false", "0", "no", "off"):
         return False
-    raise ConfigError(f"{context}: expected a boolean, got '{value}'")
+    raise ConfigError(f"expected a boolean, got '{value}'")
 
 
 def _int_list(value: str) -> tuple:

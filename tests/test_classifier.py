@@ -120,10 +120,23 @@ def test_near_zero_a_warns_at_the_callers_line():
     assert (w.category, w.filename, w.lineno) == (UserWarning, __file__, line)
 
 
+def classified_with_warnings(model, state):
+    """classify_frozen's result and the warnings it gave, which are exactly
+    one near-zero a_hat UserWarning when 0 < |a_hat| <= 1e-12 (1 + |a_hat|)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = classify_frozen(model, state)
+    a = abs(state.a_hat)
+    near_zero = 0.0 < a <= 1e-12 * (1.0 + a)
+    assert len(caught) == near_zero
+    assert all(w.category is UserWarning and str(w.message).startswith("a_hat=") for w in caught)
+    return got
+
+
 @given(model_state_pairs())
 def test_verdict_biconditional(pair):
     model, state = pair
-    got = classify_frozen(model, state)
+    got = classified_with_warnings(model, state)
     collinear = is_collinear(state) if model.is_mhd else True
     a_pos = state.a_hat > 1e-12 * (1 + abs(state.a_hat))
     assert (got.verdict is Verdict.IllPosed) == (collinear and a_pos)
@@ -138,7 +151,8 @@ def test_verdict_invariant_under_joint_rotation(state, theta):
     rot = lambda v: (c * v[0] - s * v[1], s * v[0] + c * v[1])
     rotated = replace(state, H_plasma=rot(state.H_plasma), H_vacuum=rot(state.H_vacuum))
     for model in MHD_MODELS:
-        assert classify_frozen(model, state).verdict is classify_frozen(model, rotated).verdict
+        got = classified_with_warnings(model, state)
+        assert got.verdict is classified_with_warnings(model, rotated).verdict
 
 
 def test_a0_never_changes_the_illposedness_verdict():
@@ -434,32 +448,31 @@ def test_sweep_points_equal_states_built_from_all_fields(base, axes):
 
 
 @pytest.mark.parametrize(
-    "axes, first_bad",
+    "axes, bad",
     [
-        ((("a_hat", (0.0, 1.0)), ("rho_hat", (1.0, 2.0, -1.0))), 2),
-        ((("a0_hat", (0.0, 1.0)), ("c_hat", (1.0, math.nan))), 1),
-        ((("a1_hat", (0.0, 1.0)), ("H_vacuum_3", (0.5, math.inf))), 1),
-        # the slowest axis's invalid value is first reached after a full inner row
-        ((("rho_hat", (1.0, -1.0)), ("a_hat", (0.0, 1.0, 2.0))), 3),
-        # the middle axis's invalid value is first reached on the second row
-        ((("a_hat", (0.0, 1.0)), ("rho_hat", (1.0, -1.0)), ("a0_hat", (0.0, 1.0, 2.0))), 3),
-        # two invalid fields on one point: BasicState's field order picks the message
-        ((("a_hat", (math.inf, 0.0)), ("c_hat", (-1.0, 1.0))), 0),
+        ((("a_hat", (0.0, 1.0)), ("rho_hat", (1.0, 2.0, -1.0))), ("rho_hat", -1.0)),
+        ((("a0_hat", (0.0, 1.0)), ("c_hat", (1.0, math.nan))), ("c_hat", math.nan)),
+        ((("a1_hat", (0.0, 1.0)), ("H_vacuum_3", (0.5, math.inf))), ("H_vacuum_3", math.inf)),
+        # the slowest axis's invalid value, which no point of the first row holds
+        ((("rho_hat", (1.0, -1.0)), ("a_hat", (0.0, 1.0, 2.0))), ("rho_hat", -1.0)),
+        # the middle axis's invalid value, which the second row holds first
+        ((("a_hat", (0.0, 1.0)), ("rho_hat", (1.0, -1.0)), ("a0_hat", (0.0, 1.0, 2.0))),
+         ("rho_hat", -1.0)),
+        # two invalid fields on one point: the first axis's value is named, not
+        # the one BasicState's field order would check first on that point
+        ((("a_hat", (math.inf, 0.0)), ("c_hat", (-1.0, 1.0))), ("a_hat", math.inf)),
     ],
 )
-def test_sweep_validates_every_point(axes, first_bad):
+def test_sweep_validates_every_point(axes, bad):
     base = collinear_state()
-    names = [name for name, _ in axes]
-    bad = list(itertools.product(*(values for _, values in axes)))[first_bad]
+    name, value = bad
     with pytest.raises(DomainError) as direct:
-        BasicState.from_fields({**base.fields(), **dict(zip(names, bad))})
-    built = []
+        BasicState.from_fields({**base.fields(), name: value})
+    # building the spec fails, so there is no walk to yield a point
     with pytest.raises(DomainError) as swept:
-        for state in SweepSpec(base=base, axes=axes).points():
-            built.append(state)
+        SweepSpec(base=base, axes=axes)
+    assert type(swept.value) is type(direct.value)
     assert str(swept.value) == str(direct.value)
-    # the points before the invalid one were built
-    assert len(built) == first_bad
 
 
 def test_sweep_checks_each_axis_value_once(monkeypatch):
@@ -478,11 +491,17 @@ def test_sweep_checks_each_axis_value_once(monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(BasicState, "__post_init__", counted_post_init)
-    got = list(SweepSpec(base=base, axes=axes).points())
-    assert len(checked) <= 1 + sum(len(values) for _, values in axes)
-    unchecked = [(g, w) for g, w in zip(got, want) if not any(g is c for c in checked)]
-    assert len(unchecked) == len(want) - len(checked)
-    for state, expected in unchecked:
+    spec = SweepSpec(base=base, axes=axes)
+    assert len(checked) == sum(len(values) for _, values in axes)
+    assert [[type(v) for v in values] for _, values in spec.axes] == [
+        [float] * len(values) for _, values in axes
+    ]
+    got = list(spec.points())
+    # the walk checks nothing more
+    assert len(checked) == sum(len(values) for _, values in axes)
+    assert len(got) == len(want)
+    for state, expected in zip(got, want):
+        assert not any(state is c for c in checked)
         assert state == expected
         assert hash(state) == hash(expected)
         assert repr(state) == repr(expected)

@@ -120,10 +120,10 @@ class TestConfigParsing:
             load_config(tmp_path / "nope.ini")
 
     def test_parse_bool(self):
-        assert parse_bool("true", "x") and parse_bool("1", "x")
-        assert not parse_bool("false", "x") and not parse_bool("off", "x")
+        assert parse_bool("true") and parse_bool("1")
+        assert not parse_bool("false") and not parse_bool("off")
         with pytest.raises(ConfigError):
-            parse_bool("maybe", "x")
+            parse_bool("maybe")
 
 
 LINSPACE_EDGES = [
@@ -330,6 +330,28 @@ class TestSweepCommand:
         path.write_text("model = IncompressibleEuler\n[sweep]\nmax_points = 10\n")
         assert main(["sweep", str(path), "--grid", "a_hat=0:1:100"]) == 1
         assert "max_points" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "model, grid",
+        [
+            # both axes hold an invalid value: the first axis's is named
+            ("IncompressibleEuler", "a_hat=inf,0;c_hat=-1,1"),
+            # the first point's vacuum field is unsupported on an Euler model,
+            # but the invalid value fails first, when the grid is built
+            ("CompressibleEuler", "H_vacuum_3=1;a_hat=0,inf"),
+        ],
+    )
+    def test_first_invalid_axis_value_fails_before_any_output(
+        self, tmp_path, capsys, model, grid
+    ):
+        path = tmp_path / "base.ini"
+        path.write_text(f"model = {model}\n")
+        out = tmp_path / "map.csv"
+        assert main(["sweep", str(path), "--grid", grid, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: a_hat must be finite, got inf\n"
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_grid_comes_from_config_section(self, tmp_path, capsys):
         path = tmp_path / "base.ini"
