@@ -70,13 +70,15 @@ _NO_GROWTH = tuple(  # indexed [collinear][rt_sign_ok]
 )
 
 
-def _outcome(model: ModelKind, state: BasicState, collinear: bool) -> Classification:
-    """The a_hat/a0_hat verdict table of a valid state of known collinearity;
-    a near-zero a_hat warns at the line that called this function's caller."""
+def _outcome(
+    model: ModelKind, state: BasicState, collinear: bool, stacklevel: int
+) -> Classification:
+    """The a_hat/a0_hat verdict table of a valid state of known collinearity; a
+    near-zero a_hat warns at frame ``stacklevel`` (2: the line calling this)."""
     a = state.a_hat
     if a and abs(a) <= _A_ZERO_TOL * (1.0 + abs(a)):
         msg = f"a_hat={a!r} is below the zero-detection threshold; classifying as the a = 0 case"
-        warnings.warn(msg, stacklevel=3)
+        warnings.warn(msg, stacklevel=stacklevel)
         a = 0.0
     if a == 0.0:
         return _EXPONENTIAL if collinear and state.a0_hat > 0.0 else _NO_GROWTH[collinear][False]
@@ -90,14 +92,7 @@ def _outcome(model: ModelKind, state: BasicState, collinear: bool) -> Classifica
 def classify_frozen(model: ModelKind, state: BasicState) -> Classification:
     """Algebraic stability verdict for one frozen state."""
     require_valid(model, state)
-    return _outcome(model, state, is_collinear(state) if model.is_mhd else True)
-
-
-def _reclassify(model: ModelKind, state: BasicState, collinear: bool) -> Classification:
-    """classify_frozen for a state of decided collinearity. sweep calls both
-    on one line, so that a near-zero a_hat warns from one place."""
-    require_valid(model, state)
-    return _outcome(model, state, collinear)
+    return _outcome(model, state, is_collinear(state) if model.is_mhd else True, 3)
 
 
 def numeric_classify(
@@ -148,7 +143,8 @@ class SweepSpec:
     setting that one field on the base: BasicState checks each field on its
     own, so a value valid there is valid at every point. ``axes`` holds the
     converted floats; the first invalid value in axis order raises
-    BasicState's own error.
+    BasicState's own error. A grid with an empty axis has no point, so it
+    checks no value and keeps every axis empty.
     """
 
     base: BasicState
@@ -179,7 +175,8 @@ class SweepSpec:
             got = getattr(BasicState(**fields), attr)
             return got if index is None else got[index]
 
-        axes = tuple((name, tuple(checked(name, v) for v in values)) for name, values in self.axes)
+        pairs = self.axes if total else ((name, ()) for name, _ in self.axes)
+        axes = tuple((name, tuple(checked(name, v) for v in values)) for name, values in pairs)
         object.__setattr__(self, "axes", axes)
 
     def points(self):
@@ -204,12 +201,10 @@ class SweepSpec:
 
 
 def sweep(model: ModelKind, grid: SweepSpec):
-    """classify_frozen over every grid point, in grid order; building the grid
-    checked every axis value. Each distinct (H_plasma, H_vacuum) value's
-    collinearity is decided once, at its first point; later points reuse the
-    flag with their own a_hat, a0_hat and witness. A fluid model has no
-    collinearity to reuse, so it classifies each point directly.
-    """
+    """classify_frozen over every grid point, in grid order, on values checked
+    when the grid was built. Each distinct (H_plasma, H_vacuum) value's
+    collinearity is decided at its first point; later ones take the flag
+    straight to the verdict table. Fluid points all go through classify_frozen."""
     if not model.is_mhd:
         return [(st, classify_frozen(model, st)) for st in grid.points()]
     # a field that no axis sets is the base's at every point
@@ -220,7 +215,7 @@ def sweep(model: ModelKind, grid: SweepSpec):
     for st in grid.points():
         pair = key(st)
         flag = decided.get(pair)
-        outcome = classify_frozen(model, st) if flag is None else _reclassify(model, st, flag)
+        outcome = classify_frozen(model, st) if flag is None else _outcome(model, st, flag, 2)
         if flag is None:
             decided[pair] = outcome.collinear
         out.append((st, outcome))

@@ -24,6 +24,7 @@ from mhdlab.classifier import (
 from mhdlab.domain import (
     STATE_FIELDS, BasicState, Classification, ModelKind, Verdict, Wavevector
 )
+from mhdlab.config import Linspace
 from mhdlab.errors import ConfigError, DomainError, UnsupportedModelError
 
 N_GRID = [100, 1000, 10000]
@@ -367,6 +368,25 @@ def test_sweep_empty_axis_gives_empty_table():
     assert sweep(ModelKind.IncompressibleEuler, spec) == []
 
 
+@pytest.mark.parametrize("empty_first", [True, False])
+def test_an_empty_grid_checks_no_value(monkeypatch, empty_first):
+    # no point holds a value of the long axis, so none is built or checked
+    base = BasicState()
+    axes = [("a_hat", ()), ("a0_hat", Linspace(0.0, 1.0, 10**6))]
+    post_init = BasicState.__post_init__
+    built = []
+
+    def counted_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(BasicState, "__post_init__", counted_post_init)
+    spec = SweepSpec(base=base, axes=tuple(axes if empty_first else axes[::-1]))
+    assert built == []
+    assert [values for _, values in spec.axes] == [(), ()]
+    assert sweep(ModelKind.CompressibleMHD, spec) == []
+
+
 def test_sweep_rejects_unknown_axis_before_work():
     with pytest.raises(ConfigError):
         SweepSpec(base=BasicState(), axes=(("a_hatt", (1.0,)),))
@@ -600,14 +620,17 @@ def test_sweep_decides_each_field_pair_once(monkeypatch):
     spec = SweepSpec(base=base, axes=axes)
     model = ModelKind.CompressibleMHD
     want = [(st, classify_frozen(model, st)) for st in spec.points()]
-    decided, classified = [], []
-    for name, log in (("is_collinear", decided), ("classify_frozen", classified)):
+    decided, classified, validated = [], [], []
+    for name, log in (
+        ("is_collinear", decided), ("classify_frozen", classified), ("require_valid", validated)
+    ):
         real = getattr(classifier, name)
         counted = lambda *args, log=log, real=real: log.append(args) or real(*args)
         monkeypatch.setattr(classifier, name, counted)
     got = sweep(model, spec)
-    # the first point of each pair is classified by classify_frozen itself
-    assert len(decided) == len(classified) == 20
+    # the first point of each pair is classified by classify_frozen itself;
+    # the others go straight to the verdict table, checked when the grid was built
+    assert len(decided) == len(classified) == len(validated) == 20
     assert repr(got) == repr(want)
     assert {cls.verdict for _, cls in got} == set(Verdict)
 
