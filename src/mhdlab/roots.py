@@ -179,8 +179,10 @@ def dominant_root(roots) -> ModeRoot | None:
 
 
 def fit_scaling(model: ModelKind, state: BasicState, omega: Wavevector, n_grid) -> ScalingFit:
-    """OLS fit of log(max admissible Re s) against log n: Re s ~ C n^{-p};
-    raises FitError at the first n of n_grid without an admissible root."""
+    """Closed-form least-squares line of math.log(max admissible Re s) against
+    math.log n, every sum exact (math.fsum): Re s ~ C n^{-p}. rms_log_error is
+    the RMS of the line's residuals in log Re s. Raises FitError at the first
+    n of n_grid without an admissible root."""
     ns = mode_indices("n_grid", n_grid)
     if ns[-1] < 10 * ns[0]:
         raise DomainError(f"n_grid must span at least one decade, got {ns}")
@@ -190,15 +192,19 @@ def fit_scaling(model: ModelKind, state: BasicState, omega: Wavevector, n_grid) 
         if best is None:
             raise FitError(f"no admissible root at n = {n}", failing_n=(n,))
         growth.append(best.s.real)
-    logn = np.log(np.array(ns, dtype=float))
-    logg = np.log(np.array(growth))
-    slope, intercept = np.polyfit(logn, logg, 1)
-    resid = logg - (slope * logn + intercept)
+    m = len(ns)
+    x = [math.log(n) for n in ns]
+    y = [math.log(g) for g in growth]
+    xbar, ybar = math.fsum(x) / m, math.fsum(y) / m
+    dx = [xi - xbar for xi in x]
+    slope = math.fsum(d * (yi - ybar) for d, yi in zip(dx, y)) / math.fsum(d * d for d in dx)
+    intercept = ybar - slope * xbar
+    resid2 = math.fsum((yi - (slope * xi + intercept)) ** 2 for xi, yi in zip(x, y))
     return ScalingFit(
-        exponent=float(-slope),
-        coefficient=float(math.exp(intercept)),
+        exponent=-slope,
+        coefficient=math.exp(intercept),
         n_range=(ns[0], ns[-1]),
-        rms_log_error=float(np.sqrt(np.mean(resid**2))),
+        rms_log_error=math.sqrt(resid2 / m),
     )
 
 

@@ -2,6 +2,7 @@
 import math
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -683,6 +684,41 @@ def test_scaling_fit_oscillatory_case_has_unit_exponent():
     )
     fit = fit_scaling(ModelKind.IncompressibleMHD, state, OM, [100, 1000, 10000])
     assert fit.exponent == pytest.approx(1.0, abs=0.01)
+
+
+def exact_line(x, y):
+    """Least-squares line through the points (x, y) in exact rational
+    arithmetic: slope, intercept and mean squared residual as Fractions."""
+    xs, ys = [Fraction(v) for v in x], [Fraction(v) for v in y]
+    m = len(xs)
+    xbar, ybar = sum(xs) / m, sum(ys) / m
+    slope = sum((a - xbar) * (b - ybar) for a, b in zip(xs, ys)) / sum((a - xbar) ** 2 for a in xs)
+    intercept = ybar - slope * xbar
+    return slope, intercept, sum((b - slope * a - intercept) ** 2 for a, b in zip(xs, ys)) / m
+
+
+@given(
+    model_state_pairs(collinear=True),
+    wavevectors(),
+    st.sampled_from([[100, 1000, 10000], [10**k for k in range(2, 7)], [30, 300, 3000, 30000]]),
+)
+@example((ModelKind.CompressibleMHD, aligned_state(a_hat=1.0)), PERP, [100, 1000])
+@settings(max_examples=40)
+def test_scaling_fit_is_the_exact_least_squares_line(pair, omega, n_grid):
+    # ill-posed: a > 0, on the witness direction for the collinear MHD fields
+    model, state = pair
+    assume(state.a_hat >= 0.25)
+    if model.is_mhd:
+        omega = _witness_direction(state)
+    best = [dominant_root(solve_dispersion(model, state, omega, n)) for n in n_grid]
+    assume(all(best))
+    slope, intercept, mean_sq = exact_line(
+        [math.log(n) for n in n_grid], [math.log(r.s.real) for r in best]
+    )
+    fit = fit_scaling(model, state, omega, n_grid)
+    assert abs(-fit.exponent - slope) <= 1e-15 * abs(slope)
+    assert fit.coefficient == pytest.approx(math.exp(intercept), rel=1e-14, abs=0)
+    assert abs(fit.rms_log_error - math.sqrt(mean_sq)) <= 1e-14
 
 
 def test_scaling_fit_reports_failing_indices(monkeypatch):
