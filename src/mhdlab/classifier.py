@@ -180,9 +180,9 @@ class SweepSpec:
         object.__setattr__(self, "axes", axes)
 
     def points(self):
-        """States in row-major order (last axis varies fastest), built
-        unchecked from the checked values: each row sets the outer axes'
-        fields once, each point the last axis's one field."""
+        """States in row-major order (last axis varies fastest), the order of
+        sweep()'s verdicts, built unchecked from the checked values: each row
+        sets the outer axes' fields once, each point the last axis's one field."""
         if not self.axes:
             yield self.base
             return
@@ -200,13 +200,15 @@ class SweepSpec:
                 yield state
 
 
-def sweep(model: ModelKind, grid: SweepSpec):
-    """classify_frozen over every grid point, in grid order, on values checked
-    when the grid was built. Each distinct (H_plasma, H_vacuum) value's
-    collinearity is decided at its first point; later ones take the flag
-    straight to the verdict table. Fluid points all go through classify_frozen."""
+def sweep(model: ModelKind, grid: SweepSpec) -> list[Classification]:
+    """One Classification per grid point, in ``grid.points()`` order: the list
+    ``[classify_frozen(model, st) for st in grid.points()]``, on values checked
+    when the grid was built. A state lives only until it is classified. Each
+    distinct (H_plasma, H_vacuum) value's collinearity is decided at its first
+    point; later ones take the flag straight to the verdict table. Fluid points
+    all go through classify_frozen."""
     if not model.is_mhd:
-        return [(st, classify_frozen(model, st)) for st in grid.points()]
+        return [classify_frozen(model, st) for st in grid.points()]
     # a field that no axis sets is the base's at every point
     varied = {FIELD_SLOTS[name][0] for name, _ in grid.axes} & {"H_plasma", "H_vacuum"}
     key = attrgetter(*sorted(varied) or ["H_plasma"])
@@ -218,5 +220,5 @@ def sweep(model: ModelKind, grid: SweepSpec):
         outcome = classify_frozen(model, st) if flag is None else _outcome(model, st, flag, 2)
         if flag is None:
             decided[pair] = outcome.collinear
-        out.append((st, outcome))
+        out.append(outcome)
     return out

@@ -13,7 +13,6 @@ verdict conflict, 3 partial output after per-row solver errors.
 from __future__ import annotations
 
 import argparse
-import gc
 import itertools
 import json
 import math
@@ -142,36 +141,28 @@ def cmd_sweep(args) -> int:
     cells = itertools.product(*([fmt(v) for v in values] for _, values in spec.axes))
     a_hat_cell = [] if "a_hat" in axis_names else [fmt(spec.base.a_hat)]
     tails = {}
-    # sweep() returns every point as a live, acyclic (state, Classification)
-    # pair, about 4 tracked containers a point, so an 8,400-point grid would
-    # start 46-49 collections that free nothing; the loop frees the list
-    # before the collector is back on, so no collection is owed after it
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        for coords, (state, outcome) in zip(cells, sweep(cfg.model, spec)):
-            key = outcome.verdict._value_, outcome.collinear
-            tail = tails.get(key)
-            if tail is None:
-                tail = tails[key] = ",".join([key[0], fmt(key[1]), *a_hat_cell])
-            row = ",".join([*coords, tail])
-            if numeric:
-                try:
-                    confirmed = numeric_classify(
-                        cfg.model, state, list(DEFAULT_N_GRID), [Wavevector(1.0, 0.0)]
-                    )
-                except (ValueError, RuntimeError) as exc:
-                    point = ",".join(f"{name}={c}" for name, c in zip(axis_names, coords))
-                    lines.append(f"# error: {point} {type(exc).__name__}: {exc}")
-                    status = 3
-                    continue
-                exp = confirmed.evidence.exponent if confirmed.evidence else math.nan
-                row += "," + fmt(exp)
-            lines.append(row)
-        _write_lines(lines, args.out)
-    finally:
-        if collecting:
-            gc.enable()
+    # sweep() keeps no state, so --numeric walks the grid again beside its verdicts
+    states = spec.points() if numeric else itertools.repeat(None)
+    for coords, outcome, state in zip(cells, sweep(cfg.model, spec), states):
+        key = outcome.verdict._value_, outcome.collinear
+        tail = tails.get(key)
+        if tail is None:
+            tail = tails[key] = ",".join([key[0], fmt(key[1]), *a_hat_cell])
+        row = ",".join([*coords, tail])
+        if numeric:
+            try:
+                confirmed = numeric_classify(
+                    cfg.model, state, list(DEFAULT_N_GRID), [Wavevector(1.0, 0.0)]
+                )
+            except (ValueError, RuntimeError) as exc:
+                point = ",".join(f"{name}={c}" for name, c in zip(axis_names, coords))
+                lines.append(f"# error: {point} {type(exc).__name__}: {exc}")
+                status = 3
+                continue
+            exp = confirmed.evidence.exponent if confirmed.evidence else math.nan
+            row += "," + fmt(exp)
+        lines.append(row)
+    _write_lines(lines, args.out)
     return status
 
 

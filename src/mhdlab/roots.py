@@ -106,13 +106,10 @@ def _wrong_branch(sym: ModeSymbol, s: complex, n: int) -> bool:
     return abs(A + Bg) > _BRANCH_MARGIN * abs(A - Bg)
 
 
-def _finish_root(sym: ModeSymbol, s: complex, residual: float, n) -> ModeRoot | None:
-    # written so that a nan residual fails the gate too
-    if not residual <= RESIDUAL_TOLERANCE:
-        return None
-    # a finite residual means g was evaluated at this very s, so lambda_plus
-    # cannot hit a branch point; when s is the polish's last iterate, it reads
-    # that g from the symbol's slot instead of computing it again
+def _finish_root(sym: ModeSymbol, s: complex, residual: float, n) -> ModeRoot:
+    # the caller has gated the residual, so it is finite: g was evaluated at this
+    # very s, so lambda_plus cannot hit a branch point; when s is the polish's
+    # last iterate, it reads that g from the symbol's slot instead of computing it again
     lp = sym.lambda_plus(s)
     # the vacuum exponent is +1 on the magnetic models; Euler has no vacuum side
     lm = complex(1.0) if sym.model.is_mhd else complex(math.nan, math.nan)

@@ -1,4 +1,5 @@
 """Verdict trichotomy, numeric confirmation and sweep bookkeeping."""
+import gc
 import inspect
 import itertools
 import math
@@ -338,8 +339,7 @@ def test_sweep_truth_table_along_a():
         base=collinear_state(a0_hat=1.0),
         axes=(("a_hat", (-1.0, 0.0, 1.0)),),
     )
-    rows = sweep(ModelKind.CompressibleMHD, spec)
-    verdicts = [cls.verdict for _, cls in rows]
+    verdicts = [cls.verdict for cls in sweep(ModelKind.CompressibleMHD, spec)]
     assert verdicts == [
         Verdict.NoHadamardGrowth,
         Verdict.ExponentiallyUnstable,
@@ -415,7 +415,7 @@ def test_sweep_row_major_order_and_boundary_consistency():
         base=collinear_state(),
         axes=(("a_hat", a_values), ("H_vacuum_3", x_values)),
     )
-    rows = sweep(ModelKind.CompressibleMHD, spec)
+    rows = list(zip(spec.points(), sweep(ModelKind.CompressibleMHD, spec)))
     assert len(rows) == 121
     # row-major: the second axis varies fastest
     assert rows[0][0].a_hat == pytest.approx(-1.0)
@@ -427,7 +427,7 @@ def test_sweep_row_major_order_and_boundary_consistency():
         ModelKind.CompressibleMHD,
         SweepSpec(base=collinear_state(), axes=(("a_hat", a_values),)),
     )
-    for i, (_, cls) in enumerate(line):
+    for i, cls in enumerate(line):
         assert rows[i * 11][1].verdict is cls.verdict
 
 
@@ -594,7 +594,7 @@ def test_sweep_equals_classify_frozen_point_by_point(pair, axes):
     model, base = pair
     spec = SweepSpec(base=base, axes=axes)
     want_rows, want_drawn, want_warned = recorded(
-        lambda: [(st, classify_frozen(model, st)) for st in spec.points()]
+        lambda: [classify_frozen(model, st) for st in spec.points()]
     )
     got_rows, got_drawn, got_warned = recorded(lambda: sweep(model, spec))
     if isinstance(want_rows, Exception):
@@ -607,9 +607,9 @@ def test_sweep_equals_classify_frozen_point_by_point(pair, axes):
     assert got_warned == want_warned
 
 
-def test_sweep_decides_each_field_pair_once(monkeypatch):
-    # the benchmark's grid shape: 21 a_hat x 20 a0_hat x 20 H_vacuum_3 values,
-    # 8,400 points over 20 field pairs, the first of them collinear
+def benchmark_shaped_spec():
+    """The benchmark's grid shape: 21 a_hat x 20 a0_hat x 20 H_vacuum_3 values,
+    8,400 points over 20 field pairs, the first of them collinear."""
     rng = np.random.default_rng(31)
     base = BasicState(rho_hat=2.0, c_hat=1.5, H_plasma=(1.0, 0.5), H_vacuum=(2.0, 0.0), a1_hat=0.3)
     axes = (
@@ -617,9 +617,13 @@ def test_sweep_decides_each_field_pair_once(monkeypatch):
         ("a0_hat", tuple(rng.uniform(-2.0, 2.0, 20))),
         ("H_vacuum_3", (1.0, *rng.uniform(-3.0, 3.0, 19))),
     )
-    spec = SweepSpec(base=base, axes=axes)
+    return SweepSpec(base=base, axes=axes)
+
+
+def test_sweep_decides_each_field_pair_once(monkeypatch):
+    spec = benchmark_shaped_spec()
     model = ModelKind.CompressibleMHD
-    want = [(st, classify_frozen(model, st)) for st in spec.points()]
+    want = [classify_frozen(model, st) for st in spec.points()]
     decided, classified, validated = [], [], []
     for name, log in (
         ("is_collinear", decided), ("classify_frozen", classified), ("require_valid", validated)
@@ -632,7 +636,30 @@ def test_sweep_decides_each_field_pair_once(monkeypatch):
     # the others go straight to the verdict table, checked when the grid was built
     assert len(decided) == len(classified) == len(validated) == 20
     assert repr(got) == repr(want)
-    assert {cls.verdict for _, cls in got} == set(Verdict)
+    assert {cls.verdict for cls in got} == set(Verdict)
+
+
+def test_a_library_sweep_starts_at_most_one_collection():
+    # a state lives only until it is classified and most verdicts are shared
+    # constants, so the sweep leaves no tracked container per point behind
+    spec = benchmark_shaped_spec()
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    was_enabled = gc.isenabled()
+    gc.enable()
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        got = sweep(ModelKind.CompressibleMHD, spec)
+    finally:
+        gc.callbacks.remove(count)
+        (gc.enable if was_enabled else gc.disable)()
+    assert len(got) == 21 * 20 * 20
+    assert len(starts) <= 1, starts
 
 
 @pytest.mark.parametrize("model", [ModelKind.CompressibleMHD, ModelKind.CompressibleEuler])

@@ -412,7 +412,8 @@ class TestSweepCommand:
         names = [name for name, _ in axes]
         header = names + ["verdict", "collinear"] + ([] if "a_hat" in names else ["a_hat"])
         expected = [",".join(header)]
-        for state, outcome in sweep(cfg.model, SweepSpec(base=cfg.state, axes=axes)):
+        spec = SweepSpec(base=cfg.state, axes=axes)
+        for state, outcome in zip(spec.points(), sweep(cfg.model, spec)):
             fields = state.fields()
             row = [fmt(fields[name]) for name in names]
             row += [outcome.verdict.value, fmt(outcome.collinear)]
@@ -546,8 +547,8 @@ class TestSweepCommand:
 
     def test_a_benchmark_shaped_sweep_starts_at_most_one_collection(self, tmp_path):
         # 21 x 20 x 20 points, innermost H_vacuum_3 with one collinear value
-        # (its last, 1.0); the grid's pairs are acyclic, so a collection
-        # during the sweep frees nothing from it
+        # (its last, 1.0); a state lives only until it is classified and most
+        # verdicts are shared, so the sweep leaves no tracked container per point
         path = tmp_path / "base.ini"
         path.write_text(
             "model = CompressibleMHD\nH_plasma_2 = 1.0\nH_plasma_3 = 0.5\nH_vacuum_2 = 2.0\n"
@@ -599,8 +600,9 @@ class TestSweepCommand:
         finally:
             (gc.enable if was_enabled else gc.disable)()
 
-    def test_the_pause_hides_no_package_cycle(self, tmp_path):
-        # the README config; one row of this grid is a numeric conflict
+    def test_a_numeric_sweep_leaves_no_package_cycle(self, tmp_path):
+        # the README config; one row of this grid is a numeric conflict; no
+        # package object is left for the collector to find
         path = tmp_path / "readme.ini"
         path.write_text(README_INI)
         out = tmp_path / "map.csv"

@@ -4,8 +4,9 @@ A name imported into a module of src/mhdlab must be referenced in that
 module's code, or, in the package's __init__, be listed in __all__.
 Re-exports through any other module are not allowed, so deleting code
 cannot leave a stale import behind unnoticed. The CLI and the config
-reader import no NumPy themselves. No module raises a builtin exception
-class by name: a failure the package reports is one of the errors.py types.
+reader import no NumPy themselves. No module imports gc. No module raises a
+builtin exception class by name: a failure the package reports is one of the
+errors.py types.
 Every module-level _name a module defines is used by that module or
 imported by another.
 """
@@ -79,14 +80,26 @@ def test_the_package_exports_exactly_what_it_imports():
     assert _exported_names(tree) == set(_imported_names(tree))
 
 
-@pytest.mark.parametrize("name", ["cli.py", "config.py"])
-def test_the_front_end_imports_no_numpy(name):
-    tree = ast.parse((SRC / "mhdlab" / name).read_text())
+def _imported_modules(tree):
+    """The top-level package of every module a tree imports."""
     modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
                for alias in node.names]
     modules += [node.module for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) and node.module]
-    assert [m for m in modules if m.split(".")[0] == "numpy"] == []
+    return [m.split(".")[0] for m in modules]
+
+
+@pytest.mark.parametrize("name", ["cli.py", "config.py"])
+def test_the_front_end_imports_no_numpy(name):
+    tree = ast.parse((SRC / "mhdlab" / name).read_text())
+    assert "numpy" not in _imported_modules(tree)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_imports_gc(path):
+    # the collector is process-wide state; the package leaves it to its caller
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert "gc" not in _imported_modules(tree)
 
 
 def _builtin_exception(name):
