@@ -10,7 +10,8 @@ once by mode_symbol(), the one public way into it: value(s, n), scale(s, n),
 lambda_plus(s), matrix(s, n), families and polynomial(n). dispersion_eval
 and dispersion_scale are value and scale under the module names the solver
 calls them by, so that the benchmark can count them. Its determinant (s is
-the frequency per unit mode index n) has one of two forms:
+the frequency per unit mode index n) is A + B g(s), with A and B written
+once, by ModeSymbol._terms, in one of two forms:
 
   Euler models   n s^2 - a0 s - (a/rho) g(s)
   MHD models     (n s - a0) P + s (n wm^2 - (a + i wm a1)) g(s)
@@ -56,13 +57,13 @@ class ModeSymbol:
 
     Holds the state's scalars and the direction-dependent coefficients
     wp, wm, c1 = a + i wm a1, alpha = c^2 + cA^2 and beta = c^2 wp^2/rho.
-    Methods take a complex s. Besides g, two methods branch on
-    compressibility. value leaves the factor g = 1 out of the
-    incompressible forms: in complex arithmetic a factor 1.0 flips signed
-    zeros and turns inf into nan, so it would not reproduce the polynomial
-    determinants. value also keeps the CompressibleEuler Jacobian in its
-    own form K s/(c^2 g), and polynomial clears the radical, which changes
-    the degree.
+    Methods take a complex s. value and the solver's branch test read A and B
+    from _terms; scale keeps its own termwise sizes (faster) and polynomial its
+    coefficients (bit for bit). value leaves the factor g = 1 out of the
+    incompressible forms: in complex arithmetic a factor 1.0 flips signed zeros
+    and turns inf into nan, so it would not reproduce the polynomial
+    determinants. value keeps the CompressibleEuler Jacobian K s/(c^2 g), which
+    B dg rounds differently, and polynomial clears the radical.
     """
 
     model: ModelKind
@@ -140,26 +141,28 @@ class ModeSymbol:
             )
         return P
 
+    def _terms(self, s: complex, n: int):
+        """A, dA/ds, B and dB/ds of the determinant A + B g at s."""
+        a0, rho = self.a0, self.rho
+        if not self.model.is_mhd:
+            return n * s * s - a0 * s, 2.0 * n * s - a0, -self.a / rho, 0.0
+        P = rho * s * s + self.wp * self.wp
+        u, Bc = n * s - a0, n * self.wm * self.wm - self.c1
+        return u * P, n * P + u * 2.0 * rho * s, s * Bc, Bc
+
     def value(self, s: complex, n: int) -> tuple[complex, complex]:
         """The pair (D, dD/ds): the determinant and its s-derivative."""
         require_mode_index(n)
         g, dg = self.g(s)
-        a0, rho = self.a0, self.rho
-        compressible = self.model.is_compressible
+        A, dA, B, dB = self._terms(s, n)
         if not self.model.is_mhd:
-            K = self.a / rho
-            value = n * s * s - a0 * s - K * g
-            jac = 2.0 * n * s - a0
-            if compressible:
-                jac = jac - K * s / (self.c**2 * g)
-            return value, jac
-        P = rho * s * s + self.wp * self.wp
-        A = (n * s - a0) * P
-        dA = n * P + (n * s - a0) * 2.0 * rho * s
-        Bc = n * self.wm * self.wm - self.c1
-        if not compressible:
-            return A + s * Bc, dA + Bc
-        return A + s * Bc * g, dA + Bc * g + s * Bc * dg
+            # A - K g with K = -B: adding B g would flip signed zeros on the real axis
+            K = -B
+            jac = dA - K * s / (self.c**2 * g) if self.model.is_compressible else dA
+            return A - K * g, jac
+        if not self.model.is_compressible:
+            return A + B, dA + dB
+        return A + B * g, dA + dB * g + B * dg
 
     def scale(self, s: complex, n: int) -> float:
         """Termwise magnitude of the determinant at s, for relative residuals."""
@@ -259,8 +262,8 @@ class AsymptoticRoot:
 def _poly_candidates(coeffs) -> list:
     """Companion-matrix roots, with exact s = 0 factors deflated first. Leading
     coefficients up to 1e-300 times the largest are dropped (only exact zeros
-    if it is inf or nan); the matrix and its eigenvalues are np.roots'. A
-    companion with a coefficient that is not finite raises DomainError."""
+    if it is inf or nan); the matrix and its eigenvalues are np.roots'.
+    A non-finite coefficient or unconverged eigenvalues raise DomainError."""
     c = np.asarray(coeffs, dtype=complex)
     mags = np.abs(c)
     lead = mags.max()
@@ -279,7 +282,10 @@ def _poly_candidates(coeffs) -> list:
             raise DomainError(f"s^{len(mags) - 1 - bad} coefficient {complex(c[bad])} is not finite")
         companion = np.eye(end - first - 1, k=-1, dtype=complex)
         companion[0] = -c[first + 1 : end] / c[first]
-        out.extend(np.linalg.eigvals(companion).tolist())
+        try:
+            out.extend(np.linalg.eigvals(companion).tolist())
+        except np.linalg.LinAlgError:
+            raise DomainError("companion eigenvalues did not converge") from None
     return out
 
 

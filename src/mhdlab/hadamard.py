@@ -161,7 +161,7 @@ def build_mode(
     else:
         xi_amp = complex(null[2])
         wp = sym.wp
-        P = rho * s * s + wp * wp
+        P = sym._coupling(s)
         if root.neutral:
             # at s = 0 the momentum balance alone fixes the magnetic
             # amplitude and forces the velocity to vanish

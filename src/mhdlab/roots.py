@@ -11,12 +11,12 @@ ORIGINAL (unsquared) equation is below RESIDUAL_TOLERANCE. Squaring can only
 add spurious roots, never lose real ones, so the gate is sound. The gate
 reads the residual the polish computed for its best iterate.
 
-Writing a compressible determinant as A + B g(s), the cleared polynomial
-(A + B g)(A - B g) holds the roots of both branches. A polynomial candidate
-that solves the other branch A - B g = 0 by a margin (|A + B g| greater than
-_BRANCH_MARGIN times |A - B g|) cannot polish onto a root of A + B g = 0 and
-is not polished. The branch test never drops an asymptotic seed, an exact
-zero, a candidate of the incompressible models (which have no radical) or a
+ModeSymbol._terms gives a compressible determinant's A and B in A + B g(s).
+The cleared polynomial (A + B g)(A - B g) holds the roots of both branches. A
+polynomial candidate that solves the other branch A - B g = 0 by a margin
+(|A + B g| greater than _BRANCH_MARGIN times |A - B g|) cannot polish onto a
+root of A + B g = 0 and is not polished. The branch test never drops an
+asymptotic seed, an exact zero, an incompressible candidate (no radical) or a
 candidate where g(s) raises BranchPointError or overflows; those go through
 Newton and the gate as before. Each bit-distinct kept candidate is polished
 once; an exact zero that is an exact root stops at its first evaluation.
@@ -26,8 +26,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .dispersion import ModeSymbol, _poly_candidates, _s0_candidates
 from .dispersion import dispersion_eval, dispersion_scale, mode_symbol
@@ -97,13 +95,8 @@ def _wrong_branch(sym: ModeSymbol, s: complex, n: int) -> bool:
         g = sym.g(s)[0]
     except (BranchPointError, OverflowError):
         return False
-    if sym.model.is_mhd:
-        A = (n * s - sym.a0) * (sym.rho * s * s + sym.wp * sym.wp)
-        Bg = s * (n * sym.wm * sym.wm - sym.c1) * g
-    else:
-        A = n * s * s - sym.a0 * s
-        Bg = -(sym.a / sym.rho) * g
-    return abs(A + Bg) > _BRANCH_MARGIN * abs(A - Bg)
+    A, _, B, _ = sym._terms(s, n)
+    return abs(A + B * g) > _BRANCH_MARGIN * abs(A - B * g)
 
 
 def _finish_root(sym: ModeSymbol, s: complex, residual: float, n) -> ModeRoot:
@@ -225,7 +218,7 @@ def scan_s0(state: BasicState, omega_samples, tolerance: float) -> S0Report:
             )
         try:
             roots = _s0_candidates(sym)
-        except (np.linalg.LinAlgError, DomainError) as exc:
+        except DomainError as exc:
             failures.append(f"sample {idx}: polynomial solve failed ({exc})")
             per_sample.append(math.nan)
             continue

@@ -8,13 +8,13 @@ returns or raises an exception type of errors.py, and a RuntimeWarning
 """
 import warnings
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import bounded, wavevectors
 from mhdlab import errors as errors_module
 from mhdlab.classifier import classify_frozen
-from mhdlab.domain import BasicState, ModelKind
+from mhdlab.domain import BasicState, ModelKind, Wavevector
 from mhdlab.hadamard import build_mode, grid_for_mode, growth_ratio, pde_residual_fd
 from mhdlab.roots import dominant_root, scan_s0, solve_dispersion
 
@@ -66,6 +66,13 @@ def returns_or_fails_typed(call, *args):
 
 @given(census_cases())
 @settings(max_examples=300)
+# LAPACK's eigenvalue iteration does not converge on the n = 7 companion
+@example((
+    ModelKind.CompressibleMHD,
+    dict(rho_hat=1.1015625, c_hat=1.75, a_hat=0.0, a0_hat=0.5, a1_hat=0.0,
+         H_plasma=(0.0, 1.0), H_vacuum=(1e8, 0.0)),
+    Wavevector(0.8459244992310679, 0.5333026735360201),
+))
 def test_every_finite_input_returns_or_fails_typed(case):
     model, scalars, omega = case
     with warnings.catch_warnings():

@@ -813,6 +813,16 @@ class TestHadamardCommand:
         lines = (out / "fields_plasma.csv").read_text().splitlines()
         assert lines[0].startswith("x1,x2,")
         assert len(lines) > 100
+        # the Euler models have no vacuum side
+        assert not (out / "fields_vacuum.csv").exists()
+
+    def test_field_dump_writes_the_vacuum_block_on_a_magnetic_model(self, tmp_path):
+        cfg = tmp_path / "readme.ini"
+        cfg.write_text(README_INI)
+        out = tmp_path / "dump"
+        argv = ["hadamard", str(cfg), "--n-list", "25", "--out", str(out), "--dump-fields"]
+        assert main(argv) == 0
+        assert (out / "fields_vacuum.csv").read_text().splitlines()[0] == "x1,x2,xi"
 
     def test_untruncatable_first_n_skips_the_residuals(self, tmp_path, capsys):
         # at n = 1 the README state's mode keeps exp(-17.9) at the depth cap
@@ -822,6 +832,17 @@ class TestHadamardCommand:
         assert main(["hadamard", str(cfg), "--n-list", "1", "--out", str(out)]) == 0
         err = capsys.readouterr().err
         assert err.startswith("note: skipping field dump and residuals: plasma truncation")
+        assert sorted(f.name for f in out.iterdir()) == ["growth.csv"]
+
+    def test_no_admissible_first_mode_skips_the_residuals(self, tmp_path, capsys):
+        # a < 0 and a0 = 0: the roots s = +-i/5 at n = 25 do not grow
+        cfg = tmp_path / "stable.ini"
+        cfg.write_text("model = IncompressibleEuler\na_hat = -1.0\n")
+        out = tmp_path / "dump"
+        argv = ["hadamard", str(cfg), "--n-list", "25", "--out", str(out), "--dump-fields"]
+        assert main(argv) == 0
+        err = capsys.readouterr().err
+        assert err == "note: skipping field dump and residuals: no admissible mode at n=25\n"
         assert sorted(f.name for f in out.iterdir()) == ["growth.csv"]
 
     def test_unwritable_output_exits_one(self, euler_cfg, capsys):

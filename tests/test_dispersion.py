@@ -274,6 +274,53 @@ def test_polynomial_is_the_term_by_term_form_bit_for_bit(model):
         checked += 1
 
 
+
+@pytest.mark.parametrize("model", list(ModelKind))
+def test_polynomial_is_the_clearing_of_the_terms(model):
+    """polynomial(n) and ModeSymbol._terms are the determinant's two writings:
+    at any s the polynomial is A + B (incompressible), A^2 - B^2 (1 + (s/c)^2)
+    (CompressibleEuler) or A^2 D - B^2 (D + s^4) (CompressibleMHD), or A itself
+    where B = 0, to rounding relative to the termwise size."""
+    rng = np.random.default_rng(36)
+
+    def draw(lo, hi):
+        pick = rng.integers(6)
+        return [0.0, -0.0, 1.0, -1.0][pick] if pick < 4 else float(rng.uniform(lo, hi))
+
+    for _ in range(200):
+        kw = dict(rho_hat=float(rng.uniform(0.1, 3.0)), c_hat=float(rng.uniform(0.1, 3.0)),
+                  a_hat=draw(-3.0, 3.0), a0_hat=draw(-2.0, 2.0))
+        if model.is_mhd:
+            kw.update(a1_hat=draw(-2.0, 2.0), H_plasma=(draw(-2, 2), draw(-2, 2)),
+                      H_vacuum=(draw(-2, 2), draw(-2, 2)))
+        state = BasicState(**kw)
+        sym = mode_symbol(model, state, Wavevector(*rng.uniform(-1.0, 1.0, size=2)))
+        rho, a, a0, wp, wm = sym.rho, sym.a, sym.a0, sym.wp, sym.wm
+        for n in (1, 7, 100, 10**4, 10**6):
+            s = complex(*rng.normal(size=2)) * 10.0 ** rng.uniform(-2.0, 2.0)
+            r = abs(s)
+            A, _, B, _ = sym._terms(s, n)
+            # termwise sizes of A and B, written out from the state
+            if model.is_mhd:
+                Asize = (n * r + abs(a0)) * (rho * r * r + wp * wp)
+                Bsize = r * (n * wm * wm + abs(a + 1j * wm * state.a1_hat))
+            else:
+                Asize, Bsize = n * r * r + abs(a0) * r, abs(a / rho)
+            if not model.is_compressible:
+                cleared, size = A + B, Asize + Bsize
+            elif B == 0:
+                cleared, size = A, Asize
+            elif not model.is_mhd:
+                cleared = A * A - B * B * (1.0 + (s / sym.c) ** 2)
+                size = Asize**2 + Bsize**2 * (1.0 + (r / sym.c) ** 2)
+            else:
+                D = sym.alpha * s * s + sym.beta
+                Dsize = sym.alpha * r * r + sym.beta
+                cleared = A * A * D - B * B * (D + s**4)
+                size = Asize**2 * Dsize + Bsize**2 * (Dsize + r**4)
+            got = np.polyval(sym.polynomial(n), s)
+            assert abs(got - cleared) <= 1e-12 * size, (state, n, s, got, cleared)
+
 # ------------------------------------------------------------- determinants
 
 SCALE_STATE = BasicState(

@@ -129,6 +129,18 @@ def test_mode_root_rejects_inconsistent_admissibility():
     assert ok.admissible and not ok.neutral
 
 
+def test_mode_root_rejects_a_negative_residual():
+    with pytest.raises(DomainError, match="residual must be nonnegative"):
+        ModeRoot(
+            s=0.1 + 0j,
+            lambda_plus=-1.0 + 0j,
+            lambda_minus=1.0 + 0j,
+            residual=-1e-14,
+            admissible=False,
+            n=10,
+        )
+
+
 def test_scaling_fit_requires_a_decade_of_mode_indices():
     with pytest.raises(DomainError):
         ScalingFit(exponent=0.5, coefficient=1.0, n_range=(100, 500), rms_log_error=0.0)

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from mhdlab import hadamard
 from mhdlab import roots as roots_module
 from mhdlab.dispersion import mode_symbol
-from mhdlab.domain import BasicState, ModeRoot, ModelKind, Wavevector
+from mhdlab.domain import BasicState, HadamardMode, ModeRoot, ModelKind, Wavevector
 from mhdlab.errors import DomainError, GridError, NotARootError, ResonanceError
 from mhdlab.hadamard import (
     GridSpec,
@@ -269,6 +269,12 @@ class TestEvaluateField:
             "plasma truncation too lossy at n=100: depth 0.05 keeps exp("
         )
 
+    def test_shallow_vacuum_side_is_rejected(self):
+        mode = top_mode(M.CompressibleMHD, ALIGNED_COMP, OM, 100)
+        shallow = replace(grid_for_mode(mode), x1_extent_minus=0.05)
+        with pytest.raises(GridError, match="^vacuum truncation too lossy at n=100$"):
+            evaluate_field(mode, shallow, 0.0)
+
 
 class TestGridForMode:
     def test_depth_follows_decay_rate(self):
@@ -278,6 +284,20 @@ class TestGridForMode:
         assert grid.x1_extent_plus == pytest.approx(min(40.0 / rate, 20.0), rel=1e-12)
         assert math.exp(-rate * grid.x1_extent_plus) <= 1e-16
         assert grid.tangential_period == pytest.approx(2 * math.pi / 100, rel=1e-12)
+
+    def test_a_mode_that_does_not_decay_has_no_grid(self):
+        # s = 2i on CompressibleEuler with c = 1: g = sqrt(-3) is imaginary, so Re lambda = 0
+        root = ModeRoot(
+            s=2j, lambda_plus=complex(-0.0, -math.sqrt(3.0)),
+            lambda_minus=complex(math.nan, math.nan), residual=0.0, admissible=False, n=10,
+        )
+        mode = HadamardMode(
+            root=root, amplitudes=(1 + 0j,) * 5, names=hadamard.EULER_FIELD_NAMES,
+            normalization="phi_unit", model=M.CompressibleEuler,
+            state=BasicState(c_hat=1.0, a_hat=1.0), omega=OM,
+        )
+        with pytest.raises(GridError, match="does not decay"):
+            grid_for_mode(mode)
 
     def test_refinement_halves_spacings(self):
         grid = GridSpec(1.0, 1.0, (64, 64, 16), 0.1)
