@@ -21,6 +21,7 @@ from .domain import (
 )
 from .errors import ConfigError, ConflictError, FitError
 from .roots import fit_scaling
+from .dispersion import mode_symbol
 
 COLLINEARITY_REL_TOL = 1e-9
 
@@ -44,6 +45,12 @@ def is_collinear(state: BasicState) -> bool:
     scale = math.hypot(hp2, hp3) * math.hypot(hv2, hv3)
     if math.isfinite(cross) and math.isfinite(scale):
         return abs(cross) <= COLLINEARITY_REL_TOL * max(1.0, scale)
+    return _relatively_collinear(hp2, hp3, hv2, hv3)
+
+
+def _relatively_collinear(hp2: float, hp3: float, hv2: float, hv3: float) -> bool:
+    """|Hp x Hv| <= COLLINEARITY_REL_TOL * |Hp| |Hv| with no floor, decided on each
+    field scaled by a power of two to components of size about 1."""
     p = -math.frexp(max(abs(hp2), abs(hp3)))[1]
     v = -math.frexp(max(abs(hv2), abs(hv3)))[1]
     hp2, hp3 = math.ldexp(hp2, p), math.ldexp(hp3, p)
@@ -89,6 +96,19 @@ def _outcome(
     return _ILL_POSED
 
 
+def _witness_problem(model: ModelKind, state: BasicState):
+    """(model, state, direction) of a collinear MHD state's witness fit. With the
+    fields relatively collinear, wp = wm = 0 there and the determinant is rho s
+    [n s^2 - a0 s - (a/rho) g(s)], the Euler one at the fast speed sqrt(alpha)."""
+    omega = _witness_direction(state)
+    if not _relatively_collinear(*state.H_plasma, *state.H_vacuum):
+        return model, state, omega
+    c = math.sqrt(mode_symbol(model, state, omega).alpha) if model.is_compressible else state.c_hat
+    euler = ModelKind.CompressibleEuler if model.is_compressible else ModelKind.IncompressibleEuler
+    reduced = BasicState(rho_hat=state.rho_hat, c_hat=c, a_hat=state.a_hat, a0_hat=state.a0_hat)
+    return euler, reduced, Wavevector(1.0, 0.0)
+
+
 def classify_frozen(model: ModelKind, state: BasicState) -> Classification:
     """Algebraic stability verdict for one frozen state."""
     require_valid(model, state)
@@ -107,18 +127,20 @@ def numeric_classify(
     witness direction when the fields are collinear). An exponent near 1/2
     with positive coefficient signals sqrt(n) frequency growth; that numeric
     finding must match the algebraic verdict exactly, otherwise a conflict
-    error carrying all evidence is raised.
+    error carrying all evidence is raised. Where the fields are collinear
+    relative to their sizes, the witness fit runs on the reduced Euler symbol
+    (see _witness_problem), so the evidence may come from that symbol.
     """
     analytic = classify_frozen(model, state)
-    directions = list(omega_samples)
+    problems = [(model, state, omega) for omega in omega_samples]
     if model.is_mhd and analytic.collinear:
-        directions.append(_witness_direction(state))
-    if not directions:
-        directions.append(Wavevector(1.0, 0.0))
+        problems.append(_witness_problem(model, state))
+    if not problems:
+        problems.append((model, state, Wavevector(1.0, 0.0)))
     fits = []
-    for omega in directions:
+    for problem in problems:
         try:
-            fits.append(fit_scaling(model, state, omega, n_grid))
+            fits.append(fit_scaling(*problem, n_grid))
         except FitError:
             continue
     matching = [f for f in fits if abs(f.exponent - 0.5) <= 0.05 and f.coefficient > 0]

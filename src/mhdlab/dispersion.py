@@ -141,13 +141,17 @@ class ModeSymbol:
             )
         return P
 
-    def _terms(self, s: complex, n: int):
-        """A, dA/ds, B and dB/ds of the determinant A + B g at s."""
+    def _terms(self, s: complex, n: int, slopes: bool = True):
+        """A, dA/ds, B and dB/ds of the determinant A + B g at s; with slopes
+        false, A and B alone."""
         a0, rho = self.a0, self.rho
         if not self.model.is_mhd:
-            return n * s * s - a0 * s, 2.0 * n * s - a0, -self.a / rho, 0.0
+            A, B = n * s * s - a0 * s, -self.a / rho
+            return (A, 2.0 * n * s - a0, B, 0.0) if slopes else (A, B)
         P = rho * s * s + self.wp * self.wp
         u, Bc = n * s - a0, n * self.wm * self.wm - self.c1
+        if not slopes:
+            return u * P, s * Bc
         return u * P, n * P + u * 2.0 * rho * s, s * Bc, Bc
 
     def value(self, s: complex, n: int) -> tuple[complex, complex]:

@@ -95,7 +95,7 @@ def _wrong_branch(sym: ModeSymbol, s: complex, n: int) -> bool:
         g = sym.g(s)[0]
     except (BranchPointError, OverflowError):
         return False
-    A, _, B, _ = sym._terms(s, n)
+    A, B = sym._terms(s, n, False)
     return abs(A + B * g) > _BRANCH_MARGIN * abs(A - B * g)
 
 

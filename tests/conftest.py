@@ -38,13 +38,14 @@ def load_bench_oracle():
     return module
 
 
-def count_solves(monkeypatch) -> list:
-    """Patch roots.solve_dispersion to log the n of every call; returns the log."""
+def count_solves(monkeypatch, with_model=False) -> list:
+    """Patch roots.solve_dispersion to log the n of every call, or its
+    (model, n) with with_model; returns the log."""
     solved = []
     real_solve = roots.solve_dispersion
 
     def counting_solve(model, state, omega, n):
-        solved.append(n)
+        solved.append((model, n) if with_model else n)
         return real_solve(model, state, omega, n)
 
     monkeypatch.setattr(roots, "solve_dispersion", counting_solve)

@@ -27,6 +27,7 @@ from mhdlab.domain import (
 )
 from mhdlab.config import Linspace
 from mhdlab.errors import ConfigError, DomainError, UnsupportedModelError
+from mhdlab.roots import fit_scaling
 
 N_GRID = [100, 1000, 10000]
 
@@ -285,6 +286,42 @@ def test_numeric_stops_a_fit_at_its_first_n_without_an_admissible_root(monkeypat
     assert got == classify_frozen(model, state)
     assert got.evidence is None
     assert solved == [100]
+
+
+def test_a_relatively_collinear_witness_is_fitted_on_the_euler_symbol(monkeypatch):
+    # README's fields: the witness fit runs on CompressibleEuler at the fast
+    # speed sqrt(c^2 + cA^2) along (1, 0), and matches the MHD witness fit
+    model, state = ModelKind.CompressibleMHD, BasicState(
+        c_hat=2.0, H_plasma=(0.6, 0.8), H_vacuum=(1.2, 1.6), a_hat=1.0, a0_hat=0.2, a1_hat=0.7
+    )
+    solved = count_solves(monkeypatch, with_model=True)
+    got = numeric_classify(model, state, N_GRID, [])
+    euler = ModelKind.CompressibleEuler
+    assert solved == [(euler, n) for n in N_GRID]
+    assert replace(got, evidence=None) == classify_frozen(model, state)
+    reduced = BasicState(c_hat=math.sqrt(4.0 + 1.0), a_hat=1.0, a0_hat=0.2)
+    assert got.evidence == fit_scaling(euler, reduced, Wavevector(1.0, 0.0), N_GRID)
+    mhd = fit_scaling(model, state, got.witness, N_GRID)
+    assert got.evidence.exponent == pytest.approx(mhd.exponent, rel=1e-9)
+    assert got.evidence.coefficient == pytest.approx(mhd.coefficient, rel=1e-9)
+
+
+@pytest.mark.parametrize("model", MHD_MODELS, ids=lambda m: m.value)
+def test_a_floor_collinear_witness_keeps_the_mhd_fit(monkeypatch, model):
+    # collinear only by the max(1, |Hp||Hv|) floor: perpendicular fields, so
+    # n wm^2 is not negligible on the witness and its fit stays on the MHD model
+    state = BasicState(H_plasma=(1e-5, 0.0), H_vacuum=(0.0, 1e-5), a_hat=1.0)
+    assert is_collinear(state)
+    solved = count_solves(monkeypatch, with_model=True)
+    got = numeric_classify(model, state, N_GRID, [])
+    assert solved == [(model, n) for n in N_GRID]
+    assert replace(got, evidence=None) == classify_frozen(model, state)
+
+
+def test_a_fast_speed_that_overflows_is_a_domain_error():
+    state = BasicState(H_plasma=(1e200, 0.0), H_vacuum=(1e200, 0.0), a_hat=1.0)
+    with pytest.raises(DomainError, match="overflows"):
+        numeric_classify(ModelKind.CompressibleMHD, state, N_GRID, [])
 
 
 def test_numeric_agrees_with_analytic_on_random_states():

@@ -600,18 +600,34 @@ class TestSweepCommand:
         finally:
             (gc.enable if was_enabled else gc.disable)()
 
-    def test_a_numeric_sweep_leaves_no_package_cycle(self, tmp_path):
-        # the README config; one row of this grid is a numeric conflict; no
-        # package object is left for the collector to find
-        path = tmp_path / "readme.ini"
-        path.write_text(README_INI)
+    @pytest.mark.parametrize(
+        "ini, grid, code, errors",
+        [
+            # the README grid: every witness fit of a collinear point runs on
+            # the reduced Euler symbol, and no row conflicts
+            (README_INI, "a_hat=-2:2:7;a0_hat=-1:1:5", 0, 0),
+            # an error path: the fields of the two rows at H_vacuum_2 = +-0.005
+            # are 5e-3 rad apart, and their sampled fits see the sqrt(n) growth
+            # of the nearby collinear state, which the verdict does not have
+            (
+                "model = IncompressibleMHD\na_hat = 1.0\na0_hat = 0.2\na1_hat = 0.7\n"
+                "H_plasma_3 = 1.0\nH_vacuum_2 = 0.001\nH_vacuum_3 = 1.0\n",
+                "H_vacuum_2=-0.01:0.01:5", 3, 2,
+            ),
+        ],
+        ids=["readme", "conflict-rows"],
+    )
+    def test_a_numeric_sweep_leaves_no_package_cycle(self, tmp_path, ini, grid, code, errors):
+        # no package object is left for the collector to find
+        path = tmp_path / "base.ini"
+        path.write_text(ini)
         out = tmp_path / "map.csv"
-        argv = ["sweep", str(path), "--numeric", "--grid", "a_hat=-2:2:7;a0_hat=-1:1:5"]
+        argv = ["sweep", str(path), "--numeric", "--grid", grid]
         gc.collect()
         flags = gc.get_debug()
         gc.set_debug(flags | gc.DEBUG_SAVEALL)
         try:
-            code = main([*argv, "--out", str(out)])
+            got = main([*argv, "--out", str(out)])
             gc.collect()
             leaked = {
                 type(obj).__qualname__
@@ -621,9 +637,9 @@ class TestSweepCommand:
         finally:
             gc.set_debug(flags)
             gc.garbage.clear()
-        assert code == 3
+        assert got == code
         lines = out.read_text().splitlines()
-        assert sum(line.startswith("# error: ") for line in lines) == 1
+        assert sum(line.startswith("# error: ") for line in lines) == errors
         assert leaked == set()
 
 
