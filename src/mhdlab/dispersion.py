@@ -193,11 +193,14 @@ class ModeSymbol:
             if a == 0:
                 return np.array([n, -a0, 0.0], dtype=complex)
             K = a / rho
+            try:
+                Kc2 = (K / self.c) ** 2
+            except OverflowError:
+                raise DomainError(
+                    f"(a/(rho c))^2 overflows for a_hat={a:g}, c_hat={self.c:g}"
+                ) from None
             # (ns^2 - a0 s)^2 = K^2 (1 + (s/c)^2)
-            return np.array(
-                [n * n, -2.0 * n * a0, a0 * a0 - (K / self.c) ** 2, 0.0, -K * K],
-                dtype=complex,
-            )
+            return np.array([n * n, -2.0 * n * a0, a0 * a0 - Kc2, 0.0, -K * K], dtype=complex)
         P = np.array([rho, 0.0, self.wp * self.wp], dtype=complex)
         A = np.convolve(np.array([n, -a0], dtype=complex), P)
         Bc = n * self.wm * self.wm - self.c1
@@ -213,10 +216,9 @@ class ModeSymbol:
         return np.convolve(np.convolve(A, A), D) - Bc * Bc * B2
 
     def matrix(self, s: complex, n: int) -> np.ndarray:
-        """Interface matrix in the unknowns (phi, q[, xi]). Its determinant is
-        value times 1/s (Euler) or -n/P (MHD): the pressure column is oriented
-        for that identity, so the solvability system, where the pressure enters
-        the kinematic row as -v1(q), carries it with opposite sign."""
+        """Boundary system in the unknowns (phi, q[, xi]), whose nullspace
+        build_mode takes: the pressure enters the kinematic row as -v1(q).
+        Its determinant is value times -1/s (Euler) or n/P (MHD)."""
         require_mode_index(n)
         a, a0, rho = self.a, self.a0, self.rho
         if not self.model.is_mhd:
@@ -224,14 +226,14 @@ class ModeSymbol:
                 raise ResonanceError("kinematic coupling diverges at s = 0")
             g = self.g(s)[0]
             return np.array(
-                [[n * s - a0, g / (rho * s)], [a, 1.0]], dtype=complex
+                [[n * s - a0, -g / (rho * s)], [a, -1.0]], dtype=complex
             )
         P = self._coupling(s)
         g = self.g(s)[0]
         return np.array(
             [
-                [n * s - a0, s * g / P, 0.0],
-                [a, 1.0, 1j * n * self.wm],
+                [n * s - a0, -s * g / P, 0.0],
+                [a, -1.0, 1j * n * self.wm],
                 [self.a1 + 1j * n * self.wm, 0.0, -float(n)],
             ],
             dtype=complex,
@@ -401,6 +403,8 @@ def mode_symbol(model: ModelKind, state: BasicState, omega: Wavevector) -> ModeS
                 f"c_hat^2 + cA^2 overflows for c_hat={state.c_hat:g}, cA={cA:g}"
             ) from None
         alpha = beta = math.inf  # the incompressible models never read them
+    if model.is_compressible and alpha == 0.0:
+        raise DomainError(f"c_hat^2 + cA^2 underflows to 0 for c_hat={state.c_hat:g}, cA={cA:g}")
     sym = ModeSymbol(
         model=model, rho=state.rho_hat, a=state.a_hat, a0=state.a0_hat, a1=state.a1_hat,
         c=state.c_hat, wp=wp, wm=wm, c1=state.a_hat + 1j * wm * state.a1_hat,

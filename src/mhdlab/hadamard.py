@@ -1,11 +1,11 @@
 """Explicit exponential solutions and their finite-difference verification.
 
 A mode is the separable solution amp * exp{n(s t + lambda x1 + i tau)},
-tau the tangential phase along the unit direction of omega. build_mode
-extracts the interface amplitudes from the nullspace of the boundary
-system and reconstructs every interior amplitude from the bulk equations;
-pde_residual_fd then re-checks the whole construction with second-order
-finite differences that know nothing about the algebra.
+tau the tangential phase along the unit direction of omega. Only build_mode
+consults the interface symbol: it takes the interface amplitudes from the
+nullspace of the symbol's matrix and the interior ones from the bulk equations.
+The grid, the sampler and pde_residual_fd's second-order finite differences,
+which know nothing about the algebra, read lambda from the mode's root.
 
 Sampling is normalized: the arrays carry every factor of the mode except
 the pure growth exp(n Re s t), which is returned as its log. Only
@@ -30,6 +30,7 @@ import numpy as np
 
 from .dispersion import mode_symbol
 from .domain import BasicState, HadamardMode, ModeRoot, ModelKind, Wavevector, _finite, mode_indices
+from .domain import w_pair
 from .errors import GridError, NotARootError, ResonanceError
 from .roots import dominant_root, solve_dispersion
 
@@ -130,11 +131,7 @@ def build_mode(
     if s != 0 and math.isinf(1.0 / abs(s)):
         # the amplitude relations divide by s
         raise ResonanceError(f"1/s overflows double precision at s={s!r}")
-    # the symbol's matrix orients the pressure column for the determinant
-    # identity; the solvability system carries -v1(q), so flip that column
-    phys = sym.matrix(s, n)
-    phys[:, 1] = -phys[:, 1]
-    _, svals, vh = np.linalg.svd(phys)
+    _, svals, vh = np.linalg.svd(sym.matrix(s, n))
     if svals[-1] > NULLSPACE_TOLERANCE * max(1.0, svals[0]):
         raise NotARootError(
             f"boundary system is numerically full rank at s={s!r} "
@@ -150,7 +147,7 @@ def build_mode(
     phi_amp = complex(null[0])
     q_amp = complex(null[1])
     rho = state.rho_hat
-    lam = sym.lambda_plus(s)
+    lam = root.lambda_plus
     o2, o3 = omega.unit()
     grad = np.array([lam, 1j * o2, 1j * o3], dtype=complex)
 
@@ -160,8 +157,7 @@ def build_mode(
         names = EULER_FIELD_NAMES
     else:
         xi_amp = complex(null[2])
-        wp = sym.wp
-        P = sym._coupling(s)
+        wp, P = sym.wp, sym._coupling(s)
         if root.neutral:
             # at s = 0 the momentum balance alone fixes the magnetic
             # amplitude and forces the velocity to vanish
@@ -189,24 +185,23 @@ def build_mode(
 def grid_for_mode(mode: HadamardMode, points_per_direction=(256, 256, 16)) -> GridSpec:
     """Depths from the decay rates: L = min(40/(n|Re lambda|), 20), for every |omega|."""
     n = mode.root.n
-    lam_p = mode_symbol(mode.model, mode.state, mode.omega).lambda_plus(mode.root.s)
     cap = 20.0
-    rate_p = n * abs(lam_p.real)
+    rate_p = n * abs(mode.root.lambda_plus.real)
     if rate_p == 0:
         raise GridError("plasma-side mode does not decay; cannot truncate the half-space")
     L_plus = min(40.0 / rate_p, cap)
     # the vacuum exponent is +1
     L_minus = min(40.0 / n, cap) if mode.model.is_mhd else L_plus
     grid = GridSpec(L_plus, L_minus, tuple(points_per_direction), 2.0 * math.pi / n)
-    _check_truncation(mode, grid, lam_p)
+    _check_truncation(mode, grid)
     return grid
 
 
-def _check_truncation(mode: HadamardMode, grid: GridSpec, lam_p: complex) -> None:
+def _check_truncation(mode: HadamardMode, grid: GridSpec) -> None:
     """Require the mode to have decayed below TRUNCATION_EPSILON at the far
     end of each half-space; the one truncation test of every grid."""
     n = mode.root.n
-    exponent = n * lam_p.real * grid.x1_extent_plus
+    exponent = n * mode.root.lambda_plus.real * grid.x1_extent_plus
     if math.exp(exponent) > TRUNCATION_EPSILON:
         raise GridError(
             f"plasma truncation too lossy at n={n}: depth {grid.x1_extent_plus:.3g} keeps "
@@ -218,9 +213,8 @@ def _check_truncation(mode: HadamardMode, grid: GridSpec, lam_p: complex) -> Non
 
 def evaluate_field(mode: HadamardMode, grid: GridSpec, t: float) -> FieldSample:
     """Pointwise mode evaluation; switches to log magnitudes on overflow."""
-    s, n = mode.root.s, mode.root.n
-    lam_p = mode_symbol(mode.model, mode.state, mode.omega).lambda_plus(s)
-    _check_truncation(mode, grid, lam_p)
+    s, n, lam_p = mode.root.s, mode.root.n, mode.root.lambda_plus
+    _check_truncation(mode, grid)
     _finite("t", t)
     mp, mm, mt = grid.points_per_direction
     tfac = cmath.exp(1j * n * s.imag * t)
@@ -306,10 +300,8 @@ def pde_residual_fd(mode: HadamardMode, grid: GridSpec, t: float) -> ResidualRep
     """
     model = mode.model
     mhd = model.is_mhd
-    sym = mode_symbol(model, mode.state, mode.omega)
-    n, s = mode.root.n, mode.root.s
-    lam_p = sym.lambda_plus(s)
-    _check_truncation(mode, grid, lam_p)
+    n, s, lam_p = mode.root.n, mode.root.s, mode.root.lambda_plus
+    _check_truncation(mode, grid)
     mp, mm, mt = grid.points_per_direction
     # the periodic tau-stencils wrap correctly only over whole wavelengths 2 pi / n
     waves = n * grid.tangential_period / (2.0 * math.pi)
@@ -337,7 +329,7 @@ def pde_residual_fd(mode: HadamardMode, grid: GridSpec, t: float) -> ResidualRep
     state = mode.state
     rho, c = state.rho_hat, state.c_hat
     o2, o3 = mode.omega.unit()
-    wp, wm = sym.wp, sym.wm
+    wp, wm = w_pair(state, mode.omega)
     # the periodic tau-stencils of exp(i n tau) at tau = 0, +-htau and Dt are scalars
     fwd, back = cmath.exp(1j * n * htau), cmath.exp(-1j * n * htau)
     dtau = (fwd - back) / (2.0 * htau)

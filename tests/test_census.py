@@ -73,6 +73,19 @@ def returns_or_fails_typed(call, *args):
          H_plasma=(0.0, 1.0), H_vacuum=(1e8, 0.0)),
     Wavevector(0.8459244992310679, 0.5333026735360201),
 ))
+# c_hat^2 + cA^2 underflows to 0, and g divided s^2 by it
+@example((
+    ModelKind.CompressibleMHD,
+    dict(rho_hat=1.0, c_hat=1e-170, a_hat=1.0, a0_hat=0.5, a1_hat=0.0,
+         H_plasma=(0.0, 0.0), H_vacuum=(0.0, 0.0)),
+    Wavevector(1.0, 0.0),
+))
+# on CompressibleEuler, c_hat^2 underflows to 0 (1e-170) or (a/(rho c_hat))^2
+# overflows the cleared polynomial (1e-155)
+@example((ModelKind.CompressibleEuler, dict(rho_hat=1.0, c_hat=1e-170, a_hat=1.0, a0_hat=0.5),
+          Wavevector(1.0, 0.0)))
+@example((ModelKind.CompressibleEuler, dict(rho_hat=1.0, c_hat=1e-155, a_hat=1.0, a0_hat=0.5),
+          Wavevector(1.0, 0.0)))
 def test_every_finite_input_returns_or_fails_typed(case):
     model, scalars, omega = case
     with warnings.catch_warnings():

@@ -119,6 +119,50 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "nope.ini")
 
+    def test_empty_grid_chunks_are_skipped(self):
+        assert parse_grid("a_hat=0,1;; a0_hat=2;") == parse_grid("a_hat=0,1;a0_hat=2")
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("a_hat=0,1;a0_hat", "grid axis 'a0_hat' must look like name=lo:hi:count"),
+            (" ; ;", "empty grid specification"),
+        ],
+    )
+    def test_malformed_grid_spec(self, euler_cfg, capsys, spec, message):
+        with pytest.raises(ConfigError) as exc:
+            parse_grid(spec)
+        assert str(exc.value) == message
+        assert main(["sweep", euler_cfg, "--grid", spec]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (EULER_INI + "[roots]\nn = 10\n[roots]\n", ":5: duplicate section 'roots'"),
+            (EULER_INI + "a0_hat 0.5\n", ":3: expected 'key = value', got 'a0_hat 0.5'"),
+        ],
+    )
+    def test_malformed_line_is_line_anchored(self, tmp_path, capsys, text, message):
+        with pytest.raises(ConfigError) as exc:
+            parse_config_text(text)
+        assert str(exc.value) == "<config>" + message
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        assert main(["classify", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}{message}\n"
+
+    def test_undecodable_file(self, tmp_path, capsys):
+        path = tmp_path / "undecodable.ini"
+        path.write_bytes(EULER + b"# \xff\xfe\n")
+        with pytest.raises(ConfigError) as exc:
+            load_config(path)
+        message = str(exc.value)
+        assert message.startswith(f"config file not readable: {path} (")
+        assert "can't decode byte 0xff" in message
+        assert main(["classify", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_parse_bool(self):
         assert parse_bool("true") and parse_bool("1")
         assert not parse_bool("false") and not parse_bool("off")
@@ -273,6 +317,14 @@ class TestRootsCommand:
         assert lines[1] == "# error: n=0 DomainError: mode index must be >= 1, got 0"
         assert lines[2] == f"# error: n={huge} DomainError: mode index {huge} overflows a float"
         assert lines[3].startswith("100,") and all(l.startswith("100,") for l in lines[3:])
+
+    def test_underflowing_fast_speed_is_a_domain_error_row(self, tmp_path, capsys):
+        path = tmp_path / "tiny_c.ini"
+        path.write_text("model = CompressibleMHD\nc_hat = 1e-170\na_hat = 1.0\na0_hat = 0.5\n")
+        assert main(["roots", str(path), "--n", "1", "7"]) == 3
+        lines = capsys.readouterr().out.strip().splitlines()
+        message = "DomainError: c_hat^2 + cA^2 underflows to 0 for c_hat=1e-170, cA=0"
+        assert lines == [self.HEADER, f"# error: n=1 {message}", f"# error: n=7 {message}"]
 
     def test_output_file(self, euler_cfg, tmp_path):
         out = tmp_path / "roots.csv"

@@ -472,9 +472,9 @@ def test_boundary_matrix_entries_euler():
     mat = mode_symbol(ModelKind.IncompressibleEuler, state, OM).matrix(s, n)
     assert mat.shape == (2, 2)
     assert mat[0, 0] == pytest.approx(n * s - 0.3)
-    assert mat[0, 1] == pytest.approx(1.0 / s)
+    assert mat[0, 1] == pytest.approx(-1.0 / s)
     assert mat[1, 0] == pytest.approx(0.8)
-    assert mat[1, 1] == pytest.approx(1.0)
+    assert mat[1, 1] == pytest.approx(-1.0)
 
 
 def test_boundary_matrix_third_row_magnetic():
@@ -501,7 +501,7 @@ def test_matrix_determinant_proportional_to_dispersion(pair, omega, s, n):
     det = complex(np.linalg.det(mat))
     if model.is_mhd:
         wp, _ = w_pair(state, omega)
-        prefactor = -n / (state.rho_hat * s * s + wp * wp)
+        prefactor = n / (state.rho_hat * s * s + wp * wp)
     else:
-        prefactor = 1.0 / s
+        prefactor = -1.0 / s
     assert cmath.isclose(det, prefactor * dv[0], rel_tol=1e-9, abs_tol=1e-9 * abs(prefactor))

@@ -49,9 +49,7 @@ def top_mode(model, state, omega, n):
 
 
 def physical_matrix(mode):
-    mat = mode_symbol(mode.model, mode.state, mode.omega).matrix(mode.root.s, mode.root.n)
-    mat[:, 1] = -mat[:, 1]
-    return mat
+    return mode_symbol(mode.model, mode.state, mode.omega).matrix(mode.root.s, mode.root.n)
 
 
 def frobenius(mat):
@@ -442,6 +440,31 @@ class TestPdeResidualFd:
         mode = top_mode(model, state, omega, n)
         report = pde_residual_fd(mode, grid_for_mode(mode), 1.0)
         assert report.worst_boundary() <= 1e-12
+
+    @pytest.mark.parametrize("model,state", [case[:2] for case in REPORT_KEYS])
+    def test_the_check_reads_the_exponent_the_mode_claims(self, model, state):
+        root = dominant_root(solve_dispersion(model, state, OM, 100))
+
+        def worst_boundary(r):
+            mode = build_mode(model, state, OM, r)
+            return pde_residual_fd(mode, grid_for_mode(mode), 0.0).worst_boundary()
+
+        assert worst_boundary(root) <= 1e-12
+        off = replace(root, lambda_plus=root.lambda_plus * (1.0 + 1e-6))
+        assert worst_boundary(off) > 1e-8
+
+    @pytest.mark.parametrize("model,state", [case[:2] for case in REPORT_KEYS])
+    def test_no_symbol_lookup_after_build_mode(self, model, state, monkeypatch):
+        mode = top_mode(model, state, OM, 100)
+
+        def refuse(*args):
+            raise AssertionError("the interface symbol was consulted after build_mode")
+
+        monkeypatch.setattr(hadamard, "mode_symbol", refuse)
+        grid = grid_for_mode(mode)
+        evaluate_field(mode, grid, 0.3)
+        for g in (grid, grid.refined()):
+            pde_residual_fd(mode, g, 0.3)
 
     def test_neutral_mode_residuals(self):
         state = BasicState(
