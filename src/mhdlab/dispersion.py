@@ -36,6 +36,7 @@ computes them on first use and keeps them, once per (state, direction).
 from __future__ import annotations
 
 import cmath
+import contextlib
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -79,6 +80,7 @@ class ModeSymbol:
     beta: float
     # root sets solve_dispersion computed on this symbol, keyed by int n
     solved: dict = field(default_factory=dict, compare=False, repr=False)
+    primed: dict = field(default_factory=dict, compare=False, repr=False)  # see _prime_candidates
     # [(s, (g, dg))] of the last successful compressible g call, in a list
     # since the dataclass is frozen; the tuple is replaced in one store, so a
     # reader never sees half of an update
@@ -101,7 +103,15 @@ class ModeSymbol:
         if last[0] is s:
             return last[1]
         if not self.model.is_mhd:
-            g = cmath.sqrt(1.0 + (s / self.c) ** 2)
+            z = s / self.c
+            try:
+                g = cmath.sqrt(1.0 + z**2)
+            except OverflowError:  # z^2 overflows; off the axes it comes out nan
+                g = math.nan
+            if g != g:  # g = 2^p sqrt(4^-p + (z / 2^p)^2)
+                p = math.frexp(max(abs(z.real), abs(z.imag)))[1]
+                r = cmath.sqrt(math.ldexp(1.0, -2 * p) + (z * math.ldexp(1.0, -p)) ** 2)
+                g = complex(math.ldexp(r.real, p), math.ldexp(r.imag, p))
             if g == 0:
                 raise BranchPointError(f"spatial-exponent turning point at s={s!r}")
             dg = s / (self.c**2 * g)
@@ -265,34 +275,60 @@ class AsymptoticRoot:
         return self.s0 + self.s1 / rt + self.s2 / n + self.s3 / (n * rt)
 
 
-def _poly_candidates(coeffs) -> list:
-    """Companion-matrix roots, with exact s = 0 factors deflated first. Leading
-    coefficients up to 1e-300 times the largest are dropped (only exact zeros
-    if it is inf or nan); the matrix and its eigenvalues are np.roots'.
-    A non-finite coefficient or unconverged eigenvalues raise DomainError."""
+def _companion(coeffs):
+    """The exact s = 0 roots of a polynomial and np.roots' companion matrix of the rest
+    (None below degree 1), leading coefficients up to 1e-300 times the largest dropped
+    (only exact zeros if one is inf or nan). A non-finite one left raises DomainError."""
     c = np.asarray(coeffs, dtype=complex)
-    mags = np.abs(c)
-    lead = mags.max()
-    tiny = 1e-300 * lead if math.isfinite(lead) else 0.0
-    mags = mags.tolist()
+    mags = np.abs(c).tolist()
+    finite = all(map(math.isfinite, mags))
+    tiny = 1e-300 * max(mags) if finite else 0.0
     first, end = 0, len(mags)
     while first < end - 1 and mags[first] <= tiny:
         first += 1
-    out = []
     while end - first > 1 and mags[end - 1] == 0:
-        out.append(0j)
         end -= 1
-    if end - first > 1:
-        if not math.isfinite(lead):
-            bad = next(i for i, m in enumerate(mags) if not math.isfinite(m))
-            raise DomainError(f"s^{len(mags) - 1 - bad} coefficient {complex(c[bad])} is not finite")
-        companion = np.eye(end - first - 1, k=-1, dtype=complex)
-        companion[0] = -c[first + 1 : end] / c[first]
-        try:
-            out.extend(np.linalg.eigvals(companion).tolist())
-        except np.linalg.LinAlgError:
-            raise DomainError("companion eigenvalues did not converge") from None
-    return out
+    zeros = [0j] * (len(mags) - end)
+    if end - first < 2:
+        return zeros, None
+    if not finite:
+        bad = next(i for i, m in enumerate(mags) if not math.isfinite(m))
+        raise DomainError(f"s^{len(mags) - 1 - bad} coefficient {complex(c[bad])} is not finite")
+    companion = np.eye(end - first - 1, k=-1, dtype=complex)
+    companion[0] = -c[first + 1 : end] / c[first]
+    return zeros, companion
+
+
+def _eigvals(stack) -> list:
+    """The eigenvalues of each companion of a stack, from one LAPACK call."""
+    try:
+        return np.linalg.eigvals(stack).tolist()
+    except np.linalg.LinAlgError:
+        raise DomainError("companion eigenvalues did not converge") from None
+
+
+def _poly_candidates(coeffs) -> list:
+    """Companion-matrix roots, exact s = 0 roots first, from a stack of one."""
+    zeros, companion = _companion(coeffs)
+    return zeros if companion is None else zeros + _eigvals(companion[None])[0]
+
+
+def _prime_candidates(sym: ModeSymbol, ns) -> None:
+    """Put the candidates of each n of ns that sym has not solved into sym.primed,
+    from one eigenvalue call per companion size. Silent: NumPy's warnings are
+    off, and an n whose polynomial, companion or size's call raises is left out."""
+    sym.primed.clear()
+    groups = {}
+    with np.errstate(all="ignore"):
+        for n in (n for n in ns if n not in sym.solved):
+            with contextlib.suppress(DomainError, OverflowError):
+                zeros, companion = _companion(sym.polynomial(n))
+                if companion is not None:
+                    groups.setdefault(len(companion), {})[n] = zeros, companion
+        for group in groups.values():
+            with contextlib.suppress(DomainError):
+                values = _eigvals(np.array([companion for _, companion in group.values()]))
+                sym.primed.update((n, zeros + v) for (n, (zeros, _)), v in zip(group.items(), values))
 
 
 def _leading_symbol(sym: ModeSymbol, s: complex):

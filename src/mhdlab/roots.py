@@ -1,15 +1,17 @@
 """Root finding and growth-rate scaling fits.
 
-Strategy: every determinant is either polynomial in s (incompressible
-models) or becomes polynomial after clearing its single square root.
-Candidates come from the companion matrix of that polynomial and, for
-CompressibleMHD, from the large-n series of ModeSymbol.families (both in
-dispersion; a symbol builds its series once, so the solves of one scaling
-fit share them). Newton iteration on the original determinant
-polishes them, and they survive only if the relative residual of the
-ORIGINAL (unsquared) equation is below RESIDUAL_TOLERANCE. Squaring can only
-add spurious roots, never lose real ones, so the gate is sound. The gate
-reads the residual the polish computed for its best iterate.
+Strategy: every determinant is either polynomial in s (incompressible models)
+or becomes polynomial after clearing its single square root. Candidates come
+from the companion matrix of that polynomial and, for CompressibleMHD, from
+the large-n series of ModeSymbol.families (both in dispersion; a symbol builds
+its series once, so the solves of one scaling fit share them). Once a fit's
+first n has an admissible root, the companions of its later n are solved in
+one stacked eigenvalue call per size, and each solve takes its n's candidates
+from the symbol. Newton iteration on the original determinant polishes them,
+and they survive only if the relative residual of the ORIGINAL (unsquared)
+equation is below RESIDUAL_TOLERANCE. Squaring can only add spurious roots,
+never lose real ones, so the gate is sound. The gate reads the residual the
+polish computed for its best iterate.
 
 ModeSymbol._terms gives a compressible determinant's A and B in A + B g(s).
 The cleared polynomial (A + B g)(A - B g) holds the roots of both branches. A
@@ -27,7 +29,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .dispersion import ModeSymbol, _poly_candidates, _s0_candidates
+from .dispersion import ModeSymbol, _poly_candidates, _prime_candidates, _s0_candidates
 from .dispersion import dispersion_eval, dispersion_scale, mode_symbol
 from .domain import BasicState, ModeRoot, ModelKind, ScalingFit, Wavevector, mode_indices
 from .errors import BranchPointError, DomainError, FitError
@@ -128,7 +130,7 @@ def solve_dispersion(model: ModelKind, state: BasicState, omega: Wavevector, n: 
     key = n if type(n) is int else None
     if key in sym.solved:
         return list(sym.solved[key])
-    poly = _poly_candidates(sym.polynomial(n))
+    poly = sym.primed.pop(key, None) or _poly_candidates(sym.polynomial(n))
     seeds = []
     if model is ModelKind.CompressibleMHD:
         # Asymptotic seeds guard against conditioning loss in the squared
@@ -181,6 +183,8 @@ def fit_scaling(model: ModelKind, state: BasicState, omega: Wavevector, n_grid) 
         best = dominant_root(solve_dispersion(model, state, omega, n))
         if best is None:
             raise FitError(f"no admissible root at n = {n}", failing_n=(n,))
+        if not growth:
+            _prime_candidates(mode_symbol(model, state, omega), ns[1:])
         growth.append(best.s.real)
     m = len(ns)
     x = [math.log(n) for n in ns]

@@ -1,5 +1,7 @@
 """Root finding, asymptotic series and scaling-law fits."""
+import cmath
 import math
+import sys
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -996,3 +998,224 @@ def test_a_primed_symbol_solves_as_a_fresh_one(case, points, pick):
     for m, want in zip((n, n + 1), expected):
         assert repr(solve_dispersion(model, state, omega, m)) == repr(want)
     assert mode_symbol(model, state, omega) is sym
+
+
+# ------------------------------------------- stacked companions of a fit
+
+
+def _companion_cases() -> list:
+    """The coefficient lists of test_poly_candidates_match_np_roots_bit_for_bit,
+    drawn from the same seed: 18 edge cases and 2,000 random ones."""
+    rng = np.random.default_rng(20)
+    inf, nan = math.inf, math.nan
+    cases = [
+        [0.0], [2.5], [0.0, 0.0, 0.0], [1e-310, 1.0, 2.0], [1e-301, 0.0, 3.0, 1.0],
+        [1.0, 2.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [-0.0, 1.0, -0.0], [5e-324, 0.0],
+        [inf, 1.0, 2.0], [1.0, nan, 2.0], [0.0, inf, 1.0], [0.0, 0.0, inf, 0.0],
+        [0.0, nan, 0.0, 0.0], [1e-310, nan, 1.0], [nan], [1.0, inf], [complex(inf, 1.0), 1.0],
+    ]
+    for _ in range(2000):
+        deg = int(rng.integers(1, 9))
+        c = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
+        c *= 10.0 ** rng.integers(-6, 7, size=deg + 1)
+        kind = rng.integers(0, 5)
+        if kind == 1:
+            c[0] *= 1e-302
+        elif kind == 2:
+            c[-int(rng.integers(1, deg + 1)) :] = 0.0
+        elif kind == 3:
+            c[int(rng.integers(0, deg + 1))] = rng.choice([inf, -inf, nan])
+        cases.append(c)
+    return cases
+
+
+def test_stacked_candidates_match_np_roots_bit_for_bit():
+    """Each companion size's cases solved as one stack give np.roots' candidates."""
+    cases = _companion_cases()
+    assert len(cases) == 2018
+    got, groups = {}, {}
+    for i, coeffs in enumerate(cases):
+        try:
+            zeros, companion = dispersion_module._companion(np.array(coeffs, dtype=complex))
+        except Exception as exc:  # as in _outcome: the reference's type is the contract
+            got[i] = type(exc)
+            continue
+        if companion is None:
+            got[i] = repr(zeros)
+        else:
+            groups.setdefault(len(companion), {})[i] = zeros, companion
+    assert sorted(groups) == list(range(1, 9))
+    assert min(map(len, groups.values())) >= 90
+    for group in groups.values():
+        stack = np.array([companion for _, companion in group.values()])
+        values = dispersion_module._eigvals(stack)
+        got.update((i, repr(zeros + v)) for (i, (zeros, _)), v in zip(group.items(), values))
+    for i, coeffs in enumerate(cases):
+        assert got[i] == _outcome(_np_roots_candidates, coeffs), coeffs
+
+
+def count_eigvals(monkeypatch, fail=lambda stack: False) -> list:
+    """Patch np.linalg.eigvals where dispersion calls it to log the number of
+    companions of each call, raising LinAlgError on a stack that fail picks."""
+    calls = []
+    real = np.linalg.eigvals
+
+    def counting(stack):
+        calls.append(len(stack))
+        if fail(stack):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real(stack)
+
+    monkeypatch.setattr(dispersion_module.np.linalg, "eigvals", counting)
+    return calls
+
+
+FIT_GRID = [10**k for k in range(2, 7)]
+
+
+def test_a_fit_failing_at_its_first_n_computes_no_later_companion(monkeypatch):
+    calls = count_eigvals(monkeypatch)
+    state = BasicState(a_hat=-1.0)  # no admissible root at any n
+    with pytest.raises(FitError):
+        fit_scaling(ModelKind.IncompressibleEuler, state, OM, FIT_GRID)
+    assert calls == [1]
+    assert mode_symbol(ModelKind.IncompressibleEuler, state, OM).primed == {}
+
+
+def test_a_fit_solves_its_later_companions_in_one_stack(monkeypatch):
+    calls = count_eigvals(monkeypatch)
+    model, state = ModelKind.IncompressibleEuler, BasicState(a_hat=1.0)
+    fit = fit_scaling(model, state, OM, FIT_GRID)
+    assert fit.exponent == pytest.approx(0.5, abs=1e-3)
+    assert calls == [1, 4]  # the first n alone, then four 2 x 2 companions
+    sym = mode_symbol(model, state, OM)
+    assert list(sym.solved) == FIT_GRID and sym.primed == {}
+
+
+def _seeded_fit_cases(seed: int, per_model: int):
+    """Seeded states of all four models with a direction each: Euler states of
+    both signs of a, and MHD states whose fields are collinear (fitted along
+    their witness) or not (along a random direction)."""
+    rng = np.random.default_rng(seed)
+    for model in ModelKind:
+        for _ in range(per_model):
+            kw = dict(
+                rho_hat=float(rng.uniform(0.5, 4.0)), c_hat=float(rng.uniform(0.5, 3.0)),
+                a_hat=float(rng.uniform(-1.0, 3.0)), a0_hat=float(rng.uniform(-1.0, 1.0)),
+            )
+            theta = float(rng.uniform(0.0, 2.0 * math.pi))
+            omega = Wavevector(math.cos(theta), math.sin(theta))
+            collinear = model.is_mhd and rng.random() < 0.5
+            if model.is_mhd:
+                hp = (float(rng.uniform(-2.0, 2.0)), float(rng.uniform(-2.0, 2.0)))
+                k = float(rng.uniform(-2.0, 2.0))
+                hv = (k * hp[0], k * hp[1]) if collinear else tuple(rng.uniform(-2.0, 2.0, 2))
+                kw.update(H_plasma=hp, H_vacuum=hv, a1_hat=float(rng.uniform(-1.0, 1.0)))
+            state = BasicState(**kw)
+            yield model, state, _witness_direction(state) if collinear else omega
+
+
+@pytest.mark.parametrize("grid", [FIT_GRID, [1, 10, 100, 1000]], ids=["1e2-1e6", "1-1e3"])
+def test_a_fit_leaves_the_root_sets_of_lone_solves(monkeypatch, grid):
+    """The root sets a fit stores are those of lone solves on fresh symbols, and
+    a fit that reaches its last n has taken every list it computed ahead."""
+    lone = []
+    poly_candidates = roots_module._poly_candidates
+
+    def counting(coeffs):
+        lone.append(coeffs)
+        return poly_candidates(coeffs)
+
+    monkeypatch.setattr(roots_module, "_poly_candidates", counting)
+    fitted = {model: 0 for model in ModelKind}
+    for model, state, omega in _seeded_fit_cases(40, 30):
+        sym = mode_symbol(model, state, omega)
+        lone.clear()
+        try:
+            fit_scaling(model, state, omega, grid)
+        except (FitError, DomainError):
+            pass
+        else:
+            fitted[model] += 1
+            assert sym.primed == {} and len(lone) == 1, (model, state, omega)
+        assert sym.solved, (model, state, omega)
+        for n, roots in sym.solved.items():
+            fresh = solve_dispersion(model, replace(state), replace(omega), n)
+            assert repr(list(roots)) == repr(fresh), (model, state, omega, n)
+    assert min(fitted.values()) >= 5, fitted
+
+
+def test_a_failed_stacked_call_leaves_each_n_to_its_lone_solve(monkeypatch):
+    model, state = ModelKind.CompressibleMHD, aligned_state(a_hat=1.0, rho_hat=4.0, c_hat=2.0)
+    want = fit_scaling(model, replace(state), PERP, FIT_GRID)
+    calls = count_eigvals(monkeypatch, fail=lambda stack: len(stack) > 1)
+    assert fit_scaling(model, state, PERP, FIT_GRID) == want
+    assert calls == [1, 4, 1, 1, 1, 1]
+
+
+def test_an_unconverged_companion_fails_at_its_own_n(monkeypatch):
+    model, state = ModelKind.IncompressibleEuler, BasicState(a_hat=1.0)
+    poisoned = dispersion_module._companion(mode_symbol(model, state, OM).polynomial(1000))[1]
+    count_eigvals(monkeypatch, fail=lambda stack: any(np.array_equal(m, poisoned) for m in stack))
+    with pytest.raises(DomainError, match="companion eigenvalues did not converge"):
+        fit_scaling(model, state, OM, FIT_GRID)
+    assert list(mode_symbol(model, state, OM).solved) == [100]
+    with pytest.raises(DomainError, match="companion eigenvalues did not converge"):
+        solve_dispersion(model, replace(state), OM, 1000)
+
+
+def test_a_fit_failing_early_does_not_warn_for_a_later_overflowing_n():
+    """The last n's cleared polynomial overflows, with a RuntimeWarning, but
+    the fit stops before that n; computing its companion ahead stays silent
+    (pyproject.toml turns RuntimeWarnings into errors)."""
+    model = ModelKind.CompressibleMHD
+    state = BasicState(a_hat=1.0, H_plasma=(0.0, 1.0), H_vacuum=(1.0, 0.0))
+    grid = [10**6, 10**7, 10**154]
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(DomainError, match="not finite"):
+            solve_dispersion(model, replace(state), OM, grid[-1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FitError) as info:
+            fit_scaling(model, state, OM, grid)
+    assert info.value.failing_n == (10**7,)
+    assert list(mode_symbol(model, state, OM).primed) == []
+
+
+# ------------------------------------------- g past the radicand overflow
+
+
+def test_an_euler_root_whose_radicand_overflows_is_found():
+    """(s/c)^2 overflows at s = 0.5 for c_hat <= 1e-155, though g is finite:
+    the admissible root a0/n of n s^2 - a0 s = 0 is kept."""
+    for c in (1e-150, 1e-155, 1e-160):
+        state = BasicState(c_hat=c, a_hat=0.0, a0_hat=0.5)
+        roots = solve_dispersion(ModelKind.CompressibleEuler, state, OM, 1)
+        assert [r.s for r in roots] == [0.5, 0.0]
+        top = dominant_root(roots)
+        assert top is roots[0] and top.lambda_plus == pytest.approx(-0.5 / c, rel=1e-15)
+
+
+def test_euler_g_matches_mpmath_on_both_sides_of_the_overflow():
+    mpmath = pytest.importorskip("mpmath")
+    c = 1e-155
+    sym = mode_symbol(ModelKind.CompressibleEuler, BasicState(c_hat=c, a_hat=1.0), OM)
+    threshold = math.sqrt(sys.float_info.max) * c  # |s| about where (s/c)^2 overflows
+    overflowed = 0
+    for size in (0.5, 0.99, 1.01, 2.0, 1e10, 1e140):
+        for unit in (1, -1, 1j, -1j, complex(0.6, 0.8), complex(-0.28, -0.96)):
+            s = complex(size * threshold * unit)
+            got = sym.g(s)[0]
+            with mpmath.workdps(40):
+                z = mpmath.mpc(s.real, s.imag) / mpmath.mpf(c)
+                want = complex(mpmath.sqrt(1 + z * z))
+            assert abs(got - want) <= 1e-15 * abs(want), (s, got, want)
+            try:
+                plain = cmath.sqrt(1.0 + (s / c) ** 2)
+            except OverflowError:  # on the axes; off them the square comes out nan
+                plain = complex(math.nan, math.nan)
+            if cmath.isnan(plain):
+                overflowed += 1
+            else:  # where the square is finite, g keeps its bits
+                assert repr(got) == repr(plain), s
+    assert overflowed == 22
