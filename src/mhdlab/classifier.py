@@ -12,12 +12,12 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import attrgetter
 
 from .domain import (
     FIELD_SLOTS, STATE_FIELDS, BasicState, Classification, ModelKind, Verdict, Wavevector,
-    put_slot, require_valid
+    assemble, put_slot, require_valid
 )
 from .errors import ConfigError, ConflictError, FitError
 from .roots import fit_scaling
@@ -154,7 +154,7 @@ def numeric_classify(
             fits=tuple(fits),
         )
     evidence = min(matching or fits, key=lambda f: f.rms_log_error, default=None)
-    return replace(analytic, evidence=evidence)
+    return assemble(Classification, **{**vars(analytic), "evidence": evidence})
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,7 @@ from functools import cached_property
 import numpy as np
 
 from .domain import BasicState, ModelKind, Wavevector, alfven_speed, require_valid, w_pair
-from .domain import require_mode_index
+from .domain import assemble, require_mode_index
 from .errors import BranchPointError, DomainError, ResonanceError
 
 # Relative threshold below which the g(s) radicand denominator counts as a
@@ -210,7 +210,10 @@ class ModeSymbol:
                     f"(a/(rho c))^2 overflows for a_hat={a:g}, c_hat={self.c:g}"
                 ) from None
             # (ns^2 - a0 s)^2 = K^2 (1 + (s/c)^2)
-            return np.array([n * n, -2.0 * n * a0, a0 * a0 - Kc2, 0.0, -K * K], dtype=complex)
+            try:
+                return np.array([n * n, -2.0 * n * a0, a0 * a0 - Kc2, 0.0, -K * K], dtype=complex)
+            except OverflowError:  # an int n^2 beyond a float
+                raise DomainError(f"n^2 overflows a float for mode index n={n:.3g}") from None
         P = np.array([rho, 0.0, self.wp * self.wp], dtype=complex)
         A = np.convolve(np.array([n, -a0], dtype=complex), P)
         Bc = n * self.wm * self.wm - self.c1
@@ -275,6 +278,12 @@ class AsymptoticRoot:
         return self.s0 + self.s1 / rt + self.s2 / n + self.s3 / (n * rt)
 
 
+# np.eye(k, k=-1) for every companion size a symbol makes, read-only: _companion copies one
+_SUBDIAGONALS = {k: np.eye(k, k=-1, dtype=complex) for k in range(1, 9)}
+for _template in _SUBDIAGONALS.values():
+    _template.flags.writeable = False
+
+
 def _companion(coeffs):
     """The exact s = 0 roots of a polynomial and np.roots' companion matrix of the rest
     (None below degree 1), leading coefficients up to 1e-300 times the largest dropped
@@ -294,7 +303,8 @@ def _companion(coeffs):
     if not finite:
         bad = next(i for i, m in enumerate(mags) if not math.isfinite(m))
         raise DomainError(f"s^{len(mags) - 1 - bad} coefficient {complex(c[bad])} is not finite")
-    companion = np.eye(end - first - 1, k=-1, dtype=complex)
+    k = end - first - 1
+    companion = _SUBDIAGONALS[k].copy() if k in _SUBDIAGONALS else np.eye(k, k=-1, dtype=complex)
     companion[0] = -c[first + 1 : end] / c[first]
     return zeros, companion
 
@@ -321,7 +331,7 @@ def _prime_candidates(sym: ModeSymbol, ns) -> None:
     groups = {}
     with np.errstate(all="ignore"):
         for n in (n for n in ns if n not in sym.solved):
-            with contextlib.suppress(DomainError, OverflowError):
+            with contextlib.suppress(DomainError):
                 zeros, companion = _companion(sym.polynomial(n))
                 if companion is not None:
                     groups.setdefault(len(companion), {})[n] = zeros, companion
@@ -441,10 +451,10 @@ def mode_symbol(model: ModelKind, state: BasicState, omega: Wavevector) -> ModeS
         alpha = beta = math.inf  # the incompressible models never read them
     if model.is_compressible and alpha == 0.0:
         raise DomainError(f"c_hat^2 + cA^2 underflows to 0 for c_hat={state.c_hat:g}, cA={cA:g}")
-    sym = ModeSymbol(
-        model=model, rho=state.rho_hat, a=state.a_hat, a0=state.a0_hat, a1=state.a1_hat,
-        c=state.c_hat, wp=wp, wm=wm, c1=state.a_hat + 1j * wm * state.a1_hat,
-        alpha=alpha, beta=beta,
+    sym = assemble(
+        ModeSymbol, model=model, rho=state.rho_hat, a=state.a_hat, a0=state.a0_hat,
+        a1=state.a1_hat, c=state.c_hat, wp=wp, wm=wm, c1=state.a_hat + 1j * wm * state.a1_hat,
+        alpha=alpha, beta=beta, solved={}, primed={}, _last_g=[(None, None)],
     )
     _last_symbol = (model, state, omega, sym)
     return sym

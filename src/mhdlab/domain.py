@@ -1,7 +1,9 @@
 """Core value types for the frozen-coefficient interface stability analysis.
 
 Everything here is an immutable value; analyses treat these as plain data and
-never mutate them.
+never mutate them. Public constructors always validate. Library code that has
+checked every field of a value itself may build it with assemble, which skips
+__init__ and __post_init__.
 """
 from __future__ import annotations
 
@@ -13,6 +15,14 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .errors import DomainError, UnsupportedModelError
+
+
+def assemble(cls, **fields):
+    """An instance of the dataclass cls holding exactly fields (all of them, in
+    field order), stored in one dict update: no __init__, no __post_init__."""
+    obj = object.__new__(cls)
+    vars(obj).update(fields)
+    return obj
 
 
 class ModelKind(enum.Enum):

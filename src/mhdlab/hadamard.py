@@ -24,13 +24,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dispersion import mode_symbol
 from .domain import BasicState, HadamardMode, ModeRoot, ModelKind, Wavevector, _finite, mode_indices
-from .domain import w_pair
+from .domain import assemble, w_pair
 from .errors import GridError, NotARootError, ResonanceError
 from .roots import dominant_root, solve_dispersion
 
@@ -72,7 +72,9 @@ class GridSpec:
     def refined(self) -> "GridSpec":
         """Same extents with every spacing halved."""
         mp, mm, mt = self.points_per_direction
-        return replace(self, points_per_direction=(2 * mp - 1, 2 * mm - 1, 2 * mt))
+        # ints of at least 7, so the grid's checks hold
+        points = (2 * mp - 1, 2 * mm - 1, 2 * mt)
+        return assemble(type(self), **{**vars(self), "points_per_direction": points})
 
 
 @dataclass(frozen=True)
@@ -171,14 +173,9 @@ def build_mode(
             H = (1j * wp * v - Hhat * div_amp) / s
         amps = (q_amp, v[0], v[1], v[2], H[0], H[1], H[2], xi_amp, phi_amp)
         names = MHD_FIELD_NAMES
-    return HadamardMode(
-        root=root,
-        amplitudes=tuple(complex(a) for a in amps),
-        names=names,
-        normalization=normalization,
-        model=model,
-        state=state,
-        omega=omega,
+    return assemble(
+        HadamardMode, root=root, amplitudes=tuple(complex(a) for a in amps), names=names,
+        normalization=normalization, model=model, state=state, omega=omega,
     )
 
 
@@ -413,7 +410,9 @@ def pde_residual_fd(mode: HadamardMode, grid: GridSpec, t: float) -> ResidualRep
         boundary["vacuum_neumann"] = _rel(abs(vac), n * xi0, (a1 + 1j * n * wm) * phi)
     else:
         boundary["pressure"] = _rel(abs(q0 - a * phi), q0, a * phi)
-    return ResidualReport(interior=interior, boundary=boundary, spacings=(h1p, h1m, htau, dt))
+    return assemble(
+        ResidualReport, interior=interior, boundary=boundary, spacings=(h1p, h1m, htau, dt)
+    )
 
 
 def growth_ratio(

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from .dispersion import ModeSymbol, _poly_candidates, _prime_candidates, _s0_candidates
 from .dispersion import dispersion_eval, dispersion_scale, mode_symbol
-from .domain import BasicState, ModeRoot, ModelKind, ScalingFit, Wavevector, mode_indices
+from .domain import BasicState, ModeRoot, ModelKind, ScalingFit, Wavevector, assemble, mode_indices
 from .errors import BranchPointError, DomainError, FitError
 
 RESIDUAL_TOLERANCE = 1e-10
@@ -109,11 +109,11 @@ def _finish_root(sym: ModeSymbol, s: complex, residual: float, n) -> ModeRoot:
     # the vacuum exponent is +1 on the magnetic models; Euler has no vacuum side
     lm = complex(1.0) if sym.model.is_mhd else complex(math.nan, math.nan)
     neutral = s == 0
-    # only the plasma side can fail
+    # only the plasma side can fail; value() has checked n, so ModeRoot's checks hold
     admissible = not neutral and s.real > 0.0 and lp.real < 0.0
-    return ModeRoot(
-        s=s, lambda_plus=lp, lambda_minus=lm, residual=residual, admissible=admissible, n=n,
-        neutral=neutral,
+    return assemble(
+        ModeRoot, s=s, lambda_plus=lp, lambda_minus=lm, residual=residual,
+        admissible=admissible, n=n, neutral=neutral,
     )
 
 
@@ -194,10 +194,8 @@ def fit_scaling(model: ModelKind, state: BasicState, omega: Wavevector, n_grid) 
     slope = math.fsum(d * (yi - ybar) for d, yi in zip(dx, y)) / math.fsum(d * d for d in dx)
     intercept = ybar - slope * xbar
     resid2 = math.fsum((yi - (slope * xi + intercept)) ** 2 for xi, yi in zip(x, y))
-    return ScalingFit(
-        exponent=-slope,
-        coefficient=math.exp(intercept),
-        n_range=(ns[0], ns[-1]),
+    return assemble(  # the decade check above is ScalingFit's own
+        ScalingFit, exponent=-slope, coefficient=math.exp(intercept), n_range=(ns[0], ns[-1]),
         rms_log_error=math.sqrt(resid2 / m),
     )
 

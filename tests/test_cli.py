@@ -318,6 +318,19 @@ class TestRootsCommand:
         assert lines[2] == f"# error: n={huge} DomainError: mode index {huge} overflows a float"
         assert lines[3].startswith("100,") and all(l.startswith("100,") for l in lines[3:])
 
+    def test_compressible_euler_n_whose_square_overflows_is_a_domain_error_row(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "euler.ini"
+        path.write_text("model = CompressibleEuler\na_hat = 1.0\n")
+        huge = str(2 * 10**154)
+        assert main(["roots", str(path), "--n", "100", huge]) == 3
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[-1] == (
+            f"# error: n={huge} DomainError: n^2 overflows a float for mode index n=2e+154"
+        )
+        assert len(lines) > 2 and all(l.startswith("100,") for l in lines[1:-1])
+
     def test_underflowing_fast_speed_is_a_domain_error_row(self, tmp_path, capsys):
         path = tmp_path / "tiny_c.ini"
         path.write_text("model = CompressibleMHD\nc_hat = 1e-170\na_hat = 1.0\na0_hat = 0.5\n")

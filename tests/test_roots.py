@@ -1182,6 +1182,48 @@ def test_a_fit_failing_early_does_not_warn_for_a_later_overflowing_n():
     assert list(mode_symbol(model, state, OM).primed) == []
 
 
+# ------------------------------------------------- n whose n^2 overflows
+
+HUGE_N = [2 * 10**154, 10**200, 10**308]
+HUGE_N_STATES = {
+    ModelKind.IncompressibleEuler: {"a_hat": 1.0},
+    ModelKind.CompressibleEuler: {"a_hat": 1.0},
+    ModelKind.IncompressibleMHD: {"a_hat": 1.0, "H_plasma": (0.0, 1.0), "H_vacuum": (1.0, 0.0)},
+    ModelKind.CompressibleMHD: {"a_hat": 1.0, "H_plasma": (0.0, 1.0), "H_vacuum": (1.0, 0.0)},
+}
+
+
+@pytest.mark.parametrize("n", HUGE_N, ids=["2e154", "1e200", "1e308"])
+@pytest.mark.parametrize("model", list(HUGE_N_STATES), ids=lambda m: m.value)
+def test_an_int_n_whose_square_overflows_returns_roots_or_a_typed_error(model, n):
+    """CompressibleEuler's cleared polynomial holds n^2, an int no float can
+    hold above about 1.34e154. CompressibleMHD's overflows with a RuntimeWarning
+    (a known defect of its own), which is let through here: this pins the type."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        try:
+            found = solve_dispersion(model, BasicState(**HUGE_N_STATES[model]), OM, n)
+        except Exception as exc:
+            assert type(exc).__module__ == errors_module.__name__, repr(exc)
+        else:
+            assert found and all(isinstance(r, ModeRoot) for r in found)
+
+
+def test_a_compressible_euler_n_whose_square_overflows_is_a_domain_error():
+    state = BasicState(a_hat=1.0)
+    with pytest.raises(DomainError, match=r"n\^2 overflows a float for mode index n=2e\+154"):
+        solve_dispersion(ModelKind.CompressibleEuler, state, OM, 2 * 10**154)
+    below = mode_symbol(ModelKind.CompressibleEuler, state, OM).polynomial(10**154)
+    assert below[0] == 1e308 and np.isfinite(below).all()
+
+
+def test_a_fit_reaching_an_n_whose_square_overflows_raises_domain_error():
+    state = BasicState(a_hat=1.0)
+    with pytest.raises(DomainError, match=r"n=2e\+154"):
+        fit_scaling(ModelKind.CompressibleEuler, state, OM, [1, 10, 2 * 10**154])
+    assert list(mode_symbol(ModelKind.CompressibleEuler, state, OM).solved) == [1, 10]
+
+
 # ------------------------------------------- g past the radicand overflow
 
 
