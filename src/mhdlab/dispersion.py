@@ -39,7 +39,7 @@ import cmath
 import contextlib
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -278,10 +278,12 @@ class AsymptoticRoot:
         return self.s0 + self.s1 / rt + self.s2 / n + self.s3 / (n * rt)
 
 
-# np.eye(k, k=-1) for every companion size a symbol makes, read-only: _companion copies one
-_SUBDIAGONALS = {k: np.eye(k, k=-1, dtype=complex) for k in range(1, 9)}
-for _template in _SUBDIAGONALS.values():
-    _template.flags.writeable = False
+@cache
+def _subdiagonal(k: int):
+    """np.eye(k, k=-1), read-only: _companion fills a copy of it."""
+    template = np.eye(k, k=-1, dtype=complex)
+    template.flags.writeable = False
+    return template
 
 
 def _companion(coeffs):
@@ -304,7 +306,7 @@ def _companion(coeffs):
         bad = next(i for i, m in enumerate(mags) if not math.isfinite(m))
         raise DomainError(f"s^{len(mags) - 1 - bad} coefficient {complex(c[bad])} is not finite")
     k = end - first - 1
-    companion = _SUBDIAGONALS[k].copy() if k in _SUBDIAGONALS else np.eye(k, k=-1, dtype=complex)
+    companion = _subdiagonal(k).copy()
     companion[0] = -c[first + 1 : end] / c[first]
     return zeros, companion
 

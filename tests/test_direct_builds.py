@@ -145,13 +145,16 @@ def test_companion_is_the_eye_construction_bit_for_bit(k):
         assert companion.dtype == want.dtype and companion.shape == want.shape
         assert companion.tobytes() == want.tobytes()
         assert companion.flags.writeable and companion.flags.c_contiguous
-        assert not any(np.shares_memory(companion, t) for t in dispersion._SUBDIAGONALS.values())
+        assert not np.shares_memory(companion, dispersion._subdiagonal(k))
 
 
 def test_templates_are_unchanged_after_a_root_fit_pass():
+    dispersion._subdiagonal.cache_clear()
     for model, state, omega in WORKLOADS.WORKLOADS["root_fit"](3, 1).inputs[0]:
         classifier.numeric_classify(model, state, WORKLOADS.FIT_N_GRID, [omega])
-    assert sorted(dispersion._SUBDIAGONALS) == list(range(1, 9))
-    for k, template in dispersion._SUBDIAGONALS.items():
+    used = dispersion._subdiagonal.cache_info()
+    assert used.hits > used.misses > 1  # the pass reused templates of several sizes
+    for k in range(1, 9):
+        template = dispersion._subdiagonal(k)
         assert not template.flags.writeable
         assert template.tobytes() == np.eye(k, k=-1, dtype=complex).tobytes()
