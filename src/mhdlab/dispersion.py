@@ -5,13 +5,13 @@ normalized internally and only its direction matters. Complex square roots
 take the principal branch (Re sqrt >= 0) throughout, so the flow-side
 exponent -sqrt(...) automatically has nonpositive real part.
 
-The interface symbol of one (model, state, direction) is a ModeSymbol, built
-once by mode_symbol(), the one public way into it: value(s, n), scale(s, n),
-lambda_plus(s), matrix(s, n), families and polynomial(n). dispersion_eval
-and dispersion_scale are value and scale under the module names the solver
-calls them by, so that the benchmark can count them. Its determinant (s is
-the frequency per unit mode index n) is A + B g(s), with A and B written
-once, by ModeSymbol._terms, in one of two forms:
+The interface symbol of one (model, state, direction) is a ModeSymbol, built by
+mode_symbol(), the one public way into it, which reuses the last one for the
+same three objects: value(s, n), scale(s, n), lambda_plus(s), matrix(s, n),
+families and polynomial(n). dispersion_eval and dispersion_scale are value and
+scale under the module names the solver calls them by, so the benchmark can
+count them. The determinant (s is the frequency per unit mode index n) is
+A + B g(s), A and B written once, by ModeSymbol._terms, in one of two forms:
 
   Euler models   n s^2 - a0 s - (a/rho) g(s)
   MHD models     (n s - a0) P + s (n wm^2 - (a + i wm a1)) g(s)
@@ -26,8 +26,9 @@ the exact pointwise c -> infinity limits of the compressible ones and reduce
 to the familiar density-scaled displays at rho = 1.
 
 A compressible symbol keeps its last g result with the s object it was
-computed at and returns it when g is next given that very object, so the
-branch test, value, scale and lambda_plus at one s share one radical.
+computed at, in one attribute replaced in one store, and returns it when g is
+next given that very object: the branch test, value, scale and lambda_plus at
+one s share one radical.
 
 The large-n frequency series of a symbol, AsymptoticRoot families built from
 the roots of its leading-order symbol, live here too: ModeSymbol.families
@@ -38,13 +39,13 @@ from __future__ import annotations
 import cmath
 import contextlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
 
 from .domain import BasicState, ModelKind, Wavevector, alfven_speed, require_valid, w_pair
-from .domain import assemble, require_mode_index
+from .domain import require_mode_index
 from .errors import BranchPointError, DomainError, ResonanceError
 
 # Relative threshold below which the g(s) radicand denominator counts as a
@@ -52,12 +53,12 @@ from .errors import BranchPointError, DomainError, ResonanceError
 _BRANCH_TOL = 1e-12
 
 
-@dataclass(frozen=True)
 class ModeSymbol:
     """Interface symbol of one model, state and direction.
 
-    Holds the state's scalars and the direction-dependent coefficients
-    wp, wm, c1 = a + i wm a1, alpha = c^2 + cA^2 and beta = c^2 wp^2/rho.
+    Holds the state's scalars and the direction-dependent coefficients wp, wm,
+    c1 = a + i wm a1, alpha = c^2 + cA^2 and beta = c^2 wp^2/rho, computed once
+    here; they are read-only by convention, and symbols compare by identity.
     Methods take a complex s. value and the solver's branch test read A and B
     from _terms; scale keeps its own termwise sizes (faster) and polynomial its
     coefficients (bit for bit). value leaves the factor g = 1 out of the
@@ -67,26 +68,26 @@ class ModeSymbol:
     B dg rounds differently, and polynomial clears the radical.
     """
 
-    model: ModelKind
-    rho: float
-    a: float
-    a0: float
-    a1: float
-    c: float
-    wp: float
-    wm: float
-    c1: complex
-    alpha: float
-    beta: float
-    # root sets solve_dispersion computed on this symbol, keyed by int n
-    solved: dict = field(default_factory=dict, compare=False, repr=False)
-    primed: dict = field(default_factory=dict, compare=False, repr=False)  # see _prime_candidates
-    # [(s, (g, dg))] of the last successful compressible g call, in a list
-    # since the dataclass is frozen; the tuple is replaced in one store, so a
-    # reader never sees half of an update
-    _last_g: list = field(
-        default_factory=lambda: [(None, None)], init=False, compare=False, repr=False
-    )
+    def __init__(self, model: ModelKind, state: BasicState, omega: Wavevector):
+        require_valid(model, state)
+        wp, wm = w_pair(state, omega)
+        cA = alfven_speed(state)
+        try:
+            alpha, beta = state.c_hat**2 + cA**2, state.c_hat**2 * wp * wp / state.rho_hat
+        except OverflowError:
+            if model.is_compressible:
+                raise DomainError(
+                    f"c_hat^2 + cA^2 overflows for c_hat={state.c_hat:g}, cA={cA:g}"
+                ) from None
+            alpha = beta = math.inf  # the incompressible models never read them
+        if model.is_compressible and alpha == 0.0:
+            raise DomainError(f"c_hat^2 + cA^2 underflows to 0 for c_hat={state.c_hat:g}, cA={cA:g}")
+        self.model, self.rho, self.a, self.a0 = model, state.rho_hat, state.a_hat, state.a0_hat
+        self.a1, self.c, self.wp, self.wm = state.a1_hat, state.c_hat, wp, wm
+        self.c1, self.alpha, self.beta = state.a_hat + 1j * wm * state.a1_hat, alpha, beta
+        self.solved = {}  # root sets solve_dispersion computed on this symbol, keyed by int n
+        self.primed = {}  # see _prime_candidates
+        self._last_g = (None, None)  # (s, (g, dg)) of the last compressible g call
 
     def g(self, s: complex):
         """Radical factor g(s) and dg/ds on the principal branch.
@@ -99,7 +100,7 @@ class ModeSymbol:
         """
         if not self.model.is_compressible:
             return 1.0, 0.0
-        last = self._last_g[0]
+        last = self._last_g
         if last[0] is s:
             return last[1]
         if not self.model.is_mhd:
@@ -134,7 +135,7 @@ class ModeSymbol:
             # two divisions by D, not one by D^2: D^2 can underflow for tiny beta
             dg = (s**3 / D) * ((alpha * s * s + 2.0 * beta) / D) / g
         out = g, dg
-        self._last_g[0] = (s, out)
+        self._last_g = (s, out)
         return out
 
     def lambda_plus(self, s: complex) -> complex:
@@ -434,30 +435,12 @@ _last_symbol = (None, None, None, None)
 
 
 def mode_symbol(model: ModelKind, state: BasicState, omega: Wavevector) -> ModeSymbol:
-    """Validate the state for the model and compute its coefficients once
-    (given the same three objects as the last call, return its symbol)."""
+    """The symbol of the three objects (the last call's symbol for the same objects)."""
     global _last_symbol
     last_model, last_state, last_omega, last = _last_symbol
     if model is last_model and state is last_state and omega is last_omega:
         return last
-    require_valid(model, state)
-    wp, wm = w_pair(state, omega)
-    cA = alfven_speed(state)
-    try:
-        alpha, beta = state.c_hat**2 + cA**2, state.c_hat**2 * wp * wp / state.rho_hat
-    except OverflowError:
-        if model.is_compressible:
-            raise DomainError(
-                f"c_hat^2 + cA^2 overflows for c_hat={state.c_hat:g}, cA={cA:g}"
-            ) from None
-        alpha = beta = math.inf  # the incompressible models never read them
-    if model.is_compressible and alpha == 0.0:
-        raise DomainError(f"c_hat^2 + cA^2 underflows to 0 for c_hat={state.c_hat:g}, cA={cA:g}")
-    sym = assemble(
-        ModeSymbol, model=model, rho=state.rho_hat, a=state.a_hat, a0=state.a0_hat,
-        a1=state.a1_hat, c=state.c_hat, wp=wp, wm=wm, c1=state.a_hat + 1j * wm * state.a1_hat,
-        alpha=alpha, beta=beta, solved={}, primed={}, _last_g=[(None, None)],
-    )
+    sym = ModeSymbol(model, state, omega)
     _last_symbol = (model, state, omega, sym)
     return sym
 

@@ -2,8 +2,8 @@
 
 Everything here is an immutable value; analyses treat these as plain data and
 never mutate them. Public constructors always validate. Library code that has
-checked every field of a value itself may build it with assemble, which skips
-__init__ and __post_init__.
+checked every field of a frozen dataclass itself may build it with assemble,
+which skips __init__ and __post_init__.
 """
 from __future__ import annotations
 
@@ -18,8 +18,8 @@ from .errors import DomainError, UnsupportedModelError
 
 
 def assemble(cls, **fields):
-    """An instance of the dataclass cls holding exactly fields (all of them, in
-    field order), stored in one dict update: no __init__, no __post_init__."""
+    """An instance of the frozen dataclass cls holding exactly fields (all of
+    them, in field order), stored in one dict update: no __init__, no __post_init__."""
     obj = object.__new__(cls)
     vars(obj).update(fields)
     return obj

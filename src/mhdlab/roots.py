@@ -31,7 +31,8 @@ from dataclasses import dataclass
 
 from .dispersion import ModeSymbol, _poly_candidates, _prime_candidates, _s0_candidates
 from .dispersion import dispersion_eval, dispersion_scale, mode_symbol
-from .domain import BasicState, ModeRoot, ModelKind, ScalingFit, Wavevector, assemble, mode_indices
+from .domain import BasicState, ModeRoot, ModelKind, ScalingFit, Wavevector, _finite, assemble
+from .domain import mode_indices
 from .errors import BranchPointError, DomainError, FitError
 
 RESIDUAL_TOLERANCE = 1e-10
@@ -207,11 +208,11 @@ def scan_s0(state: BasicState, omega_samples, tolerance: float) -> S0Report:
     closed left half plane; this gathers numerical evidence over a batch of
     directions and reports the worst real part found.
     """
+    tolerance = _finite("tolerance", tolerance)
     samples = list(omega_samples)
     if not samples:
         raise DomainError("need at least one direction sample")
-    per_sample = []
-    failures = []
+    per_sample, failures = [], []
     for idx, omega in enumerate(samples):
         sym = mode_symbol(ModelKind.CompressibleMHD, state, omega)
         if sym.wp == 0 and sym.wm == 0:
@@ -229,6 +230,6 @@ def scan_s0(state: BasicState, omega_samples, tolerance: float) -> S0Report:
     worst = max(finite) if finite else math.nan
     passed = bool(finite) and not failures and worst <= tolerance
     return S0Report(
-        max_re_s0=worst, per_sample=tuple(per_sample), tolerance=float(tolerance),
+        max_re_s0=worst, per_sample=tuple(per_sample), tolerance=tolerance,
         passed=passed, failures=tuple(failures),
     )

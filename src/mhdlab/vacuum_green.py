@@ -18,6 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .domain import _finite
 from .errors import DomainError, GridError
 
 
@@ -37,13 +38,16 @@ def green_identity_check(k: float, quadrature_points: int) -> GreenIdentityResul
     """
     if not 0 < 16.0 * k / math.pi < math.inf:
         raise DomainError(f"k must be positive with 16k/pi finite, got {k!r}")
+    points = _finite("quadrature_points", quadrature_points)
+    if not points.is_integer():
+        raise DomainError(f"quadrature_points must be a whole number, got {quadrature_points!r}")
     needed = max(2, math.ceil(16.0 * k / math.pi))
-    if quadrature_points < needed:
+    if points < needed:
         raise GridError(
             f"{quadrature_points} radial points under-resolve k={k:g}; "
             f"need at least {needed} (16 per wavelength)"
         )
-    x1 = np.linspace(-1.0, 0.0, int(quadrature_points))
+    x1 = np.linspace(-1.0, 0.0, int(points))
     # per-period tangential averages: int cos^2 = int sin^2 = pi / k
     with np.errstate(over="ignore"):
         integrand = (math.pi / k) * (k * k) * np.cosh(2.0 * k * (x1 + 1.0))

@@ -7,7 +7,9 @@ solver edit that breaks an invariant (an admissible root whose branch
 conditions fail, a fit spanning less than a decade, a grid below 4 points)
 fails here. The inputs are the benchmark's own root_fit and mode_check
 inputs, with the sampled and the witness directions. The companion
-templates and the symbols' per-symbol containers are checked here too.
+templates are checked here too, and so are the symbols, which mode_symbol
+builds through their own constructor: their per-symbol containers, and
+their coefficients against the formulas, at construction and after use.
 """
 import dataclasses
 import sys
@@ -18,7 +20,7 @@ import pytest
 from conftest import SRC
 from mhdlab import classifier, dispersion, hadamard
 from mhdlab.dispersion import _companion, mode_symbol
-from mhdlab.domain import BasicState, ModelKind, Wavevector
+from mhdlab.domain import BasicState, ModelKind, Wavevector, alfven_speed, w_pair
 from mhdlab.errors import FitError
 from mhdlab.roots import dominant_root, fit_scaling, solve_dispersion
 
@@ -108,20 +110,67 @@ SYMBOL_CASES = [
 ]
 
 
+COEFFICIENTS = ("model", "rho", "a", "a0", "a1", "c", "wp", "wm", "c1", "alpha", "beta")
+
+
 def test_no_two_symbols_share_a_container():
     # the last is an equal state in another object, so a symbol of its own
     cases = SYMBOL_CASES + [(SYMBOL_CASES[0][0], BasicState(**vars(SYMBOL_CASES[0][1])))]
     syms = [mode_symbol(model, state, Wavevector(0.6, 0.8)) for model, state in cases]
-    for name in ("solved", "primed", "_last_g"):
+    for name in ("solved", "primed"):
         containers = [getattr(sym, name) for sym in syms]
         assert len({id(c) for c in containers}) == len(syms), name
     for sym in syms:
-        assert sym.solved == {} and sym.primed == {} and sym._last_g == [(None, None)]
+        assert sym.solved == {} and sym.primed == {} and sym._last_g == (None, None)
+        assert sorted(vars(sym)) == sorted(COEFFICIENTS + ("solved", "primed", "_last_g"))
+    # a g call replaces its own symbol's last-g slot with one (s, (g, dg)) tuple
+    s = 0.3 + 0.2j
+    out = syms[1].g(s)
+    assert syms[1]._last_g == (s, out) and syms[1]._last_g[0] is s
+    assert [sym._last_g for sym in syms if sym is not syms[1]] == [(None, None)] * 4
+
+
+def _formulas(model, state, omega):
+    """Each coefficient of the symbol of (model, state, omega), from its formula."""
+    wp, wm = w_pair(state, omega)
+    return dict(
+        model=model, rho=state.rho_hat, a=state.a_hat, a0=state.a0_hat, a1=state.a1_hat,
+        c=state.c_hat, wp=wp, wm=wm, c1=state.a_hat + 1j * wm * state.a1_hat,
+        alpha=state.c_hat**2 + alfven_speed(state) ** 2,
+        beta=state.c_hat**2 * wp * wp / state.rho_hat,
+    )
 
 
 @pytest.mark.parametrize("model, state", SYMBOL_CASES, ids=lambda v: getattr(v, "value", ""))
-def test_a_symbol_equals_its_public_twin(model, state):
-    assert_public_twin(mode_symbol(model, state, Wavevector(0.6, 0.8)))
+def test_symbol_coefficients_are_their_formulas_bit_for_bit(model, state):
+    omega = Wavevector(0.6, 0.8)
+    sym = mode_symbol(model, state, omega)
+    want = _formulas(model, state, omega)
+    assert list(want) == list(COEFFICIENTS)
+    for name, value in want.items():  # repr tells the sign of a zero apart
+        assert repr(getattr(sym, name)) == repr(value), name
+
+
+def test_solves_and_modes_leave_every_symbol_coefficient_as_built(monkeypatch):
+    built = []
+    init = dispersion.ModeSymbol.__init__
+
+    def recording_init(sym, *args):
+        init(sym, *args)
+        built.append((sym, [repr(getattr(sym, name)) for name in COEFFICIENTS]))
+
+    monkeypatch.setattr(dispersion.ModeSymbol, "__init__", recording_init)
+    monkeypatch.setattr(dispersion, "_last_symbol", (None, None, None, None))
+    for _ in _root_fit_problems(1):
+        pass
+    for model, state, omega in WORKLOADS.WORKLOADS["mode_check"](1, 1).inputs[0]:
+        for n in WORKLOADS.MODE_N:
+            root = dominant_root(solve_dispersion(model, state, omega, n))
+            hadamard.build_mode(model, state, omega, root)
+        hadamard.growth_ratio(model, state, omega, WORKLOADS.MODE_N, WORKLOADS.GROWTH_T)
+    assert len(built) > 48
+    for sym, snapshot in built:
+        assert [repr(getattr(sym, name)) for name in COEFFICIENTS] == snapshot
 
 
 # ---------------------------------------------------------------- templates

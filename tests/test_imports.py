@@ -10,10 +10,13 @@ module raises a builtin exception class by name: a failure the package
 reports is one of the errors.py types.
 Every module-level _name a module defines is used by that module or
 imported by another. A value is built without its constructor's checks
-(object.__new__) only in domain.assemble and SweepSpec.points.
+(object.__new__) only in domain.assemble and SweepSpec.points, and
+assemble builds only frozen dataclasses.
 """
 import ast
 import builtins
+import dataclasses
+import importlib
 
 import pytest
 
@@ -141,3 +144,39 @@ def test_values_skip_their_checks_only_through_the_documented_places():
     found = sorted(f"{path.stem}.{where}" for path in MODULES
                    for where in _new_calls(ast.parse(path.read_text(), filename=str(path))))
     assert found == ["classifier.SweepSpec.points", "domain.assemble"]
+
+
+def _assemble_targets(tree):
+    """(first argument, enclosing class name or None) of each assemble call."""
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, ast.ClassDef) else cls
+            func = getattr(child, "func", None)
+            if isinstance(child, ast.Call) and (
+                isinstance(func, ast.Name) and func.id == "assemble"
+                or isinstance(func, ast.Attribute) and func.attr == "assemble"
+            ):
+                yield child.args[0], cls
+            yield from visit(child, inner)
+    yield from visit(tree, None)
+
+
+def _frozen_dataclass(obj):
+    return (isinstance(obj, type) and dataclasses.is_dataclass(obj)
+            and obj.__dataclass_params__.frozen)
+
+
+def test_assemble_builds_only_frozen_dataclasses():
+    # assemble skips __init__, so a class whose __init__ does work of its own
+    # (as ModeSymbol's does) must not go through it
+    found, bad = [], []
+    for path in MODULES:
+        for arg, cls in _assemble_targets(ast.parse(path.read_text(), filename=str(path))):
+            where = f"{path.stem}:{arg.lineno}: {ast.unparse(arg)}"
+            found.append(where)
+            name = cls if ast.unparse(arg) == "type(self)" else getattr(arg, "id", None)
+            module = importlib.import_module(f"mhdlab.{path.stem}")
+            if not _frozen_dataclass(getattr(module, str(name), None)):
+                bad.append(where)
+    assert len(found) >= 6 and not any("ModeSymbol" in where for where in found)
+    assert bad == [], f"assemble builds what is not a frozen dataclass: {bad}"

@@ -848,6 +848,24 @@ def test_scan_rejects_doubly_orthogonal_direction():
         scan_s0(state, [Wavevector(0.0, 1.0)], 1e-8)
 
 
+@pytest.mark.parametrize("tolerance", [None, "x", math.nan, math.inf, -math.inf])
+def test_scan_rejects_a_bad_tolerance_before_any_solve(monkeypatch, tolerance):
+    # a nan tolerance used to return passed=False, None and "x" a bare
+    # TypeError once every direction had been solved
+    def no_solve(*args):
+        raise AssertionError("a direction was solved")
+
+    monkeypatch.setattr(roots_module, "mode_symbol", no_solve)
+    samples = [Wavevector(1.0, 0.3), Wavevector(0.2, 1.0)]
+    with pytest.raises(DomainError, match="tolerance must be"):
+        scan_s0(BasicState(H_plasma=(1.0, 0.0), H_vacuum=(0.0, 1.0)), samples, tolerance)
+
+
+def test_scan_stores_its_tolerance_as_a_float():
+    report = scan_s0(BasicState(H_plasma=(1.0, 0.0), c_hat=2.0), [Wavevector(1.0, 0.0)], 0)
+    assert report.passed and report.tolerance == 0.0 and type(report.tolerance) is float
+
+
 # ------------------------------------------------------- stored root sets
 
 

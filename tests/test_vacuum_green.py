@@ -50,6 +50,17 @@ class TestGreenIdentity:
         with pytest.raises(DomainError, match="16k/pi finite"):
             green_identity_check(k, 256)
 
+    @pytest.mark.parametrize("points", [math.nan, math.inf, -math.inf, 300.7, 256.5, None, "x", 10**400])
+    def test_a_point_count_that_is_not_a_whole_number_is_a_domain_error(self, points):
+        # nan used to raise ValueError, inf OverflowError, and 300.7 ran as 300
+        with pytest.raises(DomainError, match="quadrature_points must be"):
+            green_identity_check(TWO_PI, points)
+
+    def test_a_whole_float_point_count_is_its_int(self):
+        assert green_identity_check(TWO_PI, 256.0) == green_identity_check(TWO_PI, 256)
+        with pytest.raises(GridError, match="^64.0 radial points"):
+            green_identity_check(16.0 * math.pi, 64.0)
+
     # pi sinh(2k)/2 overflows above k ~ 355, the quadrature's pi k cosh(2k)
     # a little earlier, near k = 351.4; k = 351 must not raise too early
     @pytest.mark.parametrize(
