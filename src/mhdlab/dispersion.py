@@ -28,11 +28,10 @@ to the familiar density-scaled displays at rho = 1.
 A compressible symbol keeps its last g result with the s object it was
 computed at, in one attribute replaced in one store, and returns it when g is
 next given that very object: the branch test, value, scale and lambda_plus at
-one s share one radical.
-
-The large-n frequency series of a symbol, AsymptoticRoot families built from
-the roots of its leading-order symbol, live here too: ModeSymbol.families
-computes them on first use and keeps them, once per (state, direction).
+one s share one radical. The large-n frequency series, AsymptoticRoot families
+built from the roots of the leading-order symbol, live here too:
+ModeSymbol.families builds them on first read into an attribute __init__ sets
+to None, so every symbol keeps the one attribute layout __init__ gives it.
 """
 from __future__ import annotations
 
@@ -40,7 +39,7 @@ import cmath
 import contextlib
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 
@@ -88,6 +87,7 @@ class ModeSymbol:
         self.solved = {}  # root sets solve_dispersion computed on this symbol, keyed by int n
         self.primed = {}  # see _prime_candidates
         self._last_g = (None, None)  # (s, (g, dg)) of the last compressible g call
+        self._families = None  # see families
 
     def g(self, s: complex):
         """Radical factor g(s) and dg/ds on the principal branch.
@@ -223,6 +223,10 @@ class ModeSymbol:
             return A + np.array([0.0, 0.0, Bc, 0.0], dtype=complex)
         if Bc == 0:
             return A
+        try:  # A^2 below holds n^2; an int n^2 beyond a float fails as on CompressibleEuler
+            float(n * n)
+        except OverflowError:
+            raise DomainError(f"n^2 overflows a float for mode index n={n:.3g}") from None
         D = np.array([self.alpha, 0.0, self.beta], dtype=complex)
         # A^2 D = B^2 (D + s^4) with B = Bc s: B^2 (D + s^4) is the degree-8
         # array Bc^2 [0, 0, 1, 0, alpha, 0, beta, 0, 0]
@@ -253,10 +257,12 @@ class ModeSymbol:
             dtype=complex,
         )
 
-    @cached_property
+    @property
     def families(self) -> tuple:
-        """The large-n series families (see _series_families), built on first use."""
-        return tuple(_series_families(self))
+        """The large-n series families (see _series_families), kept in _families."""
+        if self._families is None:
+            self._families = tuple(_series_families(self))
+        return self._families
 
 
 @dataclass(frozen=True)

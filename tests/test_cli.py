@@ -331,6 +331,19 @@ class TestRootsCommand:
         )
         assert len(lines) > 2 and all(l.startswith("100,") for l in lines[1:-1])
 
+    def test_compressible_mhd_n_whose_square_overflows_is_a_domain_error_row(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "mhd.ini"
+        path.write_text("model = CompressibleMHD\na_hat = 1.0\nH_vacuum_2 = 1.0\n")
+        huge = str(2 * 10**154)
+        assert main(["roots", str(path), "--n", "100", huge]) == 3
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[-1] == (
+            f"# error: n={huge} DomainError: n^2 overflows a float for mode index n=2e+154"
+        )
+        assert len(lines) > 2 and all(l.startswith("100,") for l in lines[1:-1])
+
     def test_underflowing_fast_speed_is_a_domain_error_row(self, tmp_path, capsys):
         path = tmp_path / "tiny_c.ini"
         path.write_text("model = CompressibleMHD\nc_hat = 1e-170\na_hat = 1.0\na0_hat = 0.5\n")

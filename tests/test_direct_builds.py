@@ -8,8 +8,9 @@ conditions fail, a fit spanning less than a decade, a grid below 4 points)
 fails here. The inputs are the benchmark's own root_fit and mode_check
 inputs, with the sampled and the witness directions. The companion
 templates are checked here too, and so are the symbols, which mode_symbol
-builds through their own constructor: their per-symbol containers, and
-their coefficients against the formulas, at construction and after use.
+builds through their own constructor: their per-symbol containers, their
+one attribute layout, and their coefficients against the formulas, at
+construction and after use.
 """
 import dataclasses
 import sys
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 
 from conftest import SRC
-from mhdlab import classifier, dispersion, hadamard
+from mhdlab import classifier, dispersion, hadamard, roots
 from mhdlab.dispersion import _companion, mode_symbol
 from mhdlab.domain import BasicState, ModelKind, Wavevector, alfven_speed, w_pair
 from mhdlab.errors import FitError
@@ -111,6 +112,7 @@ SYMBOL_CASES = [
 
 
 COEFFICIENTS = ("model", "rho", "a", "a0", "a1", "c", "wp", "wm", "c1", "alpha", "beta")
+STORES = ("solved", "primed", "_last_g", "_families")  # what __init__ sets after them
 
 
 def test_no_two_symbols_share_a_container():
@@ -122,12 +124,42 @@ def test_no_two_symbols_share_a_container():
         assert len({id(c) for c in containers}) == len(syms), name
     for sym in syms:
         assert sym.solved == {} and sym.primed == {} and sym._last_g == (None, None)
-        assert sorted(vars(sym)) == sorted(COEFFICIENTS + ("solved", "primed", "_last_g"))
+        assert sym._families is None
+        assert sorted(vars(sym)) == sorted(COEFFICIENTS + STORES)
     # a g call replaces its own symbol's last-g slot with one (s, (g, dg)) tuple
     s = 0.3 + 0.2j
     out = syms[1].g(s)
     assert syms[1]._last_g == (s, out) and syms[1]._last_g[0] is s
     assert [sym._last_g for sym in syms if sym is not syms[1]] == [(None, None)] * 4
+
+
+def test_use_adds_no_attribute_to_a_symbol(monkeypatch):
+    """Solves, a fit with its priming and a families read keep each symbol's
+    attribute keys as __init__ left them, the same keys on every model: one
+    layout, which CPython's specialised attribute loads in the hot methods
+    rely on."""
+    primed = []
+    prime = roots._prime_candidates
+    monkeypatch.setattr(
+        roots, "_prime_candidates", lambda sym, ns: (primed.append(sym.model), prime(sym, ns))
+    )
+    omega, layouts = Wavevector(0.6, 0.8), []
+    for model, state in SYMBOL_CASES:
+        sym = mode_symbol(model, state, omega)
+        keys = list(vars(sym))
+        for n in (1, 1000):
+            solve_dispersion(model, state, omega, n)
+        try:
+            fit_scaling(model, state, omega, WORKLOADS.FIT_N_GRID)
+        except FitError:  # CompressibleEuler with a < 0 has no admissible root to fit
+            pass
+        assert sym.families is sym.families
+        assert mode_symbol(model, state, omega) is sym
+        assert list(vars(sym)) == keys, model
+        layouts.append(keys)
+    assert layouts == [layouts[0]] * len(SYMBOL_CASES)
+    fitted = [model for model, _ in SYMBOL_CASES if model is not ModelKind.CompressibleEuler]
+    assert primed == fitted
 
 
 def _formulas(model, state, omega):

@@ -11,7 +11,9 @@ reports is one of the errors.py types.
 Every module-level _name a module defines is used by that module or
 imported by another. A value is built without its constructor's checks
 (object.__new__) only in domain.assemble and SweepSpec.points, and
-assemble builds only frozen dataclasses.
+assemble builds only frozen dataclasses. dispersion.ModeSymbol stores, outside
+__init__, only attributes its __init__ stores, and caches nothing through
+functools.cached_property, so a symbol keeps one attribute layout.
 """
 import ast
 import builtins
@@ -180,3 +182,30 @@ def test_assemble_builds_only_frozen_dataclasses():
                 bad.append(where)
     assert len(found) >= 6 and not any("ModeSymbol" in where for where in found)
     assert bad == [], f"assemble builds what is not a frozen dataclass: {bad}"
+
+
+def _self_stores(method):
+    """(name, line) of each attribute a method stores on its first argument."""
+    first = method.args.args[0].arg
+    for node in ast.walk(method):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name) and node.value.id == first):
+            yield node.attr, node.lineno
+
+
+def test_mode_symbol_adds_no_attribute_after_init():
+    # a symbol whose use added a key would give the hot methods' attribute
+    # loads two layouts to switch between (a cached_property stores one too)
+    tree = ast.parse((SRC / "mhdlab" / "dispersion.py").read_text())
+    cls = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "ModeSymbol")
+    methods = [node for node in cls.body if isinstance(node, ast.FunctionDef)]
+    init = next(method for method in methods if method.name == "__init__")
+    declared = {name for name, _ in _self_stores(init)}
+    assert {"solved", "primed", "_last_g", "_families"} <= declared
+    late = [f"line {line}: {method.name} stores self.{name}" for method in methods
+            if method is not init for name, line in _self_stores(method) if name not in declared]
+    cached = [method.name for method in methods for deco in method.decorator_list
+              if ast.unparse(deco).rpartition(".")[2] == "cached_property"]
+    assert late == [], f"ModeSymbol gains attributes after __init__: {late}"
+    assert cached == [], f"ModeSymbol caches through cached_property: {cached}"

@@ -136,6 +136,26 @@ def assert_root_multisets_close(xs, ys, tol=1e-9):
         pool.pop(j)
 
 
+# CompressibleMHD states with a1 = 0, so with real coefficients, whose solve
+# returns a root beside the resonance s = i wp/sqrt(rho) without its conjugate
+CONJUGATE_CLOSURE_DEFECTS = {
+    "sign-flip-n302": (dict(
+        rho_hat=2.440561925558656, H_plasma=(-0.06177455657563815, 0.003259321114692659),
+        H_vacuum=(0.0, 0.0), a_hat=0.25, a0_hat=2.0), 302),  # -4.19e-15 + 0.0395425i
+    "resonance-n574": (dict(
+        rho_hat=1.2545686966608929, H_plasma=(-1.0059703398627229, -0.05926581877193006),
+        H_vacuum=(0.0, 0.0), a_hat=0.25, a0_hat=-1.0), 574),  # 3.97e-10 + 0.66768i, admissible
+}
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP F: conjugate closure")
+@pytest.mark.parametrize("fields, n", CONJUGATE_CLOSURE_DEFECTS.values(),
+                         ids=CONJUGATE_CLOSURE_DEFECTS.keys())
+def test_a_root_set_with_real_coefficients_is_closed_under_conjugation(fields, n):
+    roots = [r.s for r in solve_dispersion(ModelKind.CompressibleMHD, BasicState(**fields), OM, n)]
+    assert_root_multisets_close(roots, [s.conjugate() for s in roots])
+
+
 @given(states(), wavevectors(), st.integers(min_value=1, max_value=500))
 def test_root_set_symmetry_under_sign_flips(state, omega, n):
     flipped = replace(state, 
@@ -1214,11 +1234,11 @@ HUGE_N_STATES = {
 @pytest.mark.parametrize("n", HUGE_N, ids=["2e154", "1e200", "1e308"])
 @pytest.mark.parametrize("model", list(HUGE_N_STATES), ids=lambda m: m.value)
 def test_an_int_n_whose_square_overflows_returns_roots_or_a_typed_error(model, n):
-    """CompressibleEuler's cleared polynomial holds n^2, an int no float can
-    hold above about 1.34e154. CompressibleMHD's overflows with a RuntimeWarning
-    (a known defect of its own), which is let through here: this pins the type."""
+    """The compressible models' cleared polynomials hold n^2, an int no float
+    can hold above about 1.34e154: a solve there raises a typed error without
+    a NumPy warning."""
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error", RuntimeWarning)
         try:
             found = solve_dispersion(model, BasicState(**HUGE_N_STATES[model]), OM, n)
         except Exception as exc:
@@ -1233,6 +1253,15 @@ def test_a_compressible_euler_n_whose_square_overflows_is_a_domain_error():
         solve_dispersion(ModelKind.CompressibleEuler, state, OM, 2 * 10**154)
     below = mode_symbol(ModelKind.CompressibleEuler, state, OM).polynomial(10**154)
     assert below[0] == 1e308 and np.isfinite(below).all()
+
+
+def test_a_compressible_mhd_n_whose_square_overflows_is_a_domain_error():
+    state = BasicState(**HUGE_N_STATES[ModelKind.CompressibleMHD])
+    for n, shown in zip(HUGE_N, [r"2e\+154", r"1e\+200", r"1e\+308"]):
+        with pytest.raises(DomainError, match=rf"n\^2 overflows a float for mode index n={shown}$"):
+            solve_dispersion(ModelKind.CompressibleMHD, replace(state), OM, n)
+    below = mode_symbol(ModelKind.CompressibleMHD, state, OM).polynomial(10**153)
+    assert below[0] == 2e306 and np.isfinite(below).all()
 
 
 def test_a_fit_reaching_an_n_whose_square_overflows_raises_domain_error():
