@@ -6,6 +6,9 @@ coefficient a > 0 produces frequencies growing like sqrt(n), i.e. genuine
 ill-posedness; a = 0 with a0 > 0 leaves only the n-independent exponential
 growth exp(a0 t); everything else shows no high-frequency growth at all.
 The numeric path must reproduce the algebraic verdict or fail loudly.
+sweep maps the verdict over a SweepSpec grid straight from the values of
+the grid walk: it builds a BasicState, for classify_frozen, only at the
+first point of each new field pair.
 """
 from __future__ import annotations
 
@@ -13,7 +16,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import itemgetter
 
 from .domain import (
     FIELD_SLOTS, STATE_FIELDS, BasicState, Classification, ModelKind, Verdict, Wavevector,
@@ -59,9 +62,9 @@ def _relatively_collinear(hp2: float, hp3: float, hv2: float, hv3: float) -> boo
     return abs(cross) <= COLLINEARITY_REL_TOL * math.hypot(hp2, hp3) * math.hypot(hv2, hv3)
 
 
-def _witness_direction(state: BasicState) -> Wavevector:
+def _witness_direction(h_plasma, h_vacuum) -> Wavevector:
     """Unit direction orthogonal to the shared field axis ((1,0) if none)."""
-    for vec in (state.H_plasma, state.H_vacuum):
+    for vec in (h_plasma, h_vacuum):
         mag = math.hypot(*vec)
         if mag > 0:
             return Wavevector(-vec[1] / mag, vec[0] / mag)
@@ -78,21 +81,22 @@ _NO_GROWTH = tuple(  # indexed [collinear][rt_sign_ok]
 
 
 def _outcome(
-    model: ModelKind, state: BasicState, collinear: bool, stacklevel: int
+    model: ModelKind, a: float, a0: float, collinear: bool, stacklevel: int, h_plasma, h_vacuum
 ) -> Classification:
-    """The a_hat/a0_hat verdict table of a valid state of known collinearity; a
-    near-zero a_hat warns at frame ``stacklevel`` (2: the line calling this)."""
-    a = state.a_hat
+    """The verdict table of a valid state's a_hat, a0_hat and collinearity; its
+    fields give an ill-posed MHD state's witness. A near-zero a_hat warns at
+    frame ``stacklevel`` (2: the line calling this)."""
     if a and abs(a) <= _A_ZERO_TOL * (1.0 + abs(a)):
         msg = f"a_hat={a!r} is below the zero-detection threshold; classifying as the a = 0 case"
         warnings.warn(msg, stacklevel=stacklevel)
         a = 0.0
     if a == 0.0:
-        return _EXPONENTIAL if collinear and state.a0_hat > 0.0 else _NO_GROWTH[collinear][False]
+        return _EXPONENTIAL if collinear and a0 > 0.0 else _NO_GROWTH[collinear][False]
     if a < 0.0 or not collinear:
         return _NO_GROWTH[collinear][a < 0.0]
     if model.is_mhd:
-        return Classification(Verdict.IllPosed, True, False, witness=_witness_direction(state))
+        witness = _witness_direction(h_plasma, h_vacuum)
+        return Classification(Verdict.IllPosed, True, False, witness=witness)
     return _ILL_POSED
 
 
@@ -100,7 +104,7 @@ def _witness_problem(model: ModelKind, state: BasicState):
     """(model, state, direction) of a collinear MHD state's witness fit. With the
     fields relatively collinear, wp = wm = 0 there and the determinant is rho s
     [n s^2 - a0 s - (a/rho) g(s)], the Euler one at the fast speed sqrt(alpha)."""
-    omega = _witness_direction(state)
+    omega = _witness_direction(state.H_plasma, state.H_vacuum)
     if not _relatively_collinear(*state.H_plasma, *state.H_vacuum):
         return model, state, omega
     c = math.sqrt(mode_symbol(model, state, omega).alpha) if model.is_compressible else state.c_hat
@@ -112,7 +116,8 @@ def _witness_problem(model: ModelKind, state: BasicState):
 def classify_frozen(model: ModelKind, state: BasicState) -> Classification:
     """Algebraic stability verdict for one frozen state."""
     require_valid(model, state)
-    return _outcome(model, state, is_collinear(state) if model.is_mhd else True, 3)
+    collinear = is_collinear(state) if model.is_mhd else True
+    return _outcome(model, state.a_hat, state.a0_hat, collinear, 3, state.H_plasma, state.H_vacuum)
 
 
 def numeric_classify(
@@ -166,7 +171,8 @@ class SweepSpec:
     own, so a value valid there is valid at every point. ``axes`` holds the
     converted floats; the first invalid value in axis order raises
     BasicState's own error. A grid with an empty axis has no point, so it
-    checks no value and keeps every axis empty.
+    checks no value and keeps every axis empty. ``max_points`` must be a
+    whole number and an axis's values a sequence of numbers, not a string.
     """
 
     base: BasicState
@@ -177,10 +183,19 @@ class SweepSpec:
         if not isinstance(self.base, BasicState):
             raise ConfigError(f"sweep base must be a BasicState, got {type(self.base).__name__}")
         try:
+            whole = int(self.max_points) == self.max_points
+        except (TypeError, ValueError, OverflowError):
+            whole = False
+        if not whole:
+            raise ConfigError(f"sweep max_points must be a whole number, got {self.max_points!r}")
+        try:
             names = [name for name, _ in self.axes]
             sizes = [len(values) for _, values in self.axes]
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"sweep axes must be (name, values) pairs: {exc}") from None
+        text = [name for name, values in self.axes if isinstance(values, (str, bytes))]
+        if text:
+            raise ConfigError(f"sweep axes {text} give their values as a string, not numbers")
         unknown = [n for n in names if n not in STATE_FIELDS]
         if unknown:
             raise ConfigError(f"unknown sweep axes: {unknown}; valid: {sorted(STATE_FIELDS)}")
@@ -201,45 +216,56 @@ class SweepSpec:
         axes = tuple((name, tuple(checked(name, v) for v in values)) for name, values in pairs)
         object.__setattr__(self, "axes", axes)
 
-    def points(self):
-        """States in row-major order (last axis varies fastest), the order of
-        sweep()'s verdicts, built unchecked from the checked values: each row
-        sets the outer axes' fields once, each point the last axis's one field."""
+    def _walk(self):
+        """The BasicState attributes of each point in row-major order (last axis
+        varies fastest), as one dict updated in place: each row sets the outer
+        axes' fields once, each point the last axis's one field."""
+        fields = vars(self.base).copy()
         if not self.axes:
-            yield self.base
+            yield fields
             return
         *outer, (last_name, last_values) = self.axes
         slots = [FIELD_SLOTS[name] for name, _ in outer]
         last = FIELD_SLOTS[last_name]
-        fields = vars(self.base).copy()
         for row in itertools.product(*(values for _, values in outer)):
             for slot, value in zip(slots, row):
                 put_slot(fields, slot, value)
             for value in last_values:
                 put_slot(fields, last, value)
-                state = object.__new__(BasicState)
-                vars(state).update(fields)
-                yield state
+                yield fields
+
+    def points(self):
+        """States in row-major order, the order of sweep()'s verdicts, built
+        unchecked from the checked values of the grid walk."""
+        for fields in self._walk():
+            state = object.__new__(BasicState)
+            vars(state).update(fields)
+            yield state
 
 
 def sweep(model: ModelKind, grid: SweepSpec) -> list[Classification]:
     """One Classification per grid point, in ``grid.points()`` order: the list
     ``[classify_frozen(model, st) for st in grid.points()]``, on values checked
-    when the grid was built. A state lives only until it is classified. Each
-    distinct (H_plasma, H_vacuum) value's collinearity is decided at its first
-    point; later ones take the flag straight to the verdict table. Fluid points
-    all go through classify_frozen."""
-    if not model.is_mhd:
-        return [classify_frozen(model, st) for st in grid.points()]
+    when the grid was built. Each point is decided from the values of the grid
+    walk: a BasicState is built only at the first point of each distinct value
+    of the varied fields that classify_frozen reads besides a_hat and a0_hat
+    (the tangential fields, and a1_hat on a fluid model), and goes to
+    classify_frozen. Later points take its collinearity flag straight to the
+    verdict table; an ill-posed MHD point's witness comes from its own fields."""
+    read = {"H_plasma", "H_vacuum"} if model.is_mhd else {"H_plasma", "H_vacuum", "a1_hat"}
     # a field that no axis sets is the base's at every point
-    varied = {FIELD_SLOTS[name][0] for name, _ in grid.axes} & {"H_plasma", "H_vacuum"}
-    key = attrgetter(*sorted(varied) or ["H_plasma"])
+    varied = {FIELD_SLOTS[name][0] for name, _ in grid.axes} & read
+    key = itemgetter(*sorted(varied) or ["H_plasma"])
     decided = {}
     out = []
-    for st in grid.points():
-        pair = key(st)
+    for f in grid._walk():
+        pair = key(f)
         flag = decided.get(pair)
-        outcome = classify_frozen(model, st) if flag is None else _outcome(model, st, flag, 2)
+        if flag is None:
+            state = assemble(BasicState, **f)
+        a, a0, hp, hv = f["a_hat"], f["a0_hat"], f["H_plasma"], f["H_vacuum"]
+        # one line, so that both calls warn from it
+        outcome = classify_frozen(model, state) if flag is None else _outcome(model, a, a0, flag, 2, hp, hv)
         if flag is None:
             decided[pair] = outcome.collinear
         out.append(outcome)

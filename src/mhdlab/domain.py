@@ -264,7 +264,12 @@ class HadamardMode:
     omega: Wavevector
 
     def amplitude(self, name: str) -> complex:
-        return self.amplitudes[self.names.index(name)]
+        try:
+            return self.amplitudes[self.names.index(name)]
+        except ValueError:
+            raise UnsupportedModelError(
+                f"{self.model.value} has no field {name!r}; its fields are {list(self.names)}"
+            ) from None
 
 
 @dataclass(frozen=True)

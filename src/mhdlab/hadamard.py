@@ -31,7 +31,7 @@ import numpy as np
 from .dispersion import mode_symbol
 from .domain import BasicState, HadamardMode, ModeRoot, ModelKind, Wavevector, _finite, mode_indices
 from .domain import assemble, w_pair
-from .errors import GridError, NotARootError, ResonanceError
+from .errors import DomainError, GridError, NotARootError, ResonanceError
 from .roots import dominant_root, solve_dispersion
 
 NULLSPACE_TOLERANCE = 1e-8
@@ -208,11 +208,22 @@ def _check_truncation(mode: HadamardMode, grid: GridSpec) -> None:
         raise GridError(f"vacuum truncation too lossy at n={n}")
 
 
+def _exponent(name: str, n: int, rate: float, t: float) -> float:
+    """n * rate * t, a DomainError where that product is not a finite float."""
+    value = n * rate * t
+    if not math.isfinite(value):
+        raise DomainError(f"{name} = {n} * {rate!r} * {t!r} overflows a float")
+    return value
+
+
 def evaluate_field(mode: HadamardMode, grid: GridSpec, t: float) -> FieldSample:
-    """Pointwise mode evaluation; switches to log magnitudes on overflow."""
+    """Pointwise mode evaluation; switches to log magnitudes on overflow. The
+    phase n Im(s) t and the growth exponent n Re(s) t must be finite floats."""
     s, n, lam_p = mode.root.s, mode.root.n, mode.root.lambda_plus
     _check_truncation(mode, grid)
     _finite("t", t)
+    _exponent("phase n Im(s) t", n, s.imag, t)
+    log_growth = _exponent("growth exponent n Re(s) t", n, s.real, t)
     mp, mm, mt = grid.points_per_direction
     tfac = cmath.exp(1j * n * s.imag * t)
     coef = {k: a * tfac for k, a in zip(mode.names, mode.amplitudes) if k != "phi"}
@@ -223,7 +234,6 @@ def evaluate_field(mode: HadamardMode, grid: GridSpec, t: float) -> FieldSample:
     ep = np.exp(n * lam_p * x1p)[:, None]
     plasma = {k: a * ep * phase for k, a in coef.items() if k != "xi"}
     vacuum = {"xi": coef["xi"] * np.exp(n * 1.0 * x1m)[:, None] * phase} if x1m is not None else {}
-    log_growth = n * s.real * t
     scale = math.exp(log_growth) if abs(log_growth) <= OVERFLOW_EXPONENT else None
 
     def rescale(arr):
@@ -321,6 +331,7 @@ def pde_residual_fd(mode: HadamardMode, grid: GridSpec, t: float) -> ResidualRep
                 f"plasma x1 oscillation resolved by {ppw:.2f} < 8 points per wavelength"
             )
     _finite("t", t)
+    _exponent("phase n Im(s) t", n, s.imag, t)
     tfac = cmath.exp(1j * n * s.imag * t)
     coef = {k: a * tfac for k, a in zip(mode.names, mode.amplitudes)}
     state = mode.state
@@ -426,7 +437,8 @@ def growth_ratio(
 
     The ratio of sup norms between times t and 0 for one exponential mode
     is exactly exp(n Re s t); log_ratio carries that value even when the
-    ratio itself overflows (ratio is then inf).
+    ratio itself overflows (ratio is then inf). Where n Re(s) t itself is no
+    finite float, there is no such value: DomainError.
     """
     ns = mode_indices("n_list", n_list)
     _finite("t", t)
@@ -436,7 +448,7 @@ def growth_ratio(
         if top is None:
             out.append(GrowthEntry(n=n, log_ratio=0.0, ratio=1.0, admissible_found=False))
             continue
-        log_ratio = n * top.s.real * t
+        log_ratio = _exponent("growth exponent n Re(s) t", n, top.s.real, t)
         ratio = math.exp(log_ratio) if log_ratio <= OVERFLOW_EXPONENT else math.inf
         out.append(GrowthEntry(n=n, log_ratio=log_ratio, ratio=ratio, admissible_found=True))
     return out

@@ -202,7 +202,7 @@ def test_every_outcome_equals_one_built_field_by_field(model, state, expected):
     if expected.witness is not None:
         # a witness belongs to its state: each call builds a fresh result
         assert again is not got
-        assert got.witness == classifier._witness_direction(state)
+        assert got.witness == classifier._witness_direction(state.H_plasma, state.H_vacuum)
 
 
 def test_shared_outcomes_are_the_six_witness_free_classifications():
@@ -445,6 +445,27 @@ def test_sweep_size_guard():
         )
 
 
+@pytest.mark.parametrize("max_points", [None, "10", math.nan, math.inf, 10.5, (10,)])
+def test_sweep_cap_must_be_a_whole_number(max_points):
+    axes = (("a_hat", (1.0, 2.0)),)
+    with pytest.raises(ConfigError, match="max_points must be a whole number"):
+        SweepSpec(base=BasicState(a_hat=1.0), axes=axes, max_points=max_points)
+
+
+@pytest.mark.parametrize("values", ["12", b"12", ""])
+def test_sweep_values_given_as_a_string_are_a_config_error(values):
+    # iterated, "12" would sweep a_hat = 1.0 and 2.0
+    with pytest.raises(ConfigError, match="as a string"):
+        SweepSpec(base=BasicState(), axes=(("a0_hat", (0.0,)), ("a_hat", values)))
+
+
+def test_a_whole_float_cap_is_a_cap():
+    axes = (("a_hat", (1.0, 2.0, 3.0)),)
+    assert len(list(SweepSpec(base=BasicState(), axes=axes, max_points=3.0).points())) == 3
+    with pytest.raises(ConfigError, match="exceeding max_points=2.0"):
+        SweepSpec(base=BasicState(), axes=axes, max_points=2.0)
+
+
 def test_sweep_row_major_order_and_boundary_consistency():
     a_values = tuple(np.linspace(-1.0, 1.0, 11))
     x_values = tuple(np.linspace(0.0, 1.0, 11))
@@ -587,17 +608,18 @@ def test_sweep_without_axes_yields_the_base():
 
 
 def recorded(run):
-    """(run()'s rows or the UnsupportedModelError it raised, the points it
-    drew from SweepSpec.points, the texts of the warnings it gave)."""
+    """(run()'s rows or the UnsupportedModelError it raised, a copy of the
+    fields of each point it drew from the grid walk that SweepSpec.points and
+    sweep share, the texts of the warnings it gave)."""
     drawn = []
-    points = SweepSpec.points
+    walk = SweepSpec._walk
 
     def drawing(self):
-        for state in points(self):
-            drawn.append(state)
-            yield state
+        for fields in walk(self):
+            drawn.append(dict(fields))
+            yield fields
 
-    with mock.patch.object(SweepSpec, "points", drawing):
+    with mock.patch.object(SweepSpec, "_walk", drawing):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
@@ -657,9 +679,40 @@ def benchmark_shaped_spec():
     return SweepSpec(base=base, axes=axes)
 
 
-def test_sweep_decides_each_field_pair_once(monkeypatch):
-    spec = benchmark_shaped_spec()
-    model = ModelKind.CompressibleMHD
+def field_only_spec():
+    """A grid over the vacuum field alone: each of its 56 points is a new field pair."""
+    base = BasicState(
+        rho_hat=2.0, c_hat=1.5, H_plasma=(1.0, 0.5), a_hat=1.3, a0_hat=0.2, a1_hat=0.3
+    )
+    axes = (
+        ("H_vacuum_2", tuple(np.linspace(-3.0, 3.0, 7))),
+        ("H_vacuum_3", (0.5, *np.linspace(-2.0, 2.5, 7))),
+    )
+    return SweepSpec(base=base, axes=axes)
+
+
+def fluid_spec():
+    """A 9 x 10 grid over a_hat and a0_hat on the zero fields of a fluid base."""
+    axes = (
+        ("a_hat", (0.0, *np.linspace(-3.0, 3.0, 8))),
+        ("a0_hat", tuple(np.linspace(-2.0, 2.5, 10))),
+    )
+    return SweepSpec(base=BasicState(rho_hat=2.0, c_hat=1.5), axes=axes)
+
+
+@pytest.mark.parametrize(
+    "model, spec, pairs, verdicts",
+    [
+        (ModelKind.CompressibleMHD, benchmark_shaped_spec(), 20, set(Verdict)),
+        (
+            ModelKind.CompressibleMHD, field_only_spec(), 56,
+            {Verdict.IllPosed, Verdict.NoHadamardGrowth},
+        ),
+        (ModelKind.CompressibleEuler, fluid_spec(), 1, set(Verdict)),
+    ],
+    ids=["benchmark-shaped", "field-only", "fluid"],
+)
+def test_sweep_decides_each_field_pair_once(monkeypatch, model, spec, pairs, verdicts):
     want = [classify_frozen(model, st) for st in spec.points()]
     decided, classified, validated = [], [], []
     for name, log in (
@@ -671,9 +724,32 @@ def test_sweep_decides_each_field_pair_once(monkeypatch):
     got = sweep(model, spec)
     # the first point of each pair is classified by classify_frozen itself;
     # the others go straight to the verdict table, checked when the grid was built
-    assert len(decided) == len(classified) == len(validated) == 20
+    assert len(classified) == len(validated) == pairs
+    assert len(decided) == (pairs if model.is_mhd else 0)
     assert repr(got) == repr(want)
-    assert {cls.verdict for cls in got} == set(Verdict)
+    assert {cls.verdict for cls in got} == verdicts
+
+
+@pytest.mark.parametrize(
+    "axes, drawn",
+    [
+        ((("a_hat", (1.0, -1.0, 0.0)), ("H_plasma_2", (0.0, -0.0, 0.5))), 3),
+        ((("H_vacuum_3", (-0.0, 0.0, 2.0)), ("a0_hat", (1.0, -1.0))), 5),
+        ((("a0_hat", (1.0, -1.0)), ("a1_hat", (0.0, -0.0, 0.5))), 3),
+    ],
+)
+def test_a_field_axis_on_a_fluid_model_fails_where_point_by_point_fails(axes, drawn):
+    model = ModelKind.IncompressibleEuler
+    spec = SweepSpec(base=BasicState(), axes=axes)
+    want_rows, want_drawn, want_warned = recorded(
+        lambda: [classify_frozen(model, st) for st in spec.points()]
+    )
+    got_rows, got_drawn, got_warned = recorded(lambda: sweep(model, spec))
+    assert type(want_rows) is type(got_rows) is UnsupportedModelError
+    assert str(got_rows) == str(want_rows)
+    # the failing point is the first with a nonzero value; -0.0 counts as zero
+    assert repr(got_drawn) == repr(want_drawn) and len(got_drawn) == drawn
+    assert got_warned == want_warned == []
 
 
 def test_a_library_sweep_starts_at_most_one_collection():

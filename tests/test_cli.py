@@ -795,6 +795,21 @@ def test_malformed_value_exits_one_without_traceback(tmp_path, command, section,
         pytest.param(
             ["hadamard", "{cfg}", "--t", "nan", "--out", "{out}"], EULER, id="hadamard-nan-t"
         ),
+        # the first n's phase n Im(s) t overflows; growth.csv is written first
+        pytest.param(
+            ["hadamard", "{cfg}", "--t", "1e308", "--n-list", "100", "--omega", "0.6", "0.8",
+             "--out", "{out}"],
+            b"model = IncompressibleMHD\na_hat = 1\na0_hat = 0.5\na1_hat = 0.7\n"
+            b"H_plasma_2 = 1\nH_vacuum_2 = 2\nH_vacuum_3 = 0.3\n",
+            id="hadamard-overflowing-phase",
+        ),
+        # n Re(s) t overflows: no growth.csv row or field holds it
+        pytest.param(
+            ["hadamard", "{cfg}", "--t", "1e308", "--n-list", "100", "--dump-fields",
+             "--out", "{out}"],
+            EULER,
+            id="hadamard-overflowing-growth",
+        ),
         pytest.param(["green", "--k", "inf"], None, id="green-inf-k"),
         pytest.param(["green", "--k", "400", "--points", "3000"], None, id="green-k-400"),
         pytest.param(["green", "--k", "800", "--points", "5000"], None, id="green-k-800"),

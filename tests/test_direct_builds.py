@@ -58,7 +58,8 @@ def _root_fit_problems(seed):
         out = classifier.numeric_classify(model, state, WORKLOADS.FIT_N_GRID, [omega])
         problems = [(model, state, omega)]
         if model.is_mhd and out.collinear:
-            problems.append((model, state, classifier._witness_direction(state)))
+            witness = classifier._witness_direction(state.H_plasma, state.H_vacuum)
+            problems.append((model, state, witness))
             problems.append(classifier._witness_problem(model, state))
         yield out, problems
 

@@ -13,7 +13,9 @@ from mhdlab import hadamard
 from mhdlab import roots as roots_module
 from mhdlab.dispersion import mode_symbol
 from mhdlab.domain import BasicState, HadamardMode, ModeRoot, ModelKind, Wavevector
-from mhdlab.errors import DomainError, GridError, NotARootError, ResonanceError
+from mhdlab.errors import (
+    DomainError, GridError, NotARootError, ResonanceError, UnsupportedModelError
+)
 from mhdlab.hadamard import (
     GridSpec,
     build_mode,
@@ -69,6 +71,14 @@ class TestBuildMode:
             mode.amplitude("q") / mode.root.s, rel=1e-10
         )
         assert mode.normalization == "phi_unit"
+
+    def test_a_field_the_model_lacks_is_an_unsupported_model_error(self):
+        mode = top_mode(M.IncompressibleEuler, EULER_STATE, OM, 25)
+        assert mode.amplitude("phi") == mode.amplitudes[-1]
+        lacks = "IncompressibleEuler has no field 'xi'"
+        with pytest.raises(UnsupportedModelError, match=lacks) as err:
+            mode.amplitude("xi")
+        assert str(list(mode.names)) in str(err.value)
 
     def test_orthogonal_direction_displacement_amplitude(self):
         # with both fields orthogonal to the phase direction the vacuum
@@ -524,6 +534,32 @@ class TestPdeResidualFd:
                 evaluate_field(mode, grid, t)
             with pytest.raises(DomainError, match="t must be finite"):
                 growth_ratio(M.IncompressibleEuler, EULER_STATE, OM, [25], t)
+
+    def test_an_overflowing_phase_is_a_domain_error(self):
+        # the dominant root is 0.00537 + 1.5568i: n Im(s) t overflows at t = 1e308
+        state = BasicState(
+            a_hat=1.0, a0_hat=0.5, a1_hat=0.7, H_plasma=(1.0, 0.0), H_vacuum=(2.0, 0.3)
+        )
+        mode = top_mode(M.IncompressibleMHD, state, OM, 100)
+        grid = grid_for_mode(mode)
+        assert math.isfinite(100 * mode.root.s.real * 1e308)
+        for check in (pde_residual_fd, evaluate_field):
+            check(mode, grid, 1e306)
+            with pytest.raises(DomainError, match=r"phase n Im\(s\) t = 100 \* .* overflows"):
+                check(mode, grid, 1e308)
+
+    def test_an_overflowing_growth_exponent_is_a_domain_error(self):
+        # n Re(s) t is inf at t = 1e308: no field or log ratio can hold it
+        mode = top_mode(M.IncompressibleEuler, EULER_STATE, OM, 100)
+        grid = grid_for_mode(mode)
+        for t in (1e308, -1e308):
+            with pytest.raises(DomainError, match=r"growth exponent n Re\(s\) t"):
+                evaluate_field(mode, grid, t)
+            with pytest.raises(DomainError, match=r"growth exponent n Re\(s\) t"):
+                growth_ratio(M.IncompressibleEuler, EULER_STATE, OM, [100], t)
+        sample = evaluate_field(mode, grid, 1e306)
+        assert sample.log_magnitude
+        assert not any(np.isnan(v).any() for v in sample.plasma.values())
 
     def test_growing_mode_residual_independent_of_time(self):
         # relative residuals project out the global growth factor

@@ -75,7 +75,7 @@ def test_every_oracle_root_is_found_and_nothing_else(pair, omega):
     directions = [omega]
     if model.is_mhd and is_collinear(state):
         # the direction numeric_classify fits besides the sampled ones
-        directions.append(_witness_direction(state))
+        directions.append(_witness_direction(state.H_plasma, state.H_vacuum))
     sd = state_dict(state)
     for direction in directions:
         om = (direction.omega2, direction.omega3)

@@ -354,7 +354,7 @@ def compressible_cases(draw):
     state = draw(states(model=model, collinear=draw(st.booleans())))
     omega = draw(wavevectors())
     if model.is_mhd and draw(st.booleans()):
-        omega = _witness_direction(state)
+        omega = _witness_direction(state.H_plasma, state.H_vacuum)
     n = draw(st.one_of(st.integers(1, 1000), st.sampled_from([10**4, 10**5, 10**6])))
     return model, state, omega, n
 
@@ -712,7 +712,8 @@ def test_witness_roots_are_the_euler_roots_at_the_fast_speed(model):
         )
         fast = math.sqrt(c * c + hp * hp / rho)
         reduced = BasicState(rho_hat=rho, c_hat=fast, a_hat=a, a0_hat=a0)
-        got = [r for r in solve_dispersion(model, state, _witness_direction(state), n) if abs(r.s) > 1e-9]
+        witness = _witness_direction(state.H_plasma, state.H_vacuum)
+        got = [r for r in solve_dispersion(model, state, witness, n) if abs(r.s) > 1e-9]
         want = [r for r in solve_dispersion(euler, reduced, OM, n) if abs(r.s) > 1e-9]
         nearest = [min(got, key=lambda r: abs(r.s - w.s)) for w in want]
         assert len(got) == len({id(g) for g in nearest}) == len(want), (state, n, got, want)
@@ -774,7 +775,7 @@ def test_scaling_fit_is_the_exact_least_squares_line(pair, omega, n_grid):
     model, state = pair
     assume(state.a_hat >= 0.25)
     if model.is_mhd:
-        omega = _witness_direction(state)
+        omega = _witness_direction(state.H_plasma, state.H_vacuum)
     best = [dominant_root(solve_dispersion(model, state, omega, n)) for n in n_grid]
     assume(all(best))
     slope, intercept, mean_sq = exact_line(
@@ -1150,7 +1151,8 @@ def _seeded_fit_cases(seed: int, per_model: int):
                 hv = (k * hp[0], k * hp[1]) if collinear else tuple(rng.uniform(-2.0, 2.0, 2))
                 kw.update(H_plasma=hp, H_vacuum=hv, a1_hat=float(rng.uniform(-1.0, 1.0)))
             state = BasicState(**kw)
-            yield model, state, _witness_direction(state) if collinear else omega
+            witness = _witness_direction(state.H_plasma, state.H_vacuum) if collinear else omega
+            yield model, state, witness
 
 
 @pytest.mark.parametrize("grid", [FIT_GRID, [1, 10, 100, 1000]], ids=["1e2-1e6", "1-1e3"])
