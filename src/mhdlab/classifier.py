@@ -80,12 +80,12 @@ _NO_GROWTH = tuple(  # indexed [collinear][rt_sign_ok]
 )
 
 
-def _outcome(
-    model: ModelKind, a: float, a0: float, collinear: bool, stacklevel: int, h_plasma, h_vacuum
-) -> Classification:
-    """The verdict table of a valid state's a_hat, a0_hat and collinearity; its
-    fields give an ill-posed MHD state's witness. A near-zero a_hat warns at
-    frame ``stacklevel`` (2: the line calling this)."""
+def _outcome(model: ModelKind, fields: dict, collinear: bool, stacklevel: int) -> Classification:
+    """The verdict table of a valid state's collinearity and the a_hat and a0_hat
+    of its attribute dict ``fields``, whose tangential fields give an ill-posed
+    MHD state's witness. A near-zero a_hat warns at frame ``stacklevel`` (2: the
+    line calling this)."""
+    a, a0 = fields["a_hat"], fields["a0_hat"]
     if a and abs(a) <= _A_ZERO_TOL * (1.0 + abs(a)):
         msg = f"a_hat={a!r} is below the zero-detection threshold; classifying as the a = 0 case"
         warnings.warn(msg, stacklevel=stacklevel)
@@ -95,7 +95,7 @@ def _outcome(
     if a < 0.0 or not collinear:
         return _NO_GROWTH[collinear][a < 0.0]
     if model.is_mhd:
-        witness = _witness_direction(h_plasma, h_vacuum)
+        witness = _witness_direction(fields["H_plasma"], fields["H_vacuum"])
         return Classification(Verdict.IllPosed, True, False, witness=witness)
     return _ILL_POSED
 
@@ -117,7 +117,7 @@ def classify_frozen(model: ModelKind, state: BasicState) -> Classification:
     """Algebraic stability verdict for one frozen state."""
     require_valid(model, state)
     collinear = is_collinear(state) if model.is_mhd else True
-    return _outcome(model, state.a_hat, state.a0_hat, collinear, 3, state.H_plasma, state.H_vacuum)
+    return _outcome(model, state.__dict__, collinear, 3)
 
 
 def numeric_classify(
@@ -159,7 +159,7 @@ def numeric_classify(
             fits=tuple(fits),
         )
     evidence = min(matching or fits, key=lambda f: f.rms_log_error, default=None)
-    return assemble(Classification, **{**vars(analytic), "evidence": evidence})
+    return assemble(Classification, {**vars(analytic), "evidence": evidence})
 
 
 @dataclass(frozen=True)
@@ -261,11 +261,8 @@ def sweep(model: ModelKind, grid: SweepSpec) -> list[Classification]:
     for f in grid._walk():
         pair = key(f)
         flag = decided.get(pair)
-        if flag is None:
-            state = assemble(BasicState, **f)
-        a, a0, hp, hv = f["a_hat"], f["a0_hat"], f["H_plasma"], f["H_vacuum"]
         # one line, so that both calls warn from it
-        outcome = classify_frozen(model, state) if flag is None else _outcome(model, a, a0, flag, 2, hp, hv)
+        outcome = classify_frozen(model, assemble(BasicState, f)) if flag is None else _outcome(model, f, flag, 2)
         if flag is None:
             decided[pair] = outcome.collinear
         out.append(outcome)

@@ -9,6 +9,12 @@ interior equation gives the residual on grid.refined() and the observed
 order log2(coarse/fine), left out where both are below ORDER_FLOOR. Exit
 codes: 0 success, 1 configuration or domain errors, 2 analytic/numeric
 verdict conflict, 3 partial output after per-row solver errors.
+
+Every output goes through _write_lines, which opens its file only after the
+command has computed what goes in it, and writes the lines as they are
+formatted, WRITE_BLOCK lines per write. So once a file is open only the write
+can fail, and a sweep holds one reference per point (sweep()'s list of mostly
+shared verdicts) plus one block of text, not its whole CSV.
 """
 from __future__ import annotations
 
@@ -36,6 +42,8 @@ from .vacuum_green import green_identity_check
 DEFAULT_N_GRID = (100, 1000, 10000)
 # below this on both grids a residual is roundoff, with no truncation error to converge
 ORDER_FLOOR = 1e-13
+# lines joined per write of _write_lines
+WRITE_BLOCK = 1024
 
 # the roots CSV: each column and its cell for one root along omega
 ROOTS_COLUMNS = {
@@ -134,36 +142,41 @@ def cmd_sweep(args) -> int:
         header.append("a_hat")
     if numeric:
         header.append("fitted_exponent")
-    lines = [",".join(header)]
-    status = 0
+    outcomes = sweep(cfg.model, spec)
+    # sweep() keeps no state, so --numeric walks the grid again beside its
+    # verdicts; each point keeps only its exponent or its error's text
+    fits = [_fitted_exponent(cfg.model, state) for state in spec.points()] if numeric else ()
     # axis values are formatted once, in the product's row order; the rest of a
     # row once per (verdict, collinear), keyed by _value_ (Enum .value is slow)
     cells = itertools.product(*([fmt(v) for v in values] for _, values in spec.axes))
     a_hat_cell = [] if "a_hat" in axis_names else [fmt(spec.base.a_hat)]
-    tails = {}
-    # sweep() keeps no state, so --numeric walks the grid again beside its verdicts
-    states = spec.points() if numeric else itertools.repeat(None)
-    for coords, outcome, state in zip(cells, sweep(cfg.model, spec), states):
-        key = outcome.verdict._value_, outcome.collinear
-        tail = tails.get(key)
-        if tail is None:
-            tail = tails[key] = ",".join([key[0], fmt(key[1]), *a_hat_cell])
-        row = ",".join([*coords, tail])
-        if numeric:
-            try:
-                confirmed = numeric_classify(
-                    cfg.model, state, list(DEFAULT_N_GRID), [Wavevector(1.0, 0.0)]
-                )
-            except (ValueError, RuntimeError) as exc:
+
+    def rows():
+        yield ",".join(header)
+        tails = {}
+        for coords, outcome, fit in zip(cells, outcomes, fits or itertools.repeat(None)):
+            if isinstance(fit, str):
                 point = ",".join(f"{name}={c}" for name, c in zip(axis_names, coords))
-                lines.append(f"# error: {point} {type(exc).__name__}: {exc}")
-                status = 3
+                yield f"# error: {point} {fit}"
                 continue
-            exp = confirmed.evidence.exponent if confirmed.evidence else math.nan
-            row += "," + fmt(exp)
-        lines.append(row)
-    _write_lines(lines, args.out)
-    return status
+            key = outcome.verdict._value_, outcome.collinear
+            tail = tails.get(key)
+            if tail is None:
+                tail = tails[key] = ",".join([key[0], fmt(key[1]), *a_hat_cell])
+            yield ",".join([*coords, tail]) if fit is None else ",".join([*coords, tail, fmt(fit)])
+
+    _write_lines(rows(), args.out)
+    return 3 if any(isinstance(fit, str) for fit in fits) else 0
+
+
+def _fitted_exponent(model, state):
+    """A numeric sweep point's fitted exponent (nan without evidence), or the
+    text of the solver error that stopped its fit."""
+    try:
+        confirmed = numeric_classify(model, state, list(DEFAULT_N_GRID), [Wavevector(1.0, 0.0)])
+    except (ValueError, RuntimeError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return confirmed.evidence.exponent if confirmed.evidence else math.nan
 
 
 def cmd_hadamard(args) -> int:
@@ -224,12 +237,15 @@ def _dump_fields(mode, grid, t, out_dir: Path) -> None:
 
     def block_to_csv(x1, block, path):
         names = sorted(block)
-        lines = [",".join(["x1", "x2"] + [name + suffix for name in names])]
         cols = [block[name] if sample.log_magnitude else block[name].real for name in names]
-        for i, xv in enumerate(x1):
-            for j, tv in enumerate(sample.tangent):
-                lines.append(",".join(map(fmt, [xv, tv] + [col[i, j] for col in cols])))
-        _write_lines(lines, path)
+
+        def rows():
+            yield ",".join(["x1", "x2"] + [name + suffix for name in names])
+            for i, xv in enumerate(x1):
+                for j, tv in enumerate(sample.tangent):
+                    yield ",".join(map(fmt, [xv, tv] + [col[i, j] for col in cols]))
+
+        _write_lines(rows(), path)
 
     block_to_csv(sample.x1_plasma, sample.plasma, out_dir / "fields_plasma.csv")
     if sample.x1_vacuum is not None and sample.vacuum:
@@ -245,15 +261,26 @@ def cmd_green(args) -> int:
 
 
 def _write_lines(lines, out) -> None:
-    """Write lines to the file out, or to stdout if out is empty: the CLI's one writer."""
-    text = "\n".join(lines) + "\n"
+    """Write an iterable of lines to the file out, or to stdout if out is empty,
+    as "\n".join(lines) + "\n" (an empty iterable writes "\n"): the CLI's one
+    writer. It joins WRITE_BLOCK lines per write, so no more than one block of
+    the output is held as text at once."""
     if not out:
-        sys.stdout.write(text)
+        _write_blocks(lines, sys.stdout)
         return
     try:
-        Path(out).write_text(text)
+        with open(out, "w") as stream:
+            _write_blocks(lines, stream)
     except OSError as exc:
         raise ConfigError(f"output not writable: {out} ({exc})") from None
+
+
+def _write_blocks(lines, stream) -> None:
+    it = iter(lines)
+    # the first block goes out even when empty, so no lines write "\n"
+    stream.write("\n".join(itertools.islice(it, WRITE_BLOCK)) + "\n")
+    for block in iter(lambda: list(itertools.islice(it, WRITE_BLOCK)), []):
+        stream.write("\n".join(block) + "\n")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -17,11 +17,12 @@ from typing import Optional, Tuple
 from .errors import DomainError, UnsupportedModelError
 
 
-def assemble(cls, **fields):
-    """An instance of the frozen dataclass cls holding exactly fields (all of
-    them, in field order), stored in one dict update: no __init__, no __post_init__."""
+def assemble(cls, fields: dict):
+    """An instance of the frozen dataclass cls holding exactly the dict fields
+    (all of them, in field order), copied in one dict update: no __init__, no
+    __post_init__. The caller may change fields afterwards."""
     obj = object.__new__(cls)
-    vars(obj).update(fields)
+    obj.__dict__.update(fields)
     return obj
 
 

@@ -74,7 +74,7 @@ class GridSpec:
         mp, mm, mt = self.points_per_direction
         # ints of at least 7, so the grid's checks hold
         points = (2 * mp - 1, 2 * mm - 1, 2 * mt)
-        return assemble(type(self), **{**vars(self), "points_per_direction": points})
+        return assemble(type(self), {**vars(self), "points_per_direction": points})
 
 
 @dataclass(frozen=True)
@@ -173,10 +173,10 @@ def build_mode(
             H = (1j * wp * v - Hhat * div_amp) / s
         amps = (q_amp, v[0], v[1], v[2], H[0], H[1], H[2], xi_amp, phi_amp)
         names = MHD_FIELD_NAMES
-    return assemble(
-        HadamardMode, root=root, amplitudes=tuple(complex(a) for a in amps), names=names,
-        normalization=normalization, model=model, state=state, omega=omega,
-    )
+    return assemble(HadamardMode, {
+        "root": root, "amplitudes": tuple(complex(a) for a in amps), "names": names,
+        "normalization": normalization, "model": model, "state": state, "omega": omega,
+    })
 
 
 def grid_for_mode(mode: HadamardMode, points_per_direction=(256, 256, 16)) -> GridSpec:
@@ -421,9 +421,9 @@ def pde_residual_fd(mode: HadamardMode, grid: GridSpec, t: float) -> ResidualRep
         boundary["vacuum_neumann"] = _rel(abs(vac), n * xi0, (a1 + 1j * n * wm) * phi)
     else:
         boundary["pressure"] = _rel(abs(q0 - a * phi), q0, a * phi)
-    return assemble(
-        ResidualReport, interior=interior, boundary=boundary, spacings=(h1p, h1m, htau, dt)
-    )
+    return assemble(ResidualReport, {
+        "interior": interior, "boundary": boundary, "spacings": (h1p, h1m, htau, dt),
+    })
 
 
 def growth_ratio(

@@ -112,10 +112,10 @@ def _finish_root(sym: ModeSymbol, s: complex, residual: float, n) -> ModeRoot:
     neutral = s == 0
     # only the plasma side can fail; value() has checked n, so ModeRoot's checks hold
     admissible = not neutral and s.real > 0.0 and lp.real < 0.0
-    return assemble(
-        ModeRoot, s=s, lambda_plus=lp, lambda_minus=lm, residual=residual,
-        admissible=admissible, n=n, neutral=neutral,
-    )
+    return assemble(ModeRoot, {
+        "s": s, "lambda_plus": lp, "lambda_minus": lm, "residual": residual,
+        "admissible": admissible, "n": n, "neutral": neutral,
+    })
 
 
 def root_sort_key(root: ModeRoot):
@@ -195,10 +195,10 @@ def fit_scaling(model: ModelKind, state: BasicState, omega: Wavevector, n_grid) 
     slope = math.fsum(d * (yi - ybar) for d, yi in zip(dx, y)) / math.fsum(d * d for d in dx)
     intercept = ybar - slope * xbar
     resid2 = math.fsum((yi - (slope * xi + intercept)) ** 2 for xi, yi in zip(x, y))
-    return assemble(  # the decade check above is ScalingFit's own
-        ScalingFit, exponent=-slope, coefficient=math.exp(intercept), n_range=(ns[0], ns[-1]),
-        rms_log_error=math.sqrt(resid2 / m),
-    )
+    return assemble(ScalingFit, {  # the decade check above is ScalingFit's own
+        "exponent": -slope, "coefficient": math.exp(intercept), "n_range": (ns[0], ns[-1]),
+        "rms_log_error": math.sqrt(resid2 / m),
+    })
 
 
 def scan_s0(state: BasicState, omega_samples, tolerance: float) -> S0Report:

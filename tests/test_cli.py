@@ -651,6 +651,32 @@ class TestSweepCommand:
         assert sum(line.split(",")[4] == "true" for line in lines) == 21 * 20
         assert len(starts) <= 1, starts
 
+    def test_a_sweep_peak_grows_by_a_reference_a_point_not_by_its_csv(self, tmp_path):
+        # the CSV goes out a block at a time, so what grows with the grid is
+        # sweep()'s list of shared verdicts (8 bytes a point) and the witness
+        # of each ill-posed point; a CSV held whole costs ~260 bytes a point
+        path = tmp_path / "base.ini"
+        path.write_text(
+            "model = CompressibleMHD\nH_plasma_2 = 1.0\nH_plasma_3 = 0.5\nH_vacuum_2 = 2.0\n"
+        )
+        out = tmp_path / "map.csv"
+
+        def peak(grid):
+            tracemalloc.start()
+            try:
+                assert main(["sweep", str(path), "--grid", grid, "--out", str(out)]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small = "a_hat=-2:2:21;a0_hat=-1:1:20;H_vacuum_3=-3.75:1:20"
+        large = "a_hat=-2:2:21;a0_hat=-1:1:80;H_vacuum_3=-3.75:1:20"  # 4x the points
+        peak(small)  # first-use allocations of the package and the interpreter
+        base = peak(small)
+        growth = peak(large) - base
+        assert out.stat().st_size > 2_000_000  # the large grid's CSV
+        assert growth <= 32 * 3 * 21 * 20 * 20, growth
+
     @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
     @pytest.mark.parametrize(
         "ini, argv_tail, code",
@@ -1012,3 +1038,31 @@ def test_module_entry_point(euler_cfg):
     )
     assert proc.returncode == 0
     assert "verdict: IllPosed" in proc.stdout
+
+
+@pytest.mark.parametrize("count", [0, 1, cli.WRITE_BLOCK - 1, cli.WRITE_BLOCK,
+                                   cli.WRITE_BLOCK + 1, 2 * cli.WRITE_BLOCK + 1])
+def test_written_lines_are_joined_across_every_block_edge(tmp_path, capsysbinary, count):
+    # every seventh line is empty, so a block may start or end with one
+    lines = ["" if i % 7 == 3 else f"row {i}," for i in range(count)]
+    expected = ("\n".join(lines) + "\n").encode()
+    out = tmp_path / "lines.csv"
+    cli._write_lines(iter(lines), str(out))
+    assert out.read_bytes() == expected
+    cli._write_lines(iter(lines), None)
+    assert capsysbinary.readouterr().out == expected
+
+
+def test_lines_go_out_one_block_per_write(monkeypatch):
+    writes = []
+    monkeypatch.setattr(sys, "stdout", collections.namedtuple("Sink", "write")(writes.append))
+    cli._write_lines(map(str, range(2 * cli.WRITE_BLOCK + 1)), "")
+    assert [w.count("\n") for w in writes] == [cli.WRITE_BLOCK, cli.WRITE_BLOCK, 1]
+
+
+def test_an_unwritable_out_exits_one_and_creates_no_file(euler_cfg, tmp_path, capsys):
+    out = tmp_path / "missing" / "map.csv"
+    assert main(["sweep", euler_cfg, "--grid", "a_hat=0,1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: output not writable: {out} (")
+    assert list(tmp_path.iterdir()) == [tmp_path / "euler.ini"]

@@ -13,7 +13,8 @@ imported by another. A value is built without its constructor's checks
 (object.__new__) only in domain.assemble and SweepSpec.points, and
 assemble builds only frozen dataclasses. dispersion.ModeSymbol stores, outside
 __init__, only attributes its __init__ stores, and caches nothing through
-functools.cached_property, so a symbol keeps one attribute layout.
+functools.cached_property, so a symbol keeps one attribute layout. Only
+cli._write_lines opens a file or calls write_text or write_bytes.
 """
 import ast
 import builtins
@@ -124,28 +125,41 @@ def test_no_module_raises_a_builtin_exception(path):
     assert builtin == [], f"{path.name} raises builtin exceptions: {builtin}"
 
 
-def _new_calls(tree):
-    """The qualified name of the function around each object.__new__ call."""
+def _scoped_calls(tree):
+    """(qualified name of the enclosing function, callee node) of each call."""
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 yield from visit(child, scope + [child.name])
                 continue
-            func = getattr(child, "func", None)
-            if (isinstance(child, ast.Call) and isinstance(func, ast.Attribute)
-                    and func.attr == "__new__" and isinstance(func.value, ast.Name)
-                    and func.value.id == "object"):
-                yield ".".join(scope)
+            if isinstance(child, ast.Call):
+                yield ".".join(scope), child.func
             yield from visit(child, scope)
     yield from visit(tree, [])
+
+
+def _where_called(match):
+    """Sorted module.function of every call in the package whose callee matches."""
+    return sorted(f"{path.stem}.{where}" for path in MODULES
+                  for where, func in _scoped_calls(ast.parse(path.read_text(), filename=str(path)))
+                  if match(func))
 
 
 def test_values_skip_their_checks_only_through_the_documented_places():
     # domain.assemble is the one helper that builds an already-checked value;
     # SweepSpec.points stays inline, since a call per point costs ~0.1 us of ~3 us
-    found = sorted(f"{path.stem}.{where}" for path in MODULES
-                   for where in _new_calls(ast.parse(path.read_text(), filename=str(path))))
+    found = _where_called(lambda func: isinstance(func, ast.Attribute) and func.attr == "__new__"
+                          and isinstance(func.value, ast.Name) and func.value.id == "object")
     assert found == ["classifier.SweepSpec.points", "domain.assemble"]
+
+
+def test_cli_write_lines_is_the_one_file_writer():
+    # every file the package writes goes through one block writer, so each
+    # output is computed before its file is opened and written the same way
+    found = _where_called(lambda func: isinstance(func, ast.Name) and func.id == "open"
+                          or isinstance(func, ast.Attribute)
+                          and func.attr in {"open", "write_text", "write_bytes"})
+    assert found == ["cli._write_lines"]
 
 
 def _assemble_targets(tree):
