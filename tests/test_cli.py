@@ -887,6 +887,96 @@ README_RESIDUALS = "".join(line + "\n" for line in (
     '0.006274509803921569, 0.015707963267948967, 0.012935297242993785], "n": 25, "t": 1.0}',
 ))
 
+# every residuals.jsonl byte per model, refined records included
+HADAMARD_RESIDUALS = {
+    "CompressibleMHD": README_RESIDUALS + "".join(line + "\n" for line in (
+        '{"block": "refined", "equation": "momentum_1", "value": 0.005199778195932602, '
+        '"order": 1.8798399149170133}',
+        '{"block": "refined", "equation": "momentum_2", "value": 0.00012695176452304094, '
+        '"order": 1.9832693508757986}',
+        '{"block": "refined", "equation": "momentum_3", "value": 0.0001269517645229597, '
+        '"order": 1.9832693508766637}',
+        '{"block": "refined", "equation": "induction_1", "value": 0.00012695176452307878, '
+        '"order": 1.9832693508753856}',
+        '{"block": "refined", "equation": "induction_2", "value": 0.004785431777654132, '
+        '"order": 1.879841987308576}',
+        '{"block": "refined", "equation": "induction_3", "value": 0.0047875154368011924, '
+        '"order": 1.879834564440704}',
+        '{"block": "refined", "equation": "continuity", "value": 0.004787243156899197, '
+        '"order": 1.8798356860351155}',
+        '{"block": "refined", "equation": "magnetic_divergence", "value": 0.006877562577521502, '
+        '"order": 1.8798403449960532}',
+        '{"block": "refined", "equation": "vacuum_laplace", "value": 0.003440645196362675, '
+        '"order": 1.8821768395256118}',
+    )),
+    "IncompressibleMHD": "".join(line + "\n" for line in (
+        '{"block": "interior", "equation": "momentum_1", "value": 0.02020871437483792}',
+        '{"block": "interior", "equation": "momentum_2", "value": 7.258037824678915e-05}',
+        '{"block": "interior", "equation": "momentum_3", "value": 0.0}',
+        '{"block": "interior", "equation": "induction_1", "value": 7.258037824668521e-05}',
+        '{"block": "interior", "equation": "induction_2", "value": 7.258037824668521e-05}',
+        '{"block": "interior", "equation": "induction_3", "value": 0.0}',
+        '{"block": "interior", "equation": "divergence", "value": 0.02531183956405228}',
+        '{"block": "interior", "equation": "magnetic_divergence", "value": 0.02531183956405235}',
+        '{"block": "interior", "equation": "vacuum_laplace", "value": 0.012683279871593732}',
+        '{"block": "boundary", "condition": "kinematic", "value": 1.6605332264622038e-15}',
+        '{"block": "boundary", "condition": "pressure", "value": 3.6887277746844163e-16}',
+        '{"block": "boundary", "condition": "vacuum_neumann", "value": 2.2794383873495324e-15}',
+        '{"block": "grid", "spacings": [0.006274509803921569, 0.006274509803921569, '
+        '0.015707963267948967, 0.007053091041956504], "n": 25, "t": 1.0}',
+        '{"block": "refined", "equation": "momentum_1", "value": 0.0054909861263877, '
+        '"order": 1.8798403729163529}',
+        '{"block": "refined", "equation": "momentum_2", "value": 1.8356765061595397e-05, '
+        '"order": 1.9832677344822578}',
+        '{"block": "refined", "equation": "momentum_3", "value": 0.0}',
+        '{"block": "refined", "equation": "induction_1", "value": 1.8356765061432926e-05, '
+        '"order": 1.9832677344929606}',
+        '{"block": "refined", "equation": "induction_2", "value": 1.8356765061432926e-05, '
+        '"order": 1.9832677344929606}',
+        '{"block": "refined", "equation": "induction_3", "value": 0.0}',
+        '{"block": "refined", "equation": "divergence", "value": 0.006877575562668239, '
+        '"order": 1.87984037024073}',
+        '{"block": "refined", "equation": "magnetic_divergence", "value": 0.006877575562668358, '
+        '"order": 1.879840370240709}',
+        '{"block": "refined", "equation": "vacuum_laplace", "value": 0.0034406451963626752, '
+        '"order": 1.8821768395256118}',
+    )),
+    "IncompressibleEuler": "".join(line + "\n" for line in (
+        '{"block": "interior", "equation": "momentum_1", "value": 0.008374271912791473}',
+        '{"block": "interior", "equation": "momentum_2", "value": 0.02657502297670292}',
+        '{"block": "interior", "equation": "momentum_3", "value": 0.0}',
+        '{"block": "interior", "equation": "divergence", "value": 0.025311839564052214}',
+        '{"block": "boundary", "condition": "kinematic", "value": 3.8088420528814517e-16}',
+        '{"block": "boundary", "condition": "pressure", "value": 4.440892098500626e-16}',
+        '{"block": "grid", "spacings": [0.006274509803921569, null, 0.015707963267948967, '
+        '0.015707963267948967], "n": 25, "t": 1.0}',
+        '{"block": "refined", "equation": "momentum_1", "value": 0.0022017009632934056, '
+        '"order": 1.9273452289126354}',
+        '{"block": "refined", "equation": "momentum_2", "value": 0.006680679783590479, '
+        '"order": 1.992004124332067}',
+        '{"block": "refined", "equation": "momentum_3", "value": 0.0}',
+        '{"block": "refined", "equation": "divergence", "value": 0.006877575562668264, '
+        '"order": 1.8798403702407211}',
+    )),
+    "CompressibleEuler": "".join(line + "\n" for line in (
+        '{"block": "interior", "equation": "momentum_1", "value": 0.008379746096544296}',
+        '{"block": "interior", "equation": "momentum_2", "value": 0.02658049716045624}',
+        '{"block": "interior", "equation": "momentum_3", "value": 0.0}',
+        '{"block": "interior", "equation": "continuity", "value": 0.02507660337955835}',
+        '{"block": "boundary", "condition": "kinematic", "value": 3.1478611027107484e-16}',
+        '{"block": "boundary", "condition": "pressure", "value": 2.2204460492503126e-16}',
+        '{"block": "grid", "spacings": [0.006241945341845635, null, 0.015707963267948967, '
+        '0.015707963267948967], "n": 25, "t": 1.0}',
+        '{"block": "refined", "equation": "momentum_1", "value": 0.0022030688488084756, '
+        '"order": 1.9273919495509906}',
+        '{"block": "refined", "equation": "momentum_2", "value": 0.0066820476691025, '
+        '"order": 1.9920059090977964}',
+        '{"block": "refined", "equation": "momentum_3", "value": 0.0}',
+        '{"block": "refined", "equation": "continuity", "value": 0.006813614906763891, '
+        '"order": 1.8798496323182967}',
+    )),
+}
+
 
 def run_hadamard(tmp_path, ini):
     """mhdlab hadamard on ini: residuals.jsonl's text and its records, each
@@ -1000,6 +1090,11 @@ class TestHadamardCommand:
     def test_readme_residuals_keep_their_lines(self, tmp_path):
         text, _ = run_hadamard(tmp_path, README_INI)
         assert text.startswith(README_RESIDUALS)
+
+    @pytest.mark.parametrize("model", HADAMARD_INIS)
+    def test_residuals_keep_every_byte(self, tmp_path, model):
+        text, _ = run_hadamard(tmp_path, HADAMARD_INIS[model])
+        assert text == HADAMARD_RESIDUALS[model]
 
     def test_a_check_that_does_not_converge_shows_its_order(self, tmp_path, monkeypatch):
         real = cli.pde_residual_fd
