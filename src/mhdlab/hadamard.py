@@ -19,6 +19,9 @@ amp * e(x1) * phase(tau), e the decay factor, so every interior residual is
 difference of e. e is geometric on the uniform x1 grid and |e| falls away from
 the interface, so each sup sits on a row at an end of the grid: the check reads
 e as numbers at the few points those rows' stencils use and builds no array.
+Only e and the stencils' scalars depend on the grid: the amplitudes at t, the
+yardsticks and the boundary residuals are built once per (mode, t), and the
+check of a mode on a refined grid reuses those of its check on the first grid.
 """
 from __future__ import annotations
 
@@ -253,24 +256,87 @@ def evaluate_field(mode: HadamardMode, grid: GridSpec, t: float) -> FieldSample:
     )
 
 
-def _decay_ends(rate, start: float, stop: float, m: int, width: int, exp) -> dict:
-    """exp(rate x1) on the first and the last `width` points of np.linspace(start,
-    stop, m), placed as NumPy places them and keyed by row as NumPy indexes them."""
-    step = (stop - start) / (m - 1)
-    rows = (*range(width), *range(-width, 0))
-    return {i: exp(rate * (stop if i % m == m - 1 else i % m * step + start)) for i in rows}
-
-
-def _rel(sup: float, *scales) -> float:
-    """Sup of the residual against the largest analytic term magnitude.
+def _yardstick(*scales) -> float:
+    """The largest analytic term magnitude, which a residual's sup is relative to.
 
     The yardstick is grid independent on purpose: equations whose exact
     terms cancel almost completely (stiff balances at large n) would
     otherwise be normalized by their own differencing error, which hides
     the h^2 convergence of the numerator.
     """
-    scale = max(map(abs, scales), default=0.0)
-    return sup / max(scale, 1e-300)
+    return max(max(map(abs, scales), default=0.0), 1e-300)
+
+
+# pde_residual_fd's last (mode, t, terms), so that a mode's refined-grid check
+# reuses its coarse check's terms. Matched on the mode's identity and on t's
+# repr (0.0 and -0.0 differ); the held mode keeps its id from reuse.
+_last_terms = (None, None, None)
+
+
+def _mode_terms(mode: HadamardMode, t: float) -> tuple:
+    """pde_residual_fd's terms that no grid changes: the t-phased amplitudes
+    and the scalars the rows combine them with, each interior equation's
+    yardstick by name in report order, and the relative boundary residuals."""
+    model, state = mode.model, mode.state
+    mhd = model.is_mhd
+    n, s, lam_p = mode.root.n, mode.root.s, mode.root.lambda_plus
+    _finite("t", t)
+    _exponent("phase n Im(s) t", n, s.imag, t)
+    tfac = cmath.exp(1j * n * s.imag * t)
+    coef = {k: a * tfac for k, a in zip(mode.names, mode.amplitudes)}
+    rho, c = state.rho_hat, state.c_hat
+    o2, o3 = mode.omega.unit()
+    wp, wm = w_pair(state, mode.omega)
+
+    # analytic per-term magnitudes: |e| <= 1, so |amp| is the sup of every field
+    amp = mode.amplitude
+    aq = abs(amp("q"))
+    av = [abs(amp(f"v{i + 1}")) for i in range(3)]
+    gmag = (abs(lam_p), abs(o2), abs(o3))
+    div_scales = tuple(n * gmag[i] * av[i] for i in range(3))
+    cq, cv = coef["q"], [coef[f"v{i + 1}"] for i in range(3)]
+    cH = Hhat = K = tot = xi = None
+    if mhd:
+        aH = [abs(amp(f"H{i + 1}")) for i in range(3)]
+        Hhat = (0.0, state.H_plasma[0], state.H_plasma[1])
+        cH, xi = [coef[f"H{i + 1}"] for i in range(3)], abs(coef["xi"])
+    div_amp = 0.0  # |div v| amplitude: zero unless CompressibleMHD with s != 0
+    if model is ModelKind.CompressibleMHD and not mode.root.neutral:
+        div_amp = abs((lam_p * lam_p - 1.0) * amp("q") / (rho * s))
+    yardsticks = {}
+    for i in range(3):
+        scales = (rho * n * s * av[i],) + ((n * wp * aH[i],) if mhd else ())
+        yardsticks[f"momentum_{i + 1}"] = _yardstick(*scales, n * gmag[i] * aq)
+    for i in range(3) if mhd else ():
+        scales = (n * s * aH[i], n * wp * av[i])
+        if model.is_compressible:
+            scales += (Hhat[i] * n * div_amp, Hhat[i] * max(div_scales))
+        yardsticks[f"induction_{i + 1}"] = _yardstick(*scales)
+    if model.is_compressible:
+        K = rho * c * c
+        tot = cq - Hhat[1] * cH[1] - Hhat[2] * cH[2] if mhd else cq
+        scales = (n * s * abs(tot), K * n * div_amp, K * max(div_scales))
+        yardsticks["continuity"] = _yardstick(*scales)
+    else:
+        yardsticks["divergence"] = _yardstick(*div_scales)
+    if mhd:
+        yardsticks["magnetic_divergence"] = _yardstick(*(n * gmag[i] * aH[i] for i in range(3)))
+        yardsticks["vacuum_laplace"] = _yardstick(n * n * abs(amp("xi")))
+
+    # boundary conditions: purely algebraic in the amplitudes
+    a, a0, a1 = state.a_hat, state.a0_hat, state.a1_hat
+    phi, q0, v10 = amp("phi"), amp("q"), amp("v1")
+    kin = abs(n * s * phi - v10 - a0 * phi)
+    boundary = {"kinematic": kin / _yardstick(n * s * phi, v10, a0 * phi)}
+    if mhd:
+        xi0 = amp("xi")
+        pres = q0 - 1j * n * wm * xi0 - a * phi
+        boundary["pressure"] = abs(pres) / _yardstick(q0, n * wm * xi0, a * phi)
+        vac = n * xi0 - (a1 + 1j * n * wm) * phi
+        boundary["vacuum_neumann"] = abs(vac) / _yardstick(n * xi0, (a1 + 1j * n * wm) * phi)
+    else:
+        boundary["pressure"] = abs(q0 - a * phi) / _yardstick(q0, a * phi)
+    return cq, cv, cH, xi, tot, rho, K, wp, o2, o3, Hhat, yardsticks, boundary
 
 
 def pde_residual_fd(mode: HadamardMode, grid: GridSpec, t: float) -> ResidualReport:
@@ -297,6 +363,11 @@ def pde_residual_fd(mode: HadamardMode, grid: GridSpec, t: float) -> ResidualRep
     t only multiplies every residual by the unit phase exp(i n Im(s) t), so
     the report depends on t only through rounding.
 
+    Only the stencils see the grid. The amplitudes F at t, the yardsticks and
+    the boundary residuals come from _mode_terms, once per (mode, t): a check
+    on a second grid at the same t reuses them. Each call checks its grid and
+    computes the spacings, dtau, dtau2, Dt, each row's (a, b), e, ev and the sups.
+
     Interior equations in report order; [..] terms and the equations
     marked MHD belong to the magnetic models, Hhat = (0, H_plasma):
       momentum_i   rho Dt v_i [- wp d_tau H_i] + d_i q,  i = 1..3
@@ -305,6 +376,7 @@ def pde_residual_fd(mode: HadamardMode, grid: GridSpec, t: float) -> ResidualRep
       divergence   div v  (incompressible)
       magnetic_divergence  div H,  vacuum_laplace  Laplacian of xi  (MHD)
     """
+    global _last_terms
     model = mode.model
     mhd = model.is_mhd
     n, s, lam_p = mode.root.n, mode.root.s, mode.root.lambda_plus
@@ -330,14 +402,11 @@ def pde_residual_fd(mode: HadamardMode, grid: GridSpec, t: float) -> ResidualRep
             raise GridError(
                 f"plasma x1 oscillation resolved by {ppw:.2f} < 8 points per wavelength"
             )
-    _finite("t", t)
-    _exponent("phase n Im(s) t", n, s.imag, t)
-    tfac = cmath.exp(1j * n * s.imag * t)
-    coef = {k: a * tfac for k, a in zip(mode.names, mode.amplitudes)}
-    state = mode.state
-    rho, c = state.rho_hat, state.c_hat
-    o2, o3 = mode.omega.unit()
-    wp, wm = w_pair(state, mode.omega)
+    last_mode, last_t, terms = _last_terms
+    if last_mode is not mode or repr(last_t) != repr(t):
+        terms = _mode_terms(mode, t)
+        _last_terms = (mode, t, terms)
+    cq, cv, cH, xi, tot, rho, K, wp, o2, o3, Hhat, yardsticks, boundary = terms
     # the periodic tau-stencils of exp(i n tau) at tau = 0, +-htau and Dt are scalars
     fwd, back = cmath.exp(1j * n * htau), cmath.exp(-1j * n * htau)
     dtau = (fwd - back) / (2.0 * htau)
@@ -345,84 +414,44 @@ def pde_residual_fd(mode: HadamardMode, grid: GridSpec, t: float) -> ResidualRep
     dt = htau / max(1.0, abs(s))
     Dt = (cmath.exp(n * s * dt) - cmath.exp(-n * s * dt)) / (2.0 * dt)
 
-    # analytic per-term magnitudes: |e| <= 1, so |amp| is the sup of every field
-    amp = mode.amplitude
-    aq = abs(amp("q"))
-    av = [abs(amp(f"v{i + 1}")) for i in range(3)]
-    gmag = (abs(lam_p), abs(o2), abs(o3))
-    div_scales = tuple(n * gmag[i] * av[i] for i in range(3))
-    if mhd:
-        aH = [abs(amp(f"H{i + 1}")) for i in range(3)]
-        Hhat = (0.0, state.H_plasma[0], state.H_plasma[1])
-    div_amp = 0.0  # |div v| amplitude: zero unless CompressibleMHD with s != 0
-    if model is ModelKind.CompressibleMHD and not mode.root.neutral:
-        div_amp = abs((lam_p * lam_p - 1.0) * amp("q") / (rho * s))
-
     # d_i (F e) as coefficients (a, b) of e and D1e: (0, F) for i = 1, else (td_i F, 0)
     td = (0.0, o2 * dtau, o3 * dtau)
-    cq, cv = coef["q"], [coef[f"v{i + 1}"] for i in range(3)]
-    cH = [coef[f"H{i + 1}"] for i in range(3)] if mhd else None
-    rows = {}  # equation -> (a, b, yardsticks); its residual is a e + b D1e
+    rows = []  # (a, b) per equation in report order; its residual is a e + b D1e
     for i in range(3):
         a = rho * Dt * cv[i] + td[i] * cq
-        scales = (rho * n * s * av[i],)
-        if mhd:
-            a -= wp * dtau * cH[i]
-            scales += (n * wp * aH[i],)
-        rows[f"momentum_{i + 1}"] = (a, cq if i == 0 else 0.0, scales + (n * gmag[i] * aq,))
+        rows.append((a - wp * dtau * cH[i] if mhd else a, cq if i == 0 else 0.0))
     div_a, div_b = td[1] * cv[1] + td[2] * cv[2], cv[0]
+    for i in range(3) if mhd else ():
+        a = Dt * cH[i] - wp * dtau * cv[i]
+        rows.append((a + Hhat[i] * div_a, Hhat[i] * div_b) if model.is_compressible else (a, 0.0))
+    rows.append((Dt * tot + K * div_a, K * div_b) if model.is_compressible else (div_a, div_b))
     if mhd:
-        for i in range(3):
-            a, b = Dt * cH[i] - wp * dtau * cv[i], 0.0
-            scales = (n * s * aH[i], n * wp * av[i])
-            if model.is_compressible:
-                a, b = a + Hhat[i] * div_a, Hhat[i] * div_b
-                scales += (Hhat[i] * n * div_amp, Hhat[i] * max(div_scales))
-            rows[f"induction_{i + 1}"] = (a, b, scales)
-    if model.is_compressible:
-        K = rho * c * c
-        tot = cq - Hhat[1] * cH[1] - Hhat[2] * cH[2] if mhd else cq
-        scales = (n * s * abs(tot), K * n * div_amp, K * max(div_scales))
-        rows["continuity"] = (Dt * tot + K * div_a, K * div_b, scales)
-    else:
-        rows["divergence"] = (div_a, div_b, div_scales)
+        rows.append((td[1] * cH[1] + td[2] * cH[2], cH[0]))
+    # e and D1e on the rows that carry the sup: 0, 1 and the last, from e at
+    # the points of np.linspace(0, x1_extent_plus, mp) their stencils read
+    e0, e1, e2, ey, ez_, ez = [cmath.exp(n * lam_p * x) for x in (
+        0.0, h1p, 2 * h1p, (mp - 3) * h1p, (mp - 2) * h1p, grid.x1_extent_plus)]
+    d0 = -1.5 / h1p * e0 + 2.0 / h1p * e1 + -0.5 / h1p * e2
+    d1 = (e2 - e0) / (2.0 * h1p)
+    dz = 0.5 / h1p * ey + -2.0 / h1p * ez_ + 1.5 / h1p * ez
+    sups = [
+        max(abs(a * e0 + b * d0), abs(a * e1 + b * d1), abs(a * ez + b * dz)) for a, b in rows
+    ]
     if mhd:
-        div_H = td[1] * cH[1] + td[2] * cH[2]
-        rows["magnetic_divergence"] = (div_H, cH[0], tuple(n * gmag[i] * aH[i] for i in range(3)))
-    # e and D1e on the rows that carry the sup: 0, 1 and the last
-    e = _decay_ends(n * lam_p, 0.0, grid.x1_extent_plus, mp, 3, cmath.exp)
-    e0, d0 = e[0], -1.5 / h1p * e[0] + 2.0 / h1p * e[1] + -0.5 / h1p * e[2]
-    e1, d1 = e[1], (e[2] - e[0]) / (2.0 * h1p)
-    ez, dz = e[-1], 0.5 / h1p * e[-3] + -2.0 / h1p * e[-2] + 1.5 / h1p * e[-1]
-    interior = {
-        name: _rel(max(abs(a * e0 + b * d0), abs(a * e1 + b * d1), abs(a * ez + b * dz)), *scales)
-        for name, (a, b, scales) in rows.items()
-    }
-    if mhd:
-        # D2ev + dtau2 ev on the rows that carry the sup: 0, the last but one and the last
-        ev = _decay_ends(n * 1.0, -grid.x1_extent_minus, 0.0, mm, 4, math.exp)
+        # D2ev + dtau2 ev on the rows that carry the sup: 0, the last but one
+        # and the last, from ev at the points of np.linspace(-x1_extent_minus, 0, mm)
+        Lm = grid.x1_extent_minus
+        ev = [math.exp(n * 1.0 * (k * h1m - Lm)) for k in (0, 1, 2, 3, mm - 4, mm - 3, mm - 2)]
+        ev.append(1.0)  # at x1 = 0
         hh = h1m * h1m
-        lap = max(
+        sups.append(xi * max(
             abs((2.0 * ev[0] - 5.0 * ev[1] + 4.0 * ev[2] - ev[3]) / hh + dtau2 * ev[0]),
             abs((ev[-1] - 2.0 * ev[-2] + ev[-3]) / hh + dtau2 * ev[-2]),
             abs((2.0 * ev[-1] - 5.0 * ev[-2] + 4.0 * ev[-3] - ev[-4]) / hh + dtau2 * ev[-1]),
-        )
-        interior["vacuum_laplace"] = _rel(abs(coef["xi"]) * lap, n * n * abs(amp("xi")))
-
-    # boundary conditions: purely algebraic in the amplitudes
-    a, a0, a1 = state.a_hat, state.a0_hat, state.a1_hat
-    phi, q0, v10 = amp("phi"), amp("q"), amp("v1")
-    boundary = {"kinematic": _rel(abs(n * s * phi - v10 - a0 * phi), n * s * phi, v10, a0 * phi)}
-    if mhd:
-        xi0 = amp("xi")
-        pres = q0 - 1j * n * wm * xi0 - a * phi
-        boundary["pressure"] = _rel(abs(pres), q0, n * wm * xi0, a * phi)
-        vac = n * xi0 - (a1 + 1j * n * wm) * phi
-        boundary["vacuum_neumann"] = _rel(abs(vac), n * xi0, (a1 + 1j * n * wm) * phi)
-    else:
-        boundary["pressure"] = _rel(abs(q0 - a * phi), q0, a * phi)
+        ))
     return assemble(ResidualReport, {
-        "interior": interior, "boundary": boundary, "spacings": (h1p, h1m, htau, dt),
+        "interior": {name: sup / y for (name, y), sup in zip(yardsticks.items(), sups)},
+        "boundary": boundary.copy(), "spacings": (h1p, h1m, htau, dt),
     })
 
 

@@ -7,13 +7,16 @@ the package defines, so the break shows here and not only in the
 benchmark's own subprocess runs.
 """
 import ast
+import importlib
 import importlib.util
 import inspect
+import pkgutil
 import textwrap
 
 import pytest
 
 from conftest import SRC
+import mhdlab
 from mhdlab import classifier, roots
 
 
@@ -57,3 +60,26 @@ def test_the_sweep_classifies_through_the_traced_name():
     by its classifier-module name; a sweep that decided every point another
     way would read as 0 classify calls in the benchmark."""
     assert "classify_frozen" in called_names(classifier.sweep)
+
+
+def package_functions():
+    """(dotted name, function) of every function and method written in the
+    package's modules; __main__ is left out, as importing it runs the CLI."""
+    for info in pkgutil.iter_modules(mhdlab.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"mhdlab.{info.name}")
+        scopes = [module] + [c for c in vars(module).values() if inspect.isclass(c)]
+        for scope in scopes:
+            for name, fn in vars(scope).items():
+                if inspect.isfunction(fn) and fn.__code__.co_filename == module.__file__:
+                    owner = "" if scope is module else f".{scope.__name__}"
+                    yield f"{module.__name__}{owner}.{name}", fn
+
+
+def test_the_mode_terms_are_built_inside_the_traced_fd_check():
+    """The traced run times pde_residual_fd as hadamard.fd_ms and build_mode as
+    hadamard.build_mode_ms; the grid-independent terms of an FD check stay in
+    fd_ms only while pde_residual_fd is the one function that builds them."""
+    callers = {name for name, fn in package_functions() if "_mode_terms" in called_names(fn)}
+    assert callers == {"mhdlab.hadamard.pde_residual_fd"}

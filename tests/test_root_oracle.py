@@ -109,3 +109,30 @@ def test_the_oracle_example_on_its_witness_finds_no_extra_root():
     model, state = ModelKind.IncompressibleMHD, ORACLE_EXAMPLE
     assert_the_oracle_roots(model, state, _witness_direction(state.H_plasma, state.H_vacuum), 1)
 
+
+
+# seed 11's fresh draw: beside the resonance i wp / sqrt(rho) = 1e-12i the
+# oracle holds -5.02e-44 + 1e-12i, which misses the exemption of the exact
+# resonance roots by its real part; the solver returns only a0 / n
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP C5")
+def test_a_root_beside_a_resonance_of_a_tiny_field_is_found():
+    state = BasicState(
+        c_hat=2.73879827511838, H_plasma=(1e-12, 0.0), a_hat=0.0, a0_hat=0.8891197251761187
+    )
+    assert_the_oracle_roots(ModelKind.CompressibleMHD, state, Wavevector(1.0, 0.0), 100)
+
+
+# a fresh draw on the witness of a collinear state: at n = 1 the solver keeps
+# an extra root -1.75e-46 - 1.52e-64i where the exact one is s = 0
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP N")
+def test_a_witness_draw_finds_no_extra_root():
+    state = BasicState(
+        a_hat=1.0,
+        a0_hat=1.0,
+        a1_hat=1.0,
+        H_plasma=(8.296231623858378e-08, 9.99965585678249e-06),
+        H_vacuum=(0.006222173717893784, 0.7499741892586866),
+    )
+    witness = _witness_direction(state.H_plasma, state.H_vacuum)
+    assert (witness.omega2, witness.omega3) == (-0.9999655856782489, 0.008296231623858378)
+    assert_the_oracle_roots(ModelKind.IncompressibleMHD, state, witness, 1)
