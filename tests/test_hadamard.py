@@ -666,6 +666,16 @@ class TestTheTermsSlot:
         assert [m for m, _ in term_builds] == [mode, twin]
         assert term_builds[1][0] is twin
 
+    def test_every_report_holds_dicts_of_its_own(self, term_builds):
+        mode = top_mode(M.CompressibleMHD, README_COMP, OM, 100)
+        grid = grid_for_mode(mode)
+        first = pde_residual_fd(mode, grid, 0.0)
+        want = repr(first)
+        first.interior.clear()
+        first.boundary.clear()
+        assert repr(pde_residual_fd(mode, grid, 0.0)) == want
+        assert len(term_builds) == 1
+
     def test_a_failed_check_raises_again_and_keeps_the_slot(self, term_builds):
         mode = top_mode(M.CompressibleMHD, README_COMP, Wavevector(1.0, 0.0), 25)
         grid = grid_for_mode(mode)
