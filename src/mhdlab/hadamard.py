@@ -269,7 +269,8 @@ def _yardstick(*scales) -> float:
 
 # pde_residual_fd's last (mode, t, terms), so that a mode's refined-grid check
 # reuses its coarse check's terms. Matched on the mode's identity and on t's
-# repr (0.0 and -0.0 differ); the held mode keeps its id from reuse.
+# repr (0.0 and -0.0 differ); the held mode keeps its id from reuse. Read and
+# written as one tuple, so concurrent checks may rebuild terms but never mix them.
 _last_terms = (None, None, None)
 
 
@@ -363,10 +364,10 @@ def pde_residual_fd(mode: HadamardMode, grid: GridSpec, t: float) -> ResidualRep
     t only multiplies every residual by the unit phase exp(i n Im(s) t), so
     the report depends on t only through rounding.
 
-    Only the stencils see the grid. The amplitudes F at t, the yardsticks and
-    the boundary residuals come from _mode_terms, once per (mode, t): a check
-    on a second grid at the same t reuses them. Each call checks its grid and
-    computes the spacings, dtau, dtau2, Dt, each row's (a, b), e, ev and the sups.
+    Only the stencils see the grid. F at t, the yardsticks and the boundary
+    residuals come from _mode_terms, reused by the next check of the same mode
+    at the same t on any grid. Each call checks its grid and computes the
+    spacings, dtau, dtau2, Dt, each row's (a, b), e, ev and the sups.
 
     Interior equations in report order; [..] terms and the equations
     marked MHD belong to the magnetic models, Hhat = (0, H_plasma):
@@ -429,11 +430,11 @@ def pde_residual_fd(mode: HadamardMode, grid: GridSpec, t: float) -> ResidualRep
         rows.append((td[1] * cH[1] + td[2] * cH[2], cH[0]))
     # e and D1e on the rows that carry the sup: 0, 1 and the last, from e at
     # the points of np.linspace(0, x1_extent_plus, mp) their stencils read
-    e0, e1, e2, ey, ez_, ez = [cmath.exp(n * lam_p * x) for x in (
+    e0, e1, e2, em3, em2, ez = [cmath.exp(n * lam_p * x) for x in (
         0.0, h1p, 2 * h1p, (mp - 3) * h1p, (mp - 2) * h1p, grid.x1_extent_plus)]
     d0 = -1.5 / h1p * e0 + 2.0 / h1p * e1 + -0.5 / h1p * e2
     d1 = (e2 - e0) / (2.0 * h1p)
-    dz = 0.5 / h1p * ey + -2.0 / h1p * ez_ + 1.5 / h1p * ez
+    dz = 0.5 / h1p * em3 + -2.0 / h1p * em2 + 1.5 / h1p * ez
     sups = [
         max(abs(a * e0 + b * d0), abs(a * e1 + b * d1), abs(a * ez + b * dz)) for a, b in rows
     ]
