@@ -1,27 +1,25 @@
 """Root finding and growth-rate scaling fits.
 
 Strategy: every determinant is either polynomial in s (incompressible models)
-or becomes polynomial after clearing its single square root. Candidates come
-from the companion matrix of that polynomial and, for CompressibleMHD, from
-the large-n series of ModeSymbol.families (both in dispersion; a symbol builds
-its series once, so the solves of one scaling fit share them). Once a fit's
-first n has an admissible root, the companions of its later n are solved in
-one stacked eigenvalue call per size, and each solve takes its n's candidates
-from the symbol. Newton iteration on the original determinant polishes them,
-and they survive only if the relative residual of the ORIGINAL (unsquared)
-equation is below RESIDUAL_TOLERANCE. Squaring can only add spurious roots,
-never lose real ones, so the gate is sound. The gate reads the residual the
-polish computed for its best iterate.
-
-ModeSymbol._terms gives a compressible determinant's A and B in A + B g(s).
-The cleared polynomial (A + B g)(A - B g) holds the roots of both branches. A
-polynomial candidate that solves the other branch A - B g = 0 by a margin
-(|A + B g| greater than _BRANCH_MARGIN times |A - B g|) cannot polish onto a
-root of A + B g = 0 and is not polished. The branch test never drops an
-asymptotic seed, an exact zero, an incompressible candidate (no radical) or a
-candidate where g(s) raises BranchPointError or overflows; those go through
-Newton and the gate as before. Each bit-distinct kept candidate is polished
-once; an exact zero that is an exact root stops at its first evaluation.
+or becomes polynomial after clearing its single square root. solve_dispersion
+runs three stages, and each decides one thing:
+- _candidates decides where Newton starts: the companion roots of that
+  polynomial (for a fit's later n, primed on the symbol by one stacked
+  eigenvalue call per size) and, for CompressibleMHD, the large-n series of
+  ModeSymbol.families (built once per symbol). With A and B from
+  ModeSymbol._terms, the cleared polynomial (A + B g)(A - B g) holds both
+  branches; a companion root with |A + B g| over _BRANCH_MARGIN times
+  |A - B g| cannot polish onto a root of A + B g = 0 and is dropped. Seeds,
+  exact zeros, incompressible candidates and candidates where g(s) raises
+  BranchPointError or overflows are kept. A bit-repeat is yielded once.
+- newton_refine decides where a start ends: Newton on the original
+  determinant gives its best iterate and that iterate's relative residual;
+  an exact zero that is an exact root stops at its first evaluation.
+- _accept decides what is a root: the relative residual of the ORIGINAL
+  (unsquared) equation must be at most RESIDUAL_TOLERANCE. Squaring can only
+  add spurious roots, never lose real ones, so the gate is sound. Of roots
+  within _DEDUPE_TOL the smaller residual is kept; _finish_root sets the
+  flags, and the roots are sorted most unstable first.
 """
 from __future__ import annotations
 
@@ -123,22 +121,14 @@ def root_sort_key(root: ModeRoot):
     return (-s.real, -abs(s.imag), s.real, s.imag)
 
 
-def solve_dispersion(model: ModelKind, state: BasicState, omega: Wavevector, n: int) -> list:
-    """All residual-verified roots of the determinant, most unstable first;
-    a repeated int n on one symbol returns a fresh list of its stored roots."""
-    sym = mode_symbol(model, state, omega)
-    # only an int n is stored, so 25.0 or True gets roots that carry it
-    key = n if type(n) is int else None
-    if key in sym.solved:
-        return list(sym.solved[key])
+def _candidates(sym: ModeSymbol, n, key):
+    """Yield each polish start once: companion roots past the branch test, then seeds."""
     poly = sym.primed.pop(key, None) or _poly_candidates(sym.polynomial(n))
     seeds = []
-    if model is ModelKind.CompressibleMHD:
-        # Asymptotic seeds guard against conditioning loss in the squared
-        # polynomial at large n.
+    if sym.model is ModelKind.CompressibleMHD:
+        # asymptotic seeds guard against conditioning loss in the squared polynomial at large n
         seeds = [fam.evaluate(n) for fam in sym.families]
     tried = []
-    roots: list[ModeRoot] = []
     for i, cand in enumerate(poly + seeds):
         # the branch test leaves g(cand) in the symbol's slot for the polish
         if i < len(poly) and cand != 0 and _wrong_branch(sym, cand, n):
@@ -147,7 +137,14 @@ def solve_dispersion(model: ModelKind, state: BasicState, omega: Wavevector, n: 
         if cand in tried and repr(cand) in map(repr, tried):
             continue
         tried.append(cand)
-        s, residual = newton_refine(sym, cand, n)
+        yield cand
+
+
+def _accept(sym: ModeSymbol, polished, n) -> list:
+    """Gate the polished (s, residual) pairs and merge those within _DEDUPE_TOL,
+    keeping the smaller residual; read lazily, so _finish_root finds g in the slot."""
+    roots: list[ModeRoot] = []
+    for s, residual in polished:
         # written so that a nan residual fails the gate too
         if not residual <= RESIDUAL_TOLERANCE:
             continue
@@ -158,6 +155,18 @@ def solve_dispersion(model: ModelKind, state: BasicState, omega: Wavevector, n: 
         elif residual < roots[dup].residual:
             roots[dup] = _finish_root(sym, s, residual, n)
     roots.sort(key=root_sort_key)
+    return roots
+
+
+def solve_dispersion(model: ModelKind, state: BasicState, omega: Wavevector, n: int) -> list:
+    """All residual-verified roots of the determinant, most unstable first;
+    a repeated int n on one symbol returns a fresh list of its stored roots."""
+    sym = mode_symbol(model, state, omega)
+    # only an int n is stored, so 25.0 or True gets roots that carry it
+    key = n if type(n) is int else None
+    if key in sym.solved:
+        return list(sym.solved[key])
+    roots = _accept(sym, (newton_refine(sym, c, n) for c in _candidates(sym, n, key)), n)
     if key is not None:
         if len(sym.solved) >= _SOLVED_PER_SYMBOL:
             del sym.solved[next(iter(sym.solved))]

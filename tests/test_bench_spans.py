@@ -64,10 +64,8 @@ def test_the_sweep_classifies_through_the_traced_name():
 
 def package_functions():
     """(dotted name, function) of every function and method written in the
-    package's modules; __main__ is left out, as importing it runs the CLI."""
+    package's modules."""
     for info in pkgutil.iter_modules(mhdlab.__path__):
-        if info.name == "__main__":
-            continue
         module = importlib.import_module(f"mhdlab.{info.name}")
         scopes = [module] + [c for c in vars(module).values() if inspect.isclass(c)]
         for scope in scopes:
@@ -83,3 +81,14 @@ def test_the_mode_terms_are_built_inside_the_traced_fd_check():
     fd_ms only while pde_residual_fd is the one function that builds them."""
     callers = {name for name, fn in package_functions() if "_mode_terms" in called_names(fn)}
     assert callers == {"mhdlab.hadamard.pde_residual_fd"}
+
+
+def test_the_solve_stages_run_inside_the_traced_solve():
+    """The traced run times solve_dispersion's own work as roots.solve_self_ms
+    and counts its newton_refine calls as roots.newton_calls; both read the
+    same work only while solve_dispersion is the one function that runs the
+    candidate and accept stages and it polishes through the traced name."""
+    for stage in ("_candidates", "_accept"):
+        callers = {name for name, fn in package_functions() if stage in called_names(fn)}
+        assert callers == {"mhdlab.roots.solve_dispersion"}, stage
+    assert "newton_refine" in called_names(roots.solve_dispersion)

@@ -1,6 +1,7 @@
 """Configuration parsing and the command-line front end."""
 import collections
 import gc
+import importlib
 import json
 import math
 import subprocess
@@ -1133,6 +1134,18 @@ def test_module_entry_point(euler_cfg):
     )
     assert proc.returncode == 0
     assert "verdict: IllPosed" in proc.stdout
+
+
+def test_importing_the_module_entry_point_runs_no_cli(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "entry", lambda: calls.append(sys.argv))
+    monkeypatch.setattr(sys, "argv", ["mhdlab", "no-such-command"])
+    monkeypatch.delitem(sys.modules, "mhdlab.__main__", raising=False)
+    importlib.import_module("mhdlab.__main__")
+    # the next import runs the module afresh
+    del sys.modules["mhdlab.__main__"]
+    assert calls == []
+    assert capsys.readouterr() == ("", "")
 
 
 @pytest.mark.parametrize("count", [0, 1, cli.WRITE_BLOCK - 1, cli.WRITE_BLOCK,

@@ -136,3 +136,21 @@ def test_a_witness_draw_finds_no_extra_root():
     witness = _witness_direction(state.H_plasma, state.H_vacuum)
     assert (witness.omega2, witness.omega3) == (-0.9999655856782489, 0.008296231623858378)
     assert_the_oracle_roots(ModelKind.IncompressibleMHD, state, witness, 1)
+
+
+# another draw on the witness of a collinear state: at n = 1 the
+# solver keeps an extra root -4.18e-53 + 4.6e-69i where the exact one is s = 0
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP N")
+def test_another_witness_draw_finds_no_extra_root():
+    state = BasicState(
+        rho_hat=1.0,
+        c_hat=1.0,
+        a_hat=1.0,
+        a0_hat=1.0,
+        a1_hat=1.0,
+        H_plasma=(-7.621992293414947e-11, 6.473425173671445e-11),
+        H_vacuum=(-0.7621992293414946, 0.6473425173671444),
+    )
+    witness = _witness_direction(state.H_plasma, state.H_vacuum)
+    assert (witness.omega2, witness.omega3) == (-0.6473425173671445, -0.7621992293414946)
+    assert_the_oracle_roots(ModelKind.IncompressibleMHD, state, witness, 1)

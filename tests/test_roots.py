@@ -32,12 +32,14 @@ from mhdlab.roots import (
     _DEDUPE_TOL,
     MAX_ITERATIONS,
     RESIDUAL_TOLERANCE,
+    _accept,
     _finish_root,
     _poly_candidates,
     _wrong_branch,
     dominant_root,
     fit_scaling,
     newton_refine,
+    root_sort_key,
     scan_s0,
     solve_dispersion,
 )
@@ -127,6 +129,49 @@ def test_roots_are_deduplicated_and_sorted(pair, omega, n):
     assert keys == sorted(keys)
 
 
+# a tier-1 draw: the candidates are +-8.80e-10 and 0, and the polished zero
+# replaces +8.80e-10 and keeps -8.80e-10, which lies within the dedupe tolerance
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP N")
+def test_a_root_beside_a_polished_zero_is_kept():
+    state = BasicState(
+        rho_hat=0.5, H_plasma=(9.907897820510665e-17, 0.0), a_hat=9.907897820510665e-17,
+        a0_hat=1.401298464324817e-45,
+    )
+    top = dominant_root(solve_dispersion(ModelKind.IncompressibleMHD, state, OM, 256))
+    assert top is not None and top.s == pytest.approx(8.798036810717355e-10, rel=1e-6)
+
+
+def accepted(pairs, n=100):
+    sym = mode_symbol(ModelKind.IncompressibleEuler, BasicState(a_hat=1.0), OM)
+    return [(r.s, r.residual) for r in _accept(sym, iter(pairs), n)]
+
+
+def test_the_accept_stage_gates_on_the_residual():
+    pairs = [(0.1 + 0j, RESIDUAL_TOLERANCE), (0.2 + 0j, 1.1e-10), (0.3 + 0j, math.nan),
+             (0.4 + 0j, math.inf)]
+    assert accepted(pairs) == [(0.1 + 0j, RESIDUAL_TOLERANCE)]
+
+
+def test_the_accept_stage_keeps_the_smaller_residual_of_a_duplicate():
+    s, other = 0.1 + 0j, -0.5 + 0j
+    near = s + 0.9 * _DEDUPE_TOL * (1 + abs(s))
+    # a later pair replaces the kept root only with a smaller residual
+    assert accepted([(other, 0.0), (s, 1e-12), (near, 1e-13)]) == [(near, 1e-13), (other, 0.0)]
+    assert accepted([(other, 0.0), (s, 1e-13), (near, 1e-12)]) == [(s, 1e-13), (other, 0.0)]
+    assert accepted([(s, 1e-13), (near, 1e-13)]) == [(s, 1e-13)]
+    # one just beyond the tolerance is a root of its own
+    far = s + 1.1 * _DEDUPE_TOL * (1 + abs(s))
+    assert accepted([(s, 1e-12), (far, 1e-13)]) == [(far, 1e-13), (s, 1e-12)]
+
+
+def test_the_accept_stage_sorts_most_unstable_first():
+    starts = [-0.1 + 0j, 0.05 - 0.2j, 0.1 + 0j, 0.05 + 0.2j, 0j]
+    sym = mode_symbol(ModelKind.IncompressibleEuler, BasicState(a_hat=1.0), OM)
+    roots = _accept(sym, ((s, 0.0) for s in starts), 100)
+    assert [r.s for r in roots] == [0.1, 0.05 - 0.2j, 0.05 + 0.2j, 0j, -0.1]
+    assert roots == sorted(roots, key=root_sort_key)
+
+
 def assert_root_multisets_close(xs, ys, tol=1e-9):
     assert len(xs) == len(ys)
     pool = list(ys)
@@ -137,22 +182,28 @@ def assert_root_multisets_close(xs, ys, tol=1e-9):
 
 
 # CompressibleMHD states with a1 = 0, so with real coefficients, whose solve
-# returns a root beside the resonance s = i wp/sqrt(rho) without its conjugate
+# returns a root beside the resonance s = i wp/sqrt(rho) (or, in the last case,
+# beside a zero of g(s)) without its conjugate
 CONJUGATE_CLOSURE_DEFECTS = {
     "sign-flip-n302": (dict(
         rho_hat=2.440561925558656, H_plasma=(-0.06177455657563815, 0.003259321114692659),
-        H_vacuum=(0.0, 0.0), a_hat=0.25, a0_hat=2.0), 302),  # -4.19e-15 + 0.0395425i
+        H_vacuum=(0.0, 0.0), a_hat=0.25, a0_hat=2.0), OM, 302),  # -4.19e-15 + 0.0395425i
     "resonance-n574": (dict(
         rho_hat=1.2545686966608929, H_plasma=(-1.0059703398627229, -0.05926581877193006),
-        H_vacuum=(0.0, 0.0), a_hat=0.25, a0_hat=-1.0), 574),  # 3.97e-10 + 0.66768i, admissible
+        H_vacuum=(0.0, 0.0), a_hat=0.25, a0_hat=-1.0), OM, 574),  # 3.97e-10 + 0.66768i, admissible
+    # a tier-1 draw of the sign-flip property: -2.737e-25 - 0.28587i; along OM
+    # its root set is closed
+    "sign-flip-draw-n2": (dict(
+        rho_hat=2.0625, c_hat=2.5, H_plasma=(0.03315806328173574, 0.4675757749706505),
+        a_hat=3.658203125), Wavevector(0.5403023058681398, 0.8414709848078965), 2),
 }
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP F: conjugate closure")
-@pytest.mark.parametrize("fields, n", CONJUGATE_CLOSURE_DEFECTS.values(),
+@pytest.mark.parametrize("fields, omega, n", CONJUGATE_CLOSURE_DEFECTS.values(),
                          ids=CONJUGATE_CLOSURE_DEFECTS.keys())
-def test_a_root_set_with_real_coefficients_is_closed_under_conjugation(fields, n):
-    roots = [r.s for r in solve_dispersion(ModelKind.CompressibleMHD, BasicState(**fields), OM, n)]
+def test_a_root_set_with_real_coefficients_is_closed_under_conjugation(fields, omega, n):
+    roots = [r.s for r in solve_dispersion(ModelKind.CompressibleMHD, BasicState(**fields), omega, n)]
     assert_root_multisets_close(roots, [s.conjugate() for s in roots])
 
 
