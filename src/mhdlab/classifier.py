@@ -238,9 +238,7 @@ class SweepSpec:
         """States in row-major order, the order of sweep()'s verdicts, built
         unchecked from the checked values of the grid walk."""
         for fields in self._walk():
-            state = object.__new__(BasicState)
-            vars(state).update(fields)
-            yield state
+            yield assemble(BasicState, fields)
 
 
 def sweep(model: ModelKind, grid: SweepSpec) -> list[Classification]:

@@ -19,9 +19,9 @@ amp * e(x1) * phase(tau), e the decay factor, so every interior residual is
 difference of e. e is geometric on the uniform x1 grid and |e| falls away from
 the interface, so each sup sits on a row at an end of the grid: the check reads
 e as numbers at the few points those rows' stencils use and builds no array.
-Only e and the stencils' scalars depend on the grid: the amplitudes at t, the
-yardsticks and the boundary residuals are built once per (mode, t), and the
-check of a mode on a refined grid reuses those of its check on the first grid.
+Only e and the stencils' scalars depend on the grid. Every check also builds
+the amplitudes at t, the yardsticks and the boundary residuals, and keeps
+nothing between calls.
 """
 from __future__ import annotations
 
@@ -264,14 +264,7 @@ def _yardstick(*scales) -> float:
     otherwise be normalized by their own differencing error, which hides
     the h^2 convergence of the numerator.
     """
-    return max(max(map(abs, scales), default=0.0), 1e-300)
-
-
-# pde_residual_fd's last (mode, t, terms), so that a mode's refined-grid check
-# reuses its coarse check's terms. Matched on the mode's identity and on t's
-# repr (0.0 and -0.0 differ); the held mode keeps its id from reuse. Read and
-# written as one tuple, so concurrent checks may rebuild terms but never mix them.
-_last_terms = (None, None, None)
+    return max(*map(abs, scales), 1e-300)
 
 
 def _mode_terms(mode: HadamardMode, t: float) -> tuple:
@@ -279,58 +272,64 @@ def _mode_terms(mode: HadamardMode, t: float) -> tuple:
     and the scalars the rows combine them with, each interior equation's
     yardstick by name in report order, and the relative boundary residuals."""
     model, state = mode.model, mode.state
-    mhd = model.is_mhd
+    mhd, compressible = model.is_mhd, model.is_compressible
     n, s, lam_p = mode.root.n, mode.root.s, mode.root.lambda_plus
     _finite("t", t)
     _exponent("phase n Im(s) t", n, s.imag, t)
     tfac = cmath.exp(1j * n * s.imag * t)
-    coef = {k: a * tfac for k, a in zip(mode.names, mode.amplitudes)}
+    amp = dict(zip(mode.names, mode.amplitudes))
+    coef = {k: a * tfac for k, a in amp.items()}
     rho, c = state.rho_hat, state.c_hat
     o2, o3 = mode.omega.unit()
     wp, wm = w_pair(state, mode.omega)
 
-    # analytic per-term magnitudes: |e| <= 1, so |amp| is the sup of every field
-    amp = mode.amplitude
-    aq = abs(amp("q"))
-    av = [abs(amp(f"v{i + 1}")) for i in range(3)]
-    gmag = (abs(lam_p), abs(o2), abs(o3))
-    div_scales = tuple(n * gmag[i] * av[i] for i in range(3))
-    cq, cv = coef["q"], [coef[f"v{i + 1}"] for i in range(3)]
+    # analytic per-term magnitudes (|e| <= 1, so |amp| is the sup of every field)
+    aq, av1, av2, av3 = abs(amp["q"]), abs(amp["v1"]), abs(amp["v2"]), abs(amp["v3"])
+    ns, rns, nwp = n * s, rho * n * s, n * wp
+    ng1, ng2, ng3 = n * abs(lam_p), n * abs(o2), n * abs(o3)
+    dv1, dv2, dv3 = ng1 * av1, ng2 * av2, ng3 * av3  # the terms of div v
+    dv = max(dv1, dv2, dv3)
+    cq, cv = coef["q"], (coef["v1"], coef["v2"], coef["v3"])
     cH = Hhat = K = tot = xi = None
-    if mhd:
-        aH = [abs(amp(f"H{i + 1}")) for i in range(3)]
-        Hhat = (0.0, state.H_plasma[0], state.H_plasma[1])
-        cH, xi = [coef[f"H{i + 1}"] for i in range(3)], abs(coef["xi"])
     div_amp = 0.0  # |div v| amplitude: zero unless CompressibleMHD with s != 0
     if model is ModelKind.CompressibleMHD and not mode.root.neutral:
-        div_amp = abs((lam_p * lam_p - 1.0) * amp("q") / (rho * s))
-    yardsticks = {}
-    for i in range(3):
-        scales = (rho * n * s * av[i],) + ((n * wp * aH[i],) if mhd else ())
-        yardsticks[f"momentum_{i + 1}"] = _yardstick(*scales, n * gmag[i] * aq)
-    for i in range(3) if mhd else ():
-        scales = (n * s * aH[i], n * wp * av[i])
-        if model.is_compressible:
-            scales += (Hhat[i] * n * div_amp, Hhat[i] * max(div_scales))
-        yardsticks[f"induction_{i + 1}"] = _yardstick(*scales)
-    if model.is_compressible:
-        K = rho * c * c
-        tot = cq - Hhat[1] * cH[1] - Hhat[2] * cH[2] if mhd else cq
-        scales = (n * s * abs(tot), K * n * div_amp, K * max(div_scales))
-        yardsticks["continuity"] = _yardstick(*scales)
+        div_amp = abs((lam_p * lam_p - 1.0) * amp["q"] / (rho * s))
+    if not mhd:
+        yardsticks = {"momentum_1": _yardstick(rns * av1, ng1 * aq),
+                      "momentum_2": _yardstick(rns * av2, ng2 * aq),
+                      "momentum_3": _yardstick(rns * av3, ng3 * aq)}
     else:
-        yardsticks["divergence"] = _yardstick(*div_scales)
+        aH1, aH2, aH3 = abs(amp["H1"]), abs(amp["H2"]), abs(amp["H3"])
+        H2, H3 = state.H_plasma
+        Hhat, cH, xi = (0.0, H2, H3), (coef["H1"], coef["H2"], coef["H3"]), abs(coef["xi"])
+        # Hhat_1 = 0: induction_1 has no div v term in any model
+        yardsticks = {"momentum_1": _yardstick(rns * av1, nwp * aH1, ng1 * aq),
+                      "momentum_2": _yardstick(rns * av2, nwp * aH2, ng2 * aq),
+                      "momentum_3": _yardstick(rns * av3, nwp * aH3, ng3 * aq),
+                      "induction_1": _yardstick(ns * aH1, nwp * av1)}
+        if compressible:
+            yardsticks["induction_2"] = _yardstick(ns * aH2, nwp * av2, H2 * n * div_amp, H2 * dv)
+            yardsticks["induction_3"] = _yardstick(ns * aH3, nwp * av3, H3 * n * div_amp, H3 * dv)
+        else:
+            yardsticks["induction_2"] = _yardstick(ns * aH2, nwp * av2)
+            yardsticks["induction_3"] = _yardstick(ns * aH3, nwp * av3)
+    if compressible:
+        K = rho * c * c
+        tot = cq - H2 * cH[1] - H3 * cH[2] if mhd else cq
+        yardsticks["continuity"] = _yardstick(ns * abs(tot), K * n * div_amp, K * dv)
+    else:
+        yardsticks["divergence"] = _yardstick(dv1, dv2, dv3)
     if mhd:
-        yardsticks["magnetic_divergence"] = _yardstick(*(n * gmag[i] * aH[i] for i in range(3)))
-        yardsticks["vacuum_laplace"] = _yardstick(n * n * abs(amp("xi")))
+        yardsticks["magnetic_divergence"] = _yardstick(ng1 * aH1, ng2 * aH2, ng3 * aH3)
+        yardsticks["vacuum_laplace"] = _yardstick(n * n * abs(amp["xi"]))
 
     # boundary conditions: purely algebraic in the amplitudes
     a, a0, a1 = state.a_hat, state.a0_hat, state.a1_hat
-    phi, q0, v10 = amp("phi"), amp("q"), amp("v1")
-    kin = abs(n * s * phi - v10 - a0 * phi)
-    boundary = {"kinematic": kin / _yardstick(n * s * phi, v10, a0 * phi)}
+    phi, q0, v10 = amp["phi"], amp["q"], amp["v1"]
+    kin = abs(ns * phi - v10 - a0 * phi)
+    boundary = {"kinematic": kin / _yardstick(ns * phi, v10, a0 * phi)}
     if mhd:
-        xi0 = amp("xi")
+        xi0 = amp["xi"]
         pres = q0 - 1j * n * wm * xi0 - a * phi
         boundary["pressure"] = abs(pres) / _yardstick(q0, n * wm * xi0, a * phi)
         vac = n * xi0 - (a1 + 1j * n * wm) * phi
@@ -365,9 +364,9 @@ def pde_residual_fd(mode: HadamardMode, grid: GridSpec, t: float) -> ResidualRep
     the report depends on t only through rounding.
 
     Only the stencils see the grid. F at t, the yardsticks and the boundary
-    residuals come from _mode_terms, reused by the next check of the same mode
-    at the same t on any grid. Each call checks its grid and computes the
-    spacings, dtau, dtau2, Dt, each row's (a, b), e, ev and the sups.
+    residuals come from _mode_terms, which every call runs, so nothing is kept
+    between calls. Each call checks its grid and computes the spacings, dtau,
+    dtau2, Dt, each row's (a, b), e, ev and the sups.
 
     Interior equations in report order; [..] terms and the equations
     marked MHD belong to the magnetic models, Hhat = (0, H_plasma):
@@ -377,7 +376,6 @@ def pde_residual_fd(mode: HadamardMode, grid: GridSpec, t: float) -> ResidualRep
       divergence   div v  (incompressible)
       magnetic_divergence  div H,  vacuum_laplace  Laplacian of xi  (MHD)
     """
-    global _last_terms
     model = mode.model
     mhd = model.is_mhd
     n, s, lam_p = mode.root.n, mode.root.s, mode.root.lambda_plus
@@ -403,11 +401,7 @@ def pde_residual_fd(mode: HadamardMode, grid: GridSpec, t: float) -> ResidualRep
             raise GridError(
                 f"plasma x1 oscillation resolved by {ppw:.2f} < 8 points per wavelength"
             )
-    last_mode, last_t, terms = _last_terms
-    if last_mode is not mode or repr(last_t) != repr(t):
-        terms = _mode_terms(mode, t)
-        _last_terms = (mode, t, terms)
-    cq, cv, cH, xi, tot, rho, K, wp, o2, o3, Hhat, yardsticks, boundary = terms
+    cq, cv, cH, xi, tot, rho, K, wp, o2, o3, Hhat, yardsticks, boundary = _mode_terms(mode, t)
     # the periodic tau-stencils of exp(i n tau) at tau = 0, +-htau and Dt are scalars
     fwd, back = cmath.exp(1j * n * htau), cmath.exp(-1j * n * htau)
     dtau = (fwd - back) / (2.0 * htau)
@@ -452,7 +446,7 @@ def pde_residual_fd(mode: HadamardMode, grid: GridSpec, t: float) -> ResidualRep
         ))
     return assemble(ResidualReport, {
         "interior": {name: sup / y for (name, y), sup in zip(yardsticks.items(), sups)},
-        "boundary": boundary.copy(), "spacings": (h1p, h1m, htau, dt),
+        "boundary": boundary, "spacings": (h1p, h1m, htau, dt),
     })
 
 

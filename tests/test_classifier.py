@@ -26,7 +26,7 @@ from mhdlab.domain import (
     STATE_FIELDS, BasicState, Classification, ModelKind, Verdict, Wavevector
 )
 from mhdlab.config import Linspace
-from mhdlab.errors import ConfigError, DomainError, UnsupportedModelError
+from mhdlab.errors import ConfigError, ConflictError, DomainError, UnsupportedModelError
 from mhdlab.roots import fit_scaling
 
 N_GRID = [100, 1000, 10000]
@@ -277,6 +277,23 @@ def test_numeric_result_is_the_analytic_one_plus_evidence(model, state):
     got = numeric_classify(model, state, N_GRID, [Wavevector(1.0, 0.0)])
     assert replace(got, evidence=None) == classify_frozen(model, state)
     assert (got.evidence is None) == (model is ModelKind.IncompressibleEuler)
+
+
+@pytest.mark.xfail(strict=True, raises=ConflictError, reason="ROADMAP L")
+def test_an_order_one_over_n_tail_is_not_fitted_as_growth():
+    # a root_fit state (seed 905), collinear with a_hat < 0: Re s is 3.6e-7,
+    # 5.9e-6, 6.5e-7, 6.5e-8, 6.5e-9 at n = 1e2 .. 1e6, and the line through
+    # all five reads exponent 0.544, inside the square-root window
+    state = BasicState(
+        rho_hat=3.5902295298006046, c_hat=1.907516348435154,
+        H_plasma=(-0.35383169218178, -0.986325410032532),
+        H_vacuum=(0.11305094133093344, 0.3151357510550843),
+        a_hat=-0.6721201549355349, a0_hat=-0.46625264503724173, a1_hat=0.3532304924566634,
+    )
+    n_grid = [100, 1000, 10000, 100000, 1000000]
+    omega = Wavevector(-0.70663, 0.70758)
+    got = numeric_classify(ModelKind.CompressibleMHD, state, n_grid, [omega])
+    assert got.verdict is Verdict.NoHadamardGrowth
 
 
 def test_numeric_stops_a_fit_at_its_first_n_without_an_admissible_root(monkeypatch):

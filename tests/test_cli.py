@@ -273,6 +273,18 @@ class TestClassifyCommand:
         assert main(["classify", str(path), "--numeric"]) == 2
         assert "conflict" in capsys.readouterr().err
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP Q")
+    def test_a_nearly_collinear_stable_state_is_confirmed(self, tmp_path):
+        # the fields are 1e-3 rad from collinear and a > 0: no Hadamard growth;
+        # the fit along (1, 0) over n = 1e2 .. 1e4 reads exponent 0.503: exit 2
+        path = tmp_path / "near.ini"
+        path.write_text(
+            "model = IncompressibleMHD\na_hat = 1.0\nrho_hat = 1.0\na0_hat = 0.2\n"
+            "a1_hat = 0.7\nH_plasma_2 = 0.0\nH_plasma_3 = 1.0\nH_vacuum_2 = 0.001\n"
+            "H_vacuum_3 = 1.0\n"
+        )
+        assert main(["classify", str(path), "--numeric"]) == 0
+
     def test_numeric_classifies_once(self, tmp_path, capsys):
         # the near-zero a_hat warning comes from the one classification
         path = tmp_path / "tiny_a.ini"

@@ -3,7 +3,7 @@ import cmath
 import math
 import tracemalloc
 import warnings
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -196,6 +196,26 @@ class TestBuildMode:
         )
         omega = Wavevector(0.7196068875324937, -0.6943816871258898)
         assert_the_mode_solves_its_boundary_system(top_mode(M.CompressibleMHD, state, omega, 50))
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP N")
+    def test_a_nearly_neutral_mode_of_a_weak_field_solves_the_boundary_system(self):
+        # the dominant root 4.39e-27 - 0.37481i is flagged admissible; the
+        # mode misses its boundary system by 5.87e-9 against 5.66e-9
+        state = BasicState(
+            rho_hat=1.0, c_hat=2.0, H_plasma=(0.026526450625388588, 0.3740606199765204), a_hat=1.0
+        )
+        omega = Wavevector(0.10186930988644112, 0.9947977903590559)
+        assert_the_mode_solves_its_boundary_system(top_mode(M.CompressibleMHD, state, omega, 50))
+
+    @pytest.mark.xfail(strict=True, raises=NotARootError, reason="ROADMAP N")
+    def test_every_admissible_root_has_a_mode(self):
+        # the admissible root 8.28e-22 - 0.44139i leaves the boundary system
+        # full rank (sigma_min 1.58e-7 against sigma_max 7.05)
+        state = BasicState(
+            rho_hat=1.2267568980179058, c_hat=2.0, a_hat=1.0, a1_hat=0.7169925200816576,
+            H_plasma=(0.4888849692721273, 0.013657804407457752),
+        )
+        top_mode(M.CompressibleMHD, state, Wavevector(1.0, 0.0), 7)
 
 
 def assert_the_mode_solves_its_boundary_system(mode):
@@ -610,62 +630,15 @@ REPORT_MODELS = [case[:2] for case in REPORT_KEYS]
 
 @pytest.fixture
 def term_builds(monkeypatch):
-    """Every (mode, t) that pde_residual_fd builds its grid-independent terms
-    for, counted from an empty slot."""
+    """Every (mode, t) that pde_residual_fd builds its grid-independent terms for."""
     builds, build = [], hadamard._mode_terms
     monkeypatch.setattr(
         hadamard, "_mode_terms", lambda mode, t: builds.append((mode, t)) or build(mode, t)
     )
-    monkeypatch.setattr(hadamard, "_last_terms", (None, None, None))
     return builds
 
 
-def afresh(mode, grid, t):
-    """The report of one check with the slot of the last terms cleared."""
-    hadamard._last_terms = (None, None, None)
-    return pde_residual_fd(mode, grid, t)
-
-
-class TestTheTermsSlot:
-    @pytest.mark.parametrize("model,state", REPORT_MODELS)
-    def test_coarse_and_refined_checks_build_the_terms_once(self, model, state, term_builds):
-        mode = top_mode(model, state, OM, 100)
-        grid = grid_for_mode(mode)
-        pde_residual_fd(mode, grid, 0.3)
-        pde_residual_fd(mode, grid.refined(), 0.3)
-        assert term_builds == [(mode, 0.3)]
-
-    @pytest.mark.parametrize("model,state", REPORT_MODELS)
-    def test_a_served_report_equals_one_built_afresh(self, model, state, term_builds):
-        mode = top_mode(model, state, OM, 100)
-        grid = grid_for_mode(mode)
-        for t in (0.0, 1.0):
-            served = [pde_residual_fd(mode, g, t) for g in (grid, grid.refined(), grid)]
-            assert len(term_builds) == 1
-            fresh = [afresh(mode, g, t) for g in (grid, grid.refined(), grid)]
-            assert list(map(repr, served)) == list(map(repr, fresh))
-            term_builds.clear()
-
-    @pytest.mark.parametrize("first,then", [(0.0, -0.0), (-0.0, 0.0), (0.0, 1.0)])
-    def test_another_time_is_not_served(self, first, then, term_builds):
-        mode = top_mode(M.CompressibleMHD, README_COMP, OM, 100)
-        grid = grid_for_mode(mode)
-        pde_residual_fd(mode, grid, first)
-        report = pde_residual_fd(mode, grid.refined(), then)
-        assert [repr(t) for _, t in term_builds] == [repr(first), repr(then)]
-        assert repr(report) == repr(afresh(mode, grid.refined(), then))
-
-    @pytest.mark.parametrize("model,state", REPORT_MODELS)
-    def test_an_equal_but_distinct_mode_is_not_served(self, model, state, term_builds):
-        mode = top_mode(model, state, OM, 100)
-        twin = HadamardMode(**{f.name: getattr(mode, f.name) for f in fields(mode)})
-        assert twin == mode and twin is not mode
-        grid = grid_for_mode(mode)
-        pde_residual_fd(mode, grid, 0.0)
-        pde_residual_fd(twin, grid.refined(), 0.0)
-        assert [m for m, _ in term_builds] == [mode, twin]
-        assert term_builds[1][0] is twin
-
+class TestTheModeTerms:
     def test_every_report_holds_dicts_of_its_own(self, term_builds):
         mode = top_mode(M.CompressibleMHD, README_COMP, OM, 100)
         grid = grid_for_mode(mode)
@@ -674,20 +647,21 @@ class TestTheTermsSlot:
         first.interior.clear()
         first.boundary.clear()
         assert repr(pde_residual_fd(mode, grid, 0.0)) == want
-        assert len(term_builds) == 1
+        assert len(term_builds) == 2
 
-    def test_a_failed_check_raises_again_and_keeps_the_slot(self, term_builds):
+    def test_a_failed_check_raises_again(self, term_builds):
         mode = top_mode(M.CompressibleMHD, README_COMP, Wavevector(1.0, 0.0), 25)
         grid = grid_for_mode(mode)
-        pde_residual_fd(mode, grid, 1.0)
+        want = repr(pde_residual_fd(mode, grid, 1.0))
         coarse = replace(grid, points_per_direction=(256, 256, 4))
         for _ in range(2):
             with pytest.raises(GridError, match="8 points per wavelength"):
                 pde_residual_fd(mode, coarse, 1.0)
             with pytest.raises(DomainError, match="t must be finite"):
                 pde_residual_fd(mode, grid, math.nan)
-        pde_residual_fd(mode, grid.refined(), 1.0)
-        assert [repr(t) for _, t in term_builds] == ["1.0", "nan", "nan"]
+        assert repr(pde_residual_fd(mode, grid, 1.0)) == want
+        # a refused grid is refused before any term is built
+        assert [repr(t) for _, t in term_builds] == ["1.0", "nan", "nan", "1.0"]
 
 
 def whole_grid_residuals(mode, grid):
@@ -762,15 +736,13 @@ EPS = np.finfo(float).eps
 
 def assert_matches_whole_grid(mode, grid):
     """pde_residual_fd's interior residuals at t = 0 against
-    whole_grid_residuals, both divided by the yardsticks pde_residual_fd uses.
-    Those are built once per (mode, t), so the report is computed with the
-    slot of the last terms cleared, and every yardstick's scales are seen."""
+    whole_grid_residuals, both divided by the yardsticks pde_residual_fd uses:
+    the check builds them on every call, so every yardstick's scales are seen."""
     seen, yardstick = [], hadamard._yardstick  # interior ones first, in report order
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(
             hadamard, "_yardstick", lambda *scales: seen.append(scales) or yardstick(*scales)
         )
-        patch.setattr(hadamard, "_last_terms", (None, None, None))
         report = pde_residual_fd(mode, grid, 0.0)
     assert len(seen) == len(report.interior) + len(report.boundary)
     want = whole_grid_residuals(mode, grid)

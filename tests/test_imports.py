@@ -10,8 +10,9 @@ module raises a builtin exception class by name: a failure the package
 reports is one of the errors.py types.
 Every module-level _name a module defines is used by that module or
 imported by another. A value is built without its constructor's checks
-(object.__new__) only in domain.assemble and SweepSpec.points, and
-assemble builds only frozen dataclasses. dispersion.ModeSymbol stores, outside
+(object.__new__) only in domain.assemble, and assemble builds only frozen
+dataclasses. Only dispersion.mode_symbol has a global or nonlocal statement:
+no other function keeps state between calls. dispersion.ModeSymbol stores, outside
 __init__, only attributes its __init__ stores, and caches nothing through
 functools.cached_property, so a symbol keeps one attribute layout. Only
 cli._write_lines opens a file or calls write_text or write_bytes.
@@ -125,15 +126,15 @@ def test_no_module_raises_a_builtin_exception(path):
     assert builtin == [], f"{path.name} raises builtin exceptions: {builtin}"
 
 
-def _scoped_calls(tree):
-    """(qualified name of the enclosing function, callee node) of each call."""
+def _scoped(tree, kinds):
+    """(qualified name of the enclosing function, node) of each node of the kinds."""
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 yield from visit(child, scope + [child.name])
                 continue
-            if isinstance(child, ast.Call):
-                yield ".".join(scope), child.func
+            if isinstance(child, kinds):
+                yield ".".join(scope), child
             yield from visit(child, scope)
     yield from visit(tree, [])
 
@@ -141,16 +142,25 @@ def _scoped_calls(tree):
 def _where_called(match):
     """Sorted module.function of every call in the package whose callee matches."""
     return sorted(f"{path.stem}.{where}" for path in MODULES
-                  for where, func in _scoped_calls(ast.parse(path.read_text(), filename=str(path)))
-                  if match(func))
+                  for where, call in _scoped(ast.parse(path.read_text(), filename=str(path)),
+                                             ast.Call)
+                  if match(call.func))
 
 
 def test_values_skip_their_checks_only_through_the_documented_places():
-    # domain.assemble is the one helper that builds an already-checked value;
-    # SweepSpec.points stays inline, since a call per point costs ~0.1 us of ~3 us
+    # domain.assemble is the one helper that builds an already-checked value
     found = _where_called(lambda func: isinstance(func, ast.Attribute) and func.attr == "__new__"
                           and isinstance(func.value, ast.Name) and func.value.id == "object")
-    assert found == ["classifier.SweepSpec.points", "domain.assemble"]
+    assert found == ["domain.assemble"]
+
+
+def test_only_mode_symbol_keeps_state_between_calls():
+    # a function that rebinds a module-level or enclosing name carries state
+    # from one call to the next; the symbol slot of dispersion is the only one
+    found = [f"{path.stem}.{where}: {node.names}" for path in MODULES
+             for where, node in _scoped(ast.parse(path.read_text(), filename=str(path)),
+                                        (ast.Global, ast.Nonlocal))]
+    assert found == ["dispersion.mode_symbol: ['_last_symbol']"]
 
 
 def test_cli_write_lines_is_the_one_file_writer():

@@ -141,6 +141,14 @@ def test_a_root_beside_a_polished_zero_is_kept():
     assert top is not None and top.s == pytest.approx(8.798036810717355e-10, rel=1e-6)
 
 
+# a tiny stable jump: the exact roots are +-1e-10i, and the solver returns only 1e-10i
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP N")
+def test_both_roots_of_a_tiny_stable_jump_are_kept():
+    state = BasicState(a_hat=-1e-20)
+    found = solve_dispersion(ModelKind.IncompressibleEuler, state, Wavevector(1.0, 0.0), 1)
+    assert sorted(r.s.imag for r in found) == pytest.approx([-1e-10, 1e-10], rel=1e-6)
+
+
 def accepted(pairs, n=100):
     sym = mode_symbol(ModelKind.IncompressibleEuler, BasicState(a_hat=1.0), OM)
     return [(r.s, r.residual) for r in _accept(sym, iter(pairs), n)]
