@@ -3,7 +3,7 @@ import cmath
 import math
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -639,6 +639,46 @@ def term_builds(monkeypatch):
 
 
 class TestTheModeTerms:
+    @pytest.mark.parametrize("model,state", REPORT_MODELS)
+    def test_coarse_and_refined_checks_build_the_terms_once_each(self, model, state, term_builds):
+        mode = top_mode(model, state, OM, 100)
+        grid = grid_for_mode(mode)
+        pde_residual_fd(mode, grid, 0.3)
+        pde_residual_fd(mode, grid.refined(), 0.3)
+        assert term_builds == [(mode, 0.3), (mode, 0.3)]
+
+    @pytest.mark.parametrize("model,state", REPORT_MODELS)
+    def test_a_report_does_not_depend_on_the_checks_before_it(self, model, state):
+        # the same checks run backwards give the same bits
+        mode = top_mode(model, state, OM, 100)
+        grid = grid_for_mode(mode)
+        calls = [(g, t) for t in (0.0, 1.0) for g in (grid, grid.refined(), grid)]
+        forward = [repr(pde_residual_fd(mode, g, t)) for g, t in calls]
+        backward = [repr(pde_residual_fd(mode, g, t)) for g, t in reversed(calls)]
+        assert forward == backward[::-1]
+
+    @pytest.mark.parametrize("first,then", [(0.0, -0.0), (-0.0, 0.0), (0.0, 1.0)])
+    def test_a_check_builds_the_terms_of_its_own_time(self, first, then, term_builds):
+        mode = top_mode(M.CompressibleMHD, README_COMP, OM, 100)
+        grid = grid_for_mode(mode)
+        alone = repr(pde_residual_fd(mode, grid.refined(), then))
+        pde_residual_fd(mode, grid, first)
+        report = pde_residual_fd(mode, grid.refined(), then)
+        assert [repr(t) for _, t in term_builds] == [repr(then), repr(first), repr(then)]
+        assert repr(report) == alone
+
+    @pytest.mark.parametrize("model,state", REPORT_MODELS)
+    def test_an_equal_but_distinct_mode_gets_the_same_report(self, model, state, term_builds):
+        mode = top_mode(model, state, OM, 100)
+        twin = HadamardMode(**{f.name: getattr(mode, f.name) for f in fields(mode)})
+        assert twin == mode and twin is not mode
+        grid = grid_for_mode(mode)
+        pde_residual_fd(mode, grid, 0.0)
+        want = repr(pde_residual_fd(mode, grid.refined(), 0.0))
+        assert repr(pde_residual_fd(twin, grid.refined(), 0.0)) == want
+        assert [m for m, _ in term_builds] == [mode, mode, twin]
+        assert term_builds[2][0] is twin
+
     def test_every_report_holds_dicts_of_its_own(self, term_builds):
         mode = top_mode(M.CompressibleMHD, README_COMP, OM, 100)
         grid = grid_for_mode(mode)
