@@ -1,6 +1,7 @@
 """Configuration parsing and the command-line front end."""
 import collections
 import gc
+import hashlib
 import importlib
 import json
 import math
@@ -45,6 +46,105 @@ H_plasma_3 = 0.8
 H_vacuum_2 = 1.2
 H_vacuum_3 = 1.6
 """
+
+
+# the benchmark's base: tangential fields collinear at H_vacuum_3 = 1.0
+SWEEP_MHD_INI = """\
+model = CompressibleMHD
+rho_hat = 2.0
+c_hat = 1.5
+a1_hat = 0.3
+H_plasma_2 = 1.0
+H_plasma_3 = 0.5
+H_vacuum_2 = 2.0
+"""
+
+
+def benchmark_shaped_grid() -> str:
+    """21 a_hat x 20 a0_hat x 20 H_vacuum_3 values in the benchmark's shape, each
+    axis shuffled: a_hat of both signs with one exact 0, a0_hat of both signs,
+    and one H_vacuum_3 (1.0) that makes SWEEP_MHD_INI's fields collinear."""
+    rng = np.random.default_rng(4900)
+    axes = {
+        "a_hat": rng.permutation([0.0, *rng.uniform(-4.0, 4.0, 20)]),
+        "a0_hat": rng.uniform(-2.0, 2.0, 20),
+        "H_vacuum_3": rng.permutation([1.0, *rng.uniform(-3.0, 3.0, 19)]),
+    }
+    return ";".join(
+        f"{name}={','.join(repr(float(v)) for v in values)}" for name, values in axes.items()
+    )
+
+
+# (config, arguments after it, exit code, CSV byte count, CSV sha256, stderr,
+# {warning text: count}) of `mhdlab sweep`, each pinned as it was written
+# before sweeps were decided by row class
+NEAR_ZERO = "a_hat={!r} is below the zero-detection threshold; classifying as the a = 0 case"
+SWEEP_PINS = {
+    "readme": (
+        README_INI,
+        ["--grid", "a_hat=-2:2:11;a0_hat=-1:1:11"],
+        (0, 5831, "b8c3ea13633b910b92ea9cb1e8ee166b3a8ddec5d1338c213a7f174036b85d01", "", {}),
+    ),
+    "benchmark-shaped": (
+        SWEEP_MHD_INI,
+        ["--grid", benchmark_shaped_grid()],
+        (0, 677332, "cb578eea9267724199cf2e755f75e09b6b5134946526b52042cd058c323933eb", "", {}),
+    ),
+    "near-zero-outer": (
+        ILLPOSED_INI,
+        ["--grid", "a_hat=-1,1e-13,0,-0.0,-1e-300,1;a0_hat=-1,-0.0,0,1;H_vacuum_3=0,-0.0,0.5"],
+        (
+            0, 2256, "8b725f3779e3143266c6662225423578569808e7d739a2ca326118d1f63efda0", "",
+            {NEAR_ZERO.format(1e-13): 12, NEAR_ZERO.format(-1e-300): 12},
+        ),
+    ),
+    "near-zero-last": (
+        ILLPOSED_INI,
+        ["--grid", "a0_hat=-1,0,1;H_vacuum_3=0,0.5,0;a_hat=-1,1e-13,0,-1e-300,2e-12,1"],
+        (
+            0, 1695, "64de3c33d1cb8bbe4f52a9f4a01e96e545da417bcdf28c475c68ab246eff4e30", "",
+            {NEAR_ZERO.format(1e-13): 9, NEAR_ZERO.format(-1e-300): 9},
+        ),
+    ),
+    "fluid": (
+        "model = CompressibleEuler\nrho_hat = 2.0\n",
+        ["--grid", "a_hat=-3:3:9;a0_hat=-2:2.5:10"],
+        (0, 2402, "349565c81420522f331305e07463e2ef86553890ea5ba853df7acdff2947354f", "", {}),
+    ),
+    "fluid-field-axis": (
+        EULER_INI,
+        ["--grid", "a_hat=1,-1;H_vacuum_3=0,-0.0,0.5"],
+        (
+            1, None, None,
+            "error: IncompressibleEuler ignores magnetic fields; set H_plasma and H_vacuum to zero\n",
+            {},
+        ),
+    ),
+    "rho-c-outer": (
+        SWEEP_MHD_INI + "a_hat = 0.25\n",
+        ["--grid", "rho_hat=0.5:4:5;c_hat=1:3:4;H_vacuum_3=-3:3:7"],
+        (0, 6208, "7c76a2dc51416ec25fdd80b1989f9420efd07847a083bd618b12dce5b9d3e607", "", {}),
+    ),
+    # Q's config: the rows at H_vacuum_2 = +-0.005 conflict with their fits
+    "numeric-conflict-rows": (
+        "model = IncompressibleMHD\na_hat = 1.0\na0_hat = 0.2\na1_hat = 0.7\n"
+        "H_plasma_3 = 1.0\nH_vacuum_2 = 0.001\nH_vacuum_3 = 1.0\n",
+        ["--numeric", "--grid", "H_vacuum_2=-0.01:0.01:5"],
+        (3, 605, "8811cfe6783686905162e7cd66b9ac23ff2eb090efa71fbec635d99dca4e1931", "", {}),
+    ),
+}
+
+
+def run_sweep(tmp_path, capsys, ini, argv_tail):
+    """(exit code, CSV bytes or None, stderr, warnings) of one in-process sweep."""
+    path = tmp_path / "base.ini"
+    path.write_text(ini)
+    out = tmp_path / "map.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["sweep", str(path), *argv_tail, "--out", str(out)])
+    data = out.read_bytes() if out.exists() else None
+    return code, data, capsys.readouterr().err, caught
 
 
 @pytest.fixture
@@ -635,6 +735,17 @@ class TestSweepCommand:
         out = tmp_path / "map.csv"
         assert main(["sweep", str(path), "--grid", grid, "--out", str(out)]) == 0
         assert out.read_bytes() == csv.encode()
+
+    @pytest.mark.parametrize("case", SWEEP_PINS)
+    def test_sweep_keeps_every_byte(self, tmp_path, capsys, case):
+        ini, argv_tail, (code, size, digest, err, warned) = SWEEP_PINS[case]
+        got_code, data, got_err, caught = run_sweep(tmp_path, capsys, ini, argv_tail)
+        assert (got_code, got_err) == (code, err)
+        assert (data and len(data), data and hashlib.sha256(data).hexdigest()) == (size, digest)
+        assert collections.Counter(str(w.message) for w in caught) == warned
+        # every near-zero a_hat warns from one line of the classifier
+        assert len({(w.filename, w.lineno) for w in caught}) <= 1
+        assert all(w.filename.endswith("classifier.py") for w in caught)
 
     def test_a_benchmark_shaped_sweep_starts_at_most_one_collection(self, tmp_path):
         # 21 x 20 x 20 points, innermost H_vacuum_3 with one collinear value
