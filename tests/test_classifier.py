@@ -280,19 +280,54 @@ def test_numeric_result_is_the_analytic_one_plus_evidence(model, state):
 
 
 @pytest.mark.xfail(strict=True, raises=ConflictError, reason="ROADMAP L")
-def test_an_order_one_over_n_tail_is_not_fitted_as_growth():
-    # a root_fit state (seed 905), collinear with a_hat < 0: Re s is 3.6e-7,
-    # 5.9e-6, 6.5e-7, 6.5e-8, 6.5e-9 at n = 1e2 .. 1e6, and the line through
-    # all five reads exponent 0.544, inside the square-root window
-    state = BasicState(
-        rho_hat=3.5902295298006046, c_hat=1.907516348435154,
-        H_plasma=(-0.35383169218178, -0.986325410032532),
-        H_vacuum=(0.11305094133093344, 0.3151357510550843),
-        a_hat=-0.6721201549355349, a0_hat=-0.46625264503724173, a1_hat=0.3532304924566634,
-    )
+@pytest.mark.parametrize(
+    "model, state, omega",
+    [
+        # collinear with a_hat < 0: Re s is 3.6e-7, 5.9e-6, 6.5e-7, 6.5e-8,
+        # 6.5e-9 at n = 1e2 .. 1e6, and the line through all five reads
+        # exponent 0.544, inside the square-root window
+        (
+            ModelKind.CompressibleMHD,
+            BasicState(
+                rho_hat=3.5902295298006046, c_hat=1.907516348435154,
+                H_plasma=(-0.35383169218178, -0.986325410032532),
+                H_vacuum=(0.11305094133093344, 0.3151357510550843),
+                a_hat=-0.6721201549355349, a0_hat=-0.46625264503724173,
+                a1_hat=0.3532304924566634,
+            ),
+            Wavevector(-0.70663, 0.70758),
+        ),
+        # the fits read exponent 0.5175
+        (
+            ModelKind.IncompressibleMHD,
+            BasicState(
+                rho_hat=2.3547175622404053, c_hat=2.1008767726356443,
+                H_plasma=(-0.0036624771831525755, 1.0955031305788507),
+                H_vacuum=(0.0018262939318446892, -0.5462725416819798),
+                a_hat=-3.4909846265315005, a0_hat=-0.6309633129269812,
+                a1_hat=0.9775185949569201,
+            ),
+            Wavevector(0.9615720535745161, 0.27455270128790926),
+        ),
+        # the fits read exponent 0.4991
+        (
+            ModelKind.IncompressibleMHD,
+            BasicState(
+                rho_hat=3.1094539963966645, c_hat=2.1904866477945513,
+                H_plasma=(1.7718148815766834, 0.7442276813985129),
+                H_vacuum=(-0.3486742531717731, -0.14645606248124066),
+                a_hat=-2.8862515915426745, a0_hat=-1.6543611357556616,
+                a1_hat=1.0195156792231188,
+            ),
+            Wavevector(0.11595990218409256, 0.9932538955803072),
+        ),
+    ],
+    # the root_fit seed and pass that drew each state
+    ids=["seed-905", "seed-3824-pass-2", "seed-4307-pass-12"],
+)
+def test_an_order_one_over_n_tail_is_not_fitted_as_growth(model, state, omega):
     n_grid = [100, 1000, 10000, 100000, 1000000]
-    omega = Wavevector(-0.70663, 0.70758)
-    got = numeric_classify(ModelKind.CompressibleMHD, state, n_grid, [omega])
+    got = numeric_classify(model, state, n_grid, [omega])
     assert got.verdict is Verdict.NoHadamardGrowth
 
 
