@@ -80,13 +80,18 @@ _NO_GROWTH = tuple(  # indexed [collinear][rt_sign_ok]
 )
 
 
+def _near_zero(a: float) -> bool:
+    """Whether a nonzero a_hat counts as the exact a = 0 case, with a warning."""
+    return a != 0.0 and abs(a) <= _A_ZERO_TOL * (1.0 + abs(a))
+
+
 def _outcome(model: ModelKind, fields: dict, collinear: bool, stacklevel: int) -> Classification:
     """The verdict table of a valid state's collinearity and the a_hat and a0_hat
     of its attribute dict ``fields``, whose tangential fields give an ill-posed
     MHD state's witness. A near-zero a_hat warns at frame ``stacklevel`` (2: the
     line calling this)."""
     a, a0 = fields["a_hat"], fields["a0_hat"]
-    if a and abs(a) <= _A_ZERO_TOL * (1.0 + abs(a)):
+    if a and abs(a) <= _A_ZERO_TOL * (1.0 + abs(a)):  # _near_zero(a), inline per point
         msg = f"a_hat={a!r} is below the zero-detection threshold; classifying as the a = 0 case"
         warnings.warn(msg, stacklevel=stacklevel)
         a = 0.0
@@ -216,52 +221,107 @@ class SweepSpec:
         axes = tuple((name, tuple(checked(name, v) for v in values)) for name, values in pairs)
         object.__setattr__(self, "axes", axes)
 
-    def _walk(self):
-        """The BasicState attributes of each point in row-major order (last axis
-        varies fastest), as one dict updated in place: each row sets the outer
-        axes' fields once, each point the last axis's one field."""
+    def _rows(self):
+        """The grid walk, one row (one value of every outer axis) at a time in
+        row-major order: an iterator per row over the BasicState attributes of
+        its points (the last axis varies), as one dict updated in place. Each
+        row sets the outer axes' fields once, each point the last axis's one
+        field; a row left unread draws no point."""
         fields = vars(self.base).copy()
         if not self.axes:
-            yield fields
+            yield iter((fields,))
             return
         *outer, (last_name, last_values) = self.axes
         slots = [FIELD_SLOTS[name] for name, _ in outer]
         last = FIELD_SLOTS[last_name]
-        for row in itertools.product(*(values for _, values in outer)):
-            for slot, value in zip(slots, row):
-                put_slot(fields, slot, value)
+
+        def points():
             for value in last_values:
                 put_slot(fields, last, value)
                 yield fields
 
+        for row in itertools.product(*(values for _, values in outer)):
+            for slot, value in zip(slots, row):
+                put_slot(fields, slot, value)
+            yield points()
+
     def points(self):
         """States in row-major order, the order of sweep()'s verdicts, built
         unchecked from the checked values of the grid walk."""
-        for fields in self._walk():
-            yield assemble(BasicState, fields)
+        for row in self._rows():
+            for fields in row:
+                yield assemble(BasicState, fields)
+
+
+def _row_classes(read: set, grid: SweepSpec):
+    """The class of each row of grid._rows(), in row order: for each outer axis,
+    what the verdict table reads of its value. That is the sign of a_hat (0.0
+    and -0.0 alike), whether a0_hat > 0, and the exact value of a tangential
+    field component or other field in ``read`` (a1_hat on a fluid model), a zero
+    as an infinity of its sign so that signed zeros stay apart; rho_hat, c_hat
+    and any other field give 0. Rows of one class get equal outcomes. A row that
+    holds a near-zero a_hat, which warns at every point, has class None, and so
+    does every row of a grid where no two rows share a class."""
+
+    def part(name, value):
+        attr = FIELD_SLOTS[name][0]
+        if attr == "a_hat":
+            return None if _near_zero(value) else (value > 0.0) - (value < 0.0)
+        if attr == "a0_hat":
+            return value > 0.0
+        return (value or math.copysign(math.inf, value)) if attr in read else 0
+
+    names = [name for name, _ in grid.axes]
+    *outer, (last_name, last_values) = grid.axes or [("", ())]
+    # a row's a_hat values beyond an outer axis's: the last axis's or the base's
+    if "a_hat" in names[:-1]:
+        inner_a = ()
+    else:
+        inner_a = last_values if last_name == "a_hat" else (grid.base.a_hat,)
+    if any(map(_near_zero, inner_a)):
+        return itertools.repeat(None)
+    parts = [[part(name, value) for value in values] for name, values in outer]
+    if all(len(set(p)) == len(p) for p in parts):  # no two rows share a class
+        return itertools.repeat(None)
+    return (None if None in cls else cls for cls in itertools.product(*parts))
 
 
 def sweep(model: ModelKind, grid: SweepSpec) -> list[Classification]:
     """One Classification per grid point, in ``grid.points()`` order: the list
     ``[classify_frozen(model, st) for st in grid.points()]``, on values checked
-    when the grid was built. Each point is decided from the values of the grid
-    walk: a BasicState is built only at the first point of each distinct value
-    of the varied fields that classify_frozen reads besides a_hat and a0_hat
-    (the tangential fields, and a1_hat on a fluid model), and goes to
-    classify_frozen. Later points take its collinearity flag straight to the
-    verdict table; an ill-posed MHD point's witness comes from its own fields."""
+    when the grid was built.
+
+    A row (one value of every outer axis) is decided once per row class (see
+    _row_classes): the first row of each class point by point, every later row
+    of that class by extending the list with the first row's outcome objects,
+    so it draws no point from the walk. A row holding a near-zero a_hat is never
+    shared, so each of its points warns. Within a decided row, a BasicState is
+    built only at the first point of each distinct value of the varied fields
+    that classify_frozen reads besides a_hat and a0_hat (the tangential fields,
+    and a1_hat on a fluid model), and goes to classify_frozen. Later points take
+    its collinearity flag straight to the verdict table; an ill-posed MHD
+    point's witness comes from its own fields."""
     read = {"H_plasma", "H_vacuum"} if model.is_mhd else {"H_plasma", "H_vacuum", "a1_hat"}
     # a field that no axis sets is the base's at every point
     varied = {FIELD_SLOTS[name][0] for name, _ in grid.axes} & read
     key = itemgetter(*sorted(varied) or ["H_plasma"])
+    width = len(grid.axes[-1][1]) if grid.axes else 1
     decided = {}
+    first = {}  # row class -> where its first row starts in out
     out = []
-    for f in grid._walk():
-        pair = key(f)
-        flag = decided.get(pair)
-        # one line, so that both calls warn from it
-        outcome = classify_frozen(model, assemble(BasicState, f)) if flag is None else _outcome(model, f, flag, 2)
-        if flag is None:
-            decided[pair] = outcome.collinear
-        out.append(outcome)
+    for row, cls in zip(grid._rows(), _row_classes(read, grid)):
+        start = first.get(cls)
+        if start is not None:
+            out += out[start:start + width]
+            continue
+        if cls is not None:
+            first[cls] = len(out)
+        for f in row:
+            pair = key(f)
+            flag = decided.get(pair)
+            # one line, so that both calls warn from it
+            outcome = classify_frozen(model, assemble(BasicState, f)) if flag is None else _outcome(model, f, flag, 2)
+            if flag is None:
+                decided[pair] = outcome.collinear
+            out.append(outcome)
     return out

@@ -146,24 +146,28 @@ def cmd_sweep(args) -> int:
     # sweep() keeps no state, so --numeric walks the grid again beside its
     # verdicts; each point keeps only its exponent or its error's text
     fits = [_fitted_exponent(cfg.model, state) for state in spec.points()] if numeric else ()
-    # axis values are formatted once, in the product's row order; the rest of a
-    # row once per (verdict, collinear), keyed by _value_ (Enum .value is slow)
-    cells = itertools.product(*([fmt(v) for v in values] for _, values in spec.axes))
+    # axis values are formatted once and a row's outer cells joined once, in the
+    # product's row order; the rest of a line once per (verdict, collinear),
+    # keyed by _value_ (Enum .value is slow)
+    *outer, last = ([fmt(v) for v in values] for _, values in spec.axes)
     a_hat_cell = [] if "a_hat" in axis_names else [fmt(spec.base.a_hat)]
 
     def rows():
         yield ",".join(header)
         tails = {}
-        for coords, outcome, fit in zip(cells, outcomes, fits or itertools.repeat(None)):
-            if isinstance(fit, str):
-                point = ",".join(f"{name}={c}" for name, c in zip(axis_names, coords))
-                yield f"# error: {point} {fit}"
-                continue
-            key = outcome.verdict._value_, outcome.collinear
-            tail = tails.get(key)
-            if tail is None:
-                tail = tails[key] = ",".join([key[0], fmt(key[1]), *a_hat_cell])
-            yield ",".join([*coords, tail]) if fit is None else ",".join([*coords, tail, fmt(fit)])
+        points = zip(outcomes, fits or itertools.repeat(None))
+        for row in itertools.product(*outer):
+            prefix = "".join(cell + "," for cell in row)
+            for cell, (outcome, fit) in zip(last, points):
+                if isinstance(fit, str):
+                    point = ",".join(f"{name}={c}" for name, c in zip(axis_names, (*row, cell)))
+                    yield f"# error: {point} {fit}"
+                    continue
+                key = outcome.verdict._value_, outcome.collinear
+                tail = tails.get(key)
+                if tail is None:
+                    tail = tails[key] = ",".join(["", key[0], fmt(key[1]), *a_hat_cell])
+                yield prefix + cell + tail if fit is None else f"{prefix}{cell}{tail},{fmt(fit)}"
 
     _write_lines(rows(), args.out)
     return 3 if any(isinstance(fit, str) for fit in fits) else 0

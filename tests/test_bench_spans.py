@@ -17,7 +17,7 @@ import pytest
 
 from conftest import SRC
 import mhdlab
-from mhdlab import classifier, roots
+from mhdlab import classifier, cli, roots
 
 
 def _spans():
@@ -60,6 +60,15 @@ def test_the_sweep_classifies_through_the_traced_name():
     by its classifier-module name; a sweep that decided every point another
     way would read as 0 classify calls in the benchmark."""
     assert "classify_frozen" in called_names(classifier.sweep)
+
+
+def test_the_cli_sweeps_through_the_traced_name():
+    """The traced run reads classifier.sweep_wait_ms from the span around
+    sweep, so cmd_sweep calls sweep by its name, and the row memo that decides
+    a sweep once per row class lives inside sweep."""
+    assert "sweep" in called_names(cli.cmd_sweep)
+    callers = {name for name, fn in package_functions() if "_row_classes" in called_names(fn)}
+    assert callers == {"mhdlab.classifier.sweep"}
 
 
 def package_functions():

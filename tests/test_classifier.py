@@ -3,6 +3,7 @@ import gc
 import inspect
 import itertools
 import math
+import tracemalloc
 import warnings
 from dataclasses import FrozenInstanceError, replace
 from unittest import mock
@@ -661,24 +662,23 @@ def test_sweep_without_axes_yields_the_base():
 
 def recorded(run):
     """(run()'s rows or the UnsupportedModelError it raised, a copy of the
-    fields of each point it drew from the grid walk that SweepSpec.points and
+    fields of each point it drew from the row walk that SweepSpec.points and
     sweep share, the texts of the warnings it gave)."""
     drawn = []
-    walk = SweepSpec._walk
+    rows = SweepSpec._rows
 
     def drawing(self):
-        for fields in walk(self):
-            drawn.append(dict(fields))
-            yield fields
+        for row in rows(self):
+            yield (drawn.append(dict(fields)) or fields for fields in row)
 
-    with mock.patch.object(SweepSpec, "_walk", drawing):
+    with mock.patch.object(SweepSpec, "_rows", drawing):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
-                rows = run()
+                got = run()
             except UnsupportedModelError as exc:
-                rows = exc
-    return rows, drawn, [str(w.message) for w in caught]
+                got = exc
+    return got, drawn, [str(w.message) for w in caught]
 
 
 @given(pair=model_state_pairs(), axes=sweep_axes())
@@ -701,6 +701,35 @@ def recorded(run):
     pair=(ModelKind.IncompressibleEuler, BasicState()),
     axes=(("a1_hat", (0.0, 0.5)), ("a_hat", (1.0, -1.0))),
 )
+# outer a_hat and a0_hat axes over a field: 0.0 and -0.0 share a class, 1e-13
+# warns on every point of its rows
+@example(
+    pair=(ModelKind.CompressibleMHD, collinear_state(a0_hat=0.5)),
+    axes=(
+        ("a_hat", (0.0, -0.0, 1e-13, 1.0, -1.0)),
+        ("a0_hat", (0.0, -0.0, 1.0)),
+        ("H_plasma_2", (1.0, -0.0, 0.0, -2.0)),
+    ),
+)
+@example(
+    pair=(ModelKind.IncompressibleMHD, collinear_state(a_hat=0.0)),
+    axes=(("a0_hat", (0.0, -0.0, 1.0, 2.0)), ("H_vacuum_3", (0.0, -0.0, 0.5))),
+)
+# a near-zero a_hat on the last axis: rows of one outer class are not shared
+@example(
+    pair=(ModelKind.CompressibleMHD, collinear_state()),
+    axes=(("a0_hat", (1.0, 2.0, -0.0)), ("a_hat", (1.0, 1e-13, 0.0, -1e-300))),
+)
+# rho_hat and c_hat are no part of a row's class
+@example(
+    pair=(ModelKind.CompressibleMHD, collinear_state(a_hat=1.0)),
+    axes=(("rho_hat", (1.0, 2.0)), ("c_hat", (1.0, 3.0)), ("H_vacuum_2", (0.0, 1.0, -0.0))),
+)
+# the third row shares the first row's class; the fifth row's a1_hat is invalid
+@example(
+    pair=(ModelKind.IncompressibleEuler, BasicState()),
+    axes=(("a1_hat", (0.0, -0.0, 0.5)), ("a0_hat", (1.0, 2.0)), ("a_hat", (1.0, -1.0))),
+)
 def test_sweep_equals_classify_frozen_point_by_point(pair, axes):
     model, base = pair
     spec = SweepSpec(base=base, axes=axes)
@@ -710,11 +739,15 @@ def test_sweep_equals_classify_frozen_point_by_point(pair, axes):
     got_rows, got_drawn, got_warned = recorded(lambda: sweep(model, spec))
     if isinstance(want_rows, Exception):
         assert type(got_rows) is type(want_rows) and str(got_rows) == str(want_rows)
+        # an invalid point fails where it fails point by point
+        assert repr(got_drawn[-1]) == repr(want_drawn[-1])
     else:
         assert got_rows == want_rows
         assert repr(got_rows) == repr(want_rows)
-    # the same points drawn: an invalid one fails where it fails point by point
-    assert repr(got_drawn) == repr(want_drawn)
+    # a shared row draws no point: the sweep draws the points of its decided
+    # rows, in walk order, each the point that classify_frozen sees there
+    want = iter(map(repr, want_drawn))
+    assert all(point in want for point in map(repr, got_drawn))
     assert got_warned == want_warned
 
 
@@ -802,6 +835,54 @@ def test_a_field_axis_on_a_fluid_model_fails_where_point_by_point_fails(axes, dr
     # the failing point is the first with a nonzero value; -0.0 counts as zero
     assert repr(got_drawn) == repr(want_drawn) and len(got_drawn) == drawn
     assert got_warned == want_warned == []
+
+
+def test_a_benchmark_shaped_sweep_runs_the_verdict_table_once_per_row_class(monkeypatch):
+    # a row's class is the sign of its a_hat and whether its a0_hat > 0: at
+    # most 6 classes, whose first rows (20 points each) alone are decided and
+    # drawn from the walk; point by point, the table ran for all 8,400 points
+    model, spec = ModelKind.CompressibleMHD, benchmark_shaped_spec()
+    want = [classify_frozen(model, st) for st in spec.points()]
+    tabled = []
+    real = classifier._outcome
+    monkeypatch.setattr(classifier, "_outcome", lambda *args: tabled.append(args) or real(*args))
+    got, drawn, warned = recorded(lambda: sweep(model, spec))
+    assert len(tabled) == len(drawn) <= 6 * 20
+    assert repr(got) == repr(want) and warned == []
+    # a later row holds its class's outcome objects, not copies
+    assert len({id(outcome) for outcome in got}) <= len(tabled)
+
+
+def field_only_rows(rows):
+    """The field-only shape: rows x 20 points over the vacuum field, each point
+    a new field pair and each row its own class."""
+    base = BasicState(
+        rho_hat=2.0, c_hat=1.5, H_plasma=(1.0, 0.5), a_hat=1.3, a0_hat=0.2, a1_hat=0.3
+    )
+    axes = (
+        ("H_vacuum_2", tuple(np.linspace(-3.0, 3.0, rows))),
+        ("H_vacuum_3", (0.5, *np.linspace(-2.0, 2.5, 19))),
+    )
+    return SweepSpec(base=base, axes=axes)
+
+
+def test_a_sweep_without_a_repeated_row_class_grows_as_before():
+    # no two rows share a class, so the sweep keeps no row memo: the peak grows
+    # by the list's slot and the field pair memo's key and entry, 77.0 bytes a
+    # point as when every row was decided point by point; a memo entry per
+    # 20-point row would add 3 more
+    def peak(spec):
+        tracemalloc.start()
+        try:
+            sweep(ModelKind.CompressibleMHD, spec)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = field_only_rows(20), field_only_rows(80)
+    peak(large)  # first-use allocations of the package and the interpreter
+    growth = peak(large) - peak(small)
+    assert growth <= 78 * (80 - 20) * 20, growth
 
 
 def test_a_library_sweep_starts_at_most_one_collection():
