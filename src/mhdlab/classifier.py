@@ -7,8 +7,13 @@ ill-posedness; a = 0 with a0 > 0 leaves only the n-independent exponential
 growth exp(a0 t); everything else shows no high-frequency growth at all.
 The numeric path must reproduce the algebraic verdict or fail loudly.
 sweep maps the verdict over a SweepSpec grid straight from the values of
-the grid walk: it builds a BasicState, for classify_frozen, only at the
-first point of each new field pair.
+the grid walk, a row (one value of every outer axis) at a time. Rows whose
+outer values the verdict table reads alike (the sign of a_hat, whether
+a0_hat > 0, the exact tangential fields) form a row class: the first row of
+a class is decided point by point, building a BasicState, for
+classify_frozen, only at the first point of each new field pair, and every
+later row of the class shares that row's outcome objects. A row holding a
+near-zero a_hat is never shared, so each of its points warns.
 """
 from __future__ import annotations
 
@@ -271,15 +276,11 @@ def _row_classes(read: set, grid: SweepSpec):
             return value > 0.0
         return (value or math.copysign(math.inf, value)) if attr in read else 0
 
-    names = [name for name, _ in grid.axes]
     *outer, (last_name, last_values) = grid.axes or [("", ())]
-    # a row's a_hat values beyond an outer axis's: the last axis's or the base's
-    if "a_hat" in names[:-1]:
-        inner_a = ()
-    else:
-        inner_a = last_values if last_name == "a_hat" else (grid.base.a_hat,)
-    if any(map(_near_zero, inner_a)):
-        return itertools.repeat(None)
+    if all(name != "a_hat" for name, _ in outer):
+        # a row's points take their a_hat from the last axis or the base
+        if any(map(_near_zero, last_values if last_name == "a_hat" else (grid.base.a_hat,))):
+            return itertools.repeat(None)
     parts = [[part(name, value) for value in values] for name, values in outer]
     if all(len(set(p)) == len(p) for p in parts):  # no two rows share a class
         return itertools.repeat(None)
