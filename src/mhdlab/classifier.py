@@ -268,23 +268,25 @@ def _row_classes(read: set, grid: SweepSpec):
     holds a near-zero a_hat, which warns at every point, has class None, and so
     does every row of a grid where no two rows share a class."""
 
-    def part(name, value):
+    def parts(name, values):
         attr = FIELD_SLOTS[name][0]
         if attr == "a_hat":
-            return None if _near_zero(value) else (value > 0.0) - (value < 0.0)
+            return [None if _near_zero(v) else (v > 0.0) - (v < 0.0) for v in values]
         if attr == "a0_hat":
-            return value > 0.0
-        return (value or math.copysign(math.inf, value)) if attr in read else 0
+            return [v > 0.0 for v in values]
+        if attr in read:
+            return [v or math.copysign(math.inf, v) for v in values]
+        return [0] * len(values)
 
     *outer, (last_name, last_values) = grid.axes or [("", ())]
     if all(name != "a_hat" for name, _ in outer):
         # a row's points take their a_hat from the last axis or the base
         if any(map(_near_zero, last_values if last_name == "a_hat" else (grid.base.a_hat,))):
             return itertools.repeat(None)
-    parts = [[part(name, value) for value in values] for name, values in outer]
-    if all(len(set(p)) == len(p) for p in parts):  # no two rows share a class
+    axis_parts = [parts(name, values) for name, values in outer]
+    if all(len(set(p)) == len(p) for p in axis_parts):  # no two rows share a class
         return itertools.repeat(None)
-    return (None if None in cls else cls for cls in itertools.product(*parts))
+    return (None if None in cls else cls for cls in itertools.product(*axis_parts))
 
 
 def sweep(model: ModelKind, grid: SweepSpec) -> list[Classification]:

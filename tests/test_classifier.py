@@ -667,9 +667,14 @@ def recorded(run):
     drawn = []
     rows = SweepSpec._rows
 
+    def draw(row):
+        for fields in row:
+            drawn.append(dict(fields))
+            yield fields
+
     def drawing(self):
         for row in rows(self):
-            yield (drawn.append(dict(fields)) or fields for fields in row)
+            yield draw(row)
 
     with mock.patch.object(SweepSpec, "_rows", drawing):
         with warnings.catch_warnings(record=True) as caught:
