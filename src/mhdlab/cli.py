@@ -155,10 +155,11 @@ def cmd_sweep(args) -> int:
     def rows():
         yield ",".join(header)
         tails = {}
-        points = zip(outcomes, fits or itertools.repeat(None))
+        verdicts, exponents = iter(outcomes), iter(fits or itertools.repeat(None))
         for row in itertools.product(*outer):
             prefix = "".join(cell + "," for cell in row)
-            for cell, (outcome, fit) in zip(last, points):
+            # zip stops at the end of the last axis before it takes a point
+            for cell, outcome, fit in zip(last, verdicts, exponents):
                 if isinstance(fit, str):
                     point = ",".join(f"{name}={c}" for name, c in zip(axis_names, (*row, cell)))
                     yield f"# error: {point} {fit}"
