@@ -172,6 +172,14 @@ def numeric_classify(
     return assemble(Classification, {**vars(analytic), "evidence": evidence})
 
 
+def _row_points(fields: dict, slot, values):
+    """Each point of a grid row: ``fields`` with the last axis's slot set to
+    each of its values in turn."""
+    for value in values:
+        put_slot(fields, slot, value)
+        yield fields
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """Cartesian grid over BasicState fields, row-major in axis order.
@@ -239,16 +247,10 @@ class SweepSpec:
         *outer, (last_name, last_values) = self.axes
         slots = [FIELD_SLOTS[name] for name, _ in outer]
         last = FIELD_SLOTS[last_name]
-
-        def points():
-            for value in last_values:
-                put_slot(fields, last, value)
-                yield fields
-
         for row in itertools.product(*(values for _, values in outer)):
             for slot, value in zip(slots, row):
                 put_slot(fields, slot, value)
-            yield points()
+            yield _row_points(fields, last, last_values)
 
     def points(self):
         """States in row-major order, the order of sweep()'s verdicts, built

@@ -730,7 +730,8 @@ def recorded(run):
     pair=(ModelKind.CompressibleMHD, collinear_state(a_hat=1.0)),
     axes=(("rho_hat", (1.0, 2.0)), ("c_hat", (1.0, 3.0)), ("H_vacuum_2", (0.0, 1.0, -0.0))),
 )
-# the third row shares the first row's class; the fifth row's a1_hat is invalid
+# rows 2 and 4 share the class of the row before (0.0 and -0.0 apart); the
+# fifth row's a1_hat is invalid
 @example(
     pair=(ModelKind.IncompressibleEuler, BasicState()),
     axes=(("a1_hat", (0.0, -0.0, 0.5)), ("a0_hat", (1.0, 2.0)), ("a_hat", (1.0, -1.0))),
