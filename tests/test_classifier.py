@@ -813,8 +813,9 @@ def test_sweep_decides_each_field_pair_once(monkeypatch, model, spec, pairs, ver
         counted = lambda *args, log=log, real=real: log.append(args) or real(*args)
         monkeypatch.setattr(classifier, name, counted)
     got = sweep(model, spec)
-    # the first point of each pair is classified by classify_frozen itself;
-    # the others go straight to the verdict table, checked when the grid was built
+    # the first point of each pair is classified by classify_frozen itself; the
+    # others, checked when the grid was built, go straight to the verdict table
+    # or share the outcomes of their row class's first row
     assert len(classified) == len(validated) == pairs
     assert len(decided) == (pairs if model.is_mhd else 0)
     assert repr(got) == repr(want)
