@@ -77,7 +77,7 @@ def benchmark_shaped_grid() -> str:
 
 # (config, arguments after it, exit code, CSV byte count, CSV sha256, stderr,
 # {warning text: count}) of `mhdlab sweep`, each pinned as it was written
-# before sweeps were decided by row class
+# before sweeps were decided by row class, or by axis parts where a case says so
 NEAR_ZERO = "a_hat={!r} is below the zero-detection threshold; classifying as the a = 0 case"
 SWEEP_PINS = {
     "readme": (
@@ -124,6 +124,21 @@ SWEEP_PINS = {
         SWEEP_MHD_INI + "a_hat = 0.25\n",
         ["--grid", "rho_hat=0.5:4:5;c_hat=1:3:4;H_vacuum_3=-3:3:7"],
         (0, 6208, "7c76a2dc51416ec25fdd80b1989f9420efd07847a083bd618b12dce5b9d3e607", "", {}),
+    ),
+    # pinned before sweeps were decided by axis parts: rows of signed-zero
+    # fields, each with a near-zero a_hat point, and a grid of field pairs alone
+    "field-outer-near-zero-last": (
+        ILLPOSED_INI,
+        ["--grid", "H_vacuum_3=0,-0.0,0.5,1.6,-0.0,0;a_hat=-2,-1e-13,0,-0.0,0.5,1,2"],
+        (
+            0, 1226, "1f8aaf44032001d95e4dfed96ba2f065002057cb8537ac5492735dd1e07461c5", "",
+            {NEAR_ZERO.format(-1e-13): 6},
+        ),
+    ),
+    "field-only": (
+        SWEEP_MHD_INI + "a_hat = 1.3\na0_hat = 0.2\n",
+        ["--grid", "H_vacuum_2=-4:4:9;H_vacuum_3=-2:2:17"],
+        (0, 5136, "cfa98d71ff79ee5cd64f3f1bc6afda27419542e4f32bb14d9440e7459fbb030f", "", {}),
     ),
     # Q's config: the rows at H_vacuum_2 = +-0.005 conflict with their fits
     "numeric-conflict-rows": (
