@@ -6,14 +6,12 @@ coefficient a > 0 produces frequencies growing like sqrt(n), i.e. genuine
 ill-posedness; a = 0 with a0 > 0 leaves only the n-independent exponential
 growth exp(a0 t); everything else shows no high-frequency growth at all.
 The numeric path must reproduce the algebraic verdict or fail loudly.
-sweep maps the verdict over a SweepSpec grid straight from the values of
-the grid walk, a row (one value of every outer axis) at a time. Rows whose
-outer values the verdict table reads alike (the sign of a_hat, whether
-a0_hat > 0, the exact tangential fields) form a row class: the first row of
-a class is decided point by point, building a BasicState, for
-classify_frozen, only at the first point of each new field pair, and every
-later row of the class shares that row's outcome objects. A row holding a
-near-zero a_hat is never shared, so each of its points warns.
+sweep maps the verdict over a SweepSpec grid, a row (one value of every
+outer axis) at a time, from what the verdict table reads of each axis value
+(the sign of a_hat, whether a0_hat > 0, the exact tangential fields).
+classify_frozen decides the first point of each row class and last-axis
+value class; every later row of a class shares its first row's outcomes. A
+point with a near-zero a_hat is never shared, so each such point warns.
 """
 from __future__ import annotations
 
@@ -21,7 +19,6 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .domain import (
     FIELD_SLOTS, STATE_FIELDS, BasicState, Classification, ModelKind, Verdict, Wavevector,
@@ -90,26 +87,6 @@ def _near_zero(a: float) -> bool:
     return a != 0.0 and abs(a) <= _A_ZERO_TOL * (1.0 + abs(a))
 
 
-def _outcome(model: ModelKind, fields: dict, collinear: bool, stacklevel: int) -> Classification:
-    """The verdict table of a valid state's collinearity and the a_hat and a0_hat
-    of its attribute dict ``fields``, whose tangential fields give an ill-posed
-    MHD state's witness. A near-zero a_hat warns at frame ``stacklevel`` (2: the
-    line calling this)."""
-    a, a0 = fields["a_hat"], fields["a0_hat"]
-    if a and abs(a) <= _A_ZERO_TOL * (1.0 + abs(a)):  # _near_zero(a), inline per point
-        msg = f"a_hat={a!r} is below the zero-detection threshold; classifying as the a = 0 case"
-        warnings.warn(msg, stacklevel=stacklevel)
-        a = 0.0
-    if a == 0.0:
-        return _EXPONENTIAL if collinear and a0 > 0.0 else _NO_GROWTH[collinear][False]
-    if a < 0.0 or not collinear:
-        return _NO_GROWTH[collinear][a < 0.0]
-    if model.is_mhd:
-        witness = _witness_direction(fields["H_plasma"], fields["H_vacuum"])
-        return Classification(Verdict.IllPosed, True, False, witness=witness)
-    return _ILL_POSED
-
-
 def _witness_problem(model: ModelKind, state: BasicState):
     """(model, state, direction) of a collinear MHD state's witness fit. With the
     fields relatively collinear, wp = wm = 0 there and the determinant is rho s
@@ -124,10 +101,25 @@ def _witness_problem(model: ModelKind, state: BasicState):
 
 
 def classify_frozen(model: ModelKind, state: BasicState) -> Classification:
-    """Algebraic stability verdict for one frozen state."""
+    """Algebraic stability verdict for one frozen state: the verdict table of
+    its collinearity, the sign of a_hat and whether a0_hat > 0. A near-zero
+    a_hat warns from the calling line and counts as a = 0; an ill-posed MHD
+    state's witness comes from its tangential fields."""
     require_valid(model, state)
     collinear = is_collinear(state) if model.is_mhd else True
-    return _outcome(model, state.__dict__, collinear, 3)
+    a = state.a_hat
+    if _near_zero(a):
+        msg = f"a_hat={a!r} is below the zero-detection threshold; classifying as the a = 0 case"
+        warnings.warn(msg, stacklevel=2)
+        a = 0.0
+    if a == 0.0:
+        return _EXPONENTIAL if collinear and state.a0_hat > 0.0 else _NO_GROWTH[collinear][False]
+    if a < 0.0 or not collinear:
+        return _NO_GROWTH[collinear][a < 0.0]
+    if model.is_mhd:
+        witness = _witness_direction(state.H_plasma, state.H_vacuum)
+        return Classification(Verdict.IllPosed, True, False, witness=witness)
+    return _ILL_POSED
 
 
 def numeric_classify(
@@ -260,35 +252,22 @@ class SweepSpec:
                 yield assemble(BasicState, fields)
 
 
-def _row_classes(read: set, grid: SweepSpec):
-    """The class of each row of grid._rows(), in row order: for each outer axis,
-    what the verdict table reads of its value. That is the sign of a_hat (0.0
-    and -0.0 alike), whether a0_hat > 0, and the exact value of a tangential
-    field component or other field in ``read`` (a1_hat on a fluid model), a zero
-    as an infinity of its sign so that signed zeros stay apart; rho_hat, c_hat
-    and any other field give 0. Rows of one class get equal outcomes. A row that
-    holds a near-zero a_hat, which warns at every point, has class None, and so
-    does every row of a grid where no two rows share a class."""
-
-    def parts(name, values):
-        attr = FIELD_SLOTS[name][0]
-        if attr == "a_hat":
-            return [None if _near_zero(v) else (v > 0.0) - (v < 0.0) for v in values]
-        if attr == "a0_hat":
-            return [v > 0.0 for v in values]
-        if attr in read:
-            return [v or math.copysign(math.inf, v) for v in values]
-        return [0] * len(values)
-
-    *outer, (last_name, last_values) = grid.axes or [("", ())]
-    if all(name != "a_hat" for name, _ in outer):
-        # a row's points take their a_hat from the last axis or the base
-        if any(map(_near_zero, last_values if last_name == "a_hat" else (grid.base.a_hat,))):
-            return itertools.repeat(None)
-    axis_parts = [parts(name, values) for name, values in outer]
-    if all(len(set(p)) == len(p) for p in axis_parts):  # no two rows share a class
-        return itertools.repeat(None)
-    return (None if None in cls else cls for cls in itertools.product(*axis_parts))
+def _axis_parts(read: set, name: str, values) -> list:
+    """What the verdict table reads of each value of the axis ``name``: the
+    sign of a_hat (0.0 and -0.0 alike), or None where it is near zero and
+    warns; whether a0_hat > 0; the exact value of a tangential field component
+    or other field in ``read`` (a1_hat on a fluid model), a zero as an infinity
+    of its sign so that signed zeros stay apart; 0 for rho_hat, c_hat and any
+    other field. Points whose parts are equal on every axis get equal
+    outcomes."""
+    attr = FIELD_SLOTS[name][0]
+    if attr == "a_hat":
+        return [None if _near_zero(v) else (v > 0.0) - (v < 0.0) for v in values]
+    if attr == "a0_hat":
+        return [v > 0.0 for v in values]
+    if attr in read:
+        return [v or math.copysign(math.inf, v) for v in values]
+    return [0] * len(values)
 
 
 def sweep(model: ModelKind, grid: SweepSpec) -> list[Classification]:
@@ -296,37 +275,34 @@ def sweep(model: ModelKind, grid: SweepSpec) -> list[Classification]:
     ``[classify_frozen(model, st) for st in grid.points()]``, on values checked
     when the grid was built.
 
-    A row (one value of every outer axis) is decided once per row class (see
-    _row_classes): the first row of each class point by point, every later row
-    of that class by extending the list with the first row's outcome objects,
-    so it draws no point from the walk. A row holding a near-zero a_hat is never
-    shared, so each of its points warns. Within a decided row, a BasicState is
-    built only at the first point of each distinct value of the varied fields
-    that classify_frozen reads besides a_hat and a0_hat (the tangential fields,
-    and a1_hat on a fluid model), and goes to classify_frozen. Later points take
-    its collinearity flag straight to the verdict table; an ill-posed MHD
-    point's witness comes from its own fields."""
+    A point is decided by its parts on every axis (see _axis_parts).
+    classify_frozen runs once per row class (the parts of a row's outer
+    values) and part of the last axis: the first row of a class is decided
+    point by point, sharing the outcome of its first point of each last-axis
+    part, and every later row of the class extends the list with that row's
+    outcome objects, so it draws no point from the walk. A point with a
+    near-zero a_hat, on any axis or the base, is never shared, nor is its
+    row, so each such point warns."""
     read = {"H_plasma", "H_vacuum"} if model.is_mhd else {"H_plasma", "H_vacuum", "a1_hat"}
-    # a field that no axis sets is the base's at every point
-    varied = {FIELD_SLOTS[name][0] for name, _ in grid.axes} & read
-    key = itemgetter(*sorted(varied) or ["H_plasma"])
-    width = len(grid.axes[-1][1]) if grid.axes else 1
-    decided = {}
+    *outer, last = [_axis_parts(read, name, values) for name, values in grid.axes] or [[None]]
+    if all(name != "a_hat" for name, _ in grid.axes) and _near_zero(grid.base.a_hat):
+        last = [None] * len(last)  # every point takes the base's near-zero a_hat
+    shared = None not in last  # else every row holds a near-zero a_hat point
     first = {}  # row class -> where its first row starts in out
     out = []
-    for row, cls in zip(grid._rows(), _row_classes(read, grid)):
-        start = first.get(cls)
-        if start is not None:
-            out += out[start:start + width]
-            continue
-        if cls is not None:
-            first[cls] = len(out)
-        for f in row:
-            pair = key(f)
-            flag = decided.get(pair)
-            # one line, so that both calls warn from it
-            outcome = classify_frozen(model, assemble(BasicState, f)) if flag is None else _outcome(model, f, flag, 2)
-            if flag is None:
-                decided[pair] = outcome.collinear
+    for row, cls in zip(grid._rows(), itertools.product(*outer)):
+        near = None in cls  # a near-zero outer a_hat: every point of the row warns
+        if shared and not near:
+            start = first.setdefault(cls, len(out))
+            if start < len(out):
+                out += out[start:start + len(last)]
+                continue
+        decided = {}  # last-axis part -> the outcome of its first point in the row
+        for f, part in zip(row, itertools.repeat(None) if near else last):
+            outcome = decided.get(part)
+            if outcome is None:
+                outcome = classify_frozen(model, assemble(BasicState, f))
+                if part is not None:
+                    decided[part] = outcome
             out.append(outcome)
     return out

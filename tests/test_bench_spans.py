@@ -64,10 +64,10 @@ def test_the_sweep_classifies_through_the_traced_name():
 
 def test_the_cli_sweeps_through_the_traced_name():
     """The traced run reads classifier.sweep_wait_ms from the span around
-    sweep, so cmd_sweep calls sweep by its name, and the row memo that decides
-    a sweep once per row class lives inside sweep."""
+    sweep, so cmd_sweep calls sweep by its name, and the axis parts that
+    decide which points of a sweep share an outcome are read inside sweep."""
     assert "sweep" in called_names(cli.cmd_sweep)
-    callers = {name for name, fn in package_functions() if "_row_classes" in called_names(fn)}
+    callers = {name for name, fn in package_functions() if "_axis_parts" in called_names(fn)}
     assert callers == {"mhdlab.classifier.sweep"}
 
 

@@ -792,32 +792,31 @@ def fluid_spec():
 
 
 @pytest.mark.parametrize(
-    "model, spec, pairs, verdicts",
+    "model, spec, calls, verdicts",
     [
-        (ModelKind.CompressibleMHD, benchmark_shaped_spec(), 20, set(Verdict)),
+        (ModelKind.CompressibleMHD, benchmark_shaped_spec(), 6 * 20, set(Verdict)),
         (
             ModelKind.CompressibleMHD, field_only_spec(), 56,
             {Verdict.IllPosed, Verdict.NoHadamardGrowth},
         ),
-        (ModelKind.CompressibleEuler, fluid_spec(), 1, set(Verdict)),
+        (ModelKind.CompressibleEuler, fluid_spec(), 3 * 2, set(Verdict)),
     ],
     ids=["benchmark-shaped", "field-only", "fluid"],
 )
-def test_sweep_decides_each_field_pair_once(monkeypatch, model, spec, pairs, verdicts):
+def test_sweep_classifies_once_per_row_class_and_last_part(monkeypatch, model, spec, calls,
+                                                           verdicts):
+    # classify_frozen runs once per (row class, last-axis part): 6 classes
+    # (sign of a_hat, a0_hat > 0) x 20 field values; every field-only point;
+    # 3 signs of a_hat x 2 of a0_hat > 0 on the fluid grid. Every other point
+    # shares an outcome of its row or of its class's first row
     want = [classify_frozen(model, st) for st in spec.points()]
-    decided, classified, validated = [], [], []
-    for name, log in (
-        ("is_collinear", decided), ("classify_frozen", classified), ("require_valid", validated)
-    ):
-        real = getattr(classifier, name)
-        counted = lambda *args, log=log, real=real: log.append(args) or real(*args)
-        monkeypatch.setattr(classifier, name, counted)
+    classified = []
+    real = classifier.classify_frozen
+    monkeypatch.setattr(
+        classifier, "classify_frozen", lambda *args: classified.append(args) or real(*args)
+    )
     got = sweep(model, spec)
-    # the first point of each pair is classified by classify_frozen itself; the
-    # others, checked when the grid was built, go straight to the verdict table
-    # or share the outcomes of their row class's first row
-    assert len(classified) == len(validated) == pairs
-    assert len(decided) == (pairs if model.is_mhd else 0)
+    assert len(classified) == calls
     assert repr(got) == repr(want)
     assert {cls.verdict for cls in got} == verdicts
 
@@ -851,8 +850,10 @@ def test_a_benchmark_shaped_sweep_runs_the_verdict_table_once_per_row_class(monk
     model, spec = ModelKind.CompressibleMHD, benchmark_shaped_spec()
     want = [classify_frozen(model, st) for st in spec.points()]
     tabled = []
-    real = classifier._outcome
-    monkeypatch.setattr(classifier, "_outcome", lambda *args: tabled.append(args) or real(*args))
+    real = classifier.classify_frozen
+    monkeypatch.setattr(
+        classifier, "classify_frozen", lambda *args: tabled.append(args) or real(*args)
+    )
     got, drawn, warned = recorded(lambda: sweep(model, spec))
     assert len(tabled) == len(drawn) <= 6 * 20
     assert repr(got) == repr(want) and warned == []
@@ -874,10 +875,11 @@ def field_only_rows(rows):
 
 
 def test_a_sweep_without_a_repeated_row_class_grows_as_before():
-    # no two rows share a class, so the sweep keeps no row memo: the peak grows
-    # by the list's slot and the field pair memo's key and entry, 77.0 bytes a
-    # point as when every row was decided point by point; a memo entry per
-    # 20-point row would add 3 more
+    # no two rows share a class and no point shares an outcome: the peak grows
+    # by the list's slot (8 bytes a point) and each row's class and memo entry
+    # (about 98 bytes a 20-point row), 12.9 bytes a point in all; the bound
+    # leaves 3 bytes a point of margin. The field pair memo this sweep
+    # replaced cost 77.0
     def peak(spec):
         tracemalloc.start()
         try:
@@ -889,7 +891,7 @@ def test_a_sweep_without_a_repeated_row_class_grows_as_before():
     small, large = field_only_rows(20), field_only_rows(80)
     peak(large)  # first-use allocations of the package and the interpreter
     growth = peak(large) - peak(small)
-    assert growth <= 78 * (80 - 20) * 20, growth
+    assert growth <= 16 * (80 - 20) * 20, growth
 
 
 def test_a_library_sweep_starts_at_most_one_collection():
@@ -917,7 +919,8 @@ def test_a_library_sweep_starts_at_most_one_collection():
 
 @pytest.mark.parametrize("model", [ModelKind.CompressibleMHD, ModelKind.CompressibleEuler])
 def test_a_sweep_warns_from_one_place(model):
-    # on MHD the first point decides the field pair and the second reuses it
+    # both points of the near-zero a_hat's row warn, from sweep's one call of
+    # classify_frozen
     axes = (("a_hat", (1e-13, 1.0)), ("a0_hat", (0.0, 1.0)))
     base = collinear_state() if model.is_mhd else BasicState()
     with warnings.catch_warnings(record=True) as caught:
