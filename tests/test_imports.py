@@ -15,7 +15,8 @@ dataclasses. Only dispersion.mode_symbol has a global or nonlocal statement:
 no other function keeps state between calls. dispersion.ModeSymbol stores, outside
 __init__, only attributes its __init__ stores, and caches nothing through
 functools.cached_property, so a symbol keeps one attribute layout. Only
-cli._write_lines opens a file or calls write_text or write_bytes.
+cli._write_lines opens a file or calls write_text or write_bytes. Only
+classifier.classify_frozen reads the verdict table's outcomes.
 """
 import ast
 import builtins
@@ -161,6 +162,16 @@ def test_only_mode_symbol_keeps_state_between_calls():
              for where, node in _scoped(ast.parse(path.read_text(), filename=str(path)),
                                         (ast.Global, ast.Nonlocal))]
     assert found == ["dispersion.mode_symbol: ['_last_symbol']"]
+
+
+def test_classify_frozen_is_the_one_verdict_table():
+    # every verdict comes from one function, so no second path can decide a
+    # point without classify_frozen's check and near-zero a_hat warning
+    outcomes = {"_ILL_POSED", "_EXPONENTIAL", "_NO_GROWTH"}
+    found = {f"{path.stem}.{where}" for path in MODULES
+             for where, node in _scoped(ast.parse(path.read_text(), filename=str(path)), ast.Name)
+             if node.id in outcomes and isinstance(node.ctx, ast.Load)}
+    assert found == {"classifier.classify_frozen"}
 
 
 def test_cli_write_lines_is_the_one_file_writer():

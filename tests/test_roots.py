@@ -149,6 +149,31 @@ def test_both_roots_of_a_tiny_stable_jump_are_kept():
     assert sorted(r.s.imag for r in found) == pytest.approx([-1e-10, 1e-10], rel=1e-6)
 
 
+# collinear fields with a = a0 = 0 exactly: along the witness the exact root
+# set is {0}, but the witness projections round to 2.2e-16 and 4.4e-16 and
+# the solver keeps the pair +-1.94e-8 (1 + i) (1.94e-9 at n = 100) beside it,
+# the one with Re s > 0 flagged admissible
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP N")
+@pytest.mark.parametrize("model", [ModelKind.IncompressibleMHD, ModelKind.CompressibleMHD])
+@pytest.mark.parametrize("n", [1, 100])
+def test_the_witness_of_exactly_neutral_collinear_fields_finds_only_zero(model, n):
+    c, s = math.cos(1.0), math.sin(1.0)
+    state = BasicState(H_plasma=(3 * c, 3 * s), H_vacuum=(7 * c, 7 * s), a1_hat=1.7)
+    witness = _witness_direction(state.H_plasma, state.H_vacuum)
+    assert [r.s for r in solve_dispersion(model, state, witness, n)] == [0]
+
+
+# LAPACK's eigvals does not converge on this degree-8 companion, whose
+# coefficients span many decades (wm about 8.5e7); n = 1 and n = 8 solve
+@pytest.mark.xfail(strict=True, raises=DomainError, reason="ROADMAP G")
+def test_a_companion_of_a_huge_vacuum_field_converges():
+    state = BasicState(
+        rho_hat=1.1015625, c_hat=1.75, a0_hat=0.5, H_plasma=(0.0, 1.0), H_vacuum=(1e8, 0.0)
+    )
+    omega = Wavevector(0.8459244992310679, 0.5333026735360201)
+    assert solve_dispersion(ModelKind.CompressibleMHD, state, omega, 7)
+
+
 def accepted(pairs, n=100):
     sym = mode_symbol(ModelKind.IncompressibleEuler, BasicState(a_hat=1.0), OM)
     return [(r.s, r.residual) for r in _accept(sym, iter(pairs), n)]
