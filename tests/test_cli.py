@@ -140,6 +140,21 @@ SWEEP_PINS = {
         ["--grid", "H_vacuum_2=-4:4:9;H_vacuum_3=-2:2:17"],
         (0, 5136, "cfa98d71ff79ee5cd64f3f1bc6afda27419542e4f32bb14d9440e7459fbb030f", "", {}),
     ),
+    # pinned before sweeps were written a grid row at a time: a grid that is
+    # one row, with no outer axes, and a grid longer than WRITE_BLOCK lines
+    # whose 11-point rows, a last axis that does not divide WRITE_BLOCK, recur
+    # non-adjacently, with a collinear H_vacuum_3 (1.6) whose IllPosed points
+    # carry a witness
+    "one-axis": (
+        README_INI,
+        ["--grid", "a_hat=-2:2:41"],
+        (0, 1397, "2e3549adbca84856bba569a16ada9a22e8c57224bba2929c76bbf44a58d2341f", "", {}),
+    ),
+    "three-axis-over-a-block": (
+        README_INI,
+        ["--grid", "a_hat=-2:2:9;a0_hat=-1:1:13;H_vacuum_3=0:3.2:11"],
+        (0, 72427, "e9d210a0997df39260a084731c66e925351f9bcf168a3a31e7b45b95d614bdfa", "", {}),
+    ),
     # Q's config: the rows at H_vacuum_2 = +-0.005 conflict with their fits
     "numeric-conflict-rows": (
         "model = IncompressibleMHD\na_hat = 1.0\na0_hat = 0.2\na1_hat = 0.7\n"
