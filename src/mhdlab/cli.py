@@ -11,10 +11,10 @@ codes: 0 success, 1 configuration or domain errors, 2 analytic/numeric
 verdict conflict, 3 partial output after per-row solver errors.
 
 Every output goes through _write_lines, which opens its file only after the
-command has computed what goes in it, and writes the lines as they are
-formatted, WRITE_BLOCK lines per write. So once a file is open only the write
-can fail, and a sweep holds one reference per point (sweep()'s list of mostly
-shared verdicts) plus one block of text, not its whole CSV.
+command has computed what goes in it and writes about WRITE_BLOCK lines at a
+time as they are formatted. So once a file is open only the write can fail, and
+a sweep holds one reference per point (sweep()'s list of mostly shared
+verdicts), bodies of at most one block and one block of text, not its CSV.
 """
 from __future__ import annotations
 
@@ -151,24 +151,44 @@ def cmd_sweep(args) -> int:
     # keyed by _value_ (Enum .value is slow)
     *outer, last = ([fmt(v) for v in values] for _, values in spec.axes)
     a_hat_cell = [] if "a_hat" in axis_names else [fmt(spec.base.a_hat)]
+    # without --numeric a row goes out as one string per WRITE_BLOCK points, its
+    # body (last-axis cells and tails) built once per sequence of outcome ids:
+    # outcomes keeps the objects alive and sweep() repeats them in every row of
+    # a row class. Bodies are dropped before they would hold over WRITE_BLOCK lines.
+    pieces = [(i, last[i:i + WRITE_BLOCK]) for i in range(0, len(last), WRITE_BLOCK)]
+    keep = WRITE_BLOCK // max(len(last), 1)
+    tails = {}
+
+    def tail(outcome):
+        key = outcome.verdict._value_, outcome.collinear
+        text = tails.get(key)
+        if text is None:
+            text = tails[key] = ",".join(["", key[0], fmt(key[1]), *a_hat_cell])
+        return text
 
     def rows():
         yield ",".join(header)
-        tails = {}
-        verdicts, exponents = iter(outcomes), iter(fits or itertools.repeat(None))
+        verdicts, exponents, bodies = iter(outcomes), iter(fits), {}
         for row in itertools.product(*outer):
-            prefix = "".join(cell + "," for cell in row)
-            # zip stops at the end of the last axis before it takes a point
-            for cell, outcome, fit in zip(last, verdicts, exponents):
-                if isinstance(fit, str):
-                    point = ",".join(f"{name}={c}" for name, c in zip(axis_names, (*row, cell)))
-                    yield f"# error: {point} {fit}"
-                    continue
-                key = outcome.verdict._value_, outcome.collinear
-                tail = tails.get(key)
-                if tail is None:
-                    tail = tails[key] = ",".join(["", key[0], fmt(key[1]), *a_hat_cell])
-                yield prefix + cell + tail if fit is None else f"{prefix}{cell}{tail},{fmt(fit)}"
+            prefix = ",".join((*row, ""))
+            if numeric:  # a line per point; zip stops at the last axis's end first
+                for cell, outcome, fit in zip(last, verdicts, exponents):
+                    if isinstance(fit, str):
+                        point = ",".join(f"{name}={c}" for name, c in zip(axis_names, (*row, cell)))
+                        yield f"# error: {point} {fit}"
+                    else:
+                        yield f"{prefix}{cell}{tail(outcome)},{fmt(fit)}"
+                continue
+            for start, cells in pieces:
+                chunk = list(itertools.islice(verdicts, len(cells)))
+                key = start, tuple(map(id, chunk))
+                body = bodies.get(key)
+                if body is None:
+                    if len(bodies) >= keep:
+                        bodies.clear()
+                    texts = {i: tail(o) for i, o in dict(zip(key[1], chunk)).items()}
+                    body = bodies[key] = [c + texts[i] for c, i in zip(cells, key[1])]
+                yield prefix + ("\n" + prefix).join(body)
 
     _write_lines(rows(), args.out)
     return 3 if any(isinstance(fit, str) for fit in fits) else 0
@@ -268,8 +288,9 @@ def cmd_green(args) -> int:
 def _write_lines(lines, out) -> None:
     """Write an iterable of lines to the file out, or to stdout if out is empty,
     as "\n".join(lines) + "\n" (an empty iterable writes "\n"): the CLI's one
-    writer. It joins WRITE_BLOCK lines per write, so no more than one block of
-    the output is held as text at once."""
+    writer. An item may hold several lines; a write goes out at the first item
+    that brings its block to WRITE_BLOCK lines or more, so no more than about
+    one block of the output is held as text at once."""
     if not out:
         _write_blocks(lines, sys.stdout)
         return
@@ -280,11 +301,15 @@ def _write_lines(lines, out) -> None:
         raise ConfigError(f"output not writable: {out} ({exc})") from None
 
 
-def _write_blocks(lines, stream) -> None:
-    it = iter(lines)
-    # the first block goes out even when empty, so no lines write "\n"
-    stream.write("\n".join(itertools.islice(it, WRITE_BLOCK)) + "\n")
-    for block in iter(lambda: list(itertools.islice(it, WRITE_BLOCK)), []):
+def _write_blocks(items, stream) -> None:
+    block, size, wrote = [], 0, False
+    for item in items:
+        block.append(item)
+        size += item.count("\n") + 1
+        if size >= WRITE_BLOCK:
+            stream.write("\n".join(block) + "\n")
+            block, size, wrote = [], 0, True
+    if block or not wrote:  # no lines at all write "\n"
         stream.write("\n".join(block) + "\n")
 
 

@@ -159,6 +159,20 @@ def test_verdict_invariant_under_joint_rotation(state, theta):
         assert got.verdict is classified_with_warnings(model, rotated).verdict
 
 
+# the rotation example: |cross| of the fields sits exactly on the
+# collinearity threshold, so the verdict reads ExponentiallyUnstable here and
+# NoHadamardGrowth once both fields are rotated by 1.0, on both MHD models
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP G")
+def test_a_field_pair_on_the_collinearity_threshold_keeps_its_verdict_under_rotation():
+    state = BasicState(H_plasma=(1.0, 0.0), H_vacuum=(1.0, 1e-09), a_hat=0.0, a0_hat=1.0)
+    c, s = math.cos(1.0), math.sin(1.0)
+    rot = lambda v: (c * v[0] - s * v[1], s * v[0] + c * v[1])
+    rotated = replace(state, H_plasma=rot(state.H_plasma), H_vacuum=rot(state.H_vacuum))
+    for model in MHD_MODELS:
+        got = classified_with_warnings(model, state)
+        assert got.verdict is classified_with_warnings(model, rotated).verdict
+
+
 def test_a0_never_changes_the_illposedness_verdict():
     for a0 in (-1.5, 0.0, 2.0):
         ill = classify_frozen(ModelKind.CompressibleMHD, collinear_state(a_hat=1.0, a0_hat=a0))

@@ -3,6 +3,7 @@ import collections
 import gc
 import hashlib
 import importlib
+import itertools
 import json
 import math
 import subprocess
@@ -620,6 +621,8 @@ class TestSweepCommand:
         [
             "a_hat=-1:1:5;H_vacuum_3=0,-0.0,0.1;a0_hat=-1,0,1",
             "H_plasma_3=-0.0,0.25,1;a0_hat=-1:1:3;a1_hat=0.1,-0.2",
+            # rows longer than two blocks, each point sharing one outcome
+            "c_hat=1:3:3;rho_hat=0.5:4:2100",
         ],
     )
     def test_rows_match_the_per_row_formula(self, tmp_path, capsys, grid):
@@ -830,6 +833,53 @@ class TestSweepCommand:
         growth = peak(large) - base
         assert out.stat().st_size > 2_000_000  # the large grid's CSV
         assert growth <= 32 * 3 * 21 * 20 * 20, growth
+
+    @pytest.mark.parametrize(
+        "ini, small, large",
+        [
+            # every row is its own row class
+            (
+                SWEEP_MHD_INI + "a_hat = 1.3\na0_hat = 0.2\n",
+                "H_vacuum_2=-4:4:91;H_vacuum_3=-2:2:92",
+                "H_vacuum_2=-4:4:364;H_vacuum_3=-2:2:92",
+            ),
+            # and every row's outcome objects differ from every other row's: its
+            # one collinear point (shared, witness-free, as a_hat < 0) sits on
+            # the diagonal, so no body is ever reused
+            (
+                "model = CompressibleMHD\nH_plasma_2 = 1.0\nH_plasma_3 = 1.0\na_hat = -1.3\n",
+                "H_vacuum_2=-4:4:91;H_vacuum_3=-4:4:91",
+                "H_vacuum_2=-4:4:182;H_vacuum_3=-4:4:182",
+            ),
+        ],
+        ids=["row-classes", "diagonal"],
+    )
+    def test_a_sweep_of_rows_that_never_repeat_keeps_its_bodies_to_one_block(
+        self, tmp_path, ini, small, large
+    ):
+        # the bodies kept are dropped before they hold more than one block, so
+        # the peak grows by the 32 bytes a point that a repeating grid may
+        path = tmp_path / "base.ini"
+        path.write_text(ini)
+        out = tmp_path / "map.csv"
+
+        def peak(grid):
+            tracemalloc.start()
+            try:
+                assert main(["sweep", str(path), "--grid", grid, "--out", str(out)]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(small)  # first-use allocations of the package and the interpreter
+        base = peak(small)
+        growth = peak(large) - base
+        small_points, large_points = (
+            math.prod(len(values) for _, values in parse_grid(grid)) for grid in (small, large)
+        )
+        assert large_points == 4 * small_points
+        assert len(out.read_text().splitlines()) == large_points + 1
+        assert growth <= 32 * (large_points - small_points), growth
 
     @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
     @pytest.mark.parametrize(
@@ -1301,24 +1351,50 @@ def test_importing_the_module_entry_point_runs_no_cli(monkeypatch, capsys):
     assert capsys.readouterr() == ("", "")
 
 
+@pytest.mark.parametrize("sizes", [(1,), (3, 1, 7, 20), (cli.WRITE_BLOCK - 1, 2), (1500,)],
+                         ids=["one-line", "few-lines", "block-edge", "over-a-block"])
 @pytest.mark.parametrize("count", [0, 1, cli.WRITE_BLOCK - 1, cli.WRITE_BLOCK,
                                    cli.WRITE_BLOCK + 1, 2 * cli.WRITE_BLOCK + 1])
-def test_written_lines_are_joined_across_every_block_edge(tmp_path, capsysbinary, count):
-    # every seventh line is empty, so a block may start or end with one
+def test_written_lines_are_joined_across_every_block_edge(tmp_path, capsysbinary, count, sizes):
+    # every seventh line is empty, so a block or an item may start or end with
+    # one, or be one; items hold the lines in groups of the cycled sizes
     lines = ["" if i % 7 == 3 else f"row {i}," for i in range(count)]
+    items, start = [], 0
+    for size in itertools.cycle(sizes):
+        if start >= count:
+            break
+        items.append("\n".join(lines[start:start + size]))
+        start += size
+    assert sum(item.count("\n") + 1 for item in items) == count
     expected = ("\n".join(lines) + "\n").encode()
     out = tmp_path / "lines.csv"
-    cli._write_lines(iter(lines), str(out))
+    cli._write_lines(iter(items), str(out))
     assert out.read_bytes() == expected
-    cli._write_lines(iter(lines), None)
+    cli._write_lines(iter(items), None)
     assert capsysbinary.readouterr().out == expected
 
 
-def test_lines_go_out_one_block_per_write(monkeypatch):
+@pytest.mark.parametrize(
+    "sizes, written",
+    [
+        ([1] * (2 * cli.WRITE_BLOCK + 1), [cli.WRITE_BLOCK, cli.WRITE_BLOCK, 1]),
+        ([], [1]),  # no lines write "\n"
+        ([cli.WRITE_BLOCK], [cli.WRITE_BLOCK]),
+        ([20] * 103, [1040, 1020]),  # 52 rows of 20 reach a block; 51 do not
+        ([cli.WRITE_BLOCK - 1, 1, 1], [cli.WRITE_BLOCK, 1]),
+        ([cli.WRITE_BLOCK - 1, 2, 5], [cli.WRITE_BLOCK + 1, 5]),
+        ([1, 3 * cli.WRITE_BLOCK, 1], [3 * cli.WRITE_BLOCK + 1, 1]),
+    ],
+    ids=["lines", "empty", "one-block", "rows", "edge", "over-edge", "long-item"],
+)
+def test_lines_go_out_one_block_per_write(monkeypatch, sizes, written):
+    # a block closes at the first item that brings it to WRITE_BLOCK lines or more
     writes = []
     monkeypatch.setattr(sys, "stdout", collections.namedtuple("Sink", "write")(writes.append))
-    cli._write_lines(map(str, range(2 * cli.WRITE_BLOCK + 1)), "")
-    assert [w.count("\n") for w in writes] == [cli.WRITE_BLOCK, cli.WRITE_BLOCK, 1]
+    items = ["\n".join(["x"] * size) for size in sizes]
+    cli._write_lines(iter(items), "")
+    assert [w.count("\n") for w in writes] == written
+    assert "".join(writes) == "\n".join(items) + "\n"
 
 
 def test_an_unwritable_out_exits_one_and_creates_no_file(euler_cfg, tmp_path, capsys):

@@ -122,6 +122,40 @@ def test_a_root_beside_a_resonance_of_a_tiny_field_is_found():
     assert_the_oracle_roots(ModelKind.CompressibleMHD, state, Wavevector(1.0, 0.0), 100)
 
 
+# seed 41's fresh draw: the oracle's pair -5.80e-42 +- 0.23346201i sits on
+# g's branch point, where |D| is inside the branch tolerance, so every polish
+# near it stops; the solver returns a0 / n and the pair -4.35e-24 +- 0.24099565i
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP C5")
+def test_a_pair_beside_the_branch_point_of_a_tiny_a_is_found():
+    state = BasicState(
+        rho_hat=2.331725041037453,
+        c_hat=1.415351929068795,
+        H_plasma=(0.3680000478764465, -0.41339635655736523),
+        H_vacuum=(0.0, -0.0),
+        a_hat=1e-16,
+        a0_hat=1.5765417029733992,
+        a1_hat=0.0,
+    )
+    assert_the_oracle_roots(ModelKind.CompressibleMHD, state, Wavevector(0.25, 0.0), 10_000)
+
+
+# seed 49's fresh draw: fields of size 1e-16 and a0_hat = 1e-16; the solver
+# returns the extra root 5.76e-49, flagged admissible
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP N")
+def test_a_draw_of_tiny_fields_finds_no_extra_root():
+    state = BasicState(
+        rho_hat=2.138118815232723,
+        c_hat=2.0657460232409957,
+        H_plasma=(1.581790341685946e-16, 1.5583067645943085e-16),
+        H_vacuum=(7.123750393395076e-17, 7.01798976435585e-17),
+        a_hat=-0.99999,
+        a0_hat=1e-16,
+        a1_hat=1.2204887609730841,
+    )
+    omega = Wavevector(-1.2927916244814333, 2.824801234382548)
+    assert_the_oracle_roots(ModelKind.IncompressibleMHD, state, omega, 1)
+
+
 # a fresh draw on the witness of a collinear state: at n = 1 the solver keeps
 # an extra root -1.75e-46 - 1.52e-64i where the exact one is s = 0
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP N")
