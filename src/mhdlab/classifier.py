@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .domain import (
     FIELD_SLOTS, STATE_FIELDS, BasicState, Classification, ModelKind, Verdict, Wavevector,
-    assemble, put_slot, require_valid
+    _check_field, assemble, put_slot, require_valid
 )
 from .errors import ConfigError, ConflictError, FitError
 from .roots import fit_scaling
@@ -177,11 +177,11 @@ class SweepSpec:
     """Cartesian grid over BasicState fields, row-major in axis order.
 
     Building it checks each axis value once, after the max_points check, by
-    setting that one field on the base: BasicState checks each field on its
-    own, so a value valid there is valid at every point. ``axes`` holds the
-    converted floats; the first invalid value in axis order raises
-    BasicState's own error. A grid with an empty axis has no point, so it
-    checks no value and keeps every axis empty. ``max_points`` must be a
+    BasicState's own check of that one field and builds no state: BasicState
+    checks each field on its own, so a value valid there is valid at every
+    point. ``axes`` holds the converted floats; the first invalid value in
+    axis order raises BasicState's error. A grid with an empty axis has no
+    point, so it checks no value and keeps every axis empty. ``max_points`` must be a
     whole number and an axis's values a sequence of numbers, not a string.
     """
 
@@ -214,16 +214,8 @@ class SweepSpec:
         total = math.prod(sizes)
         if total > self.max_points:
             raise ConfigError(f"sweep has {total} points, exceeding max_points={self.max_points}")
-
-        def checked(name, value):  # value as BasicState converts it, set on the base
-            attr, index = slot = FIELD_SLOTS[name]
-            fields = vars(self.base).copy()
-            put_slot(fields, slot, value)
-            got = getattr(BasicState(**fields), attr)
-            return got if index is None else got[index]
-
         pairs = self.axes if total else ((name, ()) for name, _ in self.axes)
-        axes = tuple((name, tuple(checked(name, v) for v in values)) for name, values in pairs)
+        axes = tuple((n, tuple(_check_field(FIELD_SLOTS[n][0], v) for v in vs)) for n, vs in pairs)
         object.__setattr__(self, "axes", axes)
 
     def _rows(self):

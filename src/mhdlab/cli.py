@@ -27,7 +27,7 @@ from pathlib import Path
 
 from .classifier import SweepSpec, classify_frozen, numeric_classify, sweep
 from .config import Config, load_config, parse_grid
-from .domain import Wavevector
+from .domain import Wavevector, require_valid
 from .errors import ConfigError, ConflictError, DomainError, GridError, NotARootError
 from .hadamard import (
     build_mode,
@@ -142,10 +142,10 @@ def cmd_sweep(args) -> int:
         header.append("a_hat")
     if numeric:
         header.append("fitted_exponent")
-    outcomes = sweep(cfg.model, spec)
-    # sweep() keeps no state, so --numeric walks the grid again beside its
-    # verdicts; each point keeps only its exponent or its error's text
-    fits = [_fitted_exponent(cfg.model, state) for state in spec.points()] if numeric else ()
+    if numeric:  # each point's numeric_classify result is its verdict, or its error's text
+        outcomes = [_numeric_outcome(cfg.model, state) for state in spec.points()]
+    else:
+        outcomes = sweep(cfg.model, spec)
     # axis values are formatted once and a row's outer cells joined once, in the
     # product's row order; the rest of a line once per (verdict, collinear),
     # keyed by _value_ (Enum .value is slow)
@@ -168,15 +168,16 @@ def cmd_sweep(args) -> int:
 
     def rows():
         yield ",".join(header)
-        verdicts, exponents, bodies = iter(outcomes), iter(fits), {}
+        verdicts, bodies = iter(outcomes), {}
         for row in itertools.product(*outer):
             prefix = ",".join((*row, ""))
             if numeric:  # a line per point; zip stops at the last axis's end first
-                for cell, outcome, fit in zip(last, verdicts, exponents):
-                    if isinstance(fit, str):
+                for cell, outcome in zip(last, verdicts):
+                    if isinstance(outcome, str):
                         point = ",".join(f"{name}={c}" for name, c in zip(axis_names, (*row, cell)))
-                        yield f"# error: {point} {fit}"
+                        yield f"# error: {point} {outcome}"
                     else:
+                        fit = outcome.evidence.exponent if outcome.evidence else math.nan
                         yield f"{prefix}{cell}{tail(outcome)},{fmt(fit)}"
                 continue
             for start, cells in pieces:
@@ -191,17 +192,17 @@ def cmd_sweep(args) -> int:
                 yield prefix + ("\n" + prefix).join(body)
 
     _write_lines(rows(), args.out)
-    return 3 if any(isinstance(fit, str) for fit in fits) else 0
+    return 3 if numeric and any(isinstance(outcome, str) for outcome in outcomes) else 0
 
 
-def _fitted_exponent(model, state):
-    """A numeric sweep point's fitted exponent (nan without evidence), or the
-    text of the solver error that stopped its fit."""
+def _numeric_outcome(model, state):
+    """A numeric sweep point's numeric_classify result, or the text of the
+    solver error or conflict that stopped its fit."""
+    require_valid(model, state)  # a state the model cannot take stops the sweep, as in sweep()
     try:
-        confirmed = numeric_classify(model, state, list(DEFAULT_N_GRID), [Wavevector(1.0, 0.0)])
+        return numeric_classify(model, state, list(DEFAULT_N_GRID), [Wavevector(1.0, 0.0)])
     except (ValueError, RuntimeError) as exc:
         return f"{type(exc).__name__}: {exc}"
-    return confirmed.evidence.exponent if confirmed.evidence else math.nan
 
 
 def cmd_hadamard(args) -> int:

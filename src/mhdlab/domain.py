@@ -87,6 +87,14 @@ def _finite(name: str, value: float) -> float:
     return value
 
 
+def _check_field(name: str, value) -> float:
+    """A scalar of BasicState's attribute name as a float: finite, > 0 for rho_hat and c_hat."""
+    value = _finite(name, value)
+    if value <= 0 and name in ("rho_hat", "c_hat"):
+        raise DomainError(f"{name} must be > 0, got {value}")
+    return value
+
+
 # read once: require_mode_index runs on every determinant evaluation
 _FLOAT_MAX = sys.float_info.max
 
@@ -149,12 +157,8 @@ class BasicState:
     a1_hat: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "rho_hat", _finite("rho_hat", self.rho_hat))
-        object.__setattr__(self, "c_hat", _finite("c_hat", self.c_hat))
-        if self.rho_hat <= 0:
-            raise DomainError(f"rho_hat must be > 0, got {self.rho_hat}")
-        if self.c_hat <= 0:
-            raise DomainError(f"c_hat must be > 0, got {self.c_hat}")
+        for name in ("rho_hat", "c_hat"):
+            object.__setattr__(self, name, _check_field(name, getattr(self, name)))
         for name in ("H_plasma", "H_vacuum"):
             vec = getattr(self, name)
             try:
@@ -164,9 +168,9 @@ class BasicState:
                 two = False
             if not two:
                 raise DomainError(f"{name} must have two components")
-            object.__setattr__(self, name, (_finite(name, first), _finite(name, second)))
+            object.__setattr__(self, name, (_check_field(name, first), _check_field(name, second)))
         for name in ("a_hat", "a0_hat", "a1_hat"):
-            object.__setattr__(self, name, _finite(name, getattr(self, name)))
+            object.__setattr__(self, name, _check_field(name, getattr(self, name)))
 
     @classmethod
     def from_fields(cls, values) -> "BasicState":

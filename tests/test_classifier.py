@@ -606,6 +606,13 @@ def test_sweep_points_equal_states_built_from_all_fields(base, axes):
         # two invalid fields on one point: the first axis's value is named, not
         # the one BasicState's field order would check first on that point
         ((("a_hat", (math.inf, 0.0)), ("c_hat", (-1.0, 1.0))), ("a_hat", math.inf)),
+        # each field's own check: a component's finiteness, a nonpositive
+        # c_hat or negative zero rho_hat, an infinity that is a NumPy scalar
+        ((("H_vacuum_2", (1.0, math.nan)),), ("H_vacuum_2", math.nan)),
+        ((("H_vacuum_2", (1.0, "one")),), ("H_vacuum_2", "one")),
+        ((("a_hat", (1.0,)), ("c_hat", (0.0,))), ("c_hat", 0.0)),
+        ((("rho_hat", (-0.0, 1.0)),), ("rho_hat", -0.0)),
+        ((("a0_hat", (0.5, np.float64("inf"))),), ("a0_hat", np.float64("inf"))),
     ],
 )
 def test_sweep_validates_every_point(axes, bad):
@@ -628,25 +635,32 @@ def test_sweep_checks_each_axis_value_once(monkeypatch):
         ("H_plasma_3", (np.float64(0.25), -0.0, 2)),
     )
     want = built_from_all_fields(base, axes)
-    post_init = BasicState.__post_init__
-    checked = []
+    check, post_init = classifier._check_field, BasicState.__post_init__
+    checked, built = [], []
+
+    def counted_check(name, value):
+        checked.append(name)
+        return check(name, value)
 
     def counted_post_init(self):
-        checked.append(self)
+        built.append(self)
         post_init(self)
 
+    monkeypatch.setattr(classifier, "_check_field", counted_check)
     monkeypatch.setattr(BasicState, "__post_init__", counted_post_init)
     spec = SweepSpec(base=base, axes=axes)
-    assert len(checked) == sum(len(values) for _, values in axes)
+    # one check of the field an axis sets per value, and no state built
+    assert checked == ["rho_hat"] * 2 + ["a_hat"] * 4 + ["H_plasma"] * 3
+    assert built == []
     assert [[type(v) for v in values] for _, values in spec.axes] == [
         [float] * len(values) for _, values in axes
     ]
     got = list(spec.points())
     # the walk checks nothing more
     assert len(checked) == sum(len(values) for _, values in axes)
+    assert built == []
     assert len(got) == len(want)
     for state, expected in zip(got, want):
-        assert not any(state is c for c in checked)
         assert state == expected
         assert hash(state) == hash(expected)
         assert repr(state) == repr(expected)

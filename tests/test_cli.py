@@ -717,6 +717,19 @@ class TestSweepCommand:
         assert lines[2].startswith("1,IllPosed,true,0.5")
         assert len(lines) == 3
 
+    def test_a_numeric_sweep_warns_once_per_near_zero_a_point(self, tmp_path, capsys):
+        # each point is classified once, by the fit that confirms it: two of
+        # the three a_hat values of each row are near zero and warn once each
+        ini = "model = CompressibleMHD\nH_plasma_2 = 1.0\nH_vacuum_2 = 2.0\n"
+        code, data, err, caught = run_sweep(
+            tmp_path, capsys, ini, ["--numeric", "--grid", "a0_hat=0,1;a_hat=-1,-1e-300,-1e-13"]
+        )
+        assert (code, err) == (0, "")
+        assert len(data.decode().splitlines()) == 7
+        got = collections.Counter(str(w.message) for w in caught)
+        assert got == {NEAR_ZERO.format(-1e-300): 2, NEAR_ZERO.format(-1e-13): 2}
+        assert len({(w.filename, w.lineno) for w in caught}) == 1
+
     @pytest.mark.parametrize(
         "ini, grid, csv",
         [
