@@ -177,12 +177,12 @@ class SweepSpec:
     """Cartesian grid over BasicState fields, row-major in axis order.
 
     Building it checks each axis value once, after the max_points check, by
-    BasicState's own check of that one field and builds no state: BasicState
+    BasicState's own check of that one field, building no state: BasicState
     checks each field on its own, so a value valid there is valid at every
     point. ``axes`` holds the converted floats; the first invalid value in
-    axis order raises BasicState's error. A grid with an empty axis has no
-    point, so it checks no value and keeps every axis empty. ``max_points`` must be a
-    whole number and an axis's values a sequence of numbers, not a string.
+    axis order raises BasicState's error. An empty axis leaves no point, so
+    no value is checked and every axis is kept empty. ``max_points`` must be
+    a whole number and an axis's values a sequence of numbers, not a string.
     """
 
     base: BasicState

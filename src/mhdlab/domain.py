@@ -88,7 +88,7 @@ def _finite(name: str, value: float) -> float:
 
 
 def _check_field(name: str, value) -> float:
-    """A scalar of BasicState's attribute name as a float: finite, > 0 for rho_hat and c_hat."""
+    """One number of the BasicState attribute name as a float: finite, > 0 for rho_hat, c_hat."""
     value = _finite(name, value)
     if value <= 0 and name in ("rho_hat", "c_hat"):
         raise DomainError(f"{name} must be > 0, got {value}")

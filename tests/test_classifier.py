@@ -661,6 +661,7 @@ def test_sweep_checks_each_axis_value_once(monkeypatch):
     assert built == []
     assert len(got) == len(want)
     for state, expected in zip(got, want):
+        assert not any(state is b for b in built)
         assert state == expected
         assert hash(state) == hash(expected)
         assert repr(state) == repr(expected)
